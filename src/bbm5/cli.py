@@ -30,7 +30,6 @@ from .evolution import (
     sech_squared,
 )
 from .spectral import Field, Grid, RegimeError, read_snapshot_csv, sobolev_norm
-from .splitting import StepperConfig as _StepperConfig  # noqa: F401 (re-export guard)
 from .splitting import n_sweep, write_sweep_csv, write_sweep_json
 from .symbols import Symbol, random_hs_field
 

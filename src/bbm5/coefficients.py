@@ -4,6 +4,11 @@ The model family is parameterized by (theta, lambda, mu, lambda1, mu1) plus an
 auxiliary parameter rho.  All formulas are rational functions of rational
 inputs, so every function here works unchanged with ``fractions.Fraction``
 inputs (exact) or with floats (production path).
+
+The multiplier formulas of the equation live here too (``multipliers``):
+this module imports nothing else of the package, so the engine, the symbol
+module, the energy and the scaled derivation law all take them from one
+place.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ __all__ = [
     "derive_bbm5",
     "rho_for_energy_conservation",
     "validate",
+    "RegimeError",
+    "require_wellposed",
+    "denominator",
+    "multipliers",
 ]
 
 # Exact target value of the cubic-dispersion coefficient for energy
@@ -175,6 +184,39 @@ def validate(c: Bbm5Coefficients) -> list[str]:
     if not c.delta1 > 0:
         violations.append(f"delta1 must be > 0, got {c.delta1}")
     return violations
+
+
+class RegimeError(ValueError):
+    """Raised when coefficients violate the gamma1, delta1 > 0 hypotheses."""
+
+
+def require_wellposed(c: Bbm5Coefficients, who: str) -> None:
+    """The regime check of every public entry that receives coefficients."""
+    violations = validate(c)
+    if violations:
+        raise RegimeError(f"{who} requires gamma1, delta1 > 0: " + "; ".join(violations))
+
+
+def denominator(xi, c: Bbm5Coefficients):
+    """varphi(xi) = 1 + gamma1*xi^2 + delta1*xi^4; vectorized over xi."""
+    return 1.0 + c.gamma1 * xi**2 + c.delta1 * xi**4
+
+
+def multipliers(xi, c: Bbm5Coefficients):
+    """(varphi, phi, psi, tau) at xi: the denominator and the three odd symbols
+
+        phi(xi) = xi*(1 - gamma2*xi^2 + delta2*xi^4) / varphi(xi)
+        psi(xi) = xi / varphi(xi)
+        tau(xi) = (3*xi - 4*gamma*xi^3) / (4*varphi(xi))
+
+    No regime check: the alpha/beta-scaled law evaluates them at
+    alpha = beta = 0, where varphi is identically 1.
+    """
+    varphi = denominator(xi, c)
+    phi = xi * (1.0 - c.gamma2 * xi**2 + c.delta2 * xi**4) / varphi
+    psi = xi / varphi
+    tau = (3.0 * xi - 4.0 * c.gamma * xi**3) / (4.0 * varphi)
+    return varphi, phi, psi, tau
 
 
 def reference_parameters(rho=Fraction(0)) -> ModelParameters:

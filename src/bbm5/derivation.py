@@ -28,6 +28,7 @@ from .coefficients import (
     derive_bbm5,
     derive_first_order,
 )
+from .evolution import Etdrk4Stepper, SpectralEngine, sech_squared
 from .spectral import (
     Field,
     Grid,
@@ -66,8 +67,13 @@ class ScaledModel:
     """The alpha/beta-scaled evolution law and its time derivatives.
 
     eta_t is obtained by inverting the operator 1 - gamma1*beta*dx^2 +
-    delta1*beta^2*dx^4 against the remaining terms; eta_tt by
-    differentiating that law along the flow.
+    delta1*beta^2*dx^4 against the remaining terms.  That is the equation's
+    own multiplier form -i*phi*eta_hat + N(eta) with the coefficients scaled
+    to (gamma1*b, gamma2*b, delta1*b^2, delta2*b^2, gamma*b) and the
+    nonlinear weights (a, a^2/8, a*b*7/48) in place of (1, 1/8, 7/48), so
+    one SpectralEngine evaluates it.  eta_tt differentiates that law along
+    the flow, which polarises the products to 2*eta*eta_t, 3*eta^2*eta_t and
+    2*eta_x*eta_tx.
     """
 
     def __init__(self, grid: Grid, p: DerivationParameters):
@@ -77,48 +83,32 @@ class ScaledModel:
         self.abcd: AbcdFirst = derive_first_order(p.model)
         a, b = p.alpha, p.beta
         c = self.coeffs
-        xi = grid.wavenumbers
-        self.varphi = 1.0 + c.gamma1 * b * xi**2 + c.delta1 * b**2 * xi**4
-        self.lin = xi * (1.0 - c.gamma2 * b * xi**2 + c.delta2 * b**2 * xi**4)
-        nyq = grid._nyquist_index
-        self.lin[nyq] = 0.0
-        self.xi_d = xi.copy()
-        self.xi_d[nyq] = 0.0
+        scaled = Bbm5Coefficients(
+            gamma1=c.gamma1 * b,
+            gamma2=c.gamma2 * b,
+            delta1=c.delta1 * b**2,
+            delta2=c.delta2 * b**2,
+            gamma=c.gamma * b,
+        )
+        self.engine = SpectralEngine(
+            grid, scaled, weights=(a, a * a / 8.0, a * b * 7.0 / 48.0)
+        )
 
     def eta_t(self, eta: Field) -> Field:
-        a, b = self.p.alpha, self.p.beta
-        c = self.coeffs
-        xi = self.xi_d
-        e2 = dealiased_product2(eta, eta).spectral
-        e3 = dealiased_product3(eta, eta, eta).spectral
-        ex = spectral_derivative(eta, 1)
-        ex2 = dealiased_product2(ex, ex).spectral
-        num = (
-            self.lin * eta.spectral
-            + 0.75 * a * xi * e2
-            - a * b * c.gamma * xi**3 * e2
-            - (7.0 / 48.0) * a * b * xi * ex2
-            - 0.125 * a * a * xi * e3
+        eng = self.engine
+        c_hat = eta.spectral
+        return Field.from_spectral(
+            self.grid, -1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat)
         )
-        return Field.from_spectral(self.grid, -1j * num / self.varphi)
 
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
-        a, b = self.p.alpha, self.p.beta
-        c = self.coeffs
-        xi = self.xi_d
-        eet = dealiased_product2(eta, eta_t).spectral
-        e2t = dealiased_product3(eta, eta, eta_t).spectral
-        ex = spectral_derivative(eta, 1)
-        ext = spectral_derivative(eta_t, 1)
-        exxt = dealiased_product2(ex, ext).spectral
-        num = (
-            self.lin * eta_t.spectral
-            + 1.5 * a * xi * eet
-            - 2.0 * a * b * c.gamma * xi**3 * eet
-            - (7.0 / 24.0) * a * b * xi * exxt
-            - 0.375 * a * a * xi * e2t
-        )
-        return Field.from_spectral(self.grid, -1j * num / self.varphi)
+        eng = self.engine
+        u = eng.to_fine(eta.spectral)
+        ut = eng.to_fine(eta_t.spectral)
+        ux = eng.to_fine(eng.ikx_d * eta.spectral)
+        utx = eng.to_fine(eng.ikx_d * eta_t.spectral)
+        nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
+        return Field.from_spectral(self.grid, -1j * eng.phi * eta_t.spectral + nl)
 
 
 def correction_terms(
@@ -247,41 +237,6 @@ def abcd_residual_first(
     return sobolev_norm(r1f, 0.0), sobolev_norm(r2f, 0.0)
 
 
-def _scaled_etdrk4(model: ScaledModel, eta: Field, dt: float, steps: int) -> Field:
-    """Advance the scaled dynamics; the linear part is mild, classic RK4 on
-    the integrating-factor form would also do, but reusing the exact phase is
-    simplest."""
-    grid = model.grid
-    lam = -1j * model.lin / model.varphi
-    e_full = np.exp(dt * lam)
-    e_half = np.exp(0.5 * dt * lam)
-    n_c = 32
-    roots = np.exp(2j * np.pi * (np.arange(n_c) + 0.5) / n_c)
-    lr = dt * lam[:, None] + roots[None, :]
-    elr = np.exp(lr)
-    q = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1)
-    f1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(1)
-    f2 = dt * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(1)
-    f3 = dt * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(1)
-
-    def nl(c_hat: np.ndarray) -> np.ndarray:
-        f = Field.from_spectral(grid, c_hat)
-        full = model.eta_t(f).spectral
-        return full - lam * c_hat
-
-    c_hat = eta.spectral
-    for _ in range(steps):
-        n0 = nl(c_hat)
-        a_s = e_half * c_hat + q * n0
-        na = nl(a_s)
-        b_s = e_half * c_hat + q * na
-        nb = nl(b_s)
-        cs = e_half * a_s + q * (2.0 * nb - n0)
-        nc = nl(cs)
-        c_hat = e_full * c_hat + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-    return Field.from_spectral(grid, c_hat)
-
-
 def epsilon_sweep(
     grid: Grid,
     model_params: ModelParameters,
@@ -299,16 +254,18 @@ def epsilon_sweep(
     fitted log-log slopes (target: order 2).
     """
     rows = []
+    steps_per = max(1, int(round(t_final / dt / n_checkpoints)))
     for eps in epsilons:
         p = DerivationParameters(alpha=eps, beta=eps, model=model_params)
         model = ScaledModel(grid, p)
+        stepper = Etdrk4Stepper(model.engine, dt)
         eta = data if data is not None else _unit_sech2(grid)
-        steps_per = max(1, int(round(t_final / dt / n_checkpoints)))
-        r1_max = r2_max = 0.0
-        r1, r2 = abcd_residual_first(eta, model)
-        r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
+        r1_max, r2_max = abcd_residual_first(eta, model)
         for _ in range(n_checkpoints):
-            eta = _scaled_etdrk4(model, eta, dt, steps_per)
+            c_hat = eta.spectral
+            for _ in range(steps_per):
+                c_hat = stepper.step(c_hat)
+            eta = Field.from_spectral(grid, c_hat)
             r1, r2 = abcd_residual_first(eta, model)
             r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
         rows.append({"eps": eps, "r1_L2": r1_max, "r2_L2": r2_max})
@@ -323,8 +280,6 @@ def epsilon_sweep(
 
 def _unit_sech2(grid: Grid) -> Field:
     """Right-moving sech^2 profile, L2-normalized."""
-    from .evolution import sech_squared
-
     f = sech_squared(grid, amplitude=1.0, width=1.0)
     norm = sobolev_norm(f, 0.0)
     return Field.from_spectral(grid, f.spectral / norm)

@@ -16,26 +16,38 @@ Duhamel/Picard fixed-point solver mirroring the contraction argument of the
 local theory, and conservation diagnostics (energy, drift identity, Sobolev
 norms, zero mode).
 
+Each spectral kernel has one implementation: the symbol formulas in
+``coefficients.multipliers``; the padded transforms in ``spectral``
+(``fine_samples``/``truncated_coeffs``, wrapped by ``SpectralEngine.to_fine``
+/``from_fine``); the combination -i*(tau*q2 - (1/8)*psi*q3 - (7/48)*psi*g2)
+in ``SpectralEngine.combine``, which the equation, the difference equation
+of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
+all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
+linear symbol of any engine.
+
 Note on the cubic coefficient: the contraction-mapping proof writes 1/4 where
 every other statement of the equation writes 1/8; we use 1/8 throughout.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients
+from .coefficients import Bbm5Coefficients, multipliers, require_wellposed
 from .spectral import (
     Field,
     Grid,
-    RegimeError,
     energy,
+    fine_samples,
     integral_cube,
     sobolev_norm,
     spectral_derivative,
+    truncated_coeffs,
 )
 
 __all__ = [
@@ -60,6 +72,11 @@ __all__ = [
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
 
+#: Bound on the engines and steppers kept per process.  They are keyed on the
+#: float step size, and run_simulation makes a new dt = T/n_steps for every
+#: distinct T, so an unbounded cache would grow with every new T.
+CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class RhsSpec:
@@ -70,11 +87,7 @@ class RhsSpec:
     linear_only: bool = False
 
     def __post_init__(self):
-        if not self.coefficients.wellposed_regime:
-            raise RegimeError(
-                "RhsSpec requires gamma1 > 0 and delta1 > 0, got "
-                f"gamma1={self.coefficients.gamma1}, delta1={self.coefficients.delta1}"
-            )
+        require_wellposed(self.coefficients, "RhsSpec")
 
 
 @dataclass(frozen=True)
@@ -112,58 +125,53 @@ def local_existence_time(hs_norm: float, cs: float) -> float:
 
 
 class SpectralEngine:
-    """Precomputed multiplier tables and alias-free products for one grid.
+    """Multiplier tables, padded transforms and the nonlinearity on one grid.
 
     Works on raw spectral coefficient arrays (amplitude convention) so the
-    time loops avoid Field-object overhead.
+    time loops avoid Field-object overhead.  The engine does not check the
+    regime: the public entries do, and the alpha/beta-scaled law of
+    ``bbm5.derivation`` needs an engine at alpha = beta = 0.  ``weights``
+    are the factors of the quadratic, cubic and gradient terms; the
+    equation's are (1, 1/8, 7/48), the scaled law passes its own.
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
-                 linear_only: bool = False):
-        if not coefficients.wellposed_regime:
-            raise RegimeError("engine requires gamma1, delta1 > 0")
+                 linear_only: bool = False, *, weights=(1.0, CUBIC_COEFF, GRAD_COEFF)):
         self.grid = grid
         self.coefficients = coefficients
         self.dealias = dealias
         self.linear_only = linear_only
-        n = grid.n
-        xi = grid.wavenumbers
         nyq = grid._nyquist_index
-        varphi = 1.0 + coefficients.gamma1 * xi**2 + coefficients.delta1 * xi**4
-        self.phi = xi * (1.0 - coefficients.gamma2 * xi**2 + coefficients.delta2 * xi**4) / varphi
-        self.psi = xi / varphi
-        self.tau = (3.0 * xi - 4.0 * coefficients.gamma * xi**3) / (4.0 * varphi)
+        _varphi, self.phi, self.psi, self.tau = multipliers(grid.wavenumbers, coefficients)
         for tab in (self.phi, self.psi, self.tau):
             tab[nyq] = 0.0  # odd symbols: keep realness exactly
-        self.ikx = 1j * xi
-        self.ikx_d = self.ikx.copy()
+        w2, w3, wg = weights
+        self._quad = w2 * self.tau
+        self._cubic = w3 * self.psi
+        self._grad = wg * self.psi
+        self.ikx_d = 1j * grid.wavenumbers
         self.ikx_d[nyq] = 0.0
-        self.m = 2 * n if dealias else n
-        self._half = n // 2
+        self.m = 2 * grid.n if dealias else grid.n
 
     # -- padded transforms ------------------------------------------------
 
     def to_fine(self, c_hat: np.ndarray) -> np.ndarray:
-        m, h = self.m, self._half
-        if m == self.grid.n:
-            return np.fft.ifft(c_hat * m).real
-        out = np.zeros(m, dtype=np.complex128)
-        out[:h] = c_hat[:h]
-        out[m - h:] = c_hat[h:]
-        return np.fft.ifft(out * m).real
+        return fine_samples(c_hat, self.m)
 
     def from_fine(self, samples: np.ndarray) -> np.ndarray:
-        m, h, n = self.m, self._half, self.grid.n
-        c = np.fft.fft(samples) / m
-        if m == n:
-            return c
-        out = np.empty(n, dtype=np.complex128)
-        out[:h] = c[:h]
-        out[h:] = c[m - h:]
-        out[h] += c[h]
-        return out
+        return truncated_coeffs(samples, self.grid.n)
 
     # -- right-hand side --------------------------------------------------
+
+    def combine(self, p2: np.ndarray, p3: np.ndarray, pg: np.ndarray) -> np.ndarray:
+        """-i*(w2*tau*q2 - w3*psi*q3 - wg*psi*g2), with q2, q3, g2 the
+        coefficients of the fine-grid quadratic, cubic and gradient products
+        p2, p3, pg."""
+        return -1j * (
+            self._quad * self.from_fine(p2)
+            - self._cubic * self.from_fine(p3)
+            - self._grad * self.from_fine(pg)
+        )
 
     def nonlinear_hat(self, c_hat: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the real nonlinear right-hand side."""
@@ -171,31 +179,20 @@ class SpectralEngine:
             return np.zeros_like(c_hat)
         u = self.to_fine(c_hat)
         ux = self.to_fine(self.ikx_d * c_hat)
-        q2 = self.from_fine(u * u)
-        q3 = self.from_fine(u * u * u)
-        g2 = self.from_fine(ux * ux)
-        return -1j * (self.tau * q2 - CUBIC_COEFF * self.psi * q3 - GRAD_COEFF * self.psi * g2)
+        return self.combine(u * u, u * u * u, ux * ux)
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         return np.exp(-1j * self.phi * t)
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _engine(grid: Grid, spec: RhsSpec) -> SpectralEngine:
+    return SpectralEngine(grid, spec.coefficients, spec.dealias, spec.linear_only)
+
+
 def nonlinear_rhs(f: Field, spec: RhsSpec) -> Field:
     """The real nonlinear right-hand side N(f); zero mode is exactly zero."""
-    eng = _engine(f.grid, spec)
-    return Field.from_spectral(f.grid, eng.nonlinear_hat(f.spectral))
-
-
-_ENGINES: dict = {}
-
-
-def _engine(grid: Grid, spec: RhsSpec) -> SpectralEngine:
-    key = (grid, spec.coefficients, spec.dealias, spec.linear_only)
-    eng = _ENGINES.get(key)
-    if eng is None:
-        eng = SpectralEngine(grid, spec.coefficients, spec.dealias, spec.linear_only)
-        _ENGINES[key] = eng
-    return eng
+    return Field.from_spectral(f.grid, _engine(f.grid, spec).nonlinear_hat(f.spectral))
 
 
 def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
@@ -203,8 +200,6 @@ def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
 
     An H^s isometry for every s; realness is preserved because phi is odd.
     """
-    if not c.wellposed_regime:
-        raise RegimeError("semigroup requires gamma1, delta1 > 0")
     eng = _engine(f.grid, RhsSpec(c))
     return Field.from_spectral(f.grid, eng.semigroup_factor(t) * f.spectral)
 
@@ -217,9 +212,10 @@ def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
 class Etdrk4Stepper:
     """Fourth-order exponential time differencing over the exact semigroup.
 
-    The linear part e^{-i*phi*dt} is applied exactly; the quadrature weights
-    are evaluated by contour averaging over roots of unity (Kassam &
-    Trefethen) to dodge cancellation at small |L*dt|.
+    Built from the linear symbol of any engine.  The linear part
+    e^{-i*phi*dt} is applied exactly; the quadrature weights are evaluated
+    by contour averaging over roots of unity (Kassam & Trefethen) to dodge
+    cancellation at small |L*dt|.
     """
 
     def __init__(self, engine: SpectralEngine, dt: float, n_contour: int = 32):
@@ -231,47 +227,38 @@ class Etdrk4Stepper:
         roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
         lr = dt * lam[:, None] + roots[None, :]
         elr = np.exp(lr)
-        # complex contour (lam is imaginary, so means stay complex)
-        self.q = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1)
-        self.f1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(1)
-        self.f2 = dt * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(1)
-        self.f3 = dt * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(1)
 
-    def step(self, c_hat: np.ndarray, nl: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        nl = nl or self.engine.nonlinear_hat
-        n0 = nl(c_hat)
-        a = self.e_half * c_hat + self.q * n0
-        na = nl(a)
-        b = self.e_half * c_hat + self.q * na
-        nb = nl(b)
-        cst = self.e_half * a + self.q * (2.0 * nb - n0)
-        nc = nl(cst)
-        return (
-            self.e_full * c_hat
-            + self.f1 * n0
-            + 2.0 * self.f2 * (na + nb)
-            + self.f3 * nc
-        )
+        def contour_mean(g):
+            # complex contour (lam is imaginary, so means stay complex)
+            return dt * g.mean(1)
 
-    def step_timed(
+        self.q = contour_mean((np.exp(lr / 2.0) - 1.0) / lr)
+        self.f1 = contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3)
+        self.f2 = contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3)
+        self.f3 = contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)
+
+    def step(
         self,
         c_hat: np.ndarray,
-        nl_at: Callable[[np.ndarray, int], np.ndarray],
-        k: int,
+        nl: Callable[[np.ndarray, int], np.ndarray] | None = None,
+        k: int = 0,
     ) -> np.ndarray:
-        """Step with a time-dependent nonlinearity.
+        """Advance c_hat by dt.
 
-        nl_at(state, node) evaluates the nonlinearity with frozen external
-        data at half-step node index ``node`` (node 2k = t, 2k+1 = t+dt/2,
-        2k+2 = t+dt).
+        nl(state, node) evaluates the nonlinearity at half-step node index
+        ``node`` (node 2k = t, 2k+1 = t+dt/2, 2k+2 = t+dt), so a caller can
+        freeze time-dependent data per node; the default is the engine's own
+        autonomous nonlinearity.
         """
-        n0 = nl_at(c_hat, 2 * k)
+        if nl is None:
+            nl = self._autonomous
+        n0 = nl(c_hat, 2 * k)
         a = self.e_half * c_hat + self.q * n0
-        na = nl_at(a, 2 * k + 1)
+        na = nl(a, 2 * k + 1)
         b = self.e_half * c_hat + self.q * na
-        nb = nl_at(b, 2 * k + 1)
+        nb = nl(b, 2 * k + 1)
         cst = self.e_half * a + self.q * (2.0 * nb - n0)
-        nc = nl_at(cst, 2 * k + 2)
+        nc = nl(cst, 2 * k + 2)
         return (
             self.e_full * c_hat
             + self.f1 * n0
@@ -279,23 +266,18 @@ class Etdrk4Stepper:
             + self.f3 * nc
         )
 
+    def _autonomous(self, c_hat: np.ndarray, _node: int) -> np.ndarray:
+        return self.engine.nonlinear_hat(c_hat)
 
-_STEPPERS: dict = {}
 
-
-def _stepper(engine: SpectralEngine, dt: float) -> Etdrk4Stepper:
-    key = (engine.grid, engine.coefficients, engine.dealias, engine.linear_only, dt)
-    st = _STEPPERS.get(key)
-    if st is None:
-        st = Etdrk4Stepper(engine, dt)
-        _STEPPERS[key] = st
-    return st
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _stepper(grid: Grid, spec: RhsSpec, dt: float) -> Etdrk4Stepper:
+    return Etdrk4Stepper(_engine(grid, spec), dt)
 
 
 def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     """One ETDRK4 step; exact on the linear flow, zero mode exactly constant."""
-    eng = _engine(f.grid, spec)
-    return Field.from_spectral(f.grid, _stepper(eng, dt).step(f.spectral))
+    return Field.from_spectral(f.grid, _stepper(f.grid, spec, dt).step(f.spectral))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +301,8 @@ class RunReport:
     def write_csv(self, path) -> None:
         svals = sorted(self.hs_norms)
         with open(path, "w") as fh:
-            fh.write("t,E,hs0,hs1,hs2,zero_mode,drift_resid\n")
+            hs_cols = "".join(f"hs{s:g}," for s in svals)
+            fh.write(f"t,E,{hs_cols}zero_mode,drift_resid\n")
             for k, t in enumerate(self.times):
                 cols = [t, self.energy[k]]
                 cols += [self.hs_norms[s][k] for s in svals]
@@ -344,24 +327,41 @@ def _drift_residual(times: np.ndarray, evals: np.ndarray, predicted: np.ndarray)
     """dE/dt (finite differences on the record lattice) minus the prediction.
 
     Interior points use the fourth-order five-point stencil when available,
-    falling back to centered/one-sided differences near the ends.
+    falling back to centered/one-sided differences near the ends.  When the
+    run length is not a multiple of the record spacing the final record is
+    off the lattice; every stencil that reaches it then differentiates the
+    interpolant through its records at their true times instead.
     """
     k = len(times)
+    e = np.asarray(evals, dtype=float)
     dEdt = np.zeros(k)
     if k >= 2:
         dt = times[1] - times[0]
-        for i in range(k):
-            if 2 <= i < k - 2:
-                dEdt[i] = (
-                    -evals[i + 2] + 8.0 * evals[i + 1] - 8.0 * evals[i - 1] + evals[i - 2]
-                ) / (12.0 * dt)
-            elif 1 <= i < k - 1:
-                dEdt[i] = (evals[i + 1] - evals[i - 1]) / (2.0 * dt)
-            elif i == 0:
-                dEdt[i] = (evals[1] - evals[0]) / dt
-            else:
-                dEdt[i] = (evals[-1] - evals[-2]) / dt
+        dEdt[0] = (e[1] - e[0]) / dt
+        dEdt[-1] = (e[-1] - e[-2]) / dt
+        dEdt[1:-1] = (e[2:] - e[:-2]) / (2.0 * dt)
+        dEdt[2:-2] = (-e[4:] + 8.0 * e[3:-1] - 8.0 * e[1:-3] + e[:-4]) / (12.0 * dt)
+        if not math.isclose(times[-1] - times[-2], dt, rel_tol=1e-9):
+            # (record, first stencil index) for the one-sided, centered and
+            # five-point stencils that end at the final record
+            for i, lo in ((k - 1, k - 2), (k - 2, k - 3), (k - 3, k - 5)):
+                if lo >= 0:
+                    dEdt[i] = _interpolant_slope(times[lo:], e[lo:], i - lo)
     return dEdt - predicted
+
+
+def _interpolant_slope(t: np.ndarray, e: np.ndarray, i: int) -> float:
+    """Derivative at t[i] of the polynomial through the points (t, e)."""
+    slope = 0.0
+    for j in range(len(t)):
+        if j == i:
+            w = sum(1.0 / (t[i] - t[m]) for m in range(len(t)) if m != i)
+        else:
+            w = math.prod(t[i] - t[m] for m in range(len(t)) if m not in (i, j)) / math.prod(
+                t[j] - t[m] for m in range(len(t)) if m != j
+            )
+        slope += w * e[j]
+    return slope
 
 
 def run_simulation(
@@ -385,10 +385,9 @@ def run_simulation(
         return _report_from_states(eta0.grid, spec, times, states, monitor_s,
                                    keep_snapshots)
 
-    eng = _engine(eta0.grid, spec)
     n_steps = max(1, int(round(T / cfg.dt)))
     dt = T / n_steps
-    stepper = _stepper(eng, dt)
+    stepper = _stepper(eta0.grid, spec, dt)
     c_hat = eta0.spectral
     times = [0.0]
     states = [c_hat]

@@ -11,6 +11,11 @@ Conventions (fixed once, tested by round-trip):
 
 The discrete H^s norm is sqrt(L * sum_j (1 + xi_j^2)^s |c_j|^2); for s = 0
 this is the L^2 integral of u^2 by Parseval.
+
+The padded transforms live here once: ``fine_samples`` (zero-pad to m
+points and sample) and ``truncated_coeffs`` (transform m samples and
+truncate back to the n-point spectrum).  The Field-level products below and
+``SpectralEngine`` in ``bbm5.evolution`` both use them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients
+from .coefficients import Bbm5Coefficients, denominator, require_wellposed
+from .coefficients import RegimeError  # noqa: F401  (re-exported: callers import it from here)
 
 __all__ = [
     "Grid",
@@ -31,10 +37,6 @@ __all__ = [
     "low_pass",
     "spectral_derivative",
 ]
-
-
-class RegimeError(ValueError):
-    """Raised when coefficients violate the gamma1, delta1 > 0 hypotheses."""
 
 
 @dataclass(frozen=True)
@@ -194,13 +196,8 @@ def energy(f: Field, c: Bbm5Coefficients) -> float:
     E = (1/2) * (||f||_L2^2 + gamma1*||f_x||_L2^2 + delta1*||f_xx||_L2^2),
     evaluated by spectral quadrature.
     """
-    if not c.wellposed_regime:
-        raise RegimeError(
-            "energy requires gamma1 > 0 and delta1 > 0, got "
-            f"gamma1={c.gamma1}, delta1={c.delta1}"
-        )
-    xi = f.grid.wavenumbers
-    w = 1.0 + c.gamma1 * xi**2 + c.delta1 * xi**4
+    require_wellposed(c, "energy")
+    w = denominator(f.grid.wavenumbers, c)
     return float(0.5 * f.grid.length * np.sum(w * np.abs(f.spectral) ** 2))
 
 
@@ -224,6 +221,8 @@ def low_pass(f: Field, cutoff: float) -> Field:
 
 def _pad(c: np.ndarray, m: int) -> np.ndarray:
     n = c.shape[0]
+    if m == n:
+        return c
     out = np.zeros(m, dtype=np.complex128)
     h = n // 2
     out[:h] = c[:h]
@@ -233,6 +232,8 @@ def _pad(c: np.ndarray, m: int) -> np.ndarray:
 
 def _truncate(c: np.ndarray, n: int) -> np.ndarray:
     m = c.shape[0]
+    if m == n:
+        return c  # no padding: the Nyquist slot must not be folded onto itself
     h = n // 2
     out = np.empty(n, dtype=np.complex128)
     out[:h] = c[:h]
@@ -242,28 +243,30 @@ def _truncate(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _fine_samples(c: np.ndarray, m: int) -> np.ndarray:
+def fine_samples(c: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-point grid of the n coefficients c (m >= n)."""
     return np.fft.ifft(_pad(c, m) * m).real
+
+
+def truncated_coeffs(samples: np.ndarray, n: int) -> np.ndarray:
+    """The n retained coefficients of m fine-grid samples (m >= n)."""
+    return _truncate(np.fft.fft(samples) / samples.shape[0], n)
 
 
 def dealiased_product2(f: Field, g: Field) -> Field:
     """Alias-free pointwise product of two fields (2/3-rule padding)."""
     n = f.grid.n
     m = 3 * n // 2 if n % 4 == 0 else 2 * n
-    w = _fine_samples(f.spectral, m) * _fine_samples(g.spectral, m)
-    return Field.from_spectral(f.grid, _truncate(np.fft.fft(w) / m, n))
+    w = fine_samples(f.spectral, m) * fine_samples(g.spectral, m)
+    return Field.from_spectral(f.grid, truncated_coeffs(w, n))
 
 
 def dealiased_product3(f: Field, g: Field, h: Field) -> Field:
     """Alias-free triple product (1/2-rule padding)."""
     n = f.grid.n
     m = 2 * n
-    w = (
-        _fine_samples(f.spectral, m)
-        * _fine_samples(g.spectral, m)
-        * _fine_samples(h.spectral, m)
-    )
-    return Field.from_spectral(f.grid, _truncate(np.fft.fft(w) / m, n))
+    w = fine_samples(f.spectral, m) * fine_samples(g.spectral, m) * fine_samples(h.spectral, m)
+    return Field.from_spectral(f.grid, truncated_coeffs(w, n))
 
 
 def integral(f: Field) -> float:
@@ -273,8 +276,7 @@ def integral(f: Field) -> float:
 
 def integral_cube(f: Field) -> float:
     """Integral of f^3, computed alias-free on a padded grid."""
-    m = 2 * f.grid.n
-    w = _fine_samples(f.spectral, m)
+    w = fine_samples(f.spectral, 2 * f.grid.n)
     return float(f.grid.length * np.mean(w**3))
 
 

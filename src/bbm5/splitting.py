@@ -30,8 +30,6 @@ from scipy.stats import linregress
 
 from .coefficients import Bbm5Coefficients
 from .evolution import (
-    CUBIC_COEFF,
-    GRAD_COEFF,
     Etdrk4Stepper,
     RhsSpec,
     StepperConfig,
@@ -151,11 +149,11 @@ class _DifferenceEngine:
         ux = self.ux_fine[node]
         v = eng.to_fine(v_hat)
         vx = eng.to_fine(eng.ikx_d * v_hat)
-        q2 = eng.from_fine(v * v + 2.0 * u * v)
-        q3 = eng.from_fine(3.0 * u * u * v + 3.0 * u * v * v + v * v * v)
-        g2 = eng.from_fine(2.0 * ux * vx + vx * vx)
-        return -1j * (
-            eng.tau * q2 - CUBIC_COEFF * eng.psi * q3 - GRAD_COEFF * eng.psi * g2
+        # the differences expanded, so that no O(u^3) terms cancel
+        return eng.combine(
+            v * v + 2.0 * u * v,
+            3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
+            2.0 * ux * vx + vx * vx,
         )
 
 
@@ -182,7 +180,7 @@ def evolve_v(
     traj = [v0.spectral]
     c_hat = v0.spectral
     for k in range(steps):
-        c_hat = st.step_timed(c_hat, nl, k)
+        c_hat = st.step(c_hat, nl, k)
         traj.append(c_hat)
     return [Field.from_spectral(v0.grid, c) for c in traj]
 

@@ -17,17 +17,17 @@ ratios on random fields.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .coefficients import Bbm5Coefficients
+from .coefficients import Bbm5Coefficients, denominator, multipliers, require_wellposed
 from .spectral import (
     Field,
     Grid,
-    RegimeError,
     dealiased_product2,
     dealiased_product3,
     sobolev_norm,
@@ -55,29 +55,24 @@ _KINDS = {
 _NEEDS_COEFFS = {"phi", "psi", "tau", "varphi_denominator"}
 
 
-def _varphi(xi, c: Bbm5Coefficients):
-    return 1.0 + c.gamma1 * xi**2 + c.delta1 * xi**4
+def _omega(xi):
+    return np.abs(xi) / (1.0 + xi**2)
 
 
 def eval_symbol(kind: str, xi, c: Bbm5Coefficients | None = None):
     """Pointwise symbol value; vectorized over xi."""
     xi = np.asarray(xi, dtype=np.float64)
-    if kind in _NEEDS_COEFFS:
-        if c is None:
-            raise ValueError(f"symbol {kind!r} needs coefficients")
-        if kind != "varphi_denominator" and not c.wellposed_regime:
-            raise RegimeError(f"symbol {kind!r} requires gamma1, delta1 > 0")
     if kind == "omega":
-        return np.abs(xi) / (1.0 + xi**2)
+        return _omega(xi)
+    if kind not in _NEEDS_COEFFS:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    if c is None:
+        raise ValueError(f"symbol {kind!r} needs coefficients")
     if kind == "varphi_denominator":
-        return _varphi(xi, c)
-    if kind == "psi":
-        return xi / _varphi(xi, c)
-    if kind == "tau":
-        return (3.0 * xi - 4.0 * c.gamma * xi**3) / (4.0 * _varphi(xi, c))
-    if kind == "phi":
-        return xi * (1.0 - c.gamma2 * xi**2 + c.delta2 * xi**4) / _varphi(xi, c)
-    raise ValueError(f"unknown symbol kind {kind!r}")
+        return denominator(xi, c)
+    require_wellposed(c, f"symbol {kind!r}")
+    _varphi, phi, psi, tau = multipliers(xi, c)
+    return {"phi": phi, "psi": psi, "tau": tau}[kind]
 
 
 @dataclass(frozen=True)
@@ -138,62 +133,31 @@ def apply_symbol_real(sym: Symbol, f: Field) -> Field:
 # Supremum bounds
 # ---------------------------------------------------------------------------
 
-_EXPRESSIONS = {}
 
-
-def _expression(name):
-    def deco(fn):
-        _EXPRESSIONS[name] = fn
-        return fn
-
-    return deco
-
-
-@_expression("xi_psi")
-def _xi_psi(xi, c):
-    return xi**2 / _varphi(xi, c)
-
-
-@_expression("xi_tau")
-def _xi_tau(xi, c):
-    return np.abs(3.0 * xi**2 - 4.0 * c.gamma * xi**4) / (4.0 * _varphi(xi, c))
-
-
-@_expression("omega")
-def _omega(xi, c):
-    return np.abs(xi) / (1.0 + xi**2)
-
-
-@_expression("tau_over_omega")
-def _tau_over_omega(xi, c):
-    xi = np.asarray(xi, dtype=np.float64)
-    num = np.abs(3.0 * xi - 4.0 * c.gamma * xi**3) / (4.0 * _varphi(xi, c))
-    om = np.abs(xi) / (1.0 + xi**2)
+def _over_omega(xi, num, at_zero):
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(xi == 0.0, 0.75, num / om)
-    return r
+        return np.where(xi == 0.0, at_zero, num / _omega(xi))
 
 
-@_expression("psi_over_omega")
-def _psi_over_omega(xi, c):
-    xi = np.asarray(xi, dtype=np.float64)
-    num = np.abs(xi) / _varphi(xi, c)
-    om = np.abs(xi) / (1.0 + xi**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(xi == 0.0, 1.0, num / om)
-    return r
-
-
-@_expression("bracket_xi_psi_over_omega")
-def _bracket_xi_psi_over_omega(xi, c):
+# The quotients, as functions of (xi, psi(xi), tau(xi)).
+_EXPRESSIONS = {
+    "xi_psi": lambda xi, psi, tau: xi * psi,
+    "xi_tau": lambda xi, psi, tau: np.abs(xi * tau),
+    "omega": lambda xi, psi, tau: _omega(xi),
+    "tau_over_omega": lambda xi, psi, tau: _over_omega(xi, np.abs(tau), 0.75),
+    "psi_over_omega": lambda xi, psi, tau: _over_omega(xi, np.abs(psi), 1.0),
     # <xi>*xi*psi(xi) / omega(xi), the quotient behind the gradient-product
     # bilinear estimate
+    "bracket_xi_psi_over_omega": lambda xi, psi, tau: _over_omega(
+        xi, np.sqrt(1.0 + xi**2) * xi * psi, 0.0
+    ),
+}
+
+
+def _expression_values(expression: str, xi, c: Bbm5Coefficients) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
-    num = np.sqrt(1.0 + xi**2) * xi**2 / _varphi(xi, c)
-    om = np.abs(xi) / (1.0 + xi**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(xi == 0.0, 0.0, num / om)
-    return r
+    _varphi, _phi, psi, tau = multipliers(xi, c)
+    return _EXPRESSIONS[expression](xi, psi, tau)
 
 
 _CLOSED_FORMS = {
@@ -211,8 +175,7 @@ def sup_bound(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -
     """
     if expression not in _EXPRESSIONS:
         raise ValueError(f"unknown expression {expression!r}")
-    if not c.wellposed_regime:
-        raise RegimeError("sup_bound requires gamma1, delta1 > 0")
+    require_wellposed(c, "sup_bound")
     if expression in _CLOSED_FORMS:
         return _CLOSED_FORMS[expression](c)
     return scan_sup(expression, c, refine_tol=refine_tol)
@@ -220,18 +183,21 @@ def sup_bound(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -
 
 def scan_sup(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -> float:
     """Scan-based supremum (independent of any closed form)."""
-    fn = _EXPRESSIONS[expression]
+
+    def fn(x):
+        return _expression_values(expression, x, c)
+
     xs = np.concatenate(
         [np.linspace(0.0, 20.0, 40001), np.logspace(np.log10(20.0), 3.0, 20000)]
     )
-    vals = fn(xs, c)
+    vals = fn(xs)
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
     if hi <= lo:
         return float(vals[k])
     res = minimize_scalar(
-        lambda x: -fn(np.asarray([x]), c)[0],
+        lambda x: -fn([x])[0],
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": refine_tol},
@@ -284,6 +250,13 @@ class OperatorNormScan:
         return float(self.running_max[-1] / before - 1.0) if before > 0 else 0.0
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_symbol(kind: str, c: Bbm5Coefficients) -> Symbol:
+    """One Symbol per (kind, coefficients), so that its per-grid tables are
+    computed once per scan rather than once per trial."""
+    return Symbol(kind, c)
+
+
 def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
                    c: Bbm5Coefficients) -> float:
     """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes."""
@@ -296,13 +269,13 @@ def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
     if rhs == 0.0:
         return 0.0
     if estimate_id == "tau_bilinear":
-        sym = Symbol("tau", c)
+        sym = _shared_symbol("tau", c)
         prod = dealiased_product2(fields[0], fields[1])
     elif estimate_id == "psi_trilinear":
-        sym = Symbol("psi", c)
+        sym = _shared_symbol("psi", c)
         prod = dealiased_product3(fields[0], fields[1], fields[2])
     else:  # psi_grad_bilinear
-        sym = Symbol("psi", c)
+        sym = _shared_symbol("psi", c)
         prod = dealiased_product2(
             spectral_derivative(fields[0], 1), spectral_derivative(fields[1], 1)
         )
@@ -331,8 +304,7 @@ def empirical_operator_norm(
         raise ValueError(
             f"{estimate_id} requires s >= {threshold}, got s = {s}"
         )
-    if not c.wellposed_regime:
-        raise RegimeError("operator-norm scan requires gamma1, delta1 > 0")
+    require_wellposed(c, "operator-norm scan")
     arity = _ESTIMATES[estimate_id]["arity"]
     rng = np.random.default_rng(seed)
     running = np.empty(trials)

@@ -119,6 +119,56 @@ def test_velocity_deviation_is_first_order():
 
 
 # ---------------------------------------------------------------------------
+# Scaled evolution law
+# ---------------------------------------------------------------------------
+
+
+def test_scaled_eta_t_single_mode_hand_algebra():
+    # eta = eps*cos(x): eta^2 = eps^2*(1 + cos 2x)/2, (eta_x)^2 =
+    # eps^2*(1 - cos 2x)/2, eta^3 = eps^3*(3 cos x + cos 3x)/4, and the
+    # scaled law divides by varphi_b(k) = 1 + gamma1*b*k^2 + delta1*b^2*k^4.
+    grid = Grid(n=64, length=2.0 * math.pi)
+    p = _params(alpha=0.1, beta=0.05)
+    model = ScaledModel(grid, p)
+    c, a, b = model.coeffs, p.alpha, p.beta
+    eps = 1e-2
+    out = model.eta_t(Field.from_samples(grid, eps * np.cos(grid.x))).spectral
+
+    def varphi(k):
+        return 1.0 + c.gamma1 * b * k**2 + c.delta1 * b**2 * k**4
+
+    lin1 = (1.0 - c.gamma2 * b + c.delta2 * b**2) / varphi(1.0)
+    quad2 = (0.75 * a * 2.0 - a * b * c.gamma * 8.0) / varphi(2.0)
+    expect1 = -1j * (lin1 * eps / 2.0 - 0.125 * a * a / varphi(1.0) * 3.0 * eps**3 / 8.0)
+    expect2 = -1j * (quad2 * eps**2 / 4.0
+                     + (7.0 / 48.0) * a * b * 2.0 / varphi(2.0) * eps**2 / 4.0)
+    expect3 = -1j * (-0.125 * a * a * 3.0 / varphi(3.0) * eps**3 / 8.0)
+    assert out[1] == pytest.approx(expect1, rel=1e-12, abs=1e-18)
+    assert out[2] == pytest.approx(expect2, rel=1e-12, abs=1e-18)
+    assert out[3] == pytest.approx(expect3, rel=1e-12, abs=1e-18)
+    assert out[-1] == pytest.approx(np.conj(expect1), rel=1e-12, abs=1e-18)
+    assert out[0] == 0.0
+    assert np.abs(out[4:-3]).max() <= 1e-15
+
+
+def test_scaled_eta_tt_is_the_derivative_along_the_flow(dgrid):
+    # eta_tt(eta, eta_t) is the directional derivative of eta_t(.) along
+    # eta_t; eta_t is cubic in eta, so the centred difference is O(h^2)
+    p = _params(alpha=0.1, beta=0.1)
+    model = ScaledModel(dgrid, p)
+    eta, eta_t = _eta_pair(dgrid, p, amplitude=0.5)
+    exact = model.eta_tt(eta, eta_t).spectral
+    errs = []
+    for h in (1e-2, 5e-3):
+        plus = model.eta_t(eta + h * eta_t).spectral
+        minus = model.eta_t(eta - h * eta_t).spectral
+        errs.append(np.abs((plus - minus) / (2.0 * h) - exact).max())
+    scale = np.abs(exact).max()
+    assert errs[0] <= 1e-7 * scale
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
 

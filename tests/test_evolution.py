@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
+from bbm5 import evolution
 from bbm5.evolution import (
     PicardDivergenceError,
     RhsSpec,
@@ -23,7 +24,7 @@ from bbm5.evolution import (
     semigroup_apply,
 )
 from bbm5.spectral import Field, Grid, RegimeError, sobolev_norm
-from bbm5.symbols import eval_symbol, random_hs_field
+from bbm5.symbols import Symbol, eval_symbol, random_hs_field
 
 
 def _spec():
@@ -116,6 +117,25 @@ def test_rhs_zero_mode_is_exactly_zero(grid, rng):
     assert out.spectral[0] == 0.0
 
 
+def test_rhs_without_dealiasing_matches_products_on_the_grid(grid, rng, ref):
+    # dealias=False forms u^2, u^3 and u_x^2 on the n-point grid itself
+    f = random_hs_field(grid, 1.0, rng)
+    out = nonlinear_rhs(f, RhsSpec(ref, dealias=False)).spectral
+    n = grid.n
+    ikx = 1j * grid.wavenumbers
+    ikx[n // 2] = 0.0
+    u = f.samples
+    ux = np.fft.ifft(ikx * f.spectral * n).real
+    tau = Symbol("tau", ref).on_grid(grid)
+    psi = Symbol("psi", ref).on_grid(grid)
+    expected = -1j * (
+        tau * np.fft.fft(u * u) / n
+        - (1.0 / 8.0) * psi * np.fft.fft(u**3) / n
+        - (7.0 / 48.0) * psi * np.fft.fft(ux * ux) / n
+    )
+    assert np.abs(out - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+
+
 def test_rhs_spec_refuses_bad_regime():
     bad = Bbm5Coefficients(gamma1=0.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):
@@ -201,6 +221,26 @@ def test_report_csv_format(tmp_path, grid):
     assert len(lines) == len(rep.times) + 1
 
 
+def test_report_csv_header_follows_monitor_s(tmp_path, grid):
+    rep = run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01), 0.05,
+                         monitor_s=(0.5,))
+    path = tmp_path / "run.csv"
+    rep.write_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,E,hs0.5,zero_mode,drift_resid"
+    assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def test_engine_and_stepper_caches_are_bounded(grid):
+    f = Field.from_samples(grid, 1e-2 * np.cos(grid.x))
+    for k in range(3 * evolution.CACHE_SIZE):
+        exponential_rk4_step(f, _spec(), 1e-3 * (1.0 + k / 7.0))
+        run_simulation(f, RhsSpec(REFERENCE_COEFFICIENTS, dealias=k % 2 == 0),
+                       StepperConfig(dt=0.01), 0.02 + 0.001 * k)
+    assert evolution._stepper.cache_info().currsize <= evolution.CACHE_SIZE
+    assert evolution._engine.cache_info().currsize <= evolution.CACHE_SIZE
+
+
 def test_picard_scheme_in_run_simulation(grid):
     eta0 = Field.from_samples(grid, 1e-3 * np.cos(grid.x))
     cfg = StepperConfig(scheme="picard_duhamel", dt=0.05)
@@ -261,6 +301,69 @@ def test_drift_law_along_trajectory():
     assert mask.any()
     rel = np.abs(resid[interior][mask] / pred[interior][mask])
     assert rel.max() <= 0.01
+
+
+def _drift_residual_loop(times, evals, predicted):
+    # per-record reference for uniformly spaced records
+    k = len(times)
+    dEdt = np.zeros(k)
+    dt = times[1] - times[0]
+    for i in range(k):
+        if 2 <= i < k - 2:
+            dEdt[i] = (
+                -evals[i + 2] + 8.0 * evals[i + 1] - 8.0 * evals[i - 1] + evals[i - 2]
+            ) / (12.0 * dt)
+        elif 1 <= i < k - 1:
+            dEdt[i] = (evals[i + 1] - evals[i - 1]) / (2.0 * dt)
+        elif i == 0:
+            dEdt[i] = (evals[1] - evals[0]) / dt
+        else:
+            dEdt[i] = (evals[-1] - evals[-2]) / dt
+    return dEdt - predicted
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 50])
+def test_drift_residual_on_the_lattice_matches_per_record_stencils(k, rng):
+    times = 0.01 * np.arange(k)
+    evals = rng.standard_normal(k)
+    predicted = rng.standard_normal(k)
+    assert np.array_equal(
+        evolution._drift_residual(times, evals, predicted),
+        _drift_residual_loop(times, evals, predicted),
+    )
+
+
+def test_drift_residual_final_record_off_the_lattice():
+    # records every 0.1 up to 1.0, then a last one at 1.055: the stencils
+    # reaching it must use the true spacing
+    times = np.append(np.linspace(0.0, 1.0, 11), 1.055)
+    evals = np.sin(times) + times**2
+    exact = np.cos(times) + 2.0 * times
+    resid = evolution._drift_residual(times, evals, exact)
+    assert np.abs(resid[2:-3]).max() <= 2e-5  # fourth order on the lattice
+    assert abs(resid[-3]) <= 2e-5  # five-point stencil through 1.055
+    assert abs(resid[-2]) <= 2e-3  # centred, spacings 0.1 and 0.055
+    assert abs(resid[-1]) <= 0.05  # one-sided over the last 0.055
+
+
+def test_drift_law_with_run_length_off_the_record_lattice():
+    grid = Grid(n=256, length=32.0 * math.pi)
+    shifted = Bbm5Coefficients(
+        gamma1=REFERENCE_COEFFICIENTS.gamma1,
+        gamma2=REFERENCE_COEFFICIENTS.gamma2,
+        delta1=REFERENCE_COEFFICIENTS.delta1,
+        delta2=REFERENCE_COEFFICIENTS.delta2,
+        gamma=7.0 / 48.0 + 0.1,
+    )
+    rep = run_simulation(sech_squared(grid, 0.5, 1.0), RhsSpec(shifted),
+                         StepperConfig(dt=1e-3), 0.505, record_every=10)
+    assert rep.times[-1] - rep.times[-2] == pytest.approx(0.005)
+    rel = np.abs(rep.drift_residual / rep.drift_predicted)
+    # the same level as the interior (~1e-3 at this resolution); stencils
+    # that assume uniform spacing across the short last interval read 4e-2
+    # and 0.25 at the last two interior records
+    assert rel[2:-1].max() <= 5e-3
+    assert rel[-1] <= 0.01
 
 
 # ---------------------------------------------------------------------------
