@@ -477,6 +477,9 @@ def main(argv=None) -> int:
     except (ConfigError, RegimeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except PicardDivergenceError as exc:  # simulate/energy-drift with the Picard scheme
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .spectral import (
     Grid,
     dealiased_product2,
     dealiased_product3,
+    full_spectrum, half_spectrum,
     sobolev_norm,
     spectral_derivative,
 )
@@ -73,7 +74,8 @@ class ScaledModel:
     nonlinear weights (a, a^2/8, a*b*7/48) in place of (1, 1/8, 7/48), so
     one SpectralEngine evaluates it.  eta_tt differentiates that law along
     the flow, which polarises the products to 2*eta*eta_t, 3*eta^2*eta_t and
-    2*eta_x*eta_tx.
+    2*eta_x*eta_tx.  Both work on half spectra and return full-spectrum
+    Fields.
     """
 
     def __init__(self, grid: Grid, p: DerivationParameters):
@@ -96,19 +98,20 @@ class ScaledModel:
 
     def eta_t(self, eta: Field) -> Field:
         eng = self.engine
-        c_hat = eta.spectral
+        c_hat = half_spectrum(eta.spectral)
         return Field.from_spectral(
-            self.grid, -1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat)
+            self.grid, full_spectrum(-1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat))
         )
 
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
         eng = self.engine
-        u = eng.to_fine(eta.spectral)
-        ut = eng.to_fine(eta_t.spectral)
-        ux = eng.to_fine(eng.ikx_d * eta.spectral)
-        utx = eng.to_fine(eng.ikx_d * eta_t.spectral)
+        c_hat, ct_hat = half_spectrum(eta.spectral), half_spectrum(eta_t.spectral)
+        u = eng.to_fine(c_hat)
+        ut = eng.to_fine(ct_hat)
+        ux = eng.to_fine(eng.ikx_d * c_hat)
+        utx = eng.to_fine(eng.ikx_d * ct_hat)
         nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
-        return Field.from_spectral(self.grid, -1j * eng.phi * eta_t.spectral + nl)
+        return Field.from_spectral(self.grid, full_spectrum(-1j * eng.phi * ct_hat + nl))
 
 
 def correction_terms(
@@ -261,11 +264,11 @@ def epsilon_sweep(
         stepper = Etdrk4Stepper(model.engine, dt)
         eta = data if data is not None else _unit_sech2(grid)
         r1_max, r2_max = abcd_residual_first(eta, model)
+        c_hat = half_spectrum(eta.spectral)
         for _ in range(n_checkpoints):
-            c_hat = eta.spectral
             for _ in range(steps_per):
                 c_hat = stepper.step(c_hat)
-            eta = Field.from_spectral(grid, c_hat)
+            eta = Field.from_spectral(grid, full_spectrum(c_hat))
             r1, r2 = abcd_residual_first(eta, model)
             r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
         rows.append({"eps": eps, "r1_L2": r1_max, "r2_L2": r2_max})

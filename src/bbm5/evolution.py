@@ -19,11 +19,14 @@ norms, zero mode).
 Each spectral kernel has one implementation: the symbol formulas in
 ``coefficients.multipliers``; the padded transforms in ``spectral``
 (``fine_samples``/``truncated_coeffs``, wrapped by ``SpectralEngine.to_fine``
-/``from_fine``); the combination -i*(tau*q2 - (1/8)*psi*q3 - (7/48)*psi*g2)
+/``from_fine``); the combination -i*(tau*q2 - psi*((1/8)*q3 + (7/48)*g2))
 in ``SpectralEngine.combine``, which the equation, the difference equation
 of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
 all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
 linear symbol of any engine.
+
+The engine, the stepper and every time loop work on half spectra in rfft
+layout, converted at the Field boundary as ``bbm5.spectral`` describes.
 
 Note on the cubic coefficient: the contraction-mapping proof writes 1/4 where
 every other statement of the equation writes 1/8; we use 1/8 throughout.
@@ -44,6 +47,8 @@ from .spectral import (
     Grid,
     energy,
     fine_samples,
+    full_spectrum,
+    half_spectrum,
     integral_cube,
     sobolev_norm,
     spectral_derivative,
@@ -127,7 +132,7 @@ def local_existence_time(hs_norm: float, cs: float) -> float:
 class SpectralEngine:
     """Multiplier tables, padded transforms and the nonlinearity on one grid.
 
-    Works on raw spectral coefficient arrays (amplitude convention) so the
+    Works on half-spectrum arrays (amplitude convention, rfft layout) so the
     time loops avoid Field-object overhead.  The engine does not check the
     regime: the public entries do, and the alpha/beta-scaled law of
     ``bbm5.derivation`` needs an engine at alpha = beta = 0.  ``weights``
@@ -141,16 +146,15 @@ class SpectralEngine:
         self.coefficients = coefficients
         self.dealias = dealias
         self.linear_only = linear_only
-        nyq = grid._nyquist_index
-        _varphi, self.phi, self.psi, self.tau = multipliers(grid.wavenumbers, coefficients)
+        xi = half_spectrum(grid.wavenumbers)
+        _varphi, self.phi, self.psi, self.tau = multipliers(xi, coefficients)
         for tab in (self.phi, self.psi, self.tau):
-            tab[nyq] = 0.0  # odd symbols: keep realness exactly
-        w2, w3, wg = weights
-        self._quad = w2 * self.tau
-        self._cubic = w3 * self.psi
-        self._grad = wg * self.psi
-        self.ikx_d = 1j * grid.wavenumbers
-        self.ikx_d[nyq] = 0.0
+            tab[-1] = 0.0  # odd symbols: keep realness exactly
+        w2, self._w3, self._wg = weights
+        self._quad = -1j * w2 * self.tau
+        self._ipsi = 1j * self.psi
+        self.ikx_d = 1j * xi
+        self.ikx_d[-1] = 0.0
         self.m = 2 * grid.n if dealias else grid.n
 
     # -- padded transforms ------------------------------------------------
@@ -164,14 +168,11 @@ class SpectralEngine:
     # -- right-hand side --------------------------------------------------
 
     def combine(self, p2: np.ndarray, p3: np.ndarray, pg: np.ndarray) -> np.ndarray:
-        """-i*(w2*tau*q2 - w3*psi*q3 - wg*psi*g2), with q2, q3, g2 the
+        """-i*(w2*tau*q2 - psi*(w3*q3 + wg*g2)), with q2, q3, g2 the
         coefficients of the fine-grid quadratic, cubic and gradient products
-        p2, p3, pg."""
-        return -1j * (
-            self._quad * self.from_fine(p2)
-            - self._cubic * self.from_fine(p3)
-            - self._grad * self.from_fine(pg)
-        )
+        p2, p3, pg; the two psi-terms share one transform."""
+        return (self._quad * self.from_fine(p2)
+                + self._ipsi * self.from_fine(self._w3 * p3 + self._wg * pg))
 
     def nonlinear_hat(self, c_hat: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the real nonlinear right-hand side."""
@@ -179,7 +180,8 @@ class SpectralEngine:
             return np.zeros_like(c_hat)
         u = self.to_fine(c_hat)
         ux = self.to_fine(self.ikx_d * c_hat)
-        return self.combine(u * u, u * u * u, ux * ux)
+        u2 = u * u
+        return self.combine(u2, u2 * u, ux * ux)
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         return np.exp(-1j * self.phi * t)
@@ -192,7 +194,8 @@ def _engine(grid: Grid, spec: RhsSpec) -> SpectralEngine:
 
 def nonlinear_rhs(f: Field, spec: RhsSpec) -> Field:
     """The real nonlinear right-hand side N(f); zero mode is exactly zero."""
-    return Field.from_spectral(f.grid, _engine(f.grid, spec).nonlinear_hat(f.spectral))
+    c_hat = half_spectrum(f.spectral)
+    return Field.from_spectral(f.grid, full_spectrum(_engine(f.grid, spec).nonlinear_hat(c_hat)))
 
 
 def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
@@ -201,7 +204,8 @@ def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
     An H^s isometry for every s; realness is preserved because phi is odd.
     """
     eng = _engine(f.grid, RhsSpec(c))
-    return Field.from_spectral(f.grid, eng.semigroup_factor(t) * f.spectral)
+    c_hat = eng.semigroup_factor(t) * half_spectrum(f.spectral)
+    return Field.from_spectral(f.grid, full_spectrum(c_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +257,10 @@ class Etdrk4Stepper:
         if nl is None:
             nl = self._autonomous
         n0 = nl(c_hat, 2 * k)
-        a = self.e_half * c_hat + self.q * n0
+        ec = self.e_half * c_hat
+        a = ec + self.q * n0
         na = nl(a, 2 * k + 1)
-        b = self.e_half * c_hat + self.q * na
+        b = ec + self.q * na
         nb = nl(b, 2 * k + 1)
         cst = self.e_half * a + self.q * (2.0 * nb - n0)
         nc = nl(cst, 2 * k + 2)
@@ -277,7 +282,8 @@ def _stepper(grid: Grid, spec: RhsSpec, dt: float) -> Etdrk4Stepper:
 
 def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     """One ETDRK4 step; exact on the linear flow, zero mode exactly constant."""
-    return Field.from_spectral(f.grid, _stepper(f.grid, spec, dt).step(f.spectral))
+    c_hat = _stepper(f.grid, spec, dt).step(half_spectrum(f.spectral))
+    return Field.from_spectral(f.grid, full_spectrum(c_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +394,9 @@ def run_simulation(
     n_steps = max(1, int(round(T / cfg.dt)))
     dt = T / n_steps
     stepper = _stepper(eta0.grid, spec, dt)
-    c_hat = eta0.spectral
+    c_hat = half_spectrum(eta0.spectral)
     times = [0.0]
-    states = [c_hat]
+    states = [eta0.spectral]
     aborted = False
     for k in range(1, n_steps + 1):
         c_hat = stepper.step(c_hat)
@@ -399,7 +405,7 @@ def run_simulation(
             break
         if k % record_every == 0 or k == n_steps:
             times.append(k * dt)
-            states.append(c_hat)
+            states.append(full_spectrum(c_hat))
     report = _report_from_states(
         eta0.grid, spec, np.asarray(times), states, monitor_s, keep_snapshots
     )
@@ -473,17 +479,17 @@ def duhamel_picard(
     eng = _engine(eta0.grid, spec)
     K = max(1, int(np.ceil(T / cfg.dt)))
     dt = T / K
-    n = eta0.grid.n
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt
-    free = np.empty((K + 1, n), dtype=np.complex128)
-    free[0] = eta0.spectral
+    free = np.empty((K + 1, e_dt.size), dtype=np.complex128)
+    free[0] = half_spectrum(eta0.spectral)
     for k in range(1, K + 1):
         free[k] = e_dt * free[k - 1]
 
     traj = free.copy()
     diffs: list[float] = []
-    hs_w = eta0.grid.length * (1.0 + eta0.grid.wavenumbers**2) ** s
+    hs_w = eta0.grid.length * (1.0 + half_spectrum(eta0.grid.wavenumbers) ** 2) ** s
+    hs_w[1:-1] *= 2.0  # each interior mode stands for itself and its conjugate
     converged = False
     for it in range(cfg.picard_max_iter):
         G = np.empty_like(traj)
@@ -491,17 +497,17 @@ def duhamel_picard(
             G[k] = eng.nonlinear_hat(traj[k])
         # I_k approximates int_0^{t_k} S(t_k - t') G(t') dt'; advanced two
         # nodes at a time so each iteration costs O(K): a Simpson panel over
-        # [t_{k-2}, t_k] is appended to the semigroup-shifted I_{k-2}.
+        # [t_{k-2}, t_k] is added to the semigroup-shifted I_{k-2}.  Only
+        # (I_{k-2}, I_{k-1}) are kept.
         new = np.empty_like(traj)
         new[0] = free[0]
-        I = [np.zeros(n, dtype=np.complex128), 0.5 * dt * (e_dt * G[0] + G[1])]
-        new[1] = free[1] + I[1]
+        i_prev, i_last = np.zeros_like(e_dt), 0.5 * dt * (e_dt * G[0] + G[1])
+        new[1] = free[1] + i_last
         for k in range(2, K + 1):
-            I_k = e_2dt * I[k - 2] + (dt / 3.0) * (
+            i_prev, i_last = i_last, e_2dt * i_prev + (dt / 3.0) * (
                 e_2dt * G[k - 2] + 4.0 * e_dt * G[k - 1] + G[k]
             )
-            I.append(I_k)
-            new[k] = free[k] + I_k
+            new[k] = free[k] + i_last
         d = new - traj
         diff = float(np.sqrt((hs_w * np.abs(d) ** 2).sum(axis=1)).max())
         diffs.append(diff)
@@ -516,7 +522,7 @@ def duhamel_picard(
             f"{cfg.picard_max_iter} iterations (last diff {diffs[-1]:.3e})",
             diag,
         )
-    fields = [Field.from_spectral(eta0.grid, traj[k]) for k in range(K + 1)]
+    fields = [Field.from_spectral(eta0.grid, full_spectrum(traj[k])) for k in range(K + 1)]
     return fields, diag
 
 

@@ -12,10 +12,15 @@ Conventions (fixed once, tested by round-trip):
 The discrete H^s norm is sqrt(L * sum_j (1 + xi_j^2)^s |c_j|^2); for s = 0
 this is the L^2 integral of u^2 by Parseval.
 
-The padded transforms live here once: ``fine_samples`` (zero-pad to m
-points and sample) and ``truncated_coeffs`` (transform m samples and
-truncate back to the n-point spectrum).  The Field-level products below and
-``SpectralEngine`` in ``bbm5.evolution`` both use them.
+A real field is determined by half of its spectrum.  The padded transforms
+and every time loop work on that half, in rfft layout: n/2 + 1 coefficients,
+the modes 0..n/2-1 and a Nyquist slot holding the -n/2 coefficient.
+``half_spectrum``/``full_spectrum`` convert at the Field boundary, once on
+entry to a loop and once per recorded state; Field itself keeps the full
+complex spectrum.  The padded transforms live here once: ``fine_samples``
+(irfft onto m points, which zero-pads) and ``truncated_coeffs`` (rfft of m
+samples, truncated back to the half spectrum).  The Field-level products
+below and ``SpectralEngine`` in ``bbm5.evolution`` both use them.
 """
 
 from __future__ import annotations
@@ -65,10 +70,6 @@ class Grid:
     def nyquist(self) -> float:
         """Largest resolved |xi|."""
         return np.pi * self.n / self.length
-
-    @cached_property
-    def _nyquist_index(self) -> int:
-        return self.n // 2
 
 
 class Field:
@@ -169,7 +170,7 @@ def spectral_derivative(f: Field, order: int) -> Field:
     c = f.spectral * (1j * xi) ** order
     if order % 2 == 1:
         c = c.copy()
-        c[f.grid._nyquist_index] = 0.0
+        c[f.grid.n // 2] = 0.0
     return Field.from_spectral(f.grid, c)
 
 
@@ -219,54 +220,56 @@ def low_pass(f: Field, cutoff: float) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _pad(c: np.ndarray, m: int) -> np.ndarray:
-    n = c.shape[0]
-    if m == n:
-        return c
-    out = np.zeros(m, dtype=np.complex128)
-    h = n // 2
-    out[:h] = c[:h]
-    out[m - h :] = c[h:]
-    return out
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """The rfft-layout half of a real field's full spectrum c (a view)."""
+    return c[..., : c.shape[-1] // 2 + 1]
 
 
-def _truncate(c: np.ndarray, n: int) -> np.ndarray:
-    m = c.shape[0]
-    if m == n:
-        return c  # no padding: the Nyquist slot must not be folded onto itself
-    h = n // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[:h] = c[:h]
-    out[h:] = c[m - h :]
-    # fold the fine +n/2 mode into the single coarse Nyquist slot
-    out[h] += c[h]
-    return out
+def full_spectrum(h: np.ndarray) -> np.ndarray:
+    """The full spectrum, in fft ordering, of the half spectrum h."""
+    return np.concatenate((h, np.conj(h[..., -2:0:-1])), axis=-1)
 
 
-def fine_samples(c: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m-point grid of the n coefficients c (m >= n)."""
-    return np.fft.ifft(_pad(c, m) * m).real
+def fine_samples(h: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-point grid of the half spectrum h of n points (m >= n)."""
+    if m > 2 * (h.shape[-1] - 1):
+        # on the fine grid the coarse -n/2 coefficient c sits inside the band:
+        # Re(c*e^{-i*n*x/2}) puts conj(c)/2 on the +n/2 mode
+        h = h.copy()
+        h[..., -1] = 0.5 * np.conj(h[..., -1])
+    return np.fft.irfft(h, m, norm="forward")
 
 
 def truncated_coeffs(samples: np.ndarray, n: int) -> np.ndarray:
-    """The n retained coefficients of m fine-grid samples (m >= n)."""
-    return _truncate(np.fft.fft(samples) / samples.shape[0], n)
+    """The n/2 + 1 retained half-spectrum coefficients of m fine-grid samples."""
+    r = np.fft.rfft(samples, norm="forward")
+    if samples.shape[-1] == n:
+        return r  # no padding: the Nyquist slot must not be folded onto itself
+    out = r[..., : n // 2 + 1]
+    # fold the fine +n/2 mode and its mirror into the single coarse Nyquist slot
+    out[..., -1] = 2.0 * out[..., -1].real
+    return out
+
+
+def _fine(f: Field, m: int) -> np.ndarray:
+    return fine_samples(half_spectrum(f.spectral), m)
+
+
+def _coarse(grid: Grid, samples: np.ndarray) -> Field:
+    return Field.from_spectral(grid, full_spectrum(truncated_coeffs(samples, grid.n)))
 
 
 def dealiased_product2(f: Field, g: Field) -> Field:
     """Alias-free pointwise product of two fields (2/3-rule padding)."""
     n = f.grid.n
     m = 3 * n // 2 if n % 4 == 0 else 2 * n
-    w = fine_samples(f.spectral, m) * fine_samples(g.spectral, m)
-    return Field.from_spectral(f.grid, truncated_coeffs(w, n))
+    return _coarse(f.grid, _fine(f, m) * _fine(g, m))
 
 
 def dealiased_product3(f: Field, g: Field, h: Field) -> Field:
     """Alias-free triple product (1/2-rule padding)."""
-    n = f.grid.n
-    m = 2 * n
-    w = fine_samples(f.spectral, m) * fine_samples(g.spectral, m) * fine_samples(h.spectral, m)
-    return Field.from_spectral(f.grid, truncated_coeffs(w, n))
+    m = 2 * f.grid.n
+    return _coarse(f.grid, _fine(f, m) * _fine(g, m) * _fine(h, m))
 
 
 def integral(f: Field) -> float:
@@ -276,7 +279,7 @@ def integral(f: Field) -> float:
 
 def integral_cube(f: Field) -> float:
     """Integral of f^3, computed alias-free on a padded grid."""
-    w = fine_samples(f.spectral, 2 * f.grid.n)
+    w = _fine(f, 2 * f.grid.n)
     return float(f.grid.length * np.mean(w**3))
 
 

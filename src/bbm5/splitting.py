@@ -30,14 +30,15 @@ from scipy.stats import linregress
 
 from .coefficients import Bbm5Coefficients
 from .evolution import (
-    Etdrk4Stepper,
     RhsSpec,
     StepperConfig,
     SpectralEngine,
     _engine,
+    _stepper,
     semigroup_apply,
 )
-from .spectral import Field, Grid, energy, low_pass, sobolev_norm
+from .spectral import (Field, Grid, energy, full_spectrum, half_spectrum, low_pass,
+                       sobolev_norm, spectral_derivative)
 
 __all__ = [
     "SplitConfig",
@@ -122,15 +123,20 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Fi
     times, so no interpolation is ever needed).  Returned trajectory has
     2*steps + 1 entries at spacing dt/2.
     """
-    eng = _engine(u0.grid, spec)
     steps, dt = _window_steps(t0, cfg.dt)
-    st = Etdrk4Stepper(eng, dt / 2.0)
-    traj = [u0.spectral]
-    c_hat = u0.spectral
-    for _ in range(2 * steps):
-        c_hat = st.step(c_hat)
-        traj.append(c_hat)
-    return [Field.from_spectral(u0.grid, c) for c in traj]
+    st = _stepper(u0.grid, spec, dt / 2.0)
+    return _trajectory(u0, 2 * steps, lambda c_hat, _k: st.step(c_hat))
+
+
+def _trajectory(f0: Field, steps: int, advance) -> list[Field]:
+    """f0 and the Fields of ``steps`` successive advance(state, k) calls on
+    its half spectrum."""
+    c_hat = half_spectrum(f0.spectral)
+    traj = [f0]
+    for k in range(steps):
+        c_hat = advance(c_hat, k)
+        traj.append(Field.from_spectral(f0.grid, full_spectrum(c_hat)))
+    return traj
 
 
 class _DifferenceEngine:
@@ -138,8 +144,9 @@ class _DifferenceEngine:
 
     def __init__(self, engine: SpectralEngine, u_traj: list[Field]):
         self.eng = engine
-        self.u_fine = [engine.to_fine(f.spectral) for f in u_traj]
-        self.ux_fine = [engine.to_fine(engine.ikx_d * f.spectral) for f in u_traj]
+        u_hats = [half_spectrum(f.spectral) for f in u_traj]
+        self.u_fine = [engine.to_fine(c) for c in u_hats]
+        self.ux_fine = [engine.to_fine(engine.ikx_d * c) for c in u_hats]
 
     def __call__(self, v_hat: np.ndarray, node: int) -> np.ndarray:
         eng = self.eng
@@ -169,20 +176,14 @@ def evolve_v(
     u_traj must be the half-step checkpoint trajectory from evolve_u over the
     same window.  Returns the v trajectory at full-step spacing.
     """
-    eng = _engine(v0.grid, spec)
     steps, dt = _window_steps(t0, cfg.dt)
     if len(u_traj) != 2 * steps + 1:
         raise ValueError(
             f"u trajectory has {len(u_traj)} checkpoints, expected {2 * steps + 1}"
         )
-    st = Etdrk4Stepper(eng, dt)
-    nl = _DifferenceEngine(eng, u_traj)
-    traj = [v0.spectral]
-    c_hat = v0.spectral
-    for k in range(steps):
-        c_hat = st.step(c_hat, nl, k)
-        traj.append(c_hat)
-    return [Field.from_spectral(v0.grid, c) for c in traj]
+    st = _stepper(v0.grid, spec, dt)
+    nl = _DifferenceEngine(_engine(v0.grid, spec), u_traj)
+    return _trajectory(v0, steps, lambda c_hat, k: st.step(c_hat, nl, k))
 
 
 def compute_h(v_traj: list[Field], v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:
@@ -194,8 +195,6 @@ def compute_h(v_traj: list[Field], v0: Field, t0: float, c: Bbm5Coefficients) ->
     vT = v_traj[-1]
     free = semigroup_apply(v0, t0, c)
     h = Field.from_spectral(v0.grid, vT.spectral - free.spectral)
-    from .spectral import spectral_derivative
-
     norms = {
         "h_H1": sobolev_norm(h, 1.0),
         "dxh_H1": sobolev_norm(spectral_derivative(h, 1), 1.0),

@@ -107,7 +107,7 @@ class Symbol:
         if tab is None:
             tab = np.asarray(self(grid.wavenumbers))
             if self.parity == -1:
-                tab[grid._nyquist_index] = 0.0
+                tab[grid.n // 2] = 0.0
             tab.setflags(write=False)
             self._cache[grid] = tab
         return tab

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bbm5.cli import EXIT_CONFIG, EXIT_OK, main
+from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -163,6 +163,22 @@ def test_picard_beyond_existence_time_exits_2(tmp_path, capsys):
     )
     assert main(["picard", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "T_bar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section", [("simulate", "simulate"),
+                                             ("energy-drift", "energy_drift")])
+def test_picard_scheme_failure_exits_3(tmp_path, capsys, command, section):
+    cfg = _write_config(
+        tmp_path,
+        {"grid": {"n": 64},
+         "stepper": {"scheme": "picard_duhamel", "dt": 0.01,
+                     "picard_max_iter": 2, "picard_tol": 1e-30},
+         section: {"T": 0.1, "initial": {"kind": "cosine", "amplitude": 0.01}}},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "did not reach tol" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

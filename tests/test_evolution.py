@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
+from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS, multipliers
 from bbm5 import evolution
 from bbm5.evolution import (
     PicardDivergenceError,
     RhsSpec,
     RunReport,
+    SpectralEngine,
     StepperConfig,
     duhamel_picard,
     energy_drift_predicted,
@@ -23,7 +24,7 @@ from bbm5.evolution import (
     sech_squared,
     semigroup_apply,
 )
-from bbm5.spectral import Field, Grid, RegimeError, sobolev_norm
+from bbm5.spectral import Field, Grid, RegimeError, full_spectrum, half_spectrum, sobolev_norm
 from bbm5.symbols import Symbol, eval_symbol, random_hs_field
 
 
@@ -136,6 +137,46 @@ def test_rhs_without_dealiasing_matches_products_on_the_grid(grid, rng, ref):
     assert np.abs(out - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
 
 
+def _complex_nonlinear_hat(c, grid, coeffs, dealias=True, weights=(1.0, 1.0 / 8.0, 7.0 / 48.0)):
+    """The full-spectrum, complex-FFT nonlinearity that the real engine replaced."""
+    n, h = grid.n, grid.n // 2
+    m = 2 * n if dealias else n
+    _varphi, _phi, psi, tau = multipliers(grid.wavenumbers, coeffs)
+    ikx = 1j * grid.wavenumbers
+    psi[h] = tau[h] = ikx[h] = 0.0
+    pad = (lambda a: a) if m == n else (lambda a: np.concatenate((a[:h], np.zeros(m - n), a[h:])))
+    u, ux = (np.fft.ifft(pad(a) * m).real for a in (c, ikx * c))
+
+    def coarse(w):
+        q = np.fft.fft(w) / m
+        return q if m == n else np.concatenate((q[:h], [q[h] + q[m - h]], q[m - h + 1:]))
+
+    w2, w3, wg = weights
+    return -1j * (w2 * tau * coarse(u * u) - w3 * psi * coarse(u**3) - wg * psi * coarse(ux * ux))
+
+
+def _engine_state(grid, kind):
+    if kind == "random":
+        return random_hs_field(grid, 1.5, np.random.default_rng(3), 0.5).spectral
+    c = sech_squared(grid, 0.5, 1.0).spectral
+    if kind == "nyquist":
+        c = c.copy()
+        c[grid.n // 2] = 0.05  # real and nonzero
+    return c
+
+
+@pytest.mark.parametrize("kind", ["sech2", "random", "nyquist"])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("weights", [(1.0, 1.0 / 8.0, 7.0 / 48.0), (0.3, -0.7, 2.5)])
+def test_real_engine_matches_complex_reference(kind, dealias, weights, ref):
+    grid = Grid(n=256, length=16.0 * math.pi)
+    c = _engine_state(grid, kind)
+    eng = SpectralEngine(grid, ref, dealias, weights=weights)
+    got = full_spectrum(eng.nonlinear_hat(half_spectrum(c)))
+    want = _complex_nonlinear_hat(c, grid, ref, dealias, weights)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_rhs_spec_refuses_bad_regime():
     bad = Bbm5Coefficients(gamma1=0.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):
@@ -180,6 +221,34 @@ def test_etdrk4_observed_order():
         errs.append(sobolev_norm(sol - ref_sol, 1.0))
     orders = [math.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(orders) >= 3.7
+
+
+def test_etdrk4_matches_complex_reference_over_200_steps(ref):
+    grid = Grid(n=256, length=16.0 * math.pi)
+    dt, steps = 2e-3, 200
+    c = sech_squared(grid, 0.5, 1.0).spectral
+    _varphi, phi, _psi, _tau = multipliers(grid.wavenumbers, ref)
+    phi[grid.n // 2] = 0.0
+    lr = -1j * dt * phi[:, None] + np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)[None, :]
+    elr = np.exp(lr)
+    e_full, e_half = np.exp(-1j * dt * phi), np.exp(-0.5j * dt * phi)
+    q = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1)
+    f1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3).mean(1)
+    f2 = dt * ((2.0 + lr + elr * (lr - 2.0)) / lr**3).mean(1)
+    f3 = dt * ((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3).mean(1)
+    nl = lambda a: _complex_nonlinear_hat(a, grid, ref)  # noqa: E731
+    stepper = evolution._stepper(grid, _spec(), dt)
+    h = half_spectrum(c)
+    for _ in range(steps):
+        n0 = nl(c)
+        a = e_half * c + q * n0
+        na = nl(a)
+        b = e_half * c + q * na
+        nb = nl(b)
+        nc = nl(e_half * a + q * (2.0 * nb - n0))
+        c = e_full * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        h = stepper.step(h)
+    assert np.abs(full_spectrum(h) - c).max() <= 1e-14 * np.abs(c).max()
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +485,47 @@ def test_picard_contraction_ratios_and_growth(grid):
     assert all(r < 1.0 for r in diag.ratios[1:])
     sup = max(sobolev_norm(f, 1.0) for f in traj)
     assert sup <= 2.0 * r0
+
+
+def _picard_list_version(eta0, spec, cfg, T):
+    """duhamel_picard with every I_k kept in a list, as it was written first."""
+    eng = evolution._engine(eta0.grid, spec)
+    K = max(1, int(np.ceil(T / cfg.dt)))
+    dt = T / K
+    e_dt = eng.semigroup_factor(dt)
+    e_2dt = e_dt * e_dt
+    free = np.empty((K + 1, e_dt.size), dtype=np.complex128)
+    free[0] = half_spectrum(eta0.spectral)
+    for k in range(1, K + 1):
+        free[k] = e_dt * free[k - 1]
+    traj = free.copy()
+    hs_w = eta0.grid.length * (1.0 + half_spectrum(eta0.grid.wavenumbers) ** 2) ** cfg.sobolev_s
+    hs_w[1:-1] *= 2.0
+    diffs = []
+    for _ in range(cfg.picard_max_iter):
+        G = np.array([eng.nonlinear_hat(st) for st in traj])
+        new = np.empty_like(traj)
+        new[0] = free[0]
+        I = [np.zeros_like(e_dt), 0.5 * dt * (e_dt * G[0] + G[1])]
+        new[1] = free[1] + I[1]
+        for k in range(2, K + 1):
+            panel = e_2dt * G[k - 2] + 4.0 * e_dt * G[k - 1] + G[k]
+            I.append(e_2dt * I[k - 2] + (dt / 3.0) * panel)
+            new[k] = free[k] + I[k]
+        diffs.append(float(np.sqrt((hs_w * np.abs(new - traj) ** 2).sum(axis=1)).max()))
+        traj = new
+        if diffs[-1] < cfg.picard_tol:
+            break
+    return [full_spectrum(st) for st in traj], diffs
+
+
+def test_picard_two_slot_recursion_is_bit_identical_to_the_list(grid):
+    eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x) + 2e-3 * np.sin(3.0 * grid.x))
+    cfg = StepperConfig(dt=0.02)
+    traj, diag = duhamel_picard(eta0, _spec(), cfg, 0.3)
+    want_traj, want_diffs = _picard_list_version(eta0, _spec(), cfg, 0.3)
+    assert diag.converged and diag.diff_norms == want_diffs
+    assert all(np.array_equal(f.spectral, w) for f, w in zip(traj, want_traj, strict=True))
 
 
 def test_picard_divergence_carries_diagnostics(grid):

@@ -16,6 +16,9 @@ from bbm5.spectral import (
     dealiased_product2,
     dealiased_product3,
     energy,
+    fine_samples,
+    full_spectrum,
+    half_spectrum,
     homogeneous_sobolev_norm,
     integral,
     integral_cube,
@@ -23,6 +26,7 @@ from bbm5.spectral import (
     read_snapshot_csv,
     sobolev_norm,
     spectral_derivative,
+    truncated_coeffs,
     write_snapshot_csv,
     write_spectral_csv,
 )
@@ -283,6 +287,51 @@ def test_high_part_bound():
                 rhs = sobolev_norm(f, s) * N ** (rho - s)
                 # (1 + xi^2)^(1/2) >= |xi| > N on the support of v0
                 assert lhs <= rhs * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Half spectrum and padded transforms
+# ---------------------------------------------------------------------------
+
+
+def test_half_full_round_trip(grid, rng):
+    c = _random_field(grid, rng).spectral
+    assert c[grid.n // 2] != 0.0  # the Nyquist slot is part of the round trip
+    h = half_spectrum(c)
+    assert h.shape == (grid.n // 2 + 1,)
+    assert np.array_equal(full_spectrum(h), c)  # random_hs_field is exactly hermitian
+    assert np.array_equal(half_spectrum(full_spectrum(h)), h)
+    g = Field.from_samples(grid, rng.standard_normal(grid.n))
+    assert np.abs(full_spectrum(half_spectrum(g.spectral)) - g.spectral).max() < 1e-15
+
+
+def _pad_reference(c, m):
+    h = c.size // 2
+    return np.concatenate((c[:h], np.zeros(m - c.size), c[h:]))
+
+
+def _truncate_reference(q, n):
+    if q.size == n:
+        return q
+    h = n // 2
+    out = np.concatenate((q[:h], q[q.size - h:]))
+    out[h] += q[h]
+    return out
+
+
+@pytest.mark.parametrize("n", [128, 512, 2048])
+def test_padded_transforms_match_complex_formulas(n, rng):
+    grid = Grid(n=n, length=2.0 * math.pi)
+    c = _random_field(grid, rng, s=0.5).spectral
+    assert c[n // 2] != 0.0
+    for m in (n, 3 * n // 2, 2 * n):
+        want = np.fft.ifft(_pad_reference(c, m) * m).real
+        got = fine_samples(half_spectrum(c), m)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        w = want * want
+        ref = half_spectrum(_truncate_reference(np.fft.fft(w) / m, n))
+        out = truncated_coeffs(w, n)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------

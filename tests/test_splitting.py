@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bbm5 import evolution
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
 from bbm5.evolution import RhsSpec, StepperConfig, run_simulation, semigroup_apply
 from bbm5.spectral import Field, Grid, sobolev_norm
@@ -240,3 +241,21 @@ def test_n_sweep_single_cutoff_has_no_slope(big_grid, rough):
     assert "h_slope" not in out
     assert len(out["rows"]) == 1
     assert {"N", "t0", "h_H2", "u_H2_t0", "E_u1_minus_E_ut0"} <= out["rows"][0].keys()
+
+
+def test_second_identical_n_sweep_builds_no_stepper(big_grid, rough, monkeypatch):
+    built = []
+    init = evolution.Etdrk4Stepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution.Etdrk4Stepper, "__init__", counting_init)
+    evolution._stepper.cache_clear()
+    sweep = lambda: n_sweep(rough, 1.5, (8.0, 10.0), spec=_spec(),  # noqa: E731
+                            stepper=StepperConfig(dt=0.01))
+    first = sweep()
+    assert len(built) == 4  # a half-step and a full-step stepper per window
+    assert sweep() == first
+    assert len(built) == 4
