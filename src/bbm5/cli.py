@@ -1,7 +1,11 @@
 """Operator-facing command line.
 
 One JSON config document with per-command sections drives every experiment;
-command-line flags override config values.  Exit codes are a stable
+command-line flags override config values.  The document is resolved once
+against ``_SCHEMA``, the type and default of every key: unknown keys and
+wrong types are configuration errors, and a key a section leaves out takes
+its default, per command where ``_COMMAND_DEFAULTS`` names one.  ``_Setup``
+builds what the commands share from the result.  Exit codes are a stable
 contract: 0 success, 2 configuration error, 3 numerical abort.  All CSV
 bodies are byte-reproducible under a fixed seed.
 """
@@ -9,6 +13,8 @@ bodies are byte-reproducible under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -17,7 +23,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coef
-from .coefficients import Bbm5Coefficients, ModelParameters
+from .coefficients import ModelParameters
 from .derivation import epsilon_sweep
 from .derivation import write_sweep_csv as write_derivation_csv
 from .evolution import (
@@ -43,79 +49,95 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema: section -> {key: type or tuple of types}; unknown keys are
-# rejected.
+# Config schema: section -> key -> (type, default), or a nested table.
 # ---------------------------------------------------------------------------
 
-_NUM = (int, float)
-_INITIAL_KEYS = {
-    "kind": str,
-    "amplitude": _NUM,
-    "width": _NUM,
-    "center": _NUM,
-    "s": _NUM,
-    "seed": int,
-    "path": str,
-    "mode": int,
+_NUM = (int, float)  # resolved to float; a list holds numbers only
+_PARAMETERS = ("theta", "lam", "mu", "lam1", "mu1", "rho")
+
+# The initial data of simulate, split, energy_drift and picard.  A default of
+# None: center -> the middle of the grid; s -> split.s under split, else 1;
+# seed -> the run seed; path -> none given.
+_INITIAL = {
+    "kind": (str, "sech2"),
+    "amplitude": (_NUM, 1.0),
+    "width": (_NUM, 1.0),
+    "center": (_NUM, None),
+    "s": (_NUM, None),
+    "seed": (int, None),
+    "path": (str, None),
+    "mode": (int, 1),
 }
 
 _SCHEMA = {
     "coeffs": {
-        "theta": _NUM,
-        "lam": _NUM,
-        "mu": _NUM,
-        "lam1": _NUM,
-        "mu1": _NUM,
-        "rho": _NUM,
-        "rho_auto": bool,
+        "theta": (_NUM, math.sqrt(2.0 / 3.0)),
+        "lam": (_NUM, 1.0),
+        "mu": (_NUM, 0.0),
+        "lam1": (_NUM, 1.0),
+        "mu1": (_NUM, -6.0),
+        "rho": (_NUM, 0.0),
+        "rho_auto": (bool, False),
     },
-    "grid": {"n": int, "length": _NUM},
+    "grid": {"n": (int, 256), "length": (_NUM, 2.0 * math.pi)},
     "stepper": {
-        "scheme": str,
-        "dt": _NUM,
-        "picard_tol": _NUM,
-        "picard_max_iter": int,
-        "cs": _NUM,
-        "sobolev_s": _NUM,
+        "scheme": (str, "exponential_rk4"),
+        "dt": (_NUM, 1e-3),
+        "picard_tol": (_NUM, 1e-12),
+        "picard_max_iter": (int, 50),
+        "cs": (_NUM, 1.0),
+        "sobolev_s": (_NUM, 1.0),
     },
-    "simulate": {
-        "T": _NUM,
-        "record_every": int,
-        "dealias": bool,
-        "initial": dict,
-        "monitor_s": list,
-    },
-    "split": {"s": _NUM, "cutoffs": list, "t0_scale": _NUM, "initial": dict},
-    "multiplier_table": {"xi_min": _NUM, "xi_max": _NUM, "count": int},
-    "energy_drift": {"T": _NUM, "record_every": int, "initial": dict, "dealias": bool},
-    "picard": {"T": _NUM, "initial": dict},
-    "derivation": {"epsilons": list, "t_final": _NUM, "dt": _NUM, "checkpoints": int},
-    "seed": int,
+    "simulate": {"T": (_NUM, 1.0), "record_every": (int, 1), "dealias": (bool, True),
+                 "initial": _INITIAL, "monitor_s": (list, (0.0, 1.0, 2.0))},
+    "split": {"s": (_NUM, 1.5), "cutoffs": (list, (8.0, 16.0, 32.0, 64.0)),
+              "t0_scale": (_NUM, 1.0), "initial": _INITIAL},
+    "multiplier_table": {"xi_min": (_NUM, 0.0), "xi_max": (_NUM, 10.0), "count": (int, 101)},
+    "energy_drift": {"T": (_NUM, 1.0), "record_every": (int, 1), "initial": _INITIAL,
+                     "dealias": (bool, True)},
+    "picard": {"T": (_NUM, 1.0), "initial": _INITIAL},
+    "derivation": {"epsilons": (list, (0.1, 0.05, 0.025, 0.0125)), "t_final": (_NUM, 1.0),
+                   "dt": (_NUM, 2e-3), "checkpoints": (int, 4)},
+    "seed": (int, 0),
+}
+
+# Defaults that differ by command.  Each replaces the table's default of the
+# one key it names, so a section that sets other keys still gets it.
+_COMMAND_DEFAULTS = {
+    "split": {"grid": {"n": 1024}, "split": {"initial": {"kind": "random"}}},
+    "picard": {"picard": {"initial": {"kind": "zero"}}},
+    "derivation-residual": {"grid": {"n": 512, "length": 16.0 * math.pi}},
 }
 
 
-def _validate(config: dict) -> None:
-    for key, value in config.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        spec = _SCHEMA[key]
+def _resolve(doc: dict, table: dict, defaults: dict, where: str = "") -> dict:
+    """Every key of table: doc's value, type-checked, else the default."""
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"unknown config key {where + key!r}")
+    out = {}
+    for key, spec in table.items():
+        name = where + key
         if isinstance(spec, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            for k, v in value.items():
-                if k not in spec:
-                    raise ConfigError(f"unknown key {key}.{k!r}")
-                if not isinstance(v, spec[k]) or isinstance(v, bool) and spec[k] is not bool:
-                    raise ConfigError(
-                        f"config value {key}.{k} has wrong type {type(v).__name__}"
-                    )
-                if k == "initial":
-                    for ik, iv in v.items():
-                        if ik not in _INITIAL_KEYS:
-                            raise ConfigError(f"unknown key {key}.initial.{ik!r}")
+            section = doc.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {name!r} must be an object")
+            out[key] = _resolve(section, spec, defaults.get(key, {}), name + ".")
+        elif key in doc:
+            out[key] = _typed(doc[key], spec[0], name)
         else:
-            if not isinstance(value, spec) or isinstance(value, bool):
-                raise ConfigError(f"config value {key} has wrong type")
+            out[key] = defaults.get(key, spec[1])
+    return out
+
+
+def _typed(value, kind, name: str):
+    if kind is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {name} must be a list")
+        return tuple(_typed(v, _NUM, f"{name}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"config value {name} has wrong type {type(value).__name__}")
+    return float(value) if kind is _NUM else value
 
 
 def _load_config(path: str | None) -> dict:
@@ -130,102 +152,80 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    _validate(config)
     return config
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Set-up shared by the commands
 # ---------------------------------------------------------------------------
 
 
-def _model_params(section: dict) -> tuple[ModelParameters, bool]:
-    defaults = {
-        "theta": math.sqrt(2.0 / 3.0),
-        "lam": 1.0,
-        "mu": 0.0,
-        "lam1": 1.0,
-        "mu1": -6.0,
-        "rho": 0.0,
-    }
-    rho_auto = section.get("rho_auto", False)
-    vals = {k: float(section.get(k, v)) for k, v in defaults.items()}
-    p = ModelParameters(**vals)
-    if rho_auto:
-        rho_star = coef.rho_for_energy_conservation(coef.derive_first_order(p))
-        p = ModelParameters(**{**vals, "rho": float(rho_star)})
-    return p, rho_auto
+class _Setup:
+    """A resolved config and the seed, model parameters and coefficients of
+    every command.  The grid and the stepper are built when a command first
+    asks, so coeffs and multiplier-table accept any grid and stepper section.
+    """
+
+    def __init__(self, config: dict, seed: int | None):
+        self.config = config
+        self.seed = config["seed"] if seed is None else seed
+        section = config["coeffs"]
+        p = ModelParameters(**{k: section[k] for k in _PARAMETERS})
+        if section["rho_auto"]:
+            rho = coef.rho_for_energy_conservation(coef.derive_first_order(p))
+            p = dataclasses.replace(p, rho=float(rho))
+        self.params = p
+        self.coeffs = coef.derive_bbm5(p)
+
+    @functools.cached_property
+    def grid(self) -> Grid:
+        return Grid(n=self.config["grid"]["n"], length=self.config["grid"]["length"])
+
+    @functools.cached_property
+    def stepper(self) -> StepperConfig:
+        st = self.config["stepper"]
+        return StepperConfig(scheme=st["scheme"], dt=st["dt"], picard_tol=st["picard_tol"],
+                             picard_max_iter=st["picard_max_iter"],
+                             contraction_constant_cs=st["cs"], sobolev_s=st["sobolev_s"])
+
+    def initial(self, section: str, s: float = 1.0) -> Field:
+        """The section's initial data; s is the H^s index of random data
+        whose ``initial.s`` is not set."""
+        init, grid = self.config[section]["initial"], self.grid
+        kind, amp = init["kind"], init["amplitude"]
+        if kind == "sech2":
+            return sech_squared(grid, amp, init["width"], init["center"])
+        if kind == "gaussian":
+            return gaussian_bump(grid, amp, init["width"], init["center"])
+        if kind == "random":
+            rng = np.random.default_rng(self.seed if init["seed"] is None else init["seed"])
+            return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
+        if kind == "cosine":
+            k = init["mode"]
+            return Field.from_samples(grid, amp * np.cos(2.0 * np.pi * k * grid.x / grid.length))
+        if kind == "zero":
+            return Field.zero(grid)
+        if kind == "file":
+            path = init["path"]
+            if path is None or not os.path.exists(path):
+                raise ConfigError(f"initial data file not found: {path}")
+            return read_snapshot_csv(grid, path)
+        raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
-def _grid(section: dict) -> Grid:
-    return Grid(n=section.get("n", 256), length=float(section.get("length", 2.0 * math.pi)))
-
-
-def _stepper(section: dict) -> StepperConfig:
-    return StepperConfig(
-        scheme=section.get("scheme", "exponential_rk4"),
-        dt=float(section.get("dt", 1e-3)),
-        picard_tol=float(section.get("picard_tol", 1e-12)),
-        picard_max_iter=int(section.get("picard_max_iter", 50)),
-        contraction_constant_cs=float(section.get("cs", 1.0)),
-        sobolev_s=float(section.get("sobolev_s", 1.0)),
-    )
-
-
-def _initial(section: dict, grid: Grid, seed: int) -> Field:
-    kind = section.get("kind", "sech2")
-    amp = float(section.get("amplitude", 1.0))
-    if kind == "sech2":
-        return sech_squared(grid, amp, float(section.get("width", 1.0)),
-                            section.get("center"))
-    if kind == "gaussian":
-        return gaussian_bump(grid, amp, float(section.get("width", 1.0)),
-                             section.get("center"))
-    if kind == "random":
-        s = float(section.get("s", 1.0))
-        rng = np.random.default_rng(section.get("seed", seed))
-        return random_hs_field(grid, s, rng, amp)
-    if kind == "cosine":
-        k = int(section.get("mode", 1))
-        return Field.from_samples(grid, amp * np.cos(2.0 * np.pi * k * grid.x / grid.length))
-    if kind == "zero":
-        return Field.zero(grid)
-    if kind == "file":
-        path = section.get("path")
-        if path is None or not os.path.exists(path or ""):
-            raise ConfigError(f"initial data file not found: {path}")
-        return read_snapshot_csv(grid, path)
-    raise ConfigError(f"unknown initial data kind {kind!r}")
-
-
-def _coeffs_payload(p: ModelParameters, rho_auto: bool) -> dict:
+def _coeffs_payload(run: _Setup) -> dict:
+    p, c = run.params, run.coeffs
     f = coef.derive_first_order(p)
-    s = coef.derive_second_order(p)
-    c = coef.derive_bbm5(p)
     return {
-        "parameters": {
-            "theta": p.theta, "lam": p.lam, "mu": p.mu,
-            "lam1": p.lam1, "mu1": p.mu1, "rho": p.rho, "rho_auto": rho_auto,
-        },
-        "abcd_first": {"a": f.a, "b": f.b, "c": f.c, "d": f.d},
-        "abcd_second": {"a1": s.a1, "b1": s.b1, "c1": s.c1, "d1": s.d1},
-        "bbm5": {
-            "gamma1": c.gamma1, "gamma2": c.gamma2,
-            "delta1": c.delta1, "delta2": c.delta2, "gamma": c.gamma,
-        },
+        "parameters": {**dataclasses.asdict(p), "rho_auto": run.config["coeffs"]["rho_auto"]},
+        "abcd_first": dataclasses.asdict(f),
+        "abcd_second": dataclasses.asdict(coef.derive_second_order(p)),
+        "bbm5": dataclasses.asdict(c),
         "wellposed_regime": c.wellposed_regime,
         "energy_conserving": c.energy_conserving,
         "violations": coef.validate(c),
         "rho_star": float(coef.rho_for_energy_conservation(f)),
     }
-
-
-def _coefficients(p: ModelParameters) -> Bbm5Coefficients:
-    c = coef.derive_bbm5(p)
-    return Bbm5Coefficients(
-        gamma1=float(c.gamma1), gamma2=float(c.gamma2),
-        delta1=float(c.delta1), delta2=float(c.delta2), gamma=float(c.gamma),
-    )
 
 
 def _out_dir(args) -> str:
@@ -240,92 +240,92 @@ def _write_meta(out_dir: str, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _say(args, text: str, file=None) -> None:
+    if not args.quiet:
+        print(text, file=file)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args, config: dict) -> int:
-    p, rho_auto = _model_params({**config.get("coeffs", {}),
-                                 **({"rho_auto": True} if args.rho_auto else {})})
-    payload = _coeffs_payload(p, rho_auto)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def cmd_coeffs(args, run: _Setup) -> int:
+    text = json.dumps(_coeffs_payload(run), indent=2, sort_keys=True)
     if args.out:
-        out = _out_dir(args)
-        with open(os.path.join(out, "coeffs.json"), "w") as fh:
+        with open(os.path.join(_out_dir(args), "coeffs.json"), "w") as fh:
             fh.write(text + "\n")
-    if not args.quiet:
-        print(text)
+    _say(args, text)
     return EXIT_OK
 
 
-def cmd_simulate(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    p, _ = _model_params(config.get("coeffs", {}))
-    c = _coefficients(p)
-    grid = _grid(config.get("grid", {}))
-    cfg = _stepper(config.get("stepper", {}))
-    sim = config.get("simulate", {})
-    spec = RhsSpec(c, dealias=sim.get("dealias", True))
-    eta0 = _initial(sim.get("initial", {}), grid, seed)
-    T = float(sim.get("T", 1.0))
-    report = run_simulation(
-        eta0, spec, cfg, T,
-        monitor_s=tuple(sim.get("monitor_s", (0.0, 1.0, 2.0))),
-        record_every=int(sim.get("record_every", 1)),
-    )
-    out = _out_dir(args)
-    report.write_csv(os.path.join(out, "run.csv"))
-    _write_meta(out, "run_meta.json", {
-        "coefficients": _coeffs_payload(p, False)["bbm5"],
-        "grid": {"n": grid.n, "length": grid.length},
-        "scheme": cfg.scheme, "dt": cfg.dt, "T": T, "seed": seed,
-        "dealias": spec.dealias, "aborted": report.aborted,
-    })
+def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
+    """simulate and energy-drift: run, write the report, then report an
+    abort on stderr (exit 3) or write's summary line on stdout."""
+    sec = run.config[section]
+    spec = RhsSpec(run.coeffs, dealias=sec["dealias"])
+    report = run_simulation(run.initial(section), spec, run.stepper, sec["T"],
+                            record_every=sec["record_every"], **kwargs)
+    summary = write(report, _out_dir(args))
     if report.aborted:
-        if not args.quiet:
-            print("run aborted on non-finite state; last-good report written",
-                  file=sys.stderr)
+        _say(args, "run aborted on non-finite state; last-good report written", sys.stderr)
         return EXIT_NUMERIC
-    if not args.quiet:
+    _say(args, summary)
+    return EXIT_OK
+
+
+def cmd_simulate(args, run: _Setup) -> int:
+    sec = run.config["simulate"]
+
+    def write(report, out: str) -> str:
+        report.write_csv(os.path.join(out, "run.csv"))
+        _write_meta(out, "run_meta.json", {
+            "coefficients": dataclasses.asdict(run.coeffs),
+            "grid": {"n": run.grid.n, "length": run.grid.length},
+            "scheme": run.stepper.scheme, "dt": run.stepper.dt, "T": sec["T"],
+            "seed": run.seed, "dealias": sec["dealias"], "aborted": report.aborted,
+        })
         drift = abs(report.energy[-1] - report.energy[0])
         rel = drift / report.energy[0] if report.energy[0] > 0 else 0.0
-        print(f"simulate: T={T} relative energy drift {rel:.3e}")
-    return EXIT_OK
+        return f"simulate: T={sec['T']} relative energy drift {rel:.3e}"
+
+    return _run(args, run, "simulate", write, monitor_s=sec["monitor_s"])
 
 
-def cmd_split(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    p, _ = _model_params(config.get("coeffs", {}))
-    c = _coefficients(p)
-    grid = _grid(config.get("grid", {"n": 1024}))
-    cfg = _stepper(config.get("stepper", {}))
-    section = config.get("split", {})
-    s = float(section.get("s", 1.5))
+def cmd_energy_drift(args, run: _Setup) -> int:
+    def write(report, out: str) -> str:
+        with open(os.path.join(out, "energy_drift.csv"), "w") as fh:
+            fh.write("t,E,dEdt_predicted,drift_resid\n")
+            for k, t in enumerate(report.times):
+                fh.write(
+                    f"{t:.17g},{report.energy[k]:.17g},"
+                    f"{report.drift_predicted[k]:.17g},{report.drift_residual[k]:.17g}\n"
+                )
+        return f"energy-drift: {len(report.times)} rows written"
+
+    return _run(args, run, "energy_drift", write)
+
+
+def cmd_split(args, run: _Setup) -> int:
+    sec = run.config["split"]
+    s = sec["s"]
     if not (1.0 <= s < 2.0):
         raise ConfigError(f"split.s must lie in [1, 2), got {s}")
-    cutoffs = tuple(float(v) for v in section.get("cutoffs", (8.0, 16.0, 32.0, 64.0)))
-    spec = RhsSpec(c)
-    eta0 = _initial(section.get("initial", {"kind": "random", "s": s}), grid, seed)
-    sweep = n_sweep(eta0, s, cutoffs, spec=spec, stepper=cfg,
-                    t0_scale=float(section.get("t0_scale", 1.0)))
+    sweep = n_sweep(run.initial("split", s), s, sec["cutoffs"], spec=RhsSpec(run.coeffs),
+                    stepper=run.stepper, t0_scale=sec["t0_scale"])
     out = _out_dir(args)
     write_sweep_csv(sweep, os.path.join(out, "split_sweep.csv"))
     write_sweep_json(sweep, os.path.join(out, "split_summary.json"))
-    if not args.quiet and "h_slope" in sweep:
-        print(f"split: h slope {sweep['h_slope']['slope']:.3f}, "
-              f"energy increment slope {sweep['energy_increment_slope']['slope']:.3f}")
+    if "h_slope" in sweep:
+        _say(args, f"split: h slope {sweep['h_slope']['slope']:.3f}, "
+                   f"energy increment slope {sweep['energy_increment_slope']['slope']:.3f}")
     return EXIT_OK
 
 
-def cmd_multiplier_table(args, config: dict) -> int:
-    p, _ = _model_params(config.get("coeffs", {}))
-    c = _coefficients(p)
-    section = config.get("multiplier_table", {})
-    xi = np.linspace(float(section.get("xi_min", 0.0)),
-                     float(section.get("xi_max", 10.0)),
-                     int(section.get("count", 101)))
-    syms = {k: Symbol(k, c) for k in ("phi", "psi", "tau", "varphi_denominator")}
+def cmd_multiplier_table(args, run: _Setup) -> int:
+    sec = run.config["multiplier_table"]
+    xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
+    syms = {k: Symbol(k, run.coeffs) for k in ("phi", "psi", "tau", "varphi_denominator")}
     omega = Symbol("omega")
     out = _out_dir(args)
     with open(os.path.join(out, "multiplier_table.csv"), "w") as fh:
@@ -336,62 +336,23 @@ def cmd_multiplier_table(args, config: dict) -> int:
                 f"{float(syms['tau'](x)):.17g},{float(omega(x)):.17g},"
                 f"{float(syms['varphi_denominator'](x)):.17g}\n"
             )
-    if not args.quiet:
-        print(f"multiplier-table: {len(xi)} rows written")
+    _say(args, f"multiplier-table: {len(xi)} rows written")
     return EXIT_OK
 
 
-def cmd_energy_drift(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    p, _ = _model_params(config.get("coeffs", {}))
-    c = _coefficients(p)
-    grid = _grid(config.get("grid", {}))
-    cfg = _stepper(config.get("stepper", {}))
-    section = config.get("energy_drift", {})
-    spec = RhsSpec(c, dealias=section.get("dealias", True))
-    eta0 = _initial(section.get("initial", {}), grid, seed)
-    T = float(section.get("T", 1.0))
-    report = run_simulation(eta0, spec, cfg, T,
-                            record_every=int(section.get("record_every", 1)))
-    out = _out_dir(args)
-    with open(os.path.join(out, "energy_drift.csv"), "w") as fh:
-        fh.write("t,E,dEdt_predicted,drift_resid\n")
-        for k, t in enumerate(report.times):
-            fh.write(
-                f"{t:.17g},{report.energy[k]:.17g},"
-                f"{report.drift_predicted[k]:.17g},{report.drift_residual[k]:.17g}\n"
-            )
-    if report.aborted:
-        return EXIT_NUMERIC
-    if not args.quiet:
-        print(f"energy-drift: {len(report.times)} rows written")
-    return EXIT_OK
-
-
-def cmd_picard(args, config: dict) -> int:
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    p, _ = _model_params(config.get("coeffs", {}))
-    c = _coefficients(p)
-    grid = _grid(config.get("grid", {}))
-    cfg = _stepper(config.get("stepper", {}))
-    section = config.get("picard", {})
-    spec = RhsSpec(c)
-    eta0 = _initial(section.get("initial", {"kind": "zero"}), grid, seed)
-    T = float(section.get("T", 1.0))
+def cmd_picard(args, run: _Setup) -> int:
+    eta0 = run.initial("picard")
     out = _out_dir(args)
     try:
-        traj, diag = duhamel_picard(eta0, spec, cfg, T)
+        traj, diag = duhamel_picard(eta0, RhsSpec(run.coeffs), run.stepper,
+                                    run.config["picard"]["T"])
     except PicardDivergenceError as exc:
         _write_picard_csv(os.path.join(out, "picard.csv"), exc.diagnostics)
-        if not args.quiet:
-            print(str(exc), file=sys.stderr)
+        _say(args, str(exc), sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     _write_picard_csv(os.path.join(out, "picard.csv"), diag)
-    if not args.quiet:
-        print(f"picard: converged in {diag.iterations} iterations, "
-              f"final H1 norm {sobolev_norm(traj[-1], 1.0):.6e}")
+    _say(args, f"picard: converged in {diag.iterations} iterations, "
+               f"final H1 norm {sobolev_norm(traj[-1], 1.0):.6e}")
     return EXIT_OK
 
 
@@ -403,18 +364,11 @@ def _write_picard_csv(path, diag) -> None:
             fh.write(f"{k + 1},{d:.17g},{ratios[k]:.17g}\n")
 
 
-def cmd_derivation_residual(args, config: dict) -> int:
-    p, _ = _model_params(config.get("coeffs", {}))
-    grid = _grid(config.get("grid", {"n": 512, "length": 16.0 * math.pi}))
-    section = config.get("derivation", {})
-    sweep = epsilon_sweep(
-        grid,
-        p,
-        epsilons=tuple(float(e) for e in section.get("epsilons", (0.1, 0.05, 0.025, 0.0125))),
-        t_final=float(section.get("t_final", 1.0)),
-        dt=float(section.get("dt", 2e-3)),
-        n_checkpoints=int(section.get("checkpoints", 4)),
-    )
+def cmd_derivation_residual(args, run: _Setup) -> int:
+    sec = run.config["derivation"]
+    sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"],
+                          t_final=sec["t_final"], dt=sec["dt"],
+                          n_checkpoints=sec["checkpoints"])
     out = _out_dir(args)
     write_derivation_csv(sweep, os.path.join(out, "derivation_residual.csv"))
     _write_meta(out, "derivation_summary.json", {
@@ -422,9 +376,8 @@ def cmd_derivation_residual(args, config: dict) -> int:
         "slope_r2_L2": sweep["slope_r2_L2"],
         "rows": sweep["rows"],
     })
-    if not args.quiet:
-        print(f"derivation-residual: slope r1 {sweep['slope_r1_L2']:.3f}, "
-              f"slope r2 {sweep['slope_r2_L2']:.3f}")
+    _say(args, f"derivation-residual: slope r1 {sweep['slope_r1_L2']:.3f}, "
+               f"slope r2 {sweep['slope_r2_L2']:.3f}")
     return EXIT_OK
 
 
@@ -455,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "coeffs":
             sp.add_argument("--rho-auto", action="store_true",
                             help="replace rho by the energy-conserving value")
-            for key in ("theta", "lam", "mu", "lam1", "mu1", "rho"):
+            for key in _PARAMETERS:
                 sp.add_argument(f"--{key}", type=float, default=None)
         sp.set_defaults(handler=fn)
     return parser
@@ -464,16 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = _resolve(_load_config(args.config), _SCHEMA,
+                          _COMMAND_DEFAULTS.get(args.command, {}))
         if args.command == "coeffs":
-            overrides = {
-                k: getattr(args, k)
-                for k in ("theta", "lam", "mu", "lam1", "mu1", "rho")
-                if getattr(args, k) is not None
-            }
-            if overrides:
-                config = {**config, "coeffs": {**config.get("coeffs", {}), **overrides}}
-        return args.handler(args, config)
+            section = config["coeffs"]
+            section.update((k, getattr(args, k)) for k in _PARAMETERS
+                           if getattr(args, k) is not None)
+            section["rho_auto"] = section["rho_auto"] or args.rho_auto
+        return args.handler(args, _Setup(config, args.seed))
     except (ConfigError, RegimeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
