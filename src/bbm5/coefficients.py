@@ -199,7 +199,8 @@ def require_wellposed(c: Bbm5Coefficients, who: str) -> None:
 
 def denominator(xi, c: Bbm5Coefficients):
     """varphi(xi) = 1 + gamma1*xi^2 + delta1*xi^4; vectorized over xi."""
-    return 1.0 + c.gamma1 * xi**2 + c.delta1 * xi**4
+    x2 = xi * xi  # products: numpy evaluates xi**4 as a general, much slower power
+    return 1.0 + c.gamma1 * x2 + c.delta1 * x2 * x2
 
 
 def multipliers(xi, c: Bbm5Coefficients):
@@ -212,10 +213,11 @@ def multipliers(xi, c: Bbm5Coefficients):
     No regime check: the alpha/beta-scaled law evaluates them at
     alpha = beta = 0, where varphi is identically 1.
     """
+    x2 = xi * xi
     varphi = denominator(xi, c)
-    phi = xi * (1.0 - c.gamma2 * xi**2 + c.delta2 * xi**4) / varphi
+    phi = xi * (1.0 - c.gamma2 * x2 + c.delta2 * x2 * x2) / varphi
     psi = xi / varphi
-    tau = (3.0 * xi - 4.0 * c.gamma * xi**3) / (4.0 * varphi)
+    tau = (3.0 * xi - 4.0 * c.gamma * xi * x2) / (4.0 * varphi)
     return varphi, phi, psi, tau
 
 

@@ -384,6 +384,8 @@ def run_simulation(
     NaN or overflow in the state aborts the run, returning the report built
     from the last good states (aborted flag set).
     """
+    if not T > 0 or record_every < 1:
+        raise ValueError(f"need T > 0 and record_every >= 1, got {T} and {record_every}")
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
         states = [f.spectral for f in traj]
@@ -398,14 +400,15 @@ def run_simulation(
     times = [0.0]
     states = [eta0.spectral]
     aborted = False
-    for k in range(1, n_steps + 1):
-        c_hat = stepper.step(c_hat)
-        if not np.all(np.isfinite(c_hat.view(np.float64))):
-            aborted = True
-            break
-        if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            states.append(full_spectrum(c_hat))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(1, n_steps + 1):
+            c_hat = stepper.step(c_hat)
+            if not np.all(np.isfinite(c_hat.view(np.float64))):
+                aborted = True
+                break
+            if k % record_every == 0 or k == n_steps:
+                times.append(k * dt)
+                states.append(full_spectrum(c_hat))
     report = _report_from_states(
         eta0.grid, spec, np.asarray(times), states, monitor_s, keep_snapshots
     )
@@ -467,6 +470,8 @@ def duhamel_picard(
     (a single trapezoid panel seeds odd node counts).  Iteration stops when
     the sup-over-nodes H^s difference drops below picard_tol.
     """
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
     s = cfg.sobolev_s
     r0 = sobolev_norm(eta0, s)
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)

@@ -77,8 +77,51 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_wrong_type_exits_2(tmp_path):
-    cfg = _write_config(tmp_path, {"grid": {"n": "many"}})
-    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    cases = [
+        ("simulate", {"grid": {"n": "many"}}),
+        ("simulate", {"simulate": {"initial": {"center": "a"}}}),
+        ("simulate", {"simulate": {"initial": {"kind": "random", "seed": 1.5}}}),
+        ("simulate", {"simulate": {"monitor_s": ["a"]}}),
+        ("split", {"split": {"cutoffs": [True]}}),
+    ]
+    for command, payload in cases:
+        cfg = _write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG, payload
+
+
+def test_partial_section_keeps_command_defaults(tmp_path):
+    # split's grid.n default (1024) holds when the grid section sets only
+    # its length: Nyquist 512 clears 4x the largest cutoff.
+    cfg = _write_config(tmp_path, {"grid": {"length": 6.283185307179586},
+                                   "stepper": {"dt": 0.01},
+                                   "split": {"cutoffs": [4.0, 64.0]}})
+    assert main(["split", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+def test_coeffs_ignores_grid_it_does_not_use(tmp_path):
+    cfg = _write_config(tmp_path, {"grid": {"n": 3}})
+    assert main(["coeffs", "--config", cfg, "--quiet"]) == EXIT_OK
+
+
+_DERIVATION = {"epsilons": [0.1, 0.05], "t_final": 0.1, "dt": 0.01, "checkpoints": 1}
+
+
+@pytest.mark.parametrize("command,section,values", [
+    ("simulate", "simulate", {"T": 0.05, "record_every": 0}),
+    ("energy-drift", "energy_drift", {"T": 0.05, "record_every": -1}),
+    ("simulate", "simulate", {"T": 0.0}),
+    ("simulate", "simulate", {"T": -0.05}),
+    ("picard", "picard", {"T": 0.0}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "checkpoints": 0}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "dt": 0.0}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "t_final": 0.0}),
+])
+def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, values):
+    cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 6.0},
+                                   "stepper": {"dt": 0.01}, section: values})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
 
 
 def test_split_s_out_of_range_exits_2(tmp_path, capsys):
@@ -179,6 +222,22 @@ def test_picard_scheme_failure_exits_3(tmp_path, capsys, command, section):
     err = capsys.readouterr().err
     assert "did not reach tol" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,section", [("simulate", "simulate"),
+                                             ("energy-drift", "energy_drift")])
+def test_non_finite_run_exits_3_with_one_line(tmp_path, capsys, command, section):
+    cfg = _write_config(
+        tmp_path,
+        {"grid": {"n": 64, "length": 6.0},
+         "stepper": {"dt": 0.5},
+         section: {"T": 200.0,
+                   "initial": {"kind": "sech2", "amplitude": 1e6, "center": 3.0}}},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "run aborted on non-finite state; last-good report written"]
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,15 @@ def test_residual_translation_invariant(dgrid):
     assert r2b == pytest.approx(r2a, rel=1e-10)
 
 
+@pytest.mark.parametrize("t_final,dt,n_checkpoints", [(0.1, 0.0, 1), (0.1, 0.01, 0),
+                                                       (0.0, 0.01, 1)])
+def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints):
+    with pytest.raises(ValueError, match="n_checkpoints >= 1"):
+        epsilon_sweep(Grid(n=64, length=16.0 * math.pi), reference_parameters(),
+                      epsilons=(0.1, 0.05), t_final=t_final, dt=dt,
+                      n_checkpoints=n_checkpoints)
+
+
 def test_epsilon_sweep_cheap_slope(dgrid):
     # coarse two-point sweep as a smoke check; the acceptance suite runs the
     # full four-point sweep at the strict threshold

@@ -327,6 +327,13 @@ def test_stepper_config_validation():
         StepperConfig(picard_max_iter=0)
 
 
+@pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (0.05, 0), (0.05, -1)])
+def test_run_simulation_rejects_out_of_range(grid, T, record_every):
+    with pytest.raises(ValueError, match="T > 0 and record_every >= 1"):
+        run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T,
+                       record_every=record_every)
+
+
 # ---------------------------------------------------------------------------
 # Drift identity
 # ---------------------------------------------------------------------------
@@ -461,6 +468,12 @@ def test_picard_refuses_t_beyond_existence_time(grid):
     t_bar = local_existence_time(r0, 1.0)
     with pytest.raises(ValueError, match="T_bar"):
         duhamel_picard(eta0, _spec(), StepperConfig(dt=0.01), t_bar * 1.01)
+
+
+@pytest.mark.parametrize("T", [0.0, -0.5])
+def test_picard_rejects_non_positive_t(grid, T):
+    with pytest.raises(ValueError, match="T must be positive"):
+        duhamel_picard(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T)
 
 
 def test_picard_matches_etdrk4_small_single_mode(grid):
