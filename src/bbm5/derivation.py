@@ -256,8 +256,8 @@ def epsilon_sweep(
     the first-order system at the checkpoints.  Returns per-eps rows plus the
     fitted log-log slopes (target: order 2).
     """
-    if not (t_final > 0 and dt > 0) or n_checkpoints < 1:
-        raise ValueError(f"need t_final > 0, dt > 0 and n_checkpoints >= 1, "
+    if not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1:
+        raise ValueError(f"need 0 < t_final < inf, dt > 0 and n_checkpoints >= 1, "
                          f"got {t_final}, {dt} and {n_checkpoints}")
     rows = []
     steps_per = max(1, int(round(t_final / dt / n_checkpoints)))

@@ -384,8 +384,8 @@ def run_simulation(
     NaN or overflow in the state aborts the run, returning the report built
     from the last good states (aborted flag set).
     """
-    if not T > 0 or record_every < 1:
-        raise ValueError(f"need T > 0 and record_every >= 1, got {T} and {record_every}")
+    if not 0.0 < T < np.inf or record_every < 1:
+        raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
         states = [f.spectral for f in traj]
@@ -400,7 +400,7 @@ def run_simulation(
     times = [0.0]
     states = [eta0.spectral]
     aborted = False
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
         for k in range(1, n_steps + 1):
             c_hat = stepper.step(c_hat)
             if not np.all(np.isfinite(c_hat.view(np.float64))):
@@ -470,8 +470,8 @@ def duhamel_picard(
     (a single trapezoid panel seeds odd node counts).  Iteration stops when
     the sup-over-nodes H^s difference drops below picard_tol.
     """
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     s = cfg.sobolev_s
     r0 = sobolev_norm(eta0, s)
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)

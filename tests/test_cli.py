@@ -111,6 +111,7 @@ _DERIVATION = {"epsilons": [0.1, 0.05], "t_final": 0.1, "dt": 0.01, "checkpoints
     ("energy-drift", "energy_drift", {"T": 0.05, "record_every": -1}),
     ("simulate", "simulate", {"T": 0.0}),
     ("simulate", "simulate", {"T": -0.05}),
+    ("simulate", "simulate", {"T": math.inf}),
     ("picard", "picard", {"T": 0.0}),
     ("derivation-residual", "derivation", {**_DERIVATION, "checkpoints": 0}),
     ("derivation-residual", "derivation", {**_DERIVATION, "dt": 0.0}),

@@ -196,7 +196,7 @@ def test_residual_translation_invariant(dgrid):
 
 
 @pytest.mark.parametrize("t_final,dt,n_checkpoints", [(0.1, 0.0, 1), (0.1, 0.01, 0),
-                                                       (0.0, 0.01, 1)])
+                                                       (0.0, 0.01, 1), (math.inf, 0.01, 1)])
 def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints):
     with pytest.raises(ValueError, match="n_checkpoints >= 1"):
         epsilon_sweep(Grid(n=64, length=16.0 * math.pi), reference_parameters(),

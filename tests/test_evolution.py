@@ -327,9 +327,10 @@ def test_stepper_config_validation():
         StepperConfig(picard_max_iter=0)
 
 
-@pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (0.05, 0), (0.05, -1)])
+@pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (math.inf, 1), (0.05, 0),
+                                           (0.05, -1)])
 def test_run_simulation_rejects_out_of_range(grid, T, record_every):
-    with pytest.raises(ValueError, match="T > 0 and record_every >= 1"):
+    with pytest.raises(ValueError, match="0 < T < inf and record_every >= 1"):
         run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T,
                        record_every=record_every)
 
@@ -470,9 +471,9 @@ def test_picard_refuses_t_beyond_existence_time(grid):
         duhamel_picard(eta0, _spec(), StepperConfig(dt=0.01), t_bar * 1.01)
 
 
-@pytest.mark.parametrize("T", [0.0, -0.5])
-def test_picard_rejects_non_positive_t(grid, T):
-    with pytest.raises(ValueError, match="T must be positive"):
+@pytest.mark.parametrize("T", [0.0, -0.5, math.inf])
+def test_picard_rejects_non_positive_or_infinite_t(grid, T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
         duhamel_picard(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T)
 
 
