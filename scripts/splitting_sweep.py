@@ -40,10 +40,11 @@ def main():
             f"N={row['N']:6g}  t0={row['t0']:.4e}  ||h||_H2={row['h_H2']:.4e}  "
             f"dE={row['E_u1_minus_E_ut0']:+.4e}"
         )
-    print(f"h slope: {sweep['h_slope']['slope']:.3f} "
-          f"(+- {sweep['h_slope']['ci95']:.3f})")
-    print(f"energy increment slope: {sweep['energy_increment_slope']['slope']:.3f} "
-          f"(+- {sweep['energy_increment_slope']['ci95']:.3f})")
+    if "h_slope" in sweep:  # n_sweep fits slopes from three cutoffs up
+        print(f"h slope: {sweep['h_slope']['slope']:.3f} "
+              f"(+- {sweep['h_slope']['ci95']:.3f})")
+        print(f"energy increment slope: {sweep['energy_increment_slope']['slope']:.3f} "
+              f"(+- {sweep['energy_increment_slope']['ci95']:.3f})")
     if args.out:
         write_sweep_csv(sweep, args.out)
 

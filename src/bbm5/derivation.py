@@ -127,26 +127,18 @@ def correction_terms(
     rho = float(model.rho)
 
     eta2 = dealiased_product2(eta, eta)
-    A = Field.from_spectral(eta.grid, -0.25 * eta2.spectral)
+    A = -0.25 * eta2
 
     dxx_eta = spectral_derivative(eta, 2)
     dx_eta_t = spectral_derivative(eta_t, 1)
-    B = Field.from_spectral(
-        eta.grid,
-        0.5 * (c - a + rho) * dxx_eta.spectral + 0.5 * (b - d + rho) * dx_eta_t.spectral,
-    )
+    B = 0.5 * (c - a + rho) * dxx_eta + 0.5 * (b - d + rho) * dx_eta_t
 
     c_coeff = 0.125 * (a + 4.0 * b + 2.0 * c - d) + 0.1875 * (a + b - c - d) + 0.375 * rho
     dxx_eta2 = spectral_derivative(eta2, 2)
     eta_dxx = dealiased_product2(eta, dxx_eta)
     dx_eta = spectral_derivative(eta, 1)
     dx_eta_sq = dealiased_product2(dx_eta, dx_eta)
-    C = Field.from_spectral(
-        eta.grid,
-        c_coeff * dxx_eta2.spectral
-        + (13.0 / 24.0) * eta_dxx.spectral
-        + (11.0 / 48.0) * dx_eta_sq.spectral,
-    )
+    C = c_coeff * dxx_eta2 + (13.0 / 24.0) * eta_dxx + (11.0 / 48.0) * dx_eta_sq
 
     d3t_coeff = (
         0.5 * (float(s.b1) - float(s.d1))
@@ -156,12 +148,10 @@ def correction_terms(
     d4_coeff = 0.5 * (float(s.a1) - float(s.c1)) + 0.25 * (c - a + rho) * (a + 1.0 / 6.0) - rho / 12.0
     dxxx_eta_t = spectral_derivative(eta_t, 3)
     dxxxx_eta = spectral_derivative(eta, 4)
-    D = Field.from_spectral(
-        eta.grid, -d3t_coeff * dxxx_eta_t.spectral - d4_coeff * dxxxx_eta.spectral
-    )
+    D = -d3t_coeff * dxxx_eta_t - d4_coeff * dxxxx_eta
 
     eta3 = dealiased_product3(eta, eta, eta)
-    E = Field.from_spectral(eta.grid, 0.125 * eta3.spectral)
+    E = 0.125 * eta3
     return A, B, C, D, E
 
 
@@ -171,10 +161,10 @@ def reconstruct_velocity(
     """Assemble w = eta + alpha*A + beta*B (+ alpha*beta*C + beta^2*D + alpha^2*E)."""
     A, B, C, D, E = correction_terms(eta, eta_t, p)
     a, b = p.alpha, p.beta
-    w = eta.spectral + a * A.spectral + b * B.spectral
+    w = eta + a * A + b * B
     if not truncate_first_order:
-        w = w + a * b * C.spectral + b * b * D.spectral + a * a * E.spectral
-    return Field.from_spectral(eta.grid, w)
+        w = w + a * b * C + b * b * D + a * a * E
+    return w
 
 
 def abcd_residual_first(
@@ -197,46 +187,21 @@ def abcd_residual_first(
 
     # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
     w_eta = dealiased_product2(w, eta)
-    r1f = Field.from_spectral(
-        eta.grid,
-        eta_t.spectral
-        + spectral_derivative(w, 1).spectral
-        + a_p * spectral_derivative(w_eta, 1).spectral
-        + b_p
-        * (
-            a * spectral_derivative(w, 3).spectral
-            - b * spectral_derivative(eta_t, 2).spectral
-        ),
-    )
+    r1f = (eta_t + spectral_derivative(w, 1) + a_p * spectral_derivative(w_eta, 1)
+           + b_p * (a * spectral_derivative(w, 3) - b * spectral_derivative(eta_t, 2)))
 
     # w_t for the truncated ansatz: eta_t + alpha*A_t + beta*B_t with
     # A_t = -eta*eta_t/2 and B_t needing eta_tt through the mixed derivative
     rho = float(p.model.rho)
-    A_t = Field.from_spectral(
-        eta.grid, -0.5 * dealiased_product2(eta, eta_t).spectral
-    )
-    B_t = Field.from_spectral(
-        eta.grid,
-        0.5 * (c - a + rho) * spectral_derivative(eta_t, 2).spectral
-        + 0.5 * (b - d + rho) * spectral_derivative(eta_tt, 1).spectral,
-    )
-    w_t = Field.from_spectral(
-        eta.grid, eta_t.spectral + a_p * A_t.spectral + b_p * B_t.spectral
-    )
+    A_t = -0.5 * dealiased_product2(eta, eta_t)
+    B_t = (0.5 * (c - a + rho) * spectral_derivative(eta_t, 2)
+           + 0.5 * (b - d + rho) * spectral_derivative(eta_tt, 1))
+    w_t = eta_t + a_p * A_t + b_p * B_t
 
     # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)
     w_wx = dealiased_product2(w, spectral_derivative(w, 1))
-    r2f = Field.from_spectral(
-        eta.grid,
-        w_t.spectral
-        + spectral_derivative(eta, 1).spectral
-        + a_p * w_wx.spectral
-        + b_p
-        * (
-            c * spectral_derivative(eta, 3).spectral
-            - d * spectral_derivative(w_t, 2).spectral
-        ),
-    )
+    r2f = (w_t + spectral_derivative(eta, 1) + a_p * w_wx
+           + b_p * (c * spectral_derivative(eta, 3) - d * spectral_derivative(w_t, 2)))
     return sobolev_norm(r1f, 0.0), sobolev_norm(r2f, 0.0)
 
 
@@ -254,11 +219,14 @@ def epsilon_sweep(
     For each eps, evolve a right-moving unit-L2 sech^2 profile under the
     scaled dynamics on [0, t_final] and record the worst-case L2 residuals of
     the first-order system at the checkpoints.  Returns per-eps rows plus the
-    fitted log-log slopes (target: order 2).
+    fitted log-log slopes (target: order 2), which need two distinct
+    positive epsilons.
     """
-    if not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1:
-        raise ValueError(f"need 0 < t_final < inf, dt > 0 and n_checkpoints >= 1, "
-                         f"got {t_final}, {dt} and {n_checkpoints}")
+    if (not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1
+            or not all(eps > 0 for eps in epsilons) or len(set(epsilons)) < 2):
+        raise ValueError(f"need 0 < t_final < inf, dt > 0, n_checkpoints >= 1 and two or "
+                         f"more distinct epsilons, all positive, got {t_final}, {dt}, "
+                         f"{n_checkpoints} and {list(epsilons)}")
     rows = []
     steps_per = max(1, int(round(t_final / dt / n_checkpoints)))
     for eps in epsilons:

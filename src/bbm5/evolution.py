@@ -381,57 +381,58 @@ def run_simulation(
 ) -> RunReport:
     """Advance eta0 to time T recording diagnostics.
 
-    NaN or overflow in the state aborts the run, returning the report built
-    from the last good states (aborted flag set).
+    Each record's diagnostics are computed when the state is recorded, so
+    memory is O(1) states, plus the snapshots when keep_snapshots is set.
+    NaN or overflow in the state aborts the run, returning the report of the
+    records made up to the last good state (aborted flag set).
     """
     if not 0.0 < T < np.inf or record_every < 1:
         raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
+    c = spec.coefficients
+    grid = eta0.grid
+    times, evals, zm, predicted = [], [], [], []
+    hs = {s: [] for s in monitor_s}
+    snapshots = []
+
+    def record(t: float, f: Field) -> None:
+        times.append(t)
+        evals.append(energy(f, c))
+        zm.append(f.zero_mode)
+        predicted.append(energy_drift_predicted(f, c))
+        for s, vals in hs.items():
+            vals.append(sobolev_norm(f, s))
+        if keep_snapshots:
+            snapshots.append(f)
+
+    aborted = False
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
-        states = [f.spectral for f in traj]
-        times = np.linspace(0.0, T, len(states))
-        return _report_from_states(eta0.grid, spec, times, states, monitor_s,
-                                   keep_snapshots)
-
-    n_steps = max(1, int(round(T / cfg.dt)))
-    dt = T / n_steps
-    stepper = _stepper(eta0.grid, spec, dt)
-    c_hat = half_spectrum(eta0.spectral)
-    times = [0.0]
-    states = [eta0.spectral]
-    aborted = False
-    with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
-        for k in range(1, n_steps + 1):
-            c_hat = stepper.step(c_hat)
-            if not np.all(np.isfinite(c_hat.view(np.float64))):
-                aborted = True
-                break
-            if k % record_every == 0 or k == n_steps:
-                times.append(k * dt)
-                states.append(full_spectrum(c_hat))
-    report = _report_from_states(
-        eta0.grid, spec, np.asarray(times), states, monitor_s, keep_snapshots
-    )
-    report.aborted = aborted
-    return report
-
-
-def _report_from_states(grid, spec, times, states, monitor_s, keep_snapshots) -> RunReport:
-    c = spec.coefficients
-    fields = [Field.from_spectral(grid, st) for st in states]
-    evals = np.array([energy(f, c) for f in fields])
-    hs = {s: np.array([sobolev_norm(f, s) for f in fields]) for s in monitor_s}
-    zm = np.array([f.zero_mode for f in fields])
-    predicted = np.array([energy_drift_predicted(f, c) for f in fields])
-    resid = _drift_residual(times, evals, predicted)
+        for t, f in zip(np.linspace(0.0, T, len(traj)), traj):
+            record(t, f)
+    else:
+        n_steps = max(1, int(round(T / cfg.dt)))
+        dt = T / n_steps
+        stepper = _stepper(grid, spec, dt)
+        c_hat = half_spectrum(eta0.spectral)
+        record(0.0, eta0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
+            for k in range(1, n_steps + 1):
+                c_hat = stepper.step(c_hat)
+                if not np.all(np.isfinite(c_hat.view(np.float64))):
+                    aborted = True
+                    break
+                if k % record_every == 0 or k == n_steps:
+                    record(k * dt, Field.from_spectral(grid, full_spectrum(c_hat)))
+    times, evals, predicted = np.asarray(times), np.array(evals), np.array(predicted)
     return RunReport(
         times=times,
         energy=evals,
-        hs_norms=hs,
-        zero_mode=zm,
-        drift_residual=resid,
+        hs_norms={s: np.array(vals) for s, vals in hs.items()},
+        zero_mode=np.array(zm),
+        drift_residual=_drift_residual(times, evals, predicted),
         drift_predicted=predicted,
-        snapshots=fields if keep_snapshots else [],
+        snapshots=snapshots,
+        aborted=aborted,
     )
 
 

@@ -116,6 +116,10 @@ _DERIVATION = {"epsilons": [0.1, 0.05], "t_final": 0.1, "dt": 0.01, "checkpoints
     ("derivation-residual", "derivation", {**_DERIVATION, "checkpoints": 0}),
     ("derivation-residual", "derivation", {**_DERIVATION, "dt": 0.0}),
     ("derivation-residual", "derivation", {**_DERIVATION, "t_final": 0.0}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": [0.0, 0.1]}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": []}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": [0.1]}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": [0.1, 0.1]}),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, values):
     cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 6.0},

@@ -195,12 +195,19 @@ def test_residual_translation_invariant(dgrid):
     assert r2b == pytest.approx(r2a, rel=1e-10)
 
 
-@pytest.mark.parametrize("t_final,dt,n_checkpoints", [(0.1, 0.0, 1), (0.1, 0.01, 0),
-                                                       (0.0, 0.01, 1), (math.inf, 0.01, 1)])
-def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints):
+@pytest.mark.parametrize("t_final,dt,n_checkpoints,epsilons", [
+    *(pytest.param(*case, (0.1, 0.05), id="-".join(map(str, case)))
+      for case in [(0.1, 0.0, 1), (0.1, 0.01, 0), (0.0, 0.01, 1), (math.inf, 0.01, 1)]),
+    pytest.param(0.1, 0.01, 1, (0.0, 0.1), id="eps-zero"),
+    pytest.param(0.1, 0.01, 1, (0.1, -0.05), id="eps-negative"),
+    pytest.param(0.1, 0.01, 1, (), id="eps-none"),
+    pytest.param(0.1, 0.01, 1, (0.1,), id="eps-one"),
+    pytest.param(0.1, 0.01, 1, (0.1, 0.1), id="eps-one-distinct"),
+])
+def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons):
     with pytest.raises(ValueError, match="n_checkpoints >= 1"):
         epsilon_sweep(Grid(n=64, length=16.0 * math.pi), reference_parameters(),
-                      epsilons=(0.1, 0.05), t_final=t_final, dt=dt,
+                      epsilons=epsilons, t_final=t_final, dt=dt,
                       n_checkpoints=n_checkpoints)
 
 

@@ -2,6 +2,7 @@
 the Duhamel/Picard fixed point."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from bbm5.evolution import (
     sech_squared,
     semigroup_apply,
 )
-from bbm5.spectral import Field, Grid, RegimeError, full_spectrum, half_spectrum, sobolev_norm
+from bbm5.spectral import (Field, Grid, RegimeError, energy, full_spectrum, half_spectrum,
+                           sobolev_norm)
 from bbm5.symbols import Symbol, eval_symbol, random_hs_field
 
 
@@ -333,6 +335,46 @@ def test_run_simulation_rejects_out_of_range(grid, T, record_every):
     with pytest.raises(ValueError, match="0 < T < inf and record_every >= 1"):
         run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T,
                        record_every=record_every)
+
+
+def test_run_memory_is_bounded_in_the_number_of_records():
+    # a recorded state at n=256 is 4 KB; a record's diagnostics are a few floats
+    grid = Grid(n=256, length=16.0 * math.pi)
+    eta0 = sech_squared(grid, 0.5, 1.0)
+    cfg = StepperConfig(dt=0.01)
+    run_simulation(eta0, _spec(), cfg, 0.04)  # builds the cached stepper
+    peaks = {}
+    for steps in (40, 400):
+        tracemalloc.start()
+        try:
+            run_simulation(eta0, _spec(), cfg, steps * cfg.dt, record_every=1)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_record = (peaks[400] - peaks[40]) / 360
+    assert per_record < 1024, peaks
+    assert peaks[400] < 3 * peaks[40], peaks
+
+
+@pytest.mark.parametrize("scheme,dt,T", [("exponential_rk4", 0.01, 0.2),
+                                         ("picard_duhamel", 0.02, 0.2)])
+def test_run_diagnostics_are_the_field_functions_of_the_snapshots(grid, scheme, dt, T):
+    shifted = Bbm5Coefficients(
+        gamma1=REFERENCE_COEFFICIENTS.gamma1, gamma2=REFERENCE_COEFFICIENTS.gamma2,
+        delta1=REFERENCE_COEFFICIENTS.delta1, delta2=REFERENCE_COEFFICIENTS.delta2,
+        gamma=7.0 / 48.0 + 0.1,
+    )
+    eta0 = Field.from_samples(grid, 1e-3 * (np.cos(grid.x) + 0.5 * np.sin(2.0 * grid.x)))
+    rep = run_simulation(eta0, RhsSpec(shifted), StepperConfig(scheme=scheme, dt=dt), T,
+                         monitor_s=(0.0, 1.5), record_every=2, keep_snapshots=True)
+    assert len(rep.snapshots) == len(rep.times) > 2
+    for k, f in enumerate(rep.snapshots):
+        assert rep.energy[k] == energy(f, shifted)
+        assert rep.zero_mode[k] == f.zero_mode
+        assert rep.drift_predicted[k] == energy_drift_predicted(f, shifted)
+        for s in (0.0, 1.5):
+            assert rep.hs_norms[s][k] == sobolev_norm(f, s)
+    assert np.any(rep.drift_predicted != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,29 @@
+"""The scripts under scripts/ run to completion at tiny sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bbm5
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script,args", [
+    ("run_reference_simulation.py", ["--n", "64", "--T", "0.02", "--dt", "0.01"]),
+    ("splitting_sweep.py", ["--n", "64", "--dt", "0.01", "--cutoffs", "4", "8"]),
+    ("derivation_residual_sweep.py", ["--n", "64", "--t-final", "0.02", "--dt", "0.01"]),
+    ("multiplier_norm_scan.py", ["--n", "64", "--trials", "20"]),
+])
+def test_script_runs(script, args):
+    # the scripts import the same bbm5 the tests do
+    src = str(Path(bbm5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
