@@ -40,11 +40,9 @@ def main():
             f"N={row['N']:6g}  t0={row['t0']:.4e}  ||h||_H2={row['h_H2']:.4e}  "
             f"dE={row['E_u1_minus_E_ut0']:+.4e}"
         )
-    if "h_slope" in sweep:  # n_sweep fits slopes from three cutoffs up
-        print(f"h slope: {sweep['h_slope']['slope']:.3f} "
-              f"(+- {sweep['h_slope']['ci95']:.3f})")
-        print(f"energy increment slope: {sweep['energy_increment_slope']['slope']:.3f} "
-              f"(+- {sweep['energy_increment_slope']['ci95']:.3f})")
+    for key, label in (("h_slope", "h slope"), ("energy_increment_slope", "energy increment slope")):
+        if key in sweep:  # n_sweep fits a slope from three positive values up
+            print(f"{label}: {sweep[key]['slope']:.3f} (+- {sweep[key]['ci95']:.3f})")
     if args.out:
         write_sweep_csv(sweep, args.out)
 

@@ -27,6 +27,7 @@ from .coefficients import ModelParameters
 from .derivation import epsilon_sweep
 from .derivation import write_sweep_csv as write_derivation_csv
 from .evolution import (
+    NumericalError,
     PicardDivergenceError,
     RhsSpec,
     StepperConfig,
@@ -36,8 +37,8 @@ from .evolution import (
     sech_squared,
 )
 from .spectral import Field, Grid, RegimeError, read_snapshot_csv, sobolev_norm
-from .splitting import n_sweep, write_sweep_csv, write_sweep_json
-from .symbols import Symbol, random_hs_field
+from .splitting import n_sweep, write_sweep_csv
+from .symbols import eval_symbol, random_hs_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -236,7 +237,7 @@ def _out_dir(args) -> str:
 
 def _write_meta(out_dir: str, name: str, payload: dict) -> None:
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -303,7 +304,7 @@ def cmd_energy_drift(args, run: _Setup) -> int:
                 )
         return f"energy-drift: {len(report.times)} rows written"
 
-    return _run(args, run, "energy_drift", write)
+    return _run(args, run, "energy_drift", write, monitor_s=())  # the CSV has no H^s column
 
 
 def cmd_split(args, run: _Setup) -> int:
@@ -315,8 +316,8 @@ def cmd_split(args, run: _Setup) -> int:
                     stepper=run.stepper, t0_scale=sec["t0_scale"])
     out = _out_dir(args)
     write_sweep_csv(sweep, os.path.join(out, "split_sweep.csv"))
-    write_sweep_json(sweep, os.path.join(out, "split_summary.json"))
-    if "h_slope" in sweep:
+    _write_meta(out, "split_summary.json", sweep)
+    if {"h_slope", "energy_increment_slope"} <= sweep.keys():
         _say(args, f"split: h slope {sweep['h_slope']['slope']:.3f}, "
                    f"energy increment slope {sweep['energy_increment_slope']['slope']:.3f}")
     return EXIT_OK
@@ -325,17 +326,12 @@ def cmd_split(args, run: _Setup) -> int:
 def cmd_multiplier_table(args, run: _Setup) -> int:
     sec = run.config["multiplier_table"]
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
-    syms = {k: Symbol(k, run.coeffs) for k in ("phi", "psi", "tau", "varphi_denominator")}
-    omega = Symbol("omega")
-    out = _out_dir(args)
-    with open(os.path.join(out, "multiplier_table.csv"), "w") as fh:
+    kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
+    cols = [xi] + [eval_symbol(kind, xi, run.coeffs) for kind in kinds]
+    with open(os.path.join(_out_dir(args), "multiplier_table.csv"), "w") as fh:
         fh.write("xi,phi,psi,tau,omega,varphi\n")
-        for x in xi:
-            fh.write(
-                f"{x:.17g},{float(syms['phi'](x)):.17g},{float(syms['psi'](x)):.17g},"
-                f"{float(syms['tau'](x)):.17g},{float(omega(x)):.17g},"
-                f"{float(syms['varphi_denominator'](x)):.17g}\n"
-            )
+        for row in zip(*cols):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     _say(args, f"multiplier-table: {len(xi)} rows written")
     return EXIT_OK
 
@@ -428,7 +424,7 @@ def main(argv=None) -> int:
     except (ConfigError, RegimeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PicardDivergenceError as exc:  # simulate/energy-drift with the Picard scheme
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

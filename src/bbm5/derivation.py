@@ -28,13 +28,12 @@ from .coefficients import (
     derive_bbm5,
     derive_first_order,
 )
-from .evolution import Etdrk4Stepper, SpectralEngine, sech_squared
+from .evolution import Etdrk4Stepper, NumericalError, SpectralEngine, sech_squared
 from .spectral import (
     Field,
     Grid,
     dealiased_product2,
     dealiased_product3,
-    full_spectrum, half_spectrum,
     sobolev_norm,
     spectral_derivative,
 )
@@ -74,8 +73,7 @@ class ScaledModel:
     nonlinear weights (a, a^2/8, a*b*7/48) in place of (1, 1/8, 7/48), so
     one SpectralEngine evaluates it.  eta_tt differentiates that law along
     the flow, which polarises the products to 2*eta*eta_t, 3*eta^2*eta_t and
-    2*eta_x*eta_tx.  Both work on half spectra and return full-spectrum
-    Fields.
+    2*eta_x*eta_tx.  Both work on the half spectra of their Fields.
     """
 
     def __init__(self, grid: Grid, p: DerivationParameters):
@@ -98,20 +96,17 @@ class ScaledModel:
 
     def eta_t(self, eta: Field) -> Field:
         eng = self.engine
-        c_hat = half_spectrum(eta.spectral)
-        return Field.from_spectral(
-            self.grid, full_spectrum(-1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat))
-        )
+        return Field(self.grid, half=-1j * eng.phi * eta.half + eng.nonlinear_hat(eta.half))
 
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
         eng = self.engine
-        c_hat, ct_hat = half_spectrum(eta.spectral), half_spectrum(eta_t.spectral)
+        c_hat, ct_hat = eta.half, eta_t.half
         u = eng.to_fine(c_hat)
         ut = eng.to_fine(ct_hat)
         ux = eng.to_fine(eng.ikx_d * c_hat)
         utx = eng.to_fine(eng.ikx_d * ct_hat)
         nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
-        return Field.from_spectral(self.grid, full_spectrum(-1j * eng.phi * ct_hat + nl))
+        return Field(self.grid, half=-1j * eng.phi * ct_hat + nl)
 
 
 def correction_terms(
@@ -235,11 +230,14 @@ def epsilon_sweep(
         stepper = Etdrk4Stepper(model.engine, dt)
         eta = data if data is not None else _unit_sech2(grid)
         r1_max, r2_max = abcd_residual_first(eta, model)
-        c_hat = half_spectrum(eta.spectral)
+        c_hat = eta.half
         for _ in range(n_checkpoints):
-            for _ in range(steps_per):
-                c_hat = stepper.step(c_hat)
-            eta = Field.from_spectral(grid, full_spectrum(c_hat))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                for _ in range(steps_per):
+                    c_hat = stepper.step(c_hat)
+            if not np.all(np.isfinite(c_hat.view(np.float64))):
+                raise NumericalError(f"non-finite state in the sweep at eps = {eps}")
+            eta = Field(grid, half=c_hat)
             r1, r2 = abcd_residual_first(eta, model)
             r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
         rows.append({"eps": eps, "r1_L2": r1_max, "r2_L2": r2_max})
@@ -256,7 +254,7 @@ def _unit_sech2(grid: Grid) -> Field:
     """Right-moving sech^2 profile, L2-normalized."""
     f = sech_squared(grid, amplitude=1.0, width=1.0)
     norm = sobolev_norm(f, 0.0)
-    return Field.from_spectral(grid, f.spectral / norm)
+    return Field(grid, half=f.half / norm)
 
 
 def write_sweep_csv(sweep: dict, path) -> None:

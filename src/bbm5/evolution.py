@@ -26,7 +26,7 @@ all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
 linear symbol of any engine.
 
 The engine, the stepper and every time loop work on half spectra in rfft
-layout, converted at the Field boundary as ``bbm5.spectral`` describes.
+layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
 
 Note on the cubic coefficient: the contraction-mapping proof writes 1/4 where
 every other statement of the equation writes 1/8; we use 1/8 throughout.
@@ -43,14 +43,15 @@ import numpy as np
 
 from .coefficients import Bbm5Coefficients, multipliers, require_wellposed
 from .spectral import (
+    CACHE_SIZE,
     Field,
     Grid,
+    derivative_symbol,
     energy,
     fine_samples,
-    full_spectrum,
-    half_spectrum,
     integral_cube,
     sobolev_norm,
+    sobolev_weights,
     spectral_derivative,
     truncated_coeffs,
 )
@@ -66,21 +67,16 @@ __all__ = [
     "run_simulation",
     "duhamel_picard",
     "PicardDiagnostics",
+    "NumericalError",
     "PicardDivergenceError",
     "energy_drift_predicted",
     "local_existence_time",
     "gaussian_bump",
     "sech_squared",
-    "random_initial_data",
 ]
 
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
-
-#: Bound on the engines and steppers kept per process.  They are keyed on the
-#: float step size, and run_simulation makes a new dt = T/n_steps for every
-#: distinct T, so an unbounded cache would grow with every new T.
-CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -146,15 +142,13 @@ class SpectralEngine:
         self.coefficients = coefficients
         self.dealias = dealias
         self.linear_only = linear_only
-        xi = half_spectrum(grid.wavenumbers)
-        _varphi, self.phi, self.psi, self.tau = multipliers(xi, coefficients)
+        _varphi, self.phi, self.psi, self.tau = multipliers(grid.half_wavenumbers, coefficients)
         for tab in (self.phi, self.psi, self.tau):
             tab[-1] = 0.0  # odd symbols: keep realness exactly
         w2, self._w3, self._wg = weights
         self._quad = -1j * w2 * self.tau
         self._ipsi = 1j * self.psi
-        self.ikx_d = 1j * xi
-        self.ikx_d[-1] = 0.0
+        self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
 
     # -- padded transforms ------------------------------------------------
@@ -194,8 +188,7 @@ def _engine(grid: Grid, spec: RhsSpec) -> SpectralEngine:
 
 def nonlinear_rhs(f: Field, spec: RhsSpec) -> Field:
     """The real nonlinear right-hand side N(f); zero mode is exactly zero."""
-    c_hat = half_spectrum(f.spectral)
-    return Field.from_spectral(f.grid, full_spectrum(_engine(f.grid, spec).nonlinear_hat(c_hat)))
+    return Field(f.grid, half=_engine(f.grid, spec).nonlinear_hat(f.half))
 
 
 def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
@@ -203,9 +196,7 @@ def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
 
     An H^s isometry for every s; realness is preserved because phi is odd.
     """
-    eng = _engine(f.grid, RhsSpec(c))
-    c_hat = eng.semigroup_factor(t) * half_spectrum(f.spectral)
-    return Field.from_spectral(f.grid, full_spectrum(c_hat))
+    return Field(f.grid, half=_engine(f.grid, RhsSpec(c)).semigroup_factor(t) * f.half)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +273,7 @@ def _stepper(grid: Grid, spec: RhsSpec, dt: float) -> Etdrk4Stepper:
 
 def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     """One ETDRK4 step; exact on the linear flow, zero mode exactly constant."""
-    c_hat = _stepper(f.grid, spec, dt).step(half_spectrum(f.spectral))
-    return Field.from_spectral(f.grid, full_spectrum(c_hat))
+    return Field(f.grid, half=_stepper(f.grid, spec, dt).step(f.half))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +403,7 @@ def run_simulation(
         n_steps = max(1, int(round(T / cfg.dt)))
         dt = T / n_steps
         stepper = _stepper(grid, spec, dt)
-        c_hat = half_spectrum(eta0.spectral)
+        c_hat = eta0.half
         record(0.0, eta0)
         with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
             for k in range(1, n_steps + 1):
@@ -422,7 +412,7 @@ def run_simulation(
                     aborted = True
                     break
                 if k % record_every == 0 or k == n_steps:
-                    record(k * dt, Field.from_spectral(grid, full_spectrum(c_hat)))
+                    record(k * dt, Field(grid, half=c_hat))
     times, evals, predicted = np.asarray(times), np.array(evals), np.array(predicted)
     return RunReport(
         times=times,
@@ -455,7 +445,11 @@ class PicardDiagnostics:
         ]
 
 
-class PicardDivergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation produced a non-finite state or failed to converge."""
+
+
+class PicardDivergenceError(NumericalError):
     def __init__(self, message: str, diagnostics: PicardDiagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
@@ -488,19 +482,16 @@ def duhamel_picard(
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt
     free = np.empty((K + 1, e_dt.size), dtype=np.complex128)
-    free[0] = half_spectrum(eta0.spectral)
+    free[0] = eta0.half
     for k in range(1, K + 1):
         free[k] = e_dt * free[k - 1]
 
     traj = free.copy()
     diffs: list[float] = []
-    hs_w = eta0.grid.length * (1.0 + half_spectrum(eta0.grid.wavenumbers) ** 2) ** s
-    hs_w[1:-1] *= 2.0  # each interior mode stands for itself and its conjugate
+    hs_w = eta0.grid.length * sobolev_weights(eta0.grid, s)
     converged = False
     for it in range(cfg.picard_max_iter):
-        G = np.empty_like(traj)
-        for k in range(K + 1):
-            G[k] = eng.nonlinear_hat(traj[k])
+        G = eng.nonlinear_hat(traj)  # all nodes in one call
         # I_k approximates int_0^{t_k} S(t_k - t') G(t') dt'; advanced two
         # nodes at a time so each iteration costs O(K): a Simpson panel over
         # [t_{k-2}, t_k] is added to the semigroup-shifted I_{k-2}.  Only
@@ -528,8 +519,7 @@ def duhamel_picard(
             f"{cfg.picard_max_iter} iterations (last diff {diffs[-1]:.3e})",
             diag,
         )
-    fields = [Field.from_spectral(eta0.grid, full_spectrum(traj[k])) for k in range(K + 1)]
-    return fields, diag
+    return [Field(eta0.grid, half=c_hat) for c_hat in traj], diag
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +539,3 @@ def sech_squared(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
     x0 = grid.length / 2.0 if center is None else center
     x = grid.x
     return Field.from_samples(grid, amplitude / np.cosh((x - x0) / width) ** 2)
-
-
-def random_initial_data(grid: Grid, s: float, seed: int, amplitude: float = 1.0) -> Field:
-    from .symbols import random_hs_field
-
-    return random_hs_field(grid, s, np.random.default_rng(seed), amplitude)

@@ -9,24 +9,29 @@ Conventions (fixed once, tested by round-trip):
   c = fft(samples)/n, so a Fourier multiplier acts by literal pointwise
   multiplication of c.
 
-The discrete H^s norm is sqrt(L * sum_j (1 + xi_j^2)^s |c_j|^2); for s = 0
-this is the L^2 integral of u^2 by Parseval.
+A real field is determined by half of its spectrum, and ``Field`` keeps
+that half, in rfft layout: n/2 + 1 coefficients, the modes 0..n/2-1 and a
+Nyquist slot holding the -n/2 coefficient (``Grid.half_wavenumbers``).
+Field arithmetic, the functions below and every time loop work on it; the
+samples and the full spectrum ``Field.spectral`` are built on request.
 
-A real field is determined by half of its spectrum.  The padded transforms
-and every time loop work on that half, in rfft layout: n/2 + 1 coefficients,
-the modes 0..n/2-1 and a Nyquist slot holding the -n/2 coefficient.
-``half_spectrum``/``full_spectrum`` convert at the Field boundary, once on
-entry to a loop and once per recorded state; Field itself keeps the full
-complex spectrum.  The padded transforms live here once: ``fine_samples``
-(irfft onto m points, which zero-pads) and ``truncated_coeffs`` (rfft of m
-samples, truncated back to the half spectrum).  The Field-level products
-below and ``SpectralEngine`` in ``bbm5.evolution`` both use them.
+The discrete H^s norm is sqrt(L * sum_j (1 + xi_j^2)^s |c_j|^2); for s = 0
+this is the L^2 integral of u^2 by Parseval.  On the half spectrum each
+interior mode stands for itself and its conjugate and is weighted twice.
+The weight tables and derivative symbols are cached per grid, at most
+``CACHE_SIZE`` of each kind.
+
+The padded transforms live here once: ``fine_samples`` (irfft onto m
+points, which zero-pads) and ``truncated_coeffs`` (rfft of m samples,
+truncated back to the half spectrum).  The Field-level products below and
+``SpectralEngine`` in ``bbm5.evolution`` both use them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +48,11 @@ __all__ = [
     "spectral_derivative",
 ]
 
+#: Bound on each per-process cache of tables.  Some are keyed on a float (a
+#: step size, a Sobolev index): run_simulation makes a new dt = T/n_steps for
+#: every distinct T, so an unbounded cache would grow with every new value.
+CACHE_SIZE = 16
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -57,14 +67,19 @@ class Grid:
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
 
-    @cached_property
+    @functools.cached_property
     def x(self) -> np.ndarray:
         return np.arange(self.n) * (self.length / self.n)
 
-    @cached_property
+    @functools.cached_property
     def wavenumbers(self) -> np.ndarray:
         """xi_j = 2*pi*j/L in fft ordering; the Nyquist slot carries -n/2."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.length / self.n)
+
+    @functools.cached_property
+    def half_wavenumbers(self) -> np.ndarray:
+        """xi in rfft layout: the modes 0..n/2-1 and the Nyquist slot, -n/2."""
+        return self.wavenumbers[: self.n // 2 + 1]
 
     @property
     def nyquist(self) -> float:
@@ -72,34 +87,39 @@ class Grid:
         return np.pi * self.n / self.length
 
 
-class Field:
-    """Real-valued periodic grid function with cached spectral coefficients.
+def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+    a = np.array(values, dtype=dtype)  # a copy: the caller keeps its array
+    if a.shape != shape:
+        raise ValueError(f"expected {shape[0]} {what}, got {a.shape}")
+    a.setflags(write=False)
+    return a
 
-    Immutable after construction: operations return new Fields.
+
+class Field:
+    """Real-valued periodic grid function, kept as its half spectrum.
+
+    Immutable after construction: operations return new Fields.  Built from
+    samples, from a full spectrum (of which the field is the real part: the
+    Hermitian part of the coefficients) or from a half spectrum.
     """
 
-    __slots__ = ("grid", "_samples", "_spectral")
+    __slots__ = ("grid", "_samples", "_half", "_spectral", "_power")
 
-    def __init__(self, grid: Grid, samples=None, spectral=None):
-        if samples is None and spectral is None:
-            raise ValueError("Field needs samples or spectral coefficients")
+    def __init__(self, grid: Grid, samples=None, spectral=None, half=None):
         self.grid = grid
+        self._samples = self._spectral = self._half = self._power = None
         if samples is not None:
-            samples = np.asarray(samples, dtype=np.float64)
-            if samples.shape != (grid.n,):
-                raise ValueError(f"expected {grid.n} samples, got {samples.shape}")
-            if not np.all(np.isfinite(samples)):
+            self._samples = _frozen(samples, np.float64, (grid.n,), "samples")
+            if not np.all(np.isfinite(self._samples)):
                 raise ValueError("non-finite samples")
-            samples = samples.copy()
-            samples.setflags(write=False)
-        self._samples = samples
-        if spectral is not None:
-            spectral = np.asarray(spectral, dtype=np.complex128)
-            if spectral.shape != (grid.n,):
-                raise ValueError(f"expected {grid.n} coefficients, got {spectral.shape}")
-            spectral = spectral.copy()
-            spectral.setflags(write=False)
-        self._spectral = spectral
+        elif spectral is not None:
+            self._spectral = _frozen(spectral, np.complex128, (grid.n,), "coefficients")
+            self._half = hermitian_half(self._spectral)
+            self._half.setflags(write=False)
+        elif half is not None:
+            self._half = _frozen(half, np.complex128, (grid.n // 2 + 1,), "coefficients")
+        else:
+            raise ValueError("Field needs samples or spectral coefficients")
 
     @classmethod
     def from_samples(cls, grid: Grid, samples) -> "Field":
@@ -111,28 +131,46 @@ class Field:
 
     @classmethod
     def zero(cls, grid: Grid) -> "Field":
-        return cls(grid, samples=np.zeros(grid.n))
+        return cls(grid, half=np.zeros(grid.n // 2 + 1))
 
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            s = np.fft.ifft(self._spectral * self.grid.n).real
+            s = np.fft.irfft(self._half, self.grid.n, norm="forward")
             s.setflags(write=False)
             self._samples = s
         return self._samples
 
     @property
+    def half(self) -> np.ndarray:
+        """The half spectrum in rfft layout (read-only)."""
+        if self._half is None:
+            # the complex transform: rfft rounds differently, and sampled data
+            # keep the coefficients they have always had
+            h = np.fft.fft(self._samples)[: self.grid.n // 2 + 1] / self.grid.n
+            h.setflags(write=False)
+            self._half = h
+        return self._half
+
+    @property
     def spectral(self) -> np.ndarray:
-        """c_j = (1/n) sum_k u(x_k) exp(-i*xi_j*x_k)."""
+        """c_j = (1/n) sum_k u(x_k) exp(-i*xi_j*x_k), in fft ordering (read-only);
+        a Field made from a full spectrum returns it as it was given."""
         if self._spectral is None:
-            c = np.fft.fft(self._samples) / self.grid.n
+            c = full_spectrum(self.half)
             c.setflags(write=False)
             self._spectral = c
         return self._spectral
 
     @property
     def zero_mode(self) -> float:
-        return float(self.spectral[0].real)
+        return float(self.half[0].real)
+
+    def quadrature(self, w: np.ndarray) -> float:
+        """sum_j w_j |c_j|^2 over the half spectrum; |c|^2 is computed once."""
+        if self._power is None:
+            self._power = np.abs(self.half) ** 2
+        return float((w * self._power).sum())
 
     def max_imag_residue(self) -> float:
         """Departure from realness of the inverse transform."""
@@ -140,14 +178,14 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         self._check_grid(other)
-        return Field.from_spectral(self.grid, self.spectral + other.spectral)
+        return Field(self.grid, half=self.half + other.half)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_grid(other)
-        return Field.from_spectral(self.grid, self.spectral - other.spectral)
+        return Field(self.grid, half=self.half - other.half)
 
     def __mul__(self, scalar: float) -> "Field":
-        return Field.from_spectral(self.grid, self.spectral * scalar)
+        return Field(self.grid, half=self.half * scalar)
 
     __rmul__ = __mul__
 
@@ -156,39 +194,56 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-def spectral_derivative(f: Field, order: int) -> Field:
-    """d^order/dx^order by multiplication with (i*xi)^order.
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def derivative_symbol(grid: Grid, order: int) -> np.ndarray:
+    """(i*xi)^order on the half spectrum; the Nyquist slot is zeroed for odd
+    orders so realness is preserved exactly."""
+    d = (1j * grid.half_wavenumbers) ** order
+    if order % 2 == 1:
+        d[-1] = 0.0
+    d.setflags(write=False)
+    return d
 
-    The Nyquist mode is zeroed for odd orders so realness is preserved
-    exactly.
-    """
+
+def _half_weights(table):
+    """A cached, read-only weight table on the half spectrum of each grid and
+    key, built by table(xi, key), with the interior modes counted twice."""
+
+    @functools.lru_cache(maxsize=CACHE_SIZE)
+    def weights(grid: Grid, key) -> np.ndarray:
+        w = table(grid.half_wavenumbers, key)
+        w[1:-1] *= 2.0  # each interior mode stands for itself and its conjugate
+        w.setflags(write=False)
+        return w
+
+    return weights
+
+
+sobolev_weights = _half_weights(lambda xi, s: (1.0 + xi * xi) ** s)
+_homogeneous_weights = _half_weights(
+    lambda xi, s: np.where(xi == 0.0, 0.0, np.abs(xi) ** (2.0 * s)))
+_energy_weights = _half_weights(denominator)
+
+
+def spectral_derivative(f: Field, order: int) -> Field:
+    """d^order/dx^order by multiplication with (i*xi)^order."""
     if order < 0:
         raise ValueError("order must be non-negative")
     if order == 0:
         return f
-    xi = f.grid.wavenumbers
-    c = f.spectral * (1j * xi) ** order
-    if order % 2 == 1:
-        c = c.copy()
-        c[f.grid.n // 2] = 0.0
-    return Field.from_spectral(f.grid, c)
+    return Field(f.grid, half=f.half * derivative_symbol(f.grid, order))
 
 
 def sobolev_norm(f: Field, s: float) -> float:
     """Discrete H^s norm with (1 + xi^2)^s weights."""
-    if not np.isfinite(s):
+    if not math.isfinite(s):
         raise ValueError("Sobolev index must be finite")
-    xi = f.grid.wavenumbers
-    w = (1.0 + xi * xi) ** s
-    return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.spectral) ** 2)))
+    return math.sqrt(f.grid.length * f.quadrature(sobolev_weights(f.grid, s)))
 
 
 def homogeneous_sobolev_norm(f: Field, s: float) -> float:
     """Homogeneous counterpart with |xi|^(2s) weights (zero mode dropped)."""
-    xi = f.grid.wavenumbers
-    w = np.abs(xi) ** (2.0 * s)
-    w[0] = 0.0
-    return float(np.sqrt(f.grid.length * np.sum(w * np.abs(f.spectral) ** 2)))
+    return math.sqrt(f.grid.length * f.quadrature(_homogeneous_weights(f.grid, s)))
 
 
 def energy(f: Field, c: Bbm5Coefficients) -> float:
@@ -198,17 +253,15 @@ def energy(f: Field, c: Bbm5Coefficients) -> float:
     evaluated by spectral quadrature.
     """
     require_wellposed(c, "energy")
-    w = denominator(f.grid.wavenumbers, c)
-    return float(0.5 * f.grid.length * np.sum(w * np.abs(f.spectral) ** 2))
+    return 0.5 * f.grid.length * f.quadrature(_energy_weights(f.grid, c))
 
 
 def low_pass(f: Field, cutoff: float) -> Field:
     """Sharp frequency truncation: zero all coefficients with |xi| > cutoff."""
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    xi = f.grid.wavenumbers
-    c = np.where(np.abs(xi) <= cutoff, f.spectral, 0.0)
-    return Field.from_spectral(f.grid, c)
+    keep = np.abs(f.grid.half_wavenumbers) <= cutoff
+    return Field(f.grid, half=np.where(keep, f.half, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +276,13 @@ def low_pass(f: Field, cutoff: float) -> Field:
 def half_spectrum(c: np.ndarray) -> np.ndarray:
     """The rfft-layout half of a real field's full spectrum c (a view)."""
     return c[..., : c.shape[-1] // 2 + 1]
+
+
+def hermitian_half(c: np.ndarray) -> np.ndarray:
+    """The half spectrum of the real part of the field with full spectrum c:
+    (c_j + conj(c_-j))/2, which is exactly c's half when c is Hermitian."""
+    mirror = np.conj(np.concatenate((c[:1], c[: c.shape[-1] // 2 - 1 : -1])))  # c at -xi
+    return 0.5 * (half_spectrum(c) + mirror)
 
 
 def full_spectrum(h: np.ndarray) -> np.ndarray:
@@ -251,36 +311,26 @@ def truncated_coeffs(samples: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _fine(f: Field, m: int) -> np.ndarray:
-    return fine_samples(half_spectrum(f.spectral), m)
-
-
-def _coarse(grid: Grid, samples: np.ndarray) -> Field:
-    return Field.from_spectral(grid, full_spectrum(truncated_coeffs(samples, grid.n)))
-
-
 def dealiased_product2(f: Field, g: Field) -> Field:
     """Alias-free pointwise product of two fields (2/3-rule padding)."""
     n = f.grid.n
     m = 3 * n // 2 if n % 4 == 0 else 2 * n
-    return _coarse(f.grid, _fine(f, m) * _fine(g, m))
+    w = fine_samples(f.half, m) * fine_samples(g.half, m)
+    return Field(f.grid, half=truncated_coeffs(w, n))
 
 
 def dealiased_product3(f: Field, g: Field, h: Field) -> Field:
     """Alias-free triple product (1/2-rule padding)."""
     m = 2 * f.grid.n
-    return _coarse(f.grid, _fine(f, m) * _fine(g, m) * _fine(h, m))
-
-
-def integral(f: Field) -> float:
-    """Integral over the torus (= L * zero mode; exact for band-limited f)."""
-    return float(f.grid.length * f.spectral[0].real)
+    w = fine_samples(f.half, m) * fine_samples(g.half, m) * fine_samples(h.half, m)
+    return Field(f.grid, half=truncated_coeffs(w, f.grid.n))
 
 
 def integral_cube(f: Field) -> float:
     """Integral of f^3, computed alias-free on a padded grid."""
-    w = _fine(f, 2 * f.grid.n)
-    return float(f.grid.length * np.mean(w**3))
+    w = fine_samples(f.half, 2 * f.grid.n)
+    # the mean of w*w*w; w**3 is a general power, slow on subnormal tails
+    return float(f.grid.length * ((w * w * w).sum() / w.size))
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +344,6 @@ def write_snapshot_csv(f: Field, path) -> None:
         fh.write("x,eta\n")
         for x, v in zip(f.grid.x, f.samples):
             fh.write(f"{x:.17g},{v:.17g}\n")
-
-
-def write_spectral_csv(f: Field, path) -> None:
-    """Spectral dump: header ``j,xi,re,im``."""
-    n = f.grid.n
-    j = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    with open(path, "w") as fh:
-        fh.write("j,xi,re,im\n")
-        for jj, xi, c in zip(j, f.grid.wavenumbers, f.spectral):
-            fh.write(f"{jj},{xi:.17g},{c.real:.17g},{c.imag:.17g}\n")
 
 
 def read_snapshot_csv(grid: Grid, path) -> Field:

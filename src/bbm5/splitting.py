@@ -22,14 +22,14 @@ the global theory at finite N.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import linregress
 
 from .coefficients import Bbm5Coefficients
 from .evolution import (
+    NumericalError,
     RhsSpec,
     StepperConfig,
     SpectralEngine,
@@ -37,8 +37,7 @@ from .evolution import (
     _stepper,
     semigroup_apply,
 )
-from .spectral import (Field, Grid, energy, full_spectrum, half_spectrum, low_pass,
-                       sobolev_norm, spectral_derivative)
+from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative
 
 __all__ = [
     "SplitConfig",
@@ -87,7 +86,6 @@ class SplitState:
     v: Field
     h: Field | None
     k: int
-    energies: list[float] = dc_field(default_factory=list)
 
 
 def split_initial(eta0: Field, cutoff: float, smooth: bool = False) -> tuple[Field, Field]:
@@ -98,17 +96,16 @@ def split_initial(eta0: Field, cutoff: float, smooth: bool = False) -> tuple[Fie
     which trades the exact support property for a gentler spectral edge.
     """
     if smooth:
-        xi = np.abs(eta0.grid.wavenumbers)
+        xi = np.abs(eta0.grid.half_wavenumbers)
         w = np.zeros_like(xi)
         w[xi <= cutoff] = 1.0
         ramp = (xi > cutoff) & (xi < 2.0 * cutoff)
         r = (xi[ramp] - cutoff) / cutoff
         w[ramp] = np.exp(1.0 - 1.0 / (1.0 - r * r))
-        u0 = Field.from_spectral(eta0.grid, w * eta0.spectral)
+        u0 = Field(eta0.grid, half=w * eta0.half)
     else:
         u0 = low_pass(eta0, cutoff)
-    v0 = Field.from_spectral(eta0.grid, eta0.spectral - u0.spectral)
-    return u0, v0
+    return u0, eta0 - u0
 
 
 def _window_steps(t0: float, dt: float) -> tuple[int, float]:
@@ -130,12 +127,15 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Fi
 
 def _trajectory(f0: Field, steps: int, advance) -> list[Field]:
     """f0 and the Fields of ``steps`` successive advance(state, k) calls on
-    its half spectrum."""
-    c_hat = half_spectrum(f0.spectral)
+    its half spectrum; a non-finite state raises NumericalError."""
+    c_hat = f0.half
     traj = [f0]
-    for k in range(steps):
-        c_hat = advance(c_hat, k)
-        traj.append(Field.from_spectral(f0.grid, full_spectrum(c_hat)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
+        for k in range(steps):
+            c_hat = advance(c_hat, k)
+            if not np.all(np.isfinite(c_hat.view(np.float64))):
+                raise NumericalError(f"non-finite state at step {k + 1} of {steps}")
+            traj.append(Field(f0.grid, half=c_hat))
     return traj
 
 
@@ -144,9 +144,8 @@ class _DifferenceEngine:
 
     def __init__(self, engine: SpectralEngine, u_traj: list[Field]):
         self.eng = engine
-        u_hats = [half_spectrum(f.spectral) for f in u_traj]
-        self.u_fine = [engine.to_fine(c) for c in u_hats]
-        self.ux_fine = [engine.to_fine(engine.ikx_d * c) for c in u_hats]
+        self.u_fine = [engine.to_fine(f.half) for f in u_traj]
+        self.ux_fine = [engine.to_fine(engine.ikx_d * f.half) for f in u_traj]
 
     def __call__(self, v_hat: np.ndarray, node: int) -> np.ndarray:
         eng = self.eng
@@ -194,7 +193,7 @@ def compute_h(v_traj: list[Field], v0: Field, t0: float, c: Bbm5Coefficients) ->
     """
     vT = v_traj[-1]
     free = semigroup_apply(v0, t0, c)
-    h = Field.from_spectral(v0.grid, vT.spectral - free.spectral)
+    h = vT - free
     norms = {
         "h_H1": sobolev_norm(h, 1.0),
         "dxh_H1": sobolev_norm(spectral_derivative(h, 1), 1.0),
@@ -236,7 +235,7 @@ def iterate(
         v_traj = evolve_v(states[-1].v, u_traj, spec, stepper, t0)
         h, norms = compute_h(v_traj, states[-1].v, t0, c)
         u_t0 = u_traj[-1]
-        u_next = Field.from_spectral(eta0.grid, u_t0.spectral + h.spectral)
+        u_next = u_t0 + h
         v_next = semigroup_apply(states[-1].v, t0, c)
         report["E_u_t0"].append(energy(u_t0, c))
         report["h_H2"].append(norms["h_H2"])
@@ -282,22 +281,15 @@ def n_sweep(
             }
         )
     out = {"s": s, "rows": rows}
-    if len(rows) >= 3:
-        logN = np.log([r["N"] for r in rows])
-        out["h_slope"] = _fit(logN, [r["h_H2"] for r in rows])
-        out["energy_increment_slope"] = _fit(
-            logN, [abs(r["E_u1_minus_E_ut0"]) for r in rows]
-        )
+    logN = np.log([r["N"] for r in rows])
+    for key, vals in (("h_slope", [r["h_H2"] for r in rows]),
+                      ("energy_increment_slope", [abs(r["E_u1_minus_E_ut0"]) for r in rows])):
+        vals = np.asarray(vals, dtype=float)
+        mask = vals > 0
+        if mask.sum() >= 3:  # a slope needs three positive values; none is reported otherwise
+            res = linregress(logN[mask], np.log(vals[mask]))
+            out[key] = {"slope": float(res.slope), "ci95": float(1.96 * res.stderr)}
     return out
-
-
-def _fit(logN: np.ndarray, vals) -> dict:
-    vals = np.asarray(vals, dtype=float)
-    mask = vals > 0
-    if mask.sum() < 3:
-        return {"slope": float("nan"), "ci95": float("nan")}
-    res = linregress(logN[mask], np.log(vals[mask]))
-    return {"slope": float(res.slope), "ci95": float(1.96 * res.stderr)}
 
 
 def write_sweep_csv(sweep: dict, path) -> None:
@@ -309,9 +301,3 @@ def write_sweep_csv(sweep: dict, path) -> None:
                 f"{r['N']:.17g},{r['t0']:.17g},{r['h_H2']:.17g},"
                 f"{r['u_H2_t0']:.17g},{r['E_u1_minus_E_ut0']:.17g},{window}\n"
             )
-
-
-def write_sweep_json(sweep: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sweep, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .coefficients import Bbm5Coefficients, denominator, multipliers, require_wellposed
 from .spectral import (
+    CACHE_SIZE,
     Field,
     Grid,
     dealiased_product2,
     dealiased_product3,
+    hermitian_half,
     sobolev_norm,
     spectral_derivative,
 )
@@ -77,11 +79,10 @@ def eval_symbol(kind: str, xi, c: Bbm5Coefficients | None = None):
 
 @dataclass(frozen=True)
 class Symbol:
-    """A named multiplier with parity marker and per-grid value cache."""
+    """A named multiplier with parity marker."""
 
     kind: str
     coefficients: Bbm5Coefficients | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -97,27 +98,32 @@ class Symbol:
     def __call__(self, xi):
         return eval_symbol(self.kind, xi, self.coefficients)
 
-    def on_grid(self, grid: Grid) -> np.ndarray:
-        """Symbol values on the grid's wavenumber lattice, cached per grid.
+    def on_grid(self, grid: Grid, half: bool = False) -> np.ndarray:
+        """Symbol values on the grid's wavenumber lattice, or with half=True
+        on its rfft-layout half, which is cached per grid.  Odd symbols are
+        zeroed at the Nyquist slot so that application to a real field stays
+        real after the -i composition."""
+        tab = _half_table(self.kind, self.coefficients, grid)
+        # the symbol at -xi is parity * its value at xi, exactly
+        return tab if half else np.concatenate((tab, self.parity * tab[-2:0:-1]))
 
-        Odd symbols are zeroed at the Nyquist slot so that application to a
-        real field stays real after the -i composition.
-        """
-        tab = self._cache.get(grid)
-        if tab is None:
-            tab = np.asarray(self(grid.wavenumbers))
-            if self.parity == -1:
-                tab[grid.n // 2] = 0.0
-            tab.setflags(write=False)
-            self._cache[grid] = tab
-        return tab
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _half_table(kind: str, c: Bbm5Coefficients | None, grid: Grid) -> np.ndarray:
+    tab = np.asarray(eval_symbol(kind, grid.half_wavenumbers, c))
+    if _KINDS[kind] == -1:
+        tab[-1] = 0.0
+    tab.setflags(write=False)
+    return tab
 
 
 def apply_symbol(sym: Symbol, f: Field) -> Field:
     """Literal pointwise multiplication of the spectral coefficients.
 
-    For odd symbols the raw result is purely imaginary on real input; the
-    evolution composes it with -i (see apply_symbol_real).
+    For odd symbols the raw result is purely imaginary on real input, not a
+    real field: the Field keeps the literal full-spectrum product as its
+    ``spectral``, and its samples, the real part, vanish.  The evolution
+    composes it with -i (see apply_symbol_real).
     """
     return Field.from_spectral(f.grid, sym.on_grid(f.grid) * f.spectral)
 
@@ -126,7 +132,7 @@ def apply_symbol_real(sym: Symbol, f: Field) -> Field:
     """-i-composed application of an odd symbol; maps real fields to real."""
     if sym.parity != -1:
         raise ValueError("the -i composition applies to odd symbols only")
-    return Field.from_spectral(f.grid, -1j * sym.on_grid(f.grid) * f.spectral)
+    return Field(f.grid, half=-1j * sym.on_grid(f.grid, half=True) * f.half)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +222,8 @@ def random_hs_field(grid: Grid, s: float, rng: np.random.Generator, amplitude=1.
     mag = amplitude * (1.0 + xi**2) ** (-(s + 1.0) / 2.0)
     re = rng.standard_normal(grid.n)
     im = rng.standard_normal(grid.n)
-    c = mag * (re + 1j * im)
     # hermitian symmetrization for realness
-    n = grid.n
-    sym = np.empty_like(c)
-    sym[0] = c[0].real
-    sym[1:] = 0.5 * (c[1:] + np.conj(c[1:][::-1]))
-    sym[n // 2] = sym[n // 2].real
-    return Field.from_spectral(grid, sym)
+    return Field(grid, half=hermitian_half(mag * (re + 1j * im)))
 
 
 _ESTIMATES = {
@@ -250,13 +250,6 @@ class OperatorNormScan:
         return float(self.running_max[-1] / before - 1.0) if before > 0 else 0.0
 
 
-@functools.lru_cache(maxsize=16)
-def _shared_symbol(kind: str, c: Bbm5Coefficients) -> Symbol:
-    """One Symbol per (kind, coefficients), so that its per-grid tables are
-    computed once per scan rather than once per trial."""
-    return Symbol(kind, c)
-
-
 def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
                    c: Bbm5Coefficients) -> float:
     """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes."""
@@ -269,13 +262,13 @@ def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
     if rhs == 0.0:
         return 0.0
     if estimate_id == "tau_bilinear":
-        sym = _shared_symbol("tau", c)
+        sym = Symbol("tau", c)
         prod = dealiased_product2(fields[0], fields[1])
     elif estimate_id == "psi_trilinear":
-        sym = _shared_symbol("psi", c)
+        sym = Symbol("psi", c)
         prod = dealiased_product3(fields[0], fields[1], fields[2])
     else:  # psi_grad_bilinear
-        sym = _shared_symbol("psi", c)
+        sym = Symbol("psi", c)
         prod = dealiased_product2(
             spectral_derivative(fields[0], 1), spectral_derivative(fields[1], 1)
         )

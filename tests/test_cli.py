@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from bbm5 import cli, evolution
 from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from bbm5.evolution import RhsSpec, run_simulation
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -243,6 +245,73 @@ def test_non_finite_run_exits_3_with_one_line(tmp_path, capsys, command, section
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERIC
     assert capsys.readouterr().err.splitlines() == [
         "run aborted on non-finite state; last-good report written"]
+
+
+DRIFT_CONFIG = {
+    "grid": {"n": 128, "length": 16.0 * math.pi},
+    "stepper": {"dt": 0.01},
+    "energy_drift": {"T": 0.1, "initial": {"kind": "random", "s": 1.5, "amplitude": 0.2}},
+}
+
+
+def test_energy_drift_csv_does_not_depend_on_the_hs_norms(tmp_path, monkeypatch):
+    # energy-drift records no H^s norm, and its CSV is the rows of the same
+    # run with the default H^s norms recorded
+    calls = []
+    norm = evolution.sobolev_norm
+    monkeypatch.setattr(evolution, "sobolev_norm", lambda f, s: calls.append(s) or norm(f, s))
+    cfg = _write_config(tmp_path, DRIFT_CONFIG)
+    assert main(["energy-drift", "--config", cfg, "--out", str(tmp_path), "--seed", "17",
+                 "--quiet"]) == EXIT_OK
+    assert calls == []
+    monkeypatch.undo()
+    run = cli._Setup(cli._resolve(DRIFT_CONFIG, cli._SCHEMA, {}), 17)
+    report = run_simulation(run.initial("energy_drift"), RhsSpec(run.coeffs), run.stepper, 0.1)
+    assert set(report.hs_norms) == {0.0, 1.0, 2.0}
+    rows = zip(report.times, report.energy, report.drift_predicted, report.drift_residual)
+    want = "t,E,dEdt_predicted,drift_resid\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "energy_drift.csv").read_text() == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_split_blow_up_exits_3_with_one_line(tmp_path, capsys):
+    # it exited 0, printed "h slope nan" and wrote bare NaN into the JSON
+    cfg = _write_config(
+        tmp_path,
+        {"grid": {"n": 256, "length": 6.283185307179586}, "stepper": {"dt": 0.05},
+         "split": {"s": 1.5, "cutoffs": [4, 8, 16],
+                   "initial": {"kind": "random", "s": 1.5, "amplitude": 1e4}}},
+    )
+    out = tmp_path / "out"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: non-finite state")
+    assert not out.exists()  # nothing is written
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} in JSON output")
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("simulate", {"grid": {"n": 64}, "stepper": {"dt": 0.01}, "simulate": {"T": 0.05}}),
+    ("split", {"grid": {"n": 128, "length": 2.0 * math.pi}, "stepper": {"dt": 0.01},
+               "split": {"cutoffs": [4.0, 8.0, 16.0], "initial": {"kind": "zero"}}}),
+    ("derivation-residual", {"grid": {"n": 128, "length": 16.0 * math.pi},
+                             "derivation": {"epsilons": [0.1, 0.05], "t_final": 0.1,
+                                            "dt": 0.01, "checkpoints": 1}}),
+])
+def test_json_outputs_are_strict_json(tmp_path, command, payload):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names
+    for name in names:
+        json.loads((out / name).read_text(), parse_constant=_reject)
 
 
 # ---------------------------------------------------------------------------

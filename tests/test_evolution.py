@@ -179,6 +179,15 @@ def test_real_engine_matches_complex_reference(kind, dealias, weights, ref):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n,dealias", [(64, True), (256, True), (256, False)])
+def test_nonlinear_hat_of_a_stack_is_bit_identical_to_a_row_loop(n, dealias, ref):
+    grid = Grid(n=n, length=16.0 * math.pi)
+    rng = np.random.default_rng(8)
+    stack = np.array([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(5)])
+    eng = SpectralEngine(grid, ref, dealias)
+    assert np.array_equal(eng.nonlinear_hat(stack), [eng.nonlinear_hat(row) for row in stack])
+
+
 def test_rhs_spec_refuses_bad_regime():
     bad = Bbm5Coefficients(gamma1=0.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):

@@ -1,5 +1,6 @@
 """Grid/transform contract, derivatives, norms, energy and filtering."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
+from bbm5 import spectral, symbols
+from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, denominator,
+                               derive_bbm5, reference_parameters)
 from bbm5.spectral import (
+    CACHE_SIZE,
     Field,
     Grid,
     RegimeError,
@@ -20,7 +24,6 @@ from bbm5.spectral import (
     full_spectrum,
     half_spectrum,
     homogeneous_sobolev_norm,
-    integral,
     integral_cube,
     low_pass,
     read_snapshot_csv,
@@ -28,9 +31,8 @@ from bbm5.spectral import (
     spectral_derivative,
     truncated_coeffs,
     write_snapshot_csv,
-    write_spectral_csv,
 )
-from bbm5.symbols import random_hs_field
+from bbm5.symbols import Symbol, random_hs_field
 
 
 def _random_field(grid, rng, s=1.0):
@@ -97,6 +99,74 @@ def test_field_arithmetic_grid_mismatch(grid):
     other = Grid(n=grid.n, length=grid.length * 2)
     with pytest.raises(ValueError, match="different grids"):
         Field.zero(grid) + Field.zero(other)
+
+
+# ---------------------------------------------------------------------------
+# The half spectrum as the Field's state
+# ---------------------------------------------------------------------------
+
+
+def _hermitian(c):
+    """c_{-j} = conj(c_j) for every j, the zero mode and Nyquist slot real."""
+    return np.array_equal(c[:0:-1], np.conj(c[1:])) and c[0].imag == 0.0
+
+
+@pytest.mark.parametrize("source", ["samples", "half", "random", "sum"])
+def test_field_spectral_is_read_only_hermitian_and_extends_the_half(grid, rng, source):
+    u = rng.standard_normal(grid.n)
+    f = {
+        "samples": lambda: Field.from_samples(grid, u),
+        "half": lambda: Field(grid, half=Field.from_samples(grid, u).half),
+        "random": lambda: _random_field(grid, rng),
+        "sum": lambda: _random_field(grid, rng) + 0.5 * Field.from_samples(grid, u),
+    }[source]()
+    assert f.half.shape == (grid.n // 2 + 1,)
+    assert _hermitian(f.spectral)
+    assert np.array_equal(f.spectral[: grid.n // 2 + 1], f.half)
+    for a in (f.half, f.spectral, f.samples):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_samples_half_and_spectral_round_trip(grid, rng):
+    u = rng.standard_normal(grid.n)
+    f = Field.from_samples(grid, u)
+    g = Field(grid, half=f.half)
+    assert np.abs(g.samples - u).max() <= 1e-13
+    assert np.array_equal(g.spectral, f.spectral)
+    assert np.array_equal(Field.from_spectral(grid, f.spectral).half, f.half)
+
+
+def test_field_copies_what_it_is_given(grid, rng):
+    h = _random_field(grid, rng).half.copy()
+    f = Field(grid, half=h)
+    h[1] += 1.0
+    assert f.half[1] != h[1]
+
+
+def test_field_rejects_a_half_spectrum_of_the_wrong_length(grid):
+    with pytest.raises(ValueError, match="coefficients"):
+        Field(grid, half=np.zeros(grid.n))
+
+
+def test_field_arithmetic_matches_the_full_spectrum_arithmetic(grid, rng):
+    f = _random_field(grid, rng)
+    g = Field.from_samples(grid, rng.standard_normal(grid.n))
+    assert np.array_equal((f + g).spectral, f.spectral + g.spectral)
+    assert np.array_equal((f - g).spectral, f.spectral - g.spectral)
+    assert np.array_equal((2.5 * f).spectral, 2.5 * f.spectral)
+    assert np.array_equal((g * -0.3).spectral, g.spectral * -0.3)
+
+
+def test_non_hermitian_spectrum_is_kept_and_its_real_part_sampled(grid, rng):
+    # the field of a full spectrum is its real part, as the complex inverse
+    # transform gives it; the coefficients read back as they were given
+    c = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    f = Field.from_spectral(grid, c)
+    assert np.array_equal(f.spectral, c)
+    assert np.abs(f.samples - np.fft.ifft(c * grid.n).real).max() <= 1e-14
+    assert f.zero_mode == c[0].real
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +243,53 @@ def test_homogeneous_norm_kills_constants(grid):
     assert homogeneous_sobolev_norm(f, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.0, 3.0, 1.5, -0.5])
+def test_norms_match_the_full_spectrum_formulas(s):
+    # the half-spectrum quadrature, interior modes weighted twice, against
+    # the sum over all n modes (the Nyquist slot is nonzero here)
+    grid = Grid(n=256, length=16.0 * math.pi)
+    f = random_hs_field(grid, 1.0, np.random.default_rng(4))
+    assert f.spectral[grid.n // 2] != 0.0
+    xi, power = grid.wavenumbers, np.abs(f.spectral) ** 2
+    want = math.sqrt(grid.length * np.sum((1.0 + xi * xi) ** s * power))
+    assert sobolev_norm(f, s) == pytest.approx(want, rel=1e-14, abs=0.0)
+    if s > 0.0:
+        w = np.abs(xi) ** (2.0 * s)
+        w[0] = 0.0
+        want = math.sqrt(grid.length * np.sum(w * power))
+        assert homogeneous_sobolev_norm(f, s) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_weight_and_symbol_caches_stay_bounded(ref):
+    grid = Grid(n=32, length=2.0 * math.pi)
+    f = random_hs_field(grid, 1.0, np.random.default_rng(0))
+    for k in range(3 * CACHE_SIZE):
+        s = 0.25 + 0.1 * k
+        sobolev_norm(f, s)
+        homogeneous_sobolev_norm(f, s)
+        c = dataclasses.replace(ref, gamma1=ref.gamma1 * (1.0 + k))
+        energy(f, c)
+        Symbol("psi", c).on_grid(grid, half=True)
+        spectral_derivative(f, k + 1)
+    for cache in (spectral.sobolev_weights, spectral._homogeneous_weights,
+                  spectral._energy_weights, spectral.derivative_symbol, symbols._half_table):
+        assert cache.cache_info().currsize <= CACHE_SIZE
+    # a repeated key is served from the cache
+    assert spectral.sobolev_weights(grid, 1.0) is spectral.sobolev_weights(grid, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Energy
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5])
+def test_energy_matches_the_full_spectrum_formula(rho):
+    c = derive_bbm5(dataclasses.replace(reference_parameters(), rho=rho))
+    grid = Grid(n=256, length=16.0 * math.pi)
+    f = random_hs_field(grid, 1.0, np.random.default_rng(5))
+    want = 0.5 * grid.length * np.sum(denominator(grid.wavenumbers, c) * np.abs(f.spectral) ** 2)
+    assert energy(f, c) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_energy_zero_field(grid, ref):
@@ -367,9 +481,25 @@ def test_product3_exact_for_low_modes(grid):
     assert np.abs(p.samples - expected).max() < 1e-13
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-100])
+def test_integral_cube_matches_the_general_power(scale):
+    # a skewed sech^2 pulse, so that the integral of its derivative cubed
+    # does not vanish by symmetry; at scale 1e-100 the cubes of its tails are
+    # subnormal
+    grid = Grid(n=1024, length=32.0 * math.pi)
+    x = grid.x - grid.length / 2.0
+    fx = spectral_derivative(
+        Field.from_samples(grid, scale * (1.0 + 0.5 * np.tanh(x)) / np.cosh(x) ** 2), 1)
+    cubes = fine_samples(fx.half, 2 * grid.n) ** 3
+    if scale < 1.0:
+        assert np.any((cubes != 0.0) & (np.abs(cubes) < np.finfo(float).tiny))
+    want = grid.length * np.mean(cubes)
+    assert want != 0.0
+    assert integral_cube(fx) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_integral_and_cube(grid):
     f = Field.from_samples(grid, 2.0 + np.cos(grid.x))
-    assert integral(f) == pytest.approx(2.0 * grid.length, rel=1e-13)
     # (2 + cos x)^3 integrates to 2pi * (8 + 3*2*1/2 + ... ) = 2pi*(8 + 6 + 0 + 0)
     # expand: 8 + 12 cos + 6 cos^2 + cos^3 -> mean 8 + 3
     assert integral_cube(f) == pytest.approx(11.0 * grid.length, rel=1e-13)
@@ -396,11 +526,3 @@ def test_snapshot_wrong_grid_rejected(tmp_path, grid, rng):
     with pytest.raises(ValueError, match="rows"):
         read_snapshot_csv(Grid(n=grid.n * 2, length=grid.length), path)
 
-
-def test_spectral_csv_header(tmp_path, grid, rng):
-    f = _random_field(grid, rng)
-    path = tmp_path / "spec.csv"
-    write_spectral_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "j,xi,re,im"
-    assert len(lines) == grid.n + 1

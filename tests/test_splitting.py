@@ -8,7 +8,8 @@ import pytest
 
 from bbm5 import evolution
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
-from bbm5.evolution import RhsSpec, StepperConfig, run_simulation, semigroup_apply
+from bbm5.evolution import (NumericalError, RhsSpec, StepperConfig, run_simulation,
+                            semigroup_apply)
 from bbm5.spectral import Field, Grid, sobolev_norm
 from bbm5.splitting import (
     SplitConfig,
@@ -259,3 +260,25 @@ def test_second_identical_n_sweep_builds_no_stepper(big_grid, rough, monkeypatch
     assert len(built) == 4  # a half-step and a full-step stepper per window
     assert sweep() == first
     assert len(built) == 4
+
+
+def test_n_sweep_leaves_out_a_slope_it_cannot_fit(big_grid):
+    # zero data: every remainder and energy increment is zero, so no slope
+    # is fitted and none is reported (it used to be NaN)
+    out = n_sweep(Field.zero(big_grid), 1.5, (4.0, 8.0, 16.0), spec=_spec(),
+                  stepper=StepperConfig(dt=0.01))
+    assert len(out["rows"]) == 3
+    assert "h_slope" not in out and "energy_increment_slope" not in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("part", ["u", "v"])
+def test_blow_up_raises_numerical_error(big_grid, part):
+    blow_up = random_hs_field(big_grid, 1.5, np.random.default_rng(0), amplitude=1e4)
+    cfg = StepperConfig(dt=0.05)
+    with pytest.raises(NumericalError, match="non-finite state"):
+        if part == "u":
+            evolve_u(blow_up, _spec(), cfg, 1.0)
+        else:
+            u_traj = evolve_u(Field.zero(big_grid), _spec(), cfg, 1.0)
+            evolve_v(blow_up, u_traj, _spec(), cfg, 1.0)
