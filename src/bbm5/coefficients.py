@@ -13,6 +13,7 @@ place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +118,7 @@ class Bbm5Coefficients:
     def wellposed_regime(self) -> bool:
         return self.gamma1 > 0 and self.delta1 > 0
 
-    @property
+    @functools.cached_property  # Fraction arithmetic; read once per diagnostics record
     def energy_conserving(self) -> bool:
         return abs(self.gamma - GAMMA_CONSERVING) <= 1e-12
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .coefficients import (
     AbcdFirst,
@@ -28,7 +27,7 @@ from .coefficients import (
     derive_bbm5,
     derive_first_order,
 )
-from .evolution import Etdrk4Stepper, NumericalError, SpectralEngine, sech_squared
+from .evolution import Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, sech_squared
 from .spectral import (
     Field,
     Grid,
@@ -244,9 +243,7 @@ def epsilon_sweep(
     out = {"rows": rows}
     loge = np.log([r["eps"] for r in rows])
     for key in ("r1_L2", "r2_L2"):
-        vals = np.log([r[key] for r in rows])
-        res = linregress(loge, vals)
-        out[f"slope_{key}"] = float(res.slope)
+        out[f"slope_{key}"] = _linear_fit(loge, np.log([r[key] for r in rows]))[0]
     return out
 
 

@@ -360,6 +360,21 @@ def _interpolant_slope(t: np.ndarray, e: np.ndarray, i: int) -> float:
     return slope
 
 
+def _linear_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error.
+
+    The formulas of ``scipy.stats.linregress``, bit for bit, without the
+    import of scipy.stats (about 1 s of start-up).  x needs two or more
+    distinct values; the error is 0.0 for two points and for constant y.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    slope = ssxym / ssxm
+    if len(x) == 2 or ssym == 0.0:
+        return float(slope), 0.0
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
+
+
 def run_simulation(
     eta0: Field,
     spec: RhsSpec,

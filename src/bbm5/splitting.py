@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .coefficients import Bbm5Coefficients
 from .evolution import (
@@ -34,6 +33,7 @@ from .evolution import (
     StepperConfig,
     SpectralEngine,
     _engine,
+    _linear_fit,
     _stepper,
     semigroup_apply,
 )
@@ -267,6 +267,8 @@ def n_sweep(
         raise ValueError(
             f"grid Nyquist {nyq} below 4x the largest cutoff {max(cutoffs)}"
         )
+    if len(set(cutoffs)) < len(cutoffs):
+        raise ValueError(f"cutoffs must be distinct, got {list(cutoffs)}")
     rows = []
     for N in cutoffs:
         cfg = SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1)
@@ -287,8 +289,8 @@ def n_sweep(
         vals = np.asarray(vals, dtype=float)
         mask = vals > 0
         if mask.sum() >= 3:  # a slope needs three positive values; none is reported otherwise
-            res = linregress(logN[mask], np.log(vals[mask]))
-            out[key] = {"slope": float(res.slope), "ci95": float(1.96 * res.stderr)}
+            slope, stderr = _linear_fit(logN[mask], np.log(vals[mask]))
+            out[key] = {"slope": slope, "ci95": 1.96 * stderr}
     return out
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .coefficients import Bbm5Coefficients, denominator, multipliers, require_wellposed
 from .spectral import (
@@ -189,6 +188,7 @@ def sup_bound(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -
 
 def scan_sup(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -> float:
     """Scan-based supremum (independent of any closed form)."""
+    from scipy.optimize import minimize_scalar  # here: ~0.5 s of every start-up otherwise
 
     def fn(x):
         return _expression_values(expression, x, c)

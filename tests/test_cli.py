@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bbm5 import cli, evolution
+from bbm5 import cli, evolution, splitting
 from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bbm5.evolution import RhsSpec, run_simulation
 
@@ -290,6 +290,24 @@ def test_split_blow_up_exits_3_with_one_line(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: non-finite state")
     assert not out.exists()  # nothing is written
+
+
+@pytest.mark.parametrize("cutoffs", [[8, 8, 8], [8, 8, 16]])
+def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypatch, cutoffs):
+    # [8, 8, 8] ran the whole sweep before linregress refused it; [8, 8, 16] exited 0
+    def window(*args, **kwargs):
+        raise AssertionError("a window ran")
+
+    monkeypatch.setattr(splitting, "iterate", window)
+    cfg = _write_config(tmp_path, {"grid": {"n": 256, "length": 2.0 * math.pi},
+                                   "split": {"cutoffs": cutoffs}})
+    out = tmp_path / "out"
+    assert main(["split", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: cutoffs must be distinct, got {[float(N) for N in cutoffs]}"]
+    assert not out.exists()
 
 
 def _reject(constant):

@@ -6,6 +6,7 @@ arithmetic, taking theta^2 directly as a rational so the reference set
 through the float path.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -110,6 +111,14 @@ def test_production_matches_oracle_on_reference_set():
     assert c.gamma == pytest.approx(float(g), abs=1e-12)
     assert c.wellposed_regime
     assert c.energy_conserving
+
+
+def test_energy_conserving_is_cached_without_touching_equality():
+    c = derive_bbm5(reference_parameters())
+    fresh = dataclasses.replace(c)
+    assert c.energy_conserving and "energy_conserving" in vars(c)
+    assert "energy_conserving" not in vars(fresh)
+    assert c == fresh and hash(c) == hash(fresh)
 
 
 def test_reference_set_rho_one_gamma():

@@ -599,3 +599,43 @@ def test_picard_divergence_carries_diagnostics(grid):
     with pytest.raises(PicardDivergenceError) as exc:
         duhamel_picard(eta0, _spec(), cfg, 0.5)
     assert len(exc.value.diagnostics.diff_norms) == 3
+
+
+# ---------------------------------------------------------------------------
+# Log-log slope fit
+# ---------------------------------------------------------------------------
+
+
+def _linregress(x, y):
+    from scipy.stats import linregress  # the reference; bbm5 itself does not import it
+
+    res = linregress(x, y)
+    return float(res.slope), float(res.stderr)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_linear_fit_is_linregress_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        assert evolution._linear_fit(x, y) == _linregress(x, y)
+
+
+@pytest.mark.parametrize("x", [np.log([8.0, 16.0, 32.0, 64.0]),  # n_sweep's cutoffs
+                               np.log([0.1, 0.05, 0.025, 0.0125]),  # epsilon_sweep's
+                               np.log([4.0, 8.0, 16.0])])
+def test_linear_fit_on_the_sweep_abscissae(x):
+    rng = np.random.default_rng(3)
+    for slope in (-2.5, -1.8, 0.0, 2.0):
+        for _ in range(100):
+            y = slope * x + 1e-2 * rng.standard_normal(x.size)
+            assert evolution._linear_fit(x, y) == _linregress(x, y)
+    assert evolution._linear_fit(x, 2.0 * x + 1.0) == _linregress(x, 2.0 * x + 1.0)
+
+
+def test_linear_fit_two_points_and_constant_y():
+    x, y = np.log([0.1, 0.05]), np.log([3e-3, 8e-4])
+    assert evolution._linear_fit(x, y) == _linregress(x, y)
+    assert evolution._linear_fit(x, y)[1] == 0.0
+    # linregress reports NaN here; the fit is exact, so the error is zero
+    assert evolution._linear_fit(np.log([8.0, 16.0, 32.0]), np.full(3, 2.0)) == (0.0, 0.0)
