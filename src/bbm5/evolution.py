@@ -151,6 +151,24 @@ class SpectralEngine:
         self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
 
+    @classmethod
+    def stack(cls, engines: Sequence["SpectralEngine"]) -> "SpectralEngine":
+        """Engines of one grid as one, their tables stacked as rows: its
+        nonlinear_hat of an (E, n/2 + 1) stack is, row by row, each engine's,
+        because nonlinear_hat broadcasts over rows."""
+        first = engines[0]
+        if any((e.grid, e.dealias, e.linear_only) != (first.grid, first.dealias, first.linear_only)
+               for e in engines):
+            raise ValueError("stacked engines need one grid, dealias and linear_only")
+        eng = cls.__new__(cls)
+        eng.__dict__.update(first.__dict__)  # grid, dealias, linear_only, ikx_d, m
+        eng.coefficients = tuple(e.coefficients for e in engines)
+        for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
+            setattr(eng, name, np.stack([getattr(e, name) for e in engines]))
+        for name in ("_w3", "_wg"):  # the scalar weights as (E, 1) columns
+            setattr(eng, name, np.array([[getattr(e, name)] for e in engines]))
+        return eng
+
     # -- padded transforms ------------------------------------------------
 
     def to_fine(self, c_hat: np.ndarray) -> np.ndarray:
@@ -231,6 +249,21 @@ class Etdrk4Stepper:
         self.f1 = contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3)
         self.f2 = contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3)
         self.f3 = contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)
+
+    @classmethod
+    def stack(cls, steppers: Sequence["Etdrk4Stepper"]) -> "Etdrk4Stepper":
+        """Steppers of one dt as one, their tables stacked as rows, so that
+        step advances an (E, n/2 + 1) stack, each row by its own stepper.
+        Each row's tables are its stepper's own, bit for bit: the contour
+        weights are not recomputed on the stack, which rounds differently."""
+        if any(s.dt != steppers[0].dt for s in steppers):
+            raise ValueError("stacked steppers need one dt")
+        st = cls.__new__(cls)
+        st.engine = SpectralEngine.stack([s.engine for s in steppers])
+        st.dt = steppers[0].dt
+        for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
+            setattr(st, name, np.stack([getattr(s, name) for s in steppers]))
+        return st
 
     def step(
         self,

@@ -23,8 +23,9 @@ The weight tables and derivative symbols are cached per grid, at most
 
 The padded transforms live here once: ``fine_samples`` (irfft onto m
 points, which zero-pads) and ``truncated_coeffs`` (rfft of m samples,
-truncated back to the half spectrum).  The Field-level products below and
-``SpectralEngine`` in ``bbm5.evolution`` both use them.
+truncated back to the half spectrum).  They are used by ``padded_product``
+below (behind the Field-level products and the operator-norm scans of
+``bbm5.symbols``) and by ``SpectralEngine`` in ``bbm5.evolution``.
 """
 
 from __future__ import annotations
@@ -280,8 +281,10 @@ def half_spectrum(c: np.ndarray) -> np.ndarray:
 
 def hermitian_half(c: np.ndarray) -> np.ndarray:
     """The half spectrum of the real part of the field with full spectrum c:
-    (c_j + conj(c_-j))/2, which is exactly c's half when c is Hermitian."""
-    mirror = np.conj(np.concatenate((c[:1], c[: c.shape[-1] // 2 - 1 : -1])))  # c at -xi
+    (c_j + conj(c_-j))/2, which is exactly c's half when c is Hermitian.
+    A stack of spectra along the last axis gives the stack of halves."""
+    mirror = np.conj(np.concatenate((c[..., :1], c[..., : c.shape[-1] // 2 - 1 : -1]),
+                                    axis=-1))  # c at -xi
     return 0.5 * (half_spectrum(c) + mirror)
 
 
@@ -311,19 +314,25 @@ def truncated_coeffs(samples: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def padded_product(n: int, *halves: np.ndarray) -> np.ndarray:
+    """Half spectrum of the alias-free product of two fields (2/3-rule
+    padding) or three (1/2 rule) of n points, given as half spectra or as
+    stacks of them along the last axis."""
+    m = 3 * n // 2 if len(halves) == 2 and n % 4 == 0 else 2 * n
+    w = fine_samples(halves[0], m)
+    for h in halves[1:]:
+        w = w * fine_samples(h, m)
+    return truncated_coeffs(w, n)
+
+
 def dealiased_product2(f: Field, g: Field) -> Field:
     """Alias-free pointwise product of two fields (2/3-rule padding)."""
-    n = f.grid.n
-    m = 3 * n // 2 if n % 4 == 0 else 2 * n
-    w = fine_samples(f.half, m) * fine_samples(g.half, m)
-    return Field(f.grid, half=truncated_coeffs(w, n))
+    return Field(f.grid, half=padded_product(f.grid.n, f.half, g.half))
 
 
 def dealiased_product3(f: Field, g: Field, h: Field) -> Field:
     """Alias-free triple product (1/2-rule padding)."""
-    m = 2 * f.grid.n
-    w = fine_samples(f.half, m) * fine_samples(g.half, m) * fine_samples(h.half, m)
-    return Field(f.grid, half=truncated_coeffs(w, f.grid.n))
+    return Field(f.grid, half=padded_product(f.grid.n, f.half, g.half, h.half))
 
 
 def integral_cube(f: Field) -> float:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bbm5 import cli, evolution, splitting
+from bbm5 import cli, derivation, evolution, splitting
 from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bbm5.evolution import RhsSpec, run_simulation
 
@@ -307,6 +307,24 @@ def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypa
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"configuration error: cutoffs must be distinct, got {[float(N) for N in cutoffs]}"]
+    assert not out.exists()
+
+
+def test_derivation_repeated_epsilon_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # it exited 0, ran eps = 0.1 twice and wrote a 0/0 slope_running of nan
+    def model(*args, **kwargs):
+        raise AssertionError("a scaled model was built")
+
+    monkeypatch.setattr(derivation, "ScaledModel", model)
+    cfg = _write_config(tmp_path, {"grid": {"n": 128, "length": 16.0 * math.pi},
+                                   "derivation": {**_DERIVATION, "epsilons": [0.1, 0.1, 0.05]}})
+    out = tmp_path / "out"
+    assert main(["derivation-residual", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: need 0 < t_final")
+    assert "distinct" in err[0] and err[0].endswith("[0.1, 0.1, 0.05]")
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from bbm5.derivation import (
     epsilon_sweep,
     reconstruct_velocity,
 )
+from bbm5.evolution import Etdrk4Stepper, NumericalError
 from bbm5.spectral import Field, Grid, sobolev_norm
 
 
@@ -203,6 +204,7 @@ def test_residual_translation_invariant(dgrid):
     pytest.param(0.1, 0.01, 1, (), id="eps-none"),
     pytest.param(0.1, 0.01, 1, (0.1,), id="eps-one"),
     pytest.param(0.1, 0.01, 1, (0.1, 0.1), id="eps-one-distinct"),
+    pytest.param(0.1, 0.01, 1, (0.1, 0.1, 0.05), id="eps-repeated"),
 ])
 def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons):
     with pytest.raises(ValueError, match="n_checkpoints >= 1"):
@@ -224,3 +226,60 @@ def test_epsilon_sweep_cheap_slope(dgrid):
     )
     assert sweep["slope_r1_L2"] >= 1.5
     assert sweep["slope_r2_L2"] >= 1.5
+
+
+# ---------------------------------------------------------------------------
+# The stacked sweep against one stepper per epsilon
+# ---------------------------------------------------------------------------
+
+
+EPS = (0.1, 0.05, 0.025)
+
+
+def _pulse(grid):
+    return Field.from_samples(grid, 0.3 / np.cosh(grid.x - grid.length / 2.0) ** 2)
+
+
+def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
+    grid, dt = Grid(n=128, length=16.0 * math.pi), 0.01
+    steppers = [Etdrk4Stepper(ScaledModel(grid, _params(e, e)).engine, dt) for e in EPS]
+    stacked = Etdrk4Stepper.stack(steppers)
+    c = _pulse(grid).half
+    out = stacked.step(np.stack([c] * len(EPS)))
+    for k, st in enumerate(steppers):
+        for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
+            assert np.array_equal(getattr(stacked, name)[k], getattr(st, name)), name
+        for name in ("phi", "psi", "tau", "_quad", "_ipsi", "_w3", "_wg"):
+            assert np.array_equal(getattr(stacked.engine, name)[k],
+                                  np.reshape(getattr(st.engine, name), -1)), name
+        assert np.array_equal(out[k], st.step(c))
+    with pytest.raises(ValueError, match="one dt"):
+        Etdrk4Stepper.stack([steppers[0], Etdrk4Stepper(steppers[1].engine, 2.0 * dt)])
+
+
+def test_stacked_sweep_rows_are_the_per_eps_loop_bit_for_bit():
+    grid, t_final, dt, n_checkpoints = Grid(n=128, length=16.0 * math.pi), 0.1, 0.01, 2
+    data = _pulse(grid)
+    sweep = epsilon_sweep(grid, reference_parameters(), epsilons=EPS, t_final=t_final, dt=dt,
+                          n_checkpoints=n_checkpoints, data=data)
+    for row, eps in zip(sweep["rows"], EPS, strict=True):
+        model = ScaledModel(grid, _params(eps, eps))
+        stepper = Etdrk4Stepper(model.engine, dt)
+        r1_max, r2_max = abcd_residual_first(data, model)
+        c_hat = data.half
+        for _ in range(n_checkpoints):
+            for _ in range(round(t_final / dt / n_checkpoints)):
+                c_hat = stepper.step(c_hat)
+            r1, r2 = abcd_residual_first(Field(grid, half=c_hat), model)
+            r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
+        assert row == {"eps": eps, "r1_L2": r1_max, "r2_L2": r2_max}
+
+
+@pytest.mark.parametrize("epsilons,named", [((1e-9, 0.5), 0.5), ((0.5, 1e-9), 0.5),
+                                            ((1e-9, 0.3, 0.5), 0.3)])
+def test_stacked_sweep_names_the_first_non_finite_eps(epsilons, named):
+    # the data blow up under the larger epsilons within one leg; 1e-9 stays finite
+    grid = Grid(n=64, length=16.0 * math.pi)
+    with pytest.raises(NumericalError, match=f"at eps = {named}$"):
+        epsilon_sweep(grid, reference_parameters(), epsilons=epsilons, t_final=0.1, dt=0.01,
+                      n_checkpoints=1, data=1e3 * _pulse(grid))

@@ -23,6 +23,7 @@ from bbm5.spectral import (
     fine_samples,
     full_spectrum,
     half_spectrum,
+    hermitian_half,
     homogeneous_sobolev_norm,
     integral_cube,
     low_pass,
@@ -417,6 +418,18 @@ def test_half_full_round_trip(grid, rng):
     assert np.array_equal(half_spectrum(full_spectrum(h)), h)
     g = Field.from_samples(grid, rng.standard_normal(grid.n))
     assert np.abs(full_spectrum(half_spectrum(g.spectral)) - g.spectral).max() < 1e-15
+
+
+def test_hermitian_half_of_a_stack_is_the_row_loop(grid, rng):
+    n = grid.n
+    c = rng.standard_normal((3, 2, n)) + 1j * rng.standard_normal((3, 2, n))  # not Hermitian
+    stacked = hermitian_half(c)
+    assert stacked.shape == (3, 2, n // 2 + 1)
+    for row, h in zip(c.reshape(-1, n), stacked.reshape(-1, n // 2 + 1)):
+        assert np.array_equal(hermitian_half(row), h)
+        # one field: (c_j + conj(c_-j))/2 mode by mode
+        want = [0.5 * (row[j] + np.conj(row[-j % n])) for j in range(n // 2 + 1)]
+        assert np.array_equal(h, np.array(want))
 
 
 def _pad_reference(c, m):

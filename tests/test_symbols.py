@@ -9,9 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbm5 import symbols
 from bbm5.coefficients import Bbm5Coefficients
-from bbm5.spectral import Field, Grid, RegimeError, sobolev_norm
+from bbm5.spectral import (
+    Field,
+    Grid,
+    RegimeError,
+    dealiased_product2,
+    dealiased_product3,
+    sobolev_norm,
+    spectral_derivative,
+)
 from bbm5.symbols import (
+    SCAN_BLOCK,
     OperatorNormScan,
     Symbol,
     apply_symbol,
@@ -230,6 +240,15 @@ def test_estimate_ratio_wrong_arity(grid, ref):
         estimate_ratio("psi_trilinear", (Field.zero(grid),), 1.0, ref)
 
 
+def test_estimate_ratio_refuses_fields_on_different_grids(grid, ref):
+    # it used to evaluate the product on the first field's grid and each norm on
+    # its field's own
+    other = Grid(n=grid.n, length=2.0 * grid.length)
+    f, g = (random_hs_field(gr, 1.0, np.random.default_rng(1)) for gr in (grid, other))
+    with pytest.raises(ValueError, match="different grids"):
+        estimate_ratio("tau_bilinear", (f, g), 1.0, ref)
+
+
 def test_scan_refuses_s_below_threshold(grid, ref):
     with pytest.raises(ValueError, match="requires s >= 1.0"):
         empirical_operator_norm("psi_grad_bilinear", 0.5, 10, grid, ref)
@@ -270,3 +289,84 @@ def test_scan_is_seeded(grid, ref):
     a = empirical_operator_norm("tau_bilinear", 1.0, 20, grid, ref, seed=9)
     b = empirical_operator_norm("tau_bilinear", 1.0, 20, grid, ref, seed=9)
     assert a.max_ratio == b.max_ratio
+
+
+def test_scan_refuses_fewer_than_one_trial(grid, ref):
+    # trials=0 returned an empty scan whose final_decile_growth raised
+    # IndexError; trials=-3 failed inside numpy
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            empirical_operator_norm("tau_bilinear", 1.0, trials, grid, ref)
+
+
+# ---------------------------------------------------------------------------
+# The stacked scan against the scan one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_ratio(estimate_id, fields, s, c):
+    """The estimate's LHS/RHS from the Field functions, one trial."""
+    rhs = 1.0
+    for f in fields:
+        rhs *= sobolev_norm(f, s)
+    if rhs == 0.0:
+        return 0.0
+    if estimate_id == "tau_bilinear":
+        sym, prod = Symbol("tau", c), dealiased_product2(*fields)
+    elif estimate_id == "psi_trilinear":
+        sym, prod = Symbol("psi", c), dealiased_product3(*fields)
+    else:
+        sym = Symbol("psi", c)
+        prod = dealiased_product2(*(spectral_derivative(f, 1) for f in fields))
+    return sobolev_norm(apply_symbol_real(sym, prod), s) / rhs
+
+
+def _reference_scan(estimate_id, s, trials, grid, c, seed, ratio=None):
+    """(running max, max, argmax fields) drawing each field with
+    random_hs_field and keeping the maximum with `r > best`."""
+    arity = 3 if estimate_id == "psi_trilinear" else 2
+    rng = np.random.default_rng(seed)
+    running, best, best_fields = [], 0.0, ()
+    for t in range(trials):
+        fields = tuple(random_hs_field(grid, s, rng) for _ in range(arity))
+        r = ratio[t] if ratio is not None else _reference_ratio(estimate_id, fields, s, c)
+        if r > best:
+            best, best_fields = r, fields
+        running.append(best)
+    return np.array(running), best, best_fields
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+@pytest.mark.parametrize("estimate_id", ["tau_bilinear", "psi_trilinear", "psi_grad_bilinear"])
+def test_stacked_scan_is_the_trial_loop_bit_for_bit(grid, ref, estimate_id, s):
+    trials = SCAN_BLOCK + 37  # one full block and a partial one
+    scan = empirical_operator_norm(estimate_id, s, trials, grid, ref, seed=11)
+    running, best, best_fields = _reference_scan(estimate_id, s, trials, grid, ref, seed=11)
+    assert np.array_equal(scan.running_max, running)
+    assert scan.max_ratio == best
+    assert len(scan.argmax_fields) == len(best_fields)
+    for f, g in zip(scan.argmax_fields, best_fields):
+        assert np.array_equal(f.half, g.half)
+    assert estimate_ratio(estimate_id, best_fields, s, ref) == best
+
+
+def test_scan_running_max_skips_nan_and_keeps_the_first_maximum(grid, ref, monkeypatch):
+    # ratios with NaN, ties and the maximum reached in the second block
+    trials = SCAN_BLOCK + 37
+    ratio = np.linspace(0.0, 1.0, trials) % 0.25
+    ratio[[0, 5, SCAN_BLOCK - 1, SCAN_BLOCK + 3]] = np.nan
+    ratio[SCAN_BLOCK + 10] = ratio[SCAN_BLOCK + 20] = 2.0
+    done = []
+
+    def ratios(estimate_id, h, *args):  # the next block of the ratios above
+        done.append(len(h))
+        return ratio[sum(done) - len(h):sum(done)]
+
+    monkeypatch.setattr(symbols, "_ratios", ratios)
+    scan = empirical_operator_norm("tau_bilinear", 1.0, trials, grid, ref, seed=3)
+    running, best, best_fields = _reference_scan("tau_bilinear", 1.0, trials, grid, ref, seed=3,
+                                                 ratio=ratio)
+    assert sum(done) == trials and len(done) > 2
+    assert np.array_equal(scan.running_max, running) and scan.max_ratio == best == 2.0
+    assert len(scan.argmax_fields) == len(best_fields) == 2
+    assert all(np.array_equal(f.half, g.half) for f, g in zip(scan.argmax_fields, best_fields))
