@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Collect benchmark results into BENCH_<label>.json at the repository root.
 
-Reads the end-to-end result files ``result-<workload>-seed<n>-trace0.json``
-that ``perfbench/run.py --trace 0`` leaves in ``.perfbench_out/`` and writes,
-per workload:
+Reads the result files ``result-<workload>-seed<n>-trace<t>.json`` that
+``perfbench/run.py`` leaves in ``.perfbench_out/`` and writes, per workload:
 
-* the median and quartiles, over the result files, of each end-to-end
-  metric (``wall_ref_ratio``, ``setup_s``, ``peak_rss_mb``);
-* the benchmark runs (result files), and the timed runs attempted and failed;
-* the seeds, and the machine facts and versions the files record.
+* from the end-to-end files (``--trace 0``): the median and quartiles, over
+  the files, of each end-to-end metric (``wall_ref_ratio``, ``setup_s``,
+  ``peak_rss_mb``); the benchmark runs (result files), and the timed runs
+  attempted and failed; the seeds, and the machine facts and versions the
+  files record;
+* from the traced files (``--trace 1``), under ``layers``: the seeds and
+  the median, over the files, of each per-layer metric.
 
 With ``--parent DIR`` it also reads the parent commit's result files from
-DIR, records the same summary for them, and compares the two run by run
-over the seeds both sides ran: for each metric, the pairs in which this
-commit reads lower, the change of the medians and the parent's quartile
-distance.  The quartiles are those of ``statistics.quantiles(...,
-method="inclusive")``.  Every untraced result file in a directory counts,
-so clear it before a measurement.  Standard library only:
+DIR, records the same summary for them, and compares the end-to-end files
+run by run over the seeds both sides ran: for each metric, the pairs in
+which this commit reads lower, the change of the medians and the parent's
+quartile distance.  The quartiles are those of ``statistics.quantiles(...,
+method="inclusive")``.  Every result file in a directory counts, so clear
+it before a measurement.  Standard library only:
 
     python3 scripts/bench_record.py --label batch-axis --parent ../parent/.perfbench_out
 """
@@ -33,13 +35,13 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("wall_ref_ratio", "setup_s", "peak_rss_mb")
-RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json$")
+RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>-?\d+)-trace[01]\.json$")
 
 
-def _read(results: str) -> dict:
-    """{workload: {seed: result file contents}} of the untraced result files."""
+def _read(results: str, trace: int = 0) -> dict:
+    """{workload: {seed: result file contents}} of the result files of one trace mode."""
     runs: dict = {}
-    for path in sorted(glob.glob(os.path.join(results, "result-*-trace0.json"))):
+    for path in sorted(glob.glob(os.path.join(results, f"result-*-trace{trace}.json"))):
         m = RESULT.search(os.path.basename(path))
         if m:
             with open(path) as fh:
@@ -83,6 +85,23 @@ def summarise(by_seed: dict) -> dict:
     }
 
 
+def layers(by_seed: dict) -> dict:
+    """One side's per-layer medians of one workload's traced result files."""
+    values: dict = {}
+    for seed in sorted(by_seed):
+        for name, metric in by_seed[seed]["result"]["metrics"].items():
+            values.setdefault(name, []).append(metric["value"])
+    return {"seeds": sorted(by_seed),
+            "medians": {name: statistics.median(values[name]) for name in sorted(values)}}
+
+
+def _side(runs: dict, traced: dict, name: str) -> dict:
+    entry = summarise(runs[name]) if name in runs else {}
+    if name in traced:
+        entry["layers"] = layers(traced[name])
+    return entry
+
+
 def compare(change: dict, parent: dict, change_sum: dict, parent_sum: dict) -> dict:
     """Pair the two sides seed by seed; lower reads better for every metric."""
     seeds = sorted(set(change) & set(parent))
@@ -106,15 +125,18 @@ def compare(change: dict, parent: dict, change_sum: dict, parent_sum: dict) -> d
 
 
 def record(results: str, label: str, parent: str | None = None) -> dict:
-    runs = _read(results)
-    if not runs:
-        raise ValueError(f"no result-*-trace0.json files in {results}")
-    parent_runs = _read(parent) if parent is not None else {}
+    runs, traced = _read(results, 0), _read(results, 1)
+    if not runs and not traced:
+        raise ValueError(f"no result-*-trace0.json files and no traced ones in {results}")
+    parent_runs, parent_traced = {}, {}
+    if parent is not None:
+        parent_runs, parent_traced = _read(parent, 0), _read(parent, 1)
     workloads = {}
-    for name in sorted(runs):
-        entry = summarise(runs[name])
-        if name in parent_runs:
-            entry["parent"] = summarise(parent_runs[name])
+    for name in sorted(runs.keys() | traced.keys()):
+        entry = _side(runs, traced, name)
+        if name in parent_runs or name in parent_traced:
+            entry["parent"] = _side(parent_runs, parent_traced, name)
+        if name in runs and name in parent_runs:
             entry["paired"] = compare(runs[name], parent_runs[name], entry, entry["parent"])
         workloads[name] = entry
     return {"label": label, "workloads": workloads}

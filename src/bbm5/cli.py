@@ -36,7 +36,7 @@ from .evolution import (
     run_simulation,
     sech_squared,
 )
-from .spectral import Field, Grid, RegimeError, read_snapshot_csv, sobolev_norm
+from .spectral import Field, Grid, RegimeError, read_snapshot_csv, sobolev_norm, write_csv
 from .splitting import n_sweep, write_sweep_csv
 from .symbols import eval_symbol, random_hs_field
 
@@ -252,11 +252,10 @@ def _say(args, text: str, file=None) -> None:
 
 
 def cmd_coeffs(args, run: _Setup) -> int:
-    text = json.dumps(_coeffs_payload(run), indent=2, sort_keys=True)
+    payload = _coeffs_payload(run)
     if args.out:
-        with open(os.path.join(_out_dir(args), "coeffs.json"), "w") as fh:
-            fh.write(text + "\n")
-    _say(args, text)
+        _write_meta(_out_dir(args), "coeffs.json", payload)
+    _say(args, json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -295,13 +294,9 @@ def cmd_simulate(args, run: _Setup) -> int:
 
 def cmd_energy_drift(args, run: _Setup) -> int:
     def write(report, out: str) -> str:
-        with open(os.path.join(out, "energy_drift.csv"), "w") as fh:
-            fh.write("t,E,dEdt_predicted,drift_resid\n")
-            for k, t in enumerate(report.times):
-                fh.write(
-                    f"{t:.17g},{report.energy[k]:.17g},"
-                    f"{report.drift_predicted[k]:.17g},{report.drift_residual[k]:.17g}\n"
-                )
+        write_csv(os.path.join(out, "energy_drift.csv"),
+                  ("t", "E", "dEdt_predicted", "drift_resid"),
+                  zip(report.times, report.energy, report.drift_predicted, report.drift_residual))
         return f"energy-drift: {len(report.times)} rows written"
 
     return _run(args, run, "energy_drift", write, monitor_s=())  # the CSV has no H^s column
@@ -327,11 +322,9 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
     sec = run.config["multiplier_table"]
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
-    cols = [xi] + [eval_symbol(kind, xi, run.coeffs) for kind in kinds]
-    with open(os.path.join(_out_dir(args), "multiplier_table.csv"), "w") as fh:
-        fh.write("xi,phi,psi,tau,omega,varphi\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(os.path.join(_out_dir(args), "multiplier_table.csv"),
+              ("xi", "phi", "psi", "tau", "omega", "varphi"),
+              zip(xi, *(eval_symbol(kind, xi, run.coeffs) for kind in kinds)))
     _say(args, f"multiplier-table: {len(xi)} rows written")
     return EXIT_OK
 
@@ -353,11 +346,8 @@ def cmd_picard(args, run: _Setup) -> int:
 
 
 def _write_picard_csv(path, diag) -> None:
-    ratios = [float("nan")] + diag.ratios
-    with open(path, "w") as fh:
-        fh.write("iteration,diff_hs,ratio\n")
-        for k, d in enumerate(diag.diff_norms):
-            fh.write(f"{k + 1},{d:.17g},{ratios[k]:.17g}\n")
+    write_csv(path, ("iteration", "diff_hs", "ratio"),
+              zip(range(1, diag.iterations + 1), diag.diff_norms, [float("nan")] + diag.ratios))
 
 
 def cmd_derivation_residual(args, run: _Setup) -> int:
@@ -367,11 +357,7 @@ def cmd_derivation_residual(args, run: _Setup) -> int:
                           n_checkpoints=sec["checkpoints"])
     out = _out_dir(args)
     write_derivation_csv(sweep, os.path.join(out, "derivation_residual.csv"))
-    _write_meta(out, "derivation_summary.json", {
-        "slope_r1_L2": sweep["slope_r1_L2"],
-        "slope_r2_L2": sweep["slope_r2_L2"],
-        "rows": sweep["rows"],
-    })
+    _write_meta(out, "derivation_summary.json", sweep)
     _say(args, f"derivation-residual: slope r1 {sweep['slope_r1_L2']:.3f}, "
                f"slope r2 {sweep['slope_r2_L2']:.3f}")
     return EXIT_OK

@@ -35,6 +35,7 @@ from .spectral import (
     dealiased_product3,
     sobolev_norm,
     spectral_derivative,
+    write_csv,
 )
 
 __all__ = [
@@ -215,13 +216,13 @@ def epsilon_sweep(
     the first-order system at the checkpoints.  The epsilons are stepped as
     one (E, n/2 + 1) stack, each row by its own stepper's tables.  Returns
     per-eps rows plus the fitted log-log slopes (target: order 2), which need
-    two or more distinct positive epsilons.
+    two or more distinct epsilons in (0, 1).
     """
     if (not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1
-            or not all(eps > 0 for eps in epsilons)
+            or not all(0 < eps < 1 for eps in epsilons)
             or len(epsilons) < 2 or len(set(epsilons)) < len(epsilons)):
         raise ValueError(f"need 0 < t_final < inf, dt > 0, n_checkpoints >= 1 and two or "
-                         f"more epsilons, distinct and positive, got {t_final}, {dt}, "
+                         f"more epsilons, distinct and in (0, 1), got {t_final}, {dt}, "
                          f"{n_checkpoints} and {list(epsilons)}")
     steps_per = max(1, int(round(t_final / dt / n_checkpoints)))
     models = [ScaledModel(grid, DerivationParameters(alpha=eps, beta=eps, model=model_params))
@@ -259,13 +260,7 @@ def _unit_sech2(grid: Grid) -> Field:
 
 def write_sweep_csv(sweep: dict, path) -> None:
     rows = sweep["rows"]
-    with open(path, "w") as fh:
-        fh.write("eps,r1_L2,r2_L2,slope_running\n")
-        for k, r in enumerate(rows):
-            if k == 0:
-                slope = float("nan")
-            else:
-                num = np.log(rows[k]["r1_L2"] / rows[k - 1]["r1_L2"])
-                den = np.log(rows[k]["eps"] / rows[k - 1]["eps"])
-                slope = num / den
-            fh.write(f"{r['eps']:.17g},{r['r1_L2']:.17g},{r['r2_L2']:.17g},{slope:.17g}\n")
+    slopes = [float("nan")] + [np.log(b["r1_L2"] / a["r1_L2"]) / np.log(b["eps"] / a["eps"])
+                               for a, b in zip(rows, rows[1:])]
+    write_csv(path, ("eps", "r1_L2", "r2_L2", "slope_running"),
+              [(r["eps"], r["r1_L2"], r["r2_L2"], slope) for r, slope in zip(rows, slopes)])

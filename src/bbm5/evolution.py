@@ -54,6 +54,7 @@ from .spectral import (
     sobolev_weights,
     spectral_derivative,
     truncated_coeffs,
+    write_csv,
 )
 
 __all__ = [
@@ -116,6 +117,9 @@ class StepperConfig:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be positive")
+        if not 0.0 < self.contraction_constant_cs < np.inf:
+            raise ValueError(f"contraction constant cs must be positive and finite, "
+                             f"got {self.contraction_constant_cs}")
 
 
 def local_existence_time(hs_norm: float, cs: float) -> float:
@@ -329,14 +333,9 @@ class RunReport:
 
     def write_csv(self, path) -> None:
         svals = sorted(self.hs_norms)
-        with open(path, "w") as fh:
-            hs_cols = "".join(f"hs{s:g}," for s in svals)
-            fh.write(f"t,E,{hs_cols}zero_mode,drift_resid\n")
-            for k, t in enumerate(self.times):
-                cols = [t, self.energy[k]]
-                cols += [self.hs_norms[s][k] for s in svals]
-                cols += [self.zero_mode[k], self.drift_residual[k]]
-                fh.write(",".join(f"{v:.17g}" for v in cols) + "\n")
+        write_csv(path, ["t", "E", *(f"hs{s:g}" for s in svals), "zero_mode", "drift_resid"],
+                  zip(self.times, self.energy, *(self.hs_norms[s] for s in svals),
+                      self.zero_mode, self.drift_residual))
 
 
 def energy_drift_predicted(f: Field, c: Bbm5Coefficients) -> float:
@@ -445,8 +444,9 @@ def run_simulation(
     aborted = False
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
-        for t, f in zip(np.linspace(0.0, T, len(traj)), traj):
-            record(t, f)
+        for k, t in enumerate(np.linspace(0.0, T, len(traj))):
+            if k % record_every == 0 or k == len(traj) - 1:
+                record(t, traj[k])
     else:
         n_steps = max(1, int(round(T / cfg.dt)))
         dt = T / n_steps

@@ -343,16 +343,23 @@ def integral_cube(f: Field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot formats
+# Output formats
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot_csv(f: Field, path) -> None:
-    """Physical-space snapshot: header ``x,eta``, 17 significant digits."""
+def write_csv(path, header, rows) -> None:
+    """The one CSV format of the package: the header's names, then one line
+    per row with numbers at 17 significant digits (they read back as the
+    same float) and strings as they are."""
     with open(path, "w") as fh:
-        fh.write("x,eta\n")
-        for x, v in zip(f.grid.x, f.samples):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([v if isinstance(v, str) else format(v, ".17g") for v in row])
+                      + "\n" for row in rows)
+
+
+def write_snapshot_csv(f: Field, path) -> None:
+    """Physical-space snapshot: header ``x,eta``."""
+    write_csv(path, ("x", "eta"), zip(f.grid.x, f.samples))
 
 
 def read_snapshot_csv(grid: Grid, path) -> Field:

@@ -37,7 +37,7 @@ from .evolution import (
     _stepper,
     semigroup_apply,
 )
-from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative
+from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative, write_csv
 
 __all__ = [
     "SplitConfig",
@@ -55,8 +55,9 @@ __all__ = [
 class SplitConfig:
     """Frequency-splitting experiment parameters.
 
-    t0 defaults to t0_scale * N^(-2*(2-s)) and is clamped from below to
-    10 * dt so the window always holds a meaningful number of steps.
+    t0 defaults to t0_scale * N^(-2*(2-s)), with t0_scale positive and
+    finite, and is clamped from below to 10 * dt so the window always holds
+    a meaningful number of steps.
     """
 
     cutoff: float
@@ -72,6 +73,8 @@ class SplitConfig:
             raise ValueError(f"s must lie in [1, 2), got {self.s}")
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
+        if not 0.0 < self.t0_scale < np.inf:
+            raise ValueError(f"t0_scale must be positive and finite, got {self.t0_scale}")
 
     def t0(self, dt: float) -> float:
         if self.t0_override is not None:
@@ -296,10 +299,6 @@ def n_sweep(
 
 def write_sweep_csv(sweep: dict, path) -> None:
     window = f"N={sweep['rows'][0]['N']:g}..{sweep['rows'][-1]['N']:g}"
-    with open(path, "w") as fh:
-        fh.write("N,t0,h_H2,u_H2_t0,E_u1_minus_E_ut0,slope_fit_window\n")
-        for r in sweep["rows"]:
-            fh.write(
-                f"{r['N']:.17g},{r['t0']:.17g},{r['h_H2']:.17g},"
-                f"{r['u_H2_t0']:.17g},{r['E_u1_minus_E_ut0']:.17g},{window}\n"
-            )
+    cols = ("N", "t0", "h_H2", "u_H2_t0", "E_u1_minus_E_ut0")
+    write_csv(path, (*cols, "slope_fit_window"),
+              [(*(r[c] for c in cols), window) for r in sweep["rows"]])

@@ -64,6 +64,39 @@ def test_pairs_the_parent_seed_by_seed(tmp_path):
     assert ts["paired"]["peak_rss_mb"]["change_lower"] == 0
 
 
+def _traced(directory, workload, seed, metrics):
+    doc = {"result": {"correct": True, "attempted": 6, "failed": 0,
+                      "metrics": {k: {"value": v, "unit": "count"} for k, v in metrics.items()}},
+           "machine": MACHINE, "seed": seed}
+    (directory / f"result-{workload}-seed{seed}-trace1.json").write_text(json.dumps(doc))
+
+
+def test_records_per_layer_medians_of_the_traced_files(tmp_path):
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    change.mkdir()
+    parent.mkdir()
+    for seed, calls in zip((3, 1, 2), (7.0, 5.0, 9.0)):
+        _traced(change, "drift_dense", seed, {"spectral.fft.calls": calls, "cli.out_bytes": 100.0})
+        _traced(parent, "drift_dense", seed,
+                {"spectral.fft.calls": 2 * calls, "cli.out_bytes": 100.0})
+    _traced(change, "drift_dense", 4, {"spectral.fft.calls": 1.0})  # a metric another file lacks
+    _result(change, "drift_dense", 1, 60.0)
+    _result(parent, "drift_dense", 1, 62.0)
+    _traced(change, "soliton", 8, {"spectral.fft.calls": 40.0})  # traced files only
+    assert bench_record.main(["--label", "t3", "--results", str(change), "--parent", str(parent)],
+                             root=str(tmp_path)) == 0
+    bench = json.loads((tmp_path / "BENCH_t3.json").read_text())
+    dd = bench["workloads"]["drift_dense"]
+    assert dd["layers"] == {"seeds": [1, 2, 3, 4],
+                            "medians": {"cli.out_bytes": 100.0, "spectral.fft.calls": 6.0}}
+    assert dd["parent"]["layers"]["medians"] == {"cli.out_bytes": 100.0, "spectral.fft.calls": 14.0}
+    # the traced files leave the end-to-end summary and its pairing alone
+    assert dd["metrics"]["wall_ref_ratio"]["median"] == 60.0 and dd["benchmark_runs"] == 1
+    assert dd["paired"]["wall_ref_ratio"]["change_lower"] == 1
+    assert bench["workloads"]["soliton"] == {
+        "layers": {"seeds": [8], "medians": {"spectral.fft.calls": 40.0}}}
+
+
 def test_refuses_an_empty_directory_and_a_bad_label(tmp_path, capsys):
     assert bench_record.main(["--label", "x", "--results", str(tmp_path)], root=str(tmp_path)) == 2
     assert "no result-*-trace0.json files" in capsys.readouterr().err

@@ -122,6 +122,10 @@ _DERIVATION = {"epsilons": [0.1, 0.05], "t_final": 0.1, "dt": 0.01, "checkpoints
     ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": []}),
     ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": [0.1]}),
     ("derivation-residual", "derivation", {**_DERIVATION, "epsilons": [0.1, 0.1]}),
+    ("picard", "stepper", {"dt": 0.01, "cs": 0.0}),
+    ("simulate", "stepper", {"dt": 0.01, "cs": 0.0, "scheme": "picard_duhamel"}),
+    ("split", "split", {"cutoffs": [4.0, 8.0], "t0_scale": math.inf}),
+    ("split", "split", {"cutoffs": [4.0, 8.0], "t0_scale": 0.0}),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, values):
     cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 6.0},

@@ -205,6 +205,7 @@ def test_residual_translation_invariant(dgrid):
     pytest.param(0.1, 0.01, 1, (0.1,), id="eps-one"),
     pytest.param(0.1, 0.01, 1, (0.1, 0.1), id="eps-one-distinct"),
     pytest.param(0.1, 0.01, 1, (0.1, 0.1, 0.05), id="eps-repeated"),
+    pytest.param(0.1, 0.01, 1, (0.1, 1.5), id="eps-above-one"),
 ])
 def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons):
     with pytest.raises(ValueError, match="n_checkpoints >= 1"):

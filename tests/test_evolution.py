@@ -329,6 +329,18 @@ def test_picard_scheme_in_run_simulation(grid):
     assert rep.energy[0] == pytest.approx(rep.energy[-1], rel=1e-8)
 
 
+def test_both_schemes_record_the_same_times(grid):
+    # record_every counts Picard nodes as it counts ETDRK4 steps
+    eta0 = sech_squared(grid, 0.01)
+    reps = {scheme: run_simulation(eta0, _spec(), StepperConfig(scheme=scheme, dt=0.01), 0.08,
+                                   record_every=3)
+            for scheme in ("exponential_rk4", "picard_duhamel")}
+    etd, pic = reps["exponential_rk4"], reps["picard_duhamel"]
+    assert len(pic.times) == len(etd.times) == 4  # steps 0, 3, 6 and the last, 8
+    np.testing.assert_allclose(pic.times, etd.times, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pic.energy, etd.energy, rtol=1e-10)
+
+
 def test_stepper_config_validation():
     with pytest.raises(ValueError, match="unknown scheme"):
         StepperConfig(scheme="euler")
@@ -336,6 +348,12 @@ def test_stepper_config_validation():
         StepperConfig(dt=0.0)
     with pytest.raises(ValueError):
         StepperConfig(picard_max_iter=0)
+
+
+@pytest.mark.parametrize("cs", [0.0, -1.0, math.inf, math.nan])
+def test_stepper_config_rejects_contraction_constant(cs):
+    with pytest.raises(ValueError, match="contraction constant cs"):
+        StepperConfig(contraction_constant_cs=cs)
 
 
 @pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (math.inf, 1), (0.05, 0),

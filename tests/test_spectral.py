@@ -31,6 +31,7 @@ from bbm5.spectral import (
     sobolev_norm,
     spectral_derivative,
     truncated_coeffs,
+    write_csv,
     write_snapshot_csv,
 )
 from bbm5.symbols import Symbol, random_hs_field
@@ -530,6 +531,22 @@ def test_snapshot_round_trip(tmp_path, grid, rng):
     assert path.read_text().splitlines()[0] == "x,eta"
     g = read_snapshot_csv(grid, path)
     assert np.abs(g.samples - f.samples).max() < 1e-15
+
+
+def test_write_csv_format(tmp_path, rng):
+    values = [math.pi, -1e-300, 5e-324, 1.0 / 3.0, *rng.standard_normal(50),
+              *np.geomspace(1e-200, 1e200, 9)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ("iteration", "v", "ratio", "slope_fit_window"),
+              [(k + 1, v, math.nan if k == 0 else v, "N=4..8") for k, v in enumerate(values)])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iteration,v,ratio,slope_fit_window"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [str(k + 1) for k in range(len(values))]  # no decimal point
+    assert [float(r[1]) for r in rows] == [float(v) for v in values]  # 17 digits read back exactly
+    assert rows[0][2] == "nan" and rows[1][2] == rows[1][1]
+    assert all(r[3] == "N=4..8" for r in rows)  # strings verbatim
+    assert path.read_bytes().endswith(b"N=4..8\n") and b"\r" not in path.read_bytes()
 
 
 def test_snapshot_wrong_grid_rejected(tmp_path, grid, rng):

@@ -95,6 +95,14 @@ def test_config_validation():
         SplitConfig(cutoff=8.0, s=0.5)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_config_rejects_t0_scale(scale):
+    # an infinite scale would overflow the window's step count, and a scale
+    # <= 0 gives no window to clamp
+    with pytest.raises(ValueError, match="t0_scale"):
+        SplitConfig(cutoff=8.0, s=1.5, t0_scale=scale)
+
+
 def test_window_time_scaling_and_clamp():
     cfg = SplitConfig(cutoff=16.0, s=1.5)
     assert cfg.t0(1e-4) == pytest.approx(16.0 ** (-1.0))
