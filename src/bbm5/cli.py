@@ -177,6 +177,11 @@ class _Setup:
             p = dataclasses.replace(p, rho=float(rho))
         self.params = p
         self.coeffs = coef.derive_bbm5(p)
+        for name, value in dataclasses.asdict(self.coeffs).items():
+            if not math.isfinite(value):  # overflow: blame the largest parameter
+                key = max(_PARAMETERS, key=lambda k: abs(getattr(p, k)))
+                raise ConfigError(f"coeffs.{key} = {getattr(p, key)!r} makes the derived "
+                                  f"coefficient {name} non-finite ({value})")
 
     @functools.cached_property
     def grid(self) -> Grid:

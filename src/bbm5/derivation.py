@@ -101,10 +101,7 @@ class ScaledModel:
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
         eng = self.engine
         c_hat, ct_hat = eta.half, eta_t.half
-        u = eng.to_fine(c_hat)
-        ut = eng.to_fine(ct_hat)
-        ux = eng.to_fine(eng.ikx_d * c_hat)
-        utx = eng.to_fine(eng.ikx_d * ct_hat)
+        (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)))
         nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
         return Field(self.grid, half=-1j * eng.phi * ct_hat + nl)
 

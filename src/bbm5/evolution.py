@@ -181,23 +181,34 @@ class SpectralEngine:
     def from_fine(self, samples: np.ndarray) -> np.ndarray:
         return truncated_coeffs(samples, self.grid.n)
 
+    def fine_pair(self, c_hat: np.ndarray) -> np.ndarray:
+        """Fine-grid samples of c_hat and its x-derivative as one stack, by one transform."""
+        return self.to_fine(np.stack((c_hat, self.ikx_d * c_hat)))
+
     # -- right-hand side --------------------------------------------------
 
     def combine(self, p2: np.ndarray, p3: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """-i*(w2*tau*q2 - psi*(w3*q3 + wg*g2)), with q2, q3, g2 the
         coefficients of the fine-grid quadratic, cubic and gradient products
-        p2, p3, pg; the two psi-terms share one transform."""
-        return (self._quad * self.from_fine(p2)
-                + self._ipsi * self.from_fine(self._w3 * p3 + self._wg * pg))
+        p2, p3, pg; p2 and the sum of the psi-terms share one transform."""
+        fine = np.empty((2, *p2.shape))
+        fine[0] = p2
+        np.multiply(self._w3, p3, out=fine[1])
+        fine[1] += self._wg * pg
+        q = self.from_fine(fine)
+        out = self._quad * q[0]
+        out += self._ipsi * q[1]
+        return out
 
     def nonlinear_hat(self, c_hat: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the real nonlinear right-hand side."""
         if self.linear_only:
             return np.zeros_like(c_hat)
-        u = self.to_fine(c_hat)
-        ux = self.to_fine(self.ikx_d * c_hat)
+        u, ux = self.fine_pair(c_hat)
         u2 = u * u
-        return self.combine(u2, u2 * u, ux * ux)
+        u *= u2  # u^3; u and ux are rows of this call's own transform
+        ux *= ux
+        return self.combine(u2, u, ux)
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         return np.exp(-1j * self.phi * t)
@@ -284,20 +295,28 @@ class Etdrk4Stepper:
         """
         if nl is None:
             nl = self._autonomous
+        # In place only on arrays made here, bit for bit the plain formula:
+        # complex products keep their operand order (with FMA they do not commute).
         n0 = nl(c_hat, 2 * k)
         ec = self.e_half * c_hat
-        a = ec + self.q * n0
+        a = self.q * n0
+        a += ec
         na = nl(a, 2 * k + 1)
-        b = ec + self.q * na
+        b = self.q * na
+        b += ec
         nb = nl(b, 2 * k + 1)
-        cst = self.e_half * a + self.q * (2.0 * nb - n0)
+        cst = 2.0 * nb
+        cst -= n0
+        np.multiply(self.q, cst, out=cst)
+        cst += np.multiply(self.e_half, a, out=ec)
         nc = nl(cst, 2 * k + 2)
-        return (
-            self.e_full * c_hat
-            + self.f1 * n0
-            + 2.0 * self.f2 * (na + nb)
-            + self.f3 * nc
-        )
+        out = self.e_full * c_hat
+        out += np.multiply(self.f1, n0, out=ec)
+        s = na + nb
+        np.multiply(2.0 * self.f2, s, out=s)
+        out += s
+        out += np.multiply(self.f3, nc, out=s)
+        return out
 
     def _autonomous(self, c_hat: np.ndarray, _node: int) -> np.ndarray:
         return self.engine.nonlinear_hat(c_hat)
@@ -407,6 +426,13 @@ def _linear_fit(x, y) -> tuple[float, float]:
     return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
 
 
+def _time_lattice(T: float, dt: float) -> tuple[int, float]:
+    """round(T/dt) steps, at least one, and their length: the lattice of both
+    time schemes and of the splitting windows."""
+    steps = max(1, int(round(T / dt)))
+    return steps, T / steps
+
+
 def run_simulation(
     eta0: Field,
     spec: RhsSpec,
@@ -442,14 +468,13 @@ def run_simulation(
             snapshots.append(f)
 
     aborted = False
+    n_steps, dt = _time_lattice(T, cfg.dt)
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
-        for k, t in enumerate(np.linspace(0.0, T, len(traj))):
-            if k % record_every == 0 or k == len(traj) - 1:
-                record(t, traj[k])
+        for k, f in enumerate(traj):
+            if k % record_every == 0 or k == n_steps:
+                record(k * dt, f)
     else:
-        n_steps = max(1, int(round(T / cfg.dt)))
-        dt = T / n_steps
         stepper = _stepper(grid, spec, dt)
         c_hat = eta0.half
         record(0.0, eta0)
@@ -509,9 +534,9 @@ def duhamel_picard(
     """Solve the integral equation by fixed-point iteration.
 
     eta^{m+1}(t) = S(t)*eta0 + int_0^t S(t-t') N(eta^m(t')) dt', starting from
-    the free evolution, with composite Simpson quadrature on the dt lattice
-    (a single trapezoid panel seeds odd node counts).  Iteration stops when
-    the sup-over-nodes H^s difference drops below picard_tol.
+    the free evolution, with composite Simpson quadrature on ETDRK4's time
+    lattice (a single trapezoid panel seeds odd node counts).  Iteration
+    stops when the sup-over-nodes H^s difference drops below picard_tol.
     """
     if not 0.0 < T < np.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
@@ -525,8 +550,7 @@ def duhamel_picard(
             f"||eta0||_Hs = {r0})"
         )
     eng = _engine(eta0.grid, spec)
-    K = max(1, int(np.ceil(T / cfg.dt)))
-    dt = T / K
+    K, dt = _time_lattice(T, cfg.dt)
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt
     free = np.empty((K + 1, e_dt.size), dtype=np.complex128)

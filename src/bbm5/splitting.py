@@ -35,6 +35,7 @@ from .evolution import (
     _engine,
     _linear_fit,
     _stepper,
+    _time_lattice,
     semigroup_apply,
 )
 from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative, write_csv
@@ -111,11 +112,6 @@ def split_initial(eta0: Field, cutoff: float, smooth: bool = False) -> tuple[Fie
     return u0, eta0 - u0
 
 
-def _window_steps(t0: float, dt: float) -> tuple[int, float]:
-    steps = max(1, int(round(t0 / dt)))
-    return steps, t0 / steps
-
-
 def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Field]:
     """Full-equation evolution of the smooth part on [0, t0].
 
@@ -123,7 +119,7 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Fi
     times, so no interpolation is ever needed).  Returned trajectory has
     2*steps + 1 entries at spacing dt/2.
     """
-    steps, dt = _window_steps(t0, cfg.dt)
+    steps, dt = _time_lattice(t0, cfg.dt)
     st = _stepper(u0.grid, spec, dt / 2.0)
     return _trajectory(u0, 2 * steps, lambda c_hat, _k: st.step(c_hat))
 
@@ -147,17 +143,14 @@ class _DifferenceEngine:
 
     def __init__(self, engine: SpectralEngine, u_traj: list[Field]):
         self.eng = engine
-        self.u_fine = [engine.to_fine(f.half) for f in u_traj]
-        self.ux_fine = [engine.to_fine(engine.ikx_d * f.half) for f in u_traj]
+        self.u_traj = u_traj
 
     def __call__(self, v_hat: np.ndarray, node: int) -> np.ndarray:
         eng = self.eng
         if eng.linear_only:
             return np.zeros_like(v_hat)
-        u = self.u_fine[node]
-        ux = self.ux_fine[node]
-        v = eng.to_fine(v_hat)
-        vx = eng.to_fine(eng.ikx_d * v_hat)
+        # u is padded on demand, with v in the same transform
+        (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, self.u_traj[node].half)))
         # the differences expanded, so that no O(u^3) terms cancel
         return eng.combine(
             v * v + 2.0 * u * v,
@@ -178,7 +171,7 @@ def evolve_v(
     u_traj must be the half-step checkpoint trajectory from evolve_u over the
     same window.  Returns the v trajectory at full-step spacing.
     """
-    steps, dt = _window_steps(t0, cfg.dt)
+    steps, dt = _time_lattice(t0, cfg.dt)
     if len(u_traj) != 2 * steps + 1:
         raise ValueError(
             f"u trajectory has {len(u_traj)} checkpoints, expected {2 * steps + 1}"

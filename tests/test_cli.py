@@ -41,6 +41,17 @@ def test_coeffs_theta_out_of_range_exits_2(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_coeffs_refuses_non_finite_derived_coefficients(tmp_path, capsys, out):
+    # lam = 1e200 is finite, but delta1 and delta2 overflow to -inf
+    argv = ["coeffs", "--lam", "1e200"] + (["--out", str(tmp_path / "out")] if out else [])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "coeffs.lam" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_coeffs_rho_auto(tmp_path):
     cfg = _write_config(tmp_path, {"coeffs": {"rho": 0.4}})
     assert main(["coeffs", "--config", cfg, "--rho-auto",

@@ -25,8 +25,8 @@ from bbm5.evolution import (
     sech_squared,
     semigroup_apply,
 )
-from bbm5.spectral import (Field, Grid, RegimeError, energy, full_spectrum, half_spectrum,
-                           sobolev_norm)
+from bbm5.spectral import (Field, Grid, RegimeError, energy, fine_samples, full_spectrum,
+                           half_spectrum, sobolev_norm, truncated_coeffs)
 from bbm5.symbols import Symbol, eval_symbol, random_hs_field
 
 
@@ -188,6 +188,80 @@ def test_nonlinear_hat_of_a_stack_is_bit_identical_to_a_row_loop(n, dealias, ref
     assert np.array_equal(eng.nonlinear_hat(stack), [eng.nonlinear_hat(row) for row in stack])
 
 
+def _two_transform_nonlinear_hat(eng, c_hat):
+    """The nonlinearity with one padded transform per function: u and u_x
+    padded apart, the quadratic and the psi-terms truncated apart."""
+    u = fine_samples(c_hat, eng.m)
+    ux = fine_samples(eng.ikx_d * c_hat, eng.m)
+    u2 = u * u
+    return (eng._quad * truncated_coeffs(u2, eng.grid.n)
+            + eng._ipsi * truncated_coeffs(eng._w3 * (u2 * u) + eng._wg * (ux * ux), eng.grid.n))
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_nonlinear_hat_is_the_two_transform_formula_bit_for_bit(n, dealias, ref):
+    grid = Grid(n=n, length=16.0 * math.pi)
+    rng = np.random.default_rng(n)
+    c_hat = random_hs_field(grid, 1.5, rng, 0.5).half
+    eng = SpectralEngine(grid, ref, dealias)
+    assert np.array_equal(eng.nonlinear_hat(c_hat), _two_transform_nonlinear_hat(eng, c_hat))
+    # an (E, n/2 + 1) stack through a stacked engine, its own weights per row
+    stacked = SpectralEngine.stack([SpectralEngine(grid, ref, dealias, weights=w)
+                                    for w in ((1.0, 0.125, 7.0 / 48.0), (0.3, -0.7, 2.5))])
+    rows = np.array([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2)])
+    assert np.array_equal(stacked.nonlinear_hat(rows), _two_transform_nonlinear_hat(stacked, rows))
+
+
+def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
+    calls = {"to_fine": 0, "from_fine": 0}
+    for name in calls:
+        original = getattr(SpectralEngine, name)
+
+        def counting(self, arr, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, arr)
+
+        monkeypatch.setattr(SpectralEngine, name, counting)
+    stepper = evolution.Etdrk4Stepper(SpectralEngine(grid, ref), 0.01)
+    stepper.step(sech_squared(grid, 0.5).half)
+    assert calls == {"to_fine": 4, "from_fine": 4}
+
+
+@pytest.mark.parametrize("n", [64, 2048])
+def test_combine_and_step_leave_their_arguments_unchanged(n, ref):
+    grid = Grid(n=n, length=16.0 * math.pi)
+    rng = np.random.default_rng(4)
+    eng = SpectralEngine(grid, ref)
+    products = [rng.standard_normal(eng.m) for _ in range(3)]
+    kept = [p.copy() for p in products]
+    eng.combine(*products)
+    assert all(np.array_equal(p, k) for p, k in zip(products, kept))
+
+    seen = []  # every array step hands to nl or gets back from it, with a copy
+
+    def nl(c_hat, _node):
+        out = eng.nonlinear_hat(c_hat)
+        seen.extend([(c_hat, c_hat.copy()), (out, out.copy())])
+        return out
+
+    c_hat = random_hs_field(grid, 1.5, rng, 0.5).half
+    before = c_hat.copy()
+    stepper = evolution.Etdrk4Stepper(eng, 0.01)
+    got = stepper.step(c_hat, nl)
+    assert np.array_equal(c_hat, before)
+    assert len(seen) == 8 and all(np.array_equal(a, k) for a, k in seen)
+    # and the step is the ETDRK4 formula evaluated plainly, bit for bit
+    st, n0 = stepper, eng.nonlinear_hat(c_hat)
+    a = st.e_half * c_hat + st.q * n0
+    na = eng.nonlinear_hat(a)
+    b = st.e_half * c_hat + st.q * na
+    nb = eng.nonlinear_hat(b)
+    nc = eng.nonlinear_hat(st.e_half * a + st.q * (2.0 * nb - n0))
+    assert np.array_equal(got, st.e_full * c_hat + st.f1 * n0 + 2.0 * st.f2 * (na + nb)
+                          + st.f3 * nc)
+
+
 def test_rhs_spec_refuses_bad_regime():
     bad = Bbm5Coefficients(gamma1=0.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):
@@ -339,6 +413,16 @@ def test_both_schemes_record_the_same_times(grid):
     assert len(pic.times) == len(etd.times) == 4  # steps 0, 3, 6 and the last, 8
     np.testing.assert_allclose(pic.times, etd.times, rtol=0, atol=1e-15)
     np.testing.assert_allclose(pic.energy, etd.energy, rtol=1e-10)
+
+
+def test_both_schemes_step_one_time_lattice_when_t_over_dt_is_not_an_integer(grid):
+    # T/dt = 5.2: both take round(T/dt) = 5 steps and stamp k*dt
+    eta0 = sech_squared(grid, 0.01)
+    reps = [run_simulation(eta0, _spec(), StepperConfig(scheme=scheme, dt=0.01), 0.052)
+            for scheme in ("exponential_rk4", "picard_duhamel")]
+    assert len(reps[0].times) == 6
+    assert np.array_equal(reps[0].times, reps[1].times)
+    assert np.array_equal(reps[0].times, np.arange(6) * (0.052 / 5))
 
 
 def test_stepper_config_validation():
@@ -573,8 +657,7 @@ def test_picard_contraction_ratios_and_growth(grid):
 def _picard_list_version(eta0, spec, cfg, T):
     """duhamel_picard with every I_k kept in a list, as it was written first."""
     eng = evolution._engine(eta0.grid, spec)
-    K = max(1, int(np.ceil(T / cfg.dt)))
-    dt = T / K
+    K, dt = evolution._time_lattice(T, cfg.dt)
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt
     free = np.empty((K + 1, e_dt.size), dtype=np.complex128)

@@ -1,12 +1,15 @@
 """High/low frequency splitting: decomposition, difference dynamics,
 remainder and the reassembly iteration."""
 
+import filecmp
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bbm5 import evolution
+from bbm5 import evolution, splitting
+from bbm5.cli import main as cli_main
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
 from bbm5.evolution import (NumericalError, RhsSpec, StepperConfig, run_simulation,
                             semigroup_apply)
@@ -143,6 +146,53 @@ def test_evolve_v_checkpoint_count_guard(big_grid, rough):
     u_traj = evolve_u(u0, _spec(), cfg, 0.1)
     with pytest.raises(ValueError, match="checkpoints"):
         evolve_v(v0, u_traj[:-1], _spec(), cfg, 0.1)
+
+
+class _PaddedTrajectoryEngine:
+    """The difference nonlinearity with the whole u trajectory padded up
+    front, one transform per array."""
+
+    def __init__(self, engine, u_traj):
+        self.eng = engine
+        self.u_fine = [engine.to_fine(f.half) for f in u_traj]
+        self.ux_fine = [engine.to_fine(engine.ikx_d * f.half) for f in u_traj]
+
+    def __call__(self, v_hat, node):
+        eng, u, ux = self.eng, self.u_fine[node], self.ux_fine[node]
+        v = eng.to_fine(v_hat)
+        vx = eng.to_fine(eng.ikx_d * v_hat)
+        return eng.combine(v * v + 2.0 * u * v,
+                           3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
+                           2.0 * ux * vx + vx * vx)
+
+
+def test_difference_engine_pads_u_per_call_and_keeps_no_fine_grid_arrays(big_grid, rough):
+    u0, v0 = split_initial(rough, 8.0)
+    u_traj = evolve_u(u0, _spec(), StepperConfig(dt=0.01), 0.1)
+    eng = evolution._engine(big_grid, _spec())
+    nl = splitting._DifferenceEngine(eng, u_traj)
+    assert nl.u_traj is u_traj
+    assert not any(isinstance(v, (np.ndarray, list)) and v is not u_traj
+                   for v in vars(nl).values())
+    padded = _PaddedTrajectoryEngine(eng, u_traj)
+    for node in (0, 7, len(u_traj) - 1):
+        assert np.array_equal(nl(v0.half, node), padded(v0.half, node))
+
+
+def test_split_outputs_are_those_of_the_padded_trajectory(tmp_path, monkeypatch):
+    # the acceptance-10 split config, byte for byte
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({
+        "grid": {"n": 128, "length": 2.0 * math.pi}, "stepper": {"dt": 0.01},
+        "split": {"s": 1.5, "cutoffs": [4.0, 8.0], "initial": {"kind": "random", "s": 1.5}}}))
+    run = lambda tag: cli_main(["split", "--config", str(cfg), "--out",  # noqa: E731
+                                str(tmp_path / tag), "--seed", "17", "--quiet"])
+    assert run("per-call") == 0
+    monkeypatch.setattr(splitting, "_DifferenceEngine", _PaddedTrajectoryEngine)
+    assert run("padded") == 0
+    names = ["split_summary.json", "split_sweep.csv"]
+    assert filecmp.cmpfiles(tmp_path / "per-call", tmp_path / "padded", names,
+                            shallow=False)[0] == names
 
 
 def test_additivity(big_grid, rough):
