@@ -23,7 +23,8 @@ Each spectral kernel has one implementation: the symbol formulas in
 in ``SpectralEngine.combine``, which the equation, the difference equation
 of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
 all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
-linear symbol of any engine.
+linear symbol of any engine.  An engine owns its work buffers, returns
+fresh arrays and is not for concurrent use from threads.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -48,6 +49,7 @@ from .spectral import (
     Grid,
     derivative_symbol,
     energy,
+    fine_band,
     fine_samples,
     integral_cube,
     sobolev_norm,
@@ -137,7 +139,9 @@ class SpectralEngine:
     regime: the public entries do, and the alpha/beta-scaled law of
     ``bbm5.derivation`` needs an engine at alpha = beta = 0.  ``weights``
     are the factors of the quadratic, cubic and gradient terms; the
-    equation's are (1, 1/8, 7/48), the scaled law passes its own.
+    equation's are (1, 1/8, 7/48), the scaled law passes its own.  The
+    engine owns the work buffers of a single state's nonlinearity, so it is
+    not for concurrent use from threads; every result is a fresh array.
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
@@ -154,6 +158,9 @@ class SpectralEngine:
         self._ipsi = 1j * self.psi
         self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
+        # a single state's work buffers; the spectrum's tail past n/2 stays zero
+        self._spec, self._coeffs = np.zeros((2, 2, self.m // 2 + 1), dtype=np.complex128)
+        self._fine, self._scratch = np.empty((2, self.m)), np.empty(self.m)
 
     @classmethod
     def stack(cls, engines: Sequence["SpectralEngine"]) -> "SpectralEngine":
@@ -165,7 +172,7 @@ class SpectralEngine:
                for e in engines):
             raise ValueError("stacked engines need one grid, dealias and linear_only")
         eng = cls.__new__(cls)
-        eng.__dict__.update(first.__dict__)  # grid, dealias, linear_only, ikx_d, m
+        eng.__dict__.update(first.__dict__)  # grid, dealias, linear_only, ikx_d, m, buffers
         eng.coefficients = tuple(e.coefficients for e in engines)
         for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
             setattr(eng, name, np.stack([getattr(e, name) for e in engines]))
@@ -176,39 +183,47 @@ class SpectralEngine:
     # -- padded transforms ------------------------------------------------
 
     def to_fine(self, c_hat: np.ndarray) -> np.ndarray:
-        return fine_samples(c_hat, self.m)
+        return fine_samples(c_hat, self.m, out=self._fine if c_hat is self._spec else None)
 
     def from_fine(self, samples: np.ndarray) -> np.ndarray:
-        return truncated_coeffs(samples, self.grid.n)
+        return truncated_coeffs(samples, self.grid.n,
+                                out=self._coeffs if samples is self._fine else None)
 
-    def fine_pair(self, c_hat: np.ndarray) -> np.ndarray:
-        """Fine-grid samples of c_hat and its x-derivative as one stack, by one transform."""
-        return self.to_fine(np.stack((c_hat, self.ikx_d * c_hat)))
+    def fine_pair(self, c_hat: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
+        """Fine-grid samples of c_hat and its x-derivative as one stack, by one
+        transform of spec, a (2, ..., m/2 + 1) array zero past n/2, or a fresh one."""
+        spec = np.zeros((2, *c_hat.shape[:-1], self.m // 2 + 1), complex) if spec is None else spec
+        h = spec[..., : c_hat.shape[-1]]
+        h[0] = c_hat
+        np.multiply(self.ikx_d, c_hat, out=h[1])
+        return self.to_fine(fine_band(spec, self.grid.n))
 
     # -- right-hand side --------------------------------------------------
 
-    def combine(self, p2: np.ndarray, p3: np.ndarray, pg: np.ndarray) -> np.ndarray:
+    def combine(self, p2: np.ndarray, p3: np.ndarray, pg: np.ndarray,
+                fine: np.ndarray | None = None) -> np.ndarray:
         """-i*(w2*tau*q2 - psi*(w3*q3 + wg*g2)), with q2, q3, g2 the
         coefficients of the fine-grid quadratic, cubic and gradient products
-        p2, p3, pg; p2 and the sum of the psi-terms share one transform."""
-        fine = np.empty((2, *p2.shape))
+        p2, p3, pg; p2 and the sum of the psi-terms share one transform, of a
+        fresh (2, ..., m) stack or of fine, whose rows p3 and pg may be."""
+        fine = np.empty((2, *p2.shape)) if fine is None else fine
+        np.multiply(self._wg, pg, out=fine[1])
+        fine[1] += np.multiply(self._w3, p3, out=fine[0])
         fine[0] = p2
-        np.multiply(self._w3, p3, out=fine[1])
-        fine[1] += self._wg * pg
         q = self.from_fine(fine)
         out = self._quad * q[0]
-        out += self._ipsi * q[1]
+        out += np.multiply(self._ipsi, q[1], out=q[1])
         return out
 
     def nonlinear_hat(self, c_hat: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the real nonlinear right-hand side."""
         if self.linear_only:
             return np.zeros_like(c_hat)
-        u, ux = self.fine_pair(c_hat)
-        u2 = u * u
-        u *= u2  # u^3; u and ux are rows of this call's own transform
+        u, ux = fine = self.fine_pair(c_hat, self._spec if c_hat.ndim == 1 else None)
+        u2 = np.multiply(u, u, out=self._scratch if fine is self._fine else None)
+        u *= u2  # u^3
         ux *= ux
-        return self.combine(u2, u, ux)
+        return self.combine(u2, u, ux, fine)
 
     def semigroup_factor(self, t: float) -> np.ndarray:
         return np.exp(-1j * self.phi * t)
@@ -453,22 +468,22 @@ def run_simulation(
         raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
     c = spec.coefficients
     grid = eta0.grid
-    times, evals, zm, predicted = [], [], [], []
-    hs = {s: [] for s in monitor_s}
+    n_steps, dt = _time_lattice(T, cfg.dt)
+    svals = list(dict.fromkeys(monitor_s))
+    # a column of 8-byte numbers per record: t, E, zero mode, predicted dE/dt, H^s norms
+    table = np.empty((4 + len(svals), n_steps // record_every + 2))
+    count = 0
     snapshots = []
 
     def record(t: float, f: Field) -> None:
-        times.append(t)
-        evals.append(energy(f, c))
-        zm.append(f.zero_mode)
-        predicted.append(energy_drift_predicted(f, c))
-        for s, vals in hs.items():
-            vals.append(sobolev_norm(f, s))
+        nonlocal count
+        table[:, count] = (t, energy(f, c), f.zero_mode, energy_drift_predicted(f, c),
+                           *(sobolev_norm(f, s) for s in svals))
+        count += 1
         if keep_snapshots:
             snapshots.append(f)
 
     aborted = False
-    n_steps, dt = _time_lattice(T, cfg.dt)
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
         for k, f in enumerate(traj):
@@ -486,17 +501,10 @@ def run_simulation(
                     break
                 if k % record_every == 0 or k == n_steps:
                     record(k * dt, Field(grid, half=c_hat))
-    times, evals, predicted = np.asarray(times), np.array(evals), np.array(predicted)
-    return RunReport(
-        times=times,
-        energy=evals,
-        hs_norms={s: np.array(vals) for s, vals in hs.items()},
-        zero_mode=np.array(zm),
-        drift_residual=_drift_residual(times, evals, predicted),
-        drift_predicted=predicted,
-        snapshots=snapshots,
-        aborted=aborted,
-    )
+    times, evals, zm, predicted, *hs = table[:, :count]
+    return RunReport(times=times, energy=evals, hs_norms=dict(zip(svals, hs)), zero_mode=zm,
+                     drift_residual=_drift_residual(times, evals, predicted),
+                     drift_predicted=predicted, snapshots=snapshots, aborted=aborted)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ interior mode stands for itself and its conjugate and is weighted twice.
 The weight tables and derivative symbols are cached per grid, at most
 ``CACHE_SIZE`` of each kind.
 
-The padded transforms live here once: ``fine_samples`` (irfft onto m
-points, which zero-pads) and ``truncated_coeffs`` (rfft of m samples,
-truncated back to the half spectrum).  They are used by ``padded_product``
-below (behind the Field-level products and the operator-norm scans of
-``bbm5.symbols``) and by ``SpectralEngine`` in ``bbm5.evolution``.
+The padded transforms live here once: ``fine_samples`` (irfft onto m points
+of the spectrum ``fine_band`` pads) and ``truncated_coeffs`` (rfft of m
+samples, truncated back to the half spectrum).  They are used by
+``padded_product`` below (behind the Field-level products and the operator-norm
+scans of ``bbm5.symbols``) and by ``SpectralEngine`` in ``bbm5.evolution``.
 """
 
 from __future__ import annotations
@@ -293,25 +293,35 @@ def full_spectrum(h: np.ndarray) -> np.ndarray:
     return np.concatenate((h, np.conj(h[..., -2:0:-1])), axis=-1)
 
 
-def fine_samples(h: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m-point grid of the half spectrum h of n points (m >= n)."""
-    if m > 2 * (h.shape[-1] - 1):
+def fine_band(spec: np.ndarray, n: int) -> np.ndarray:
+    """spec, a (..., m/2 + 1) array zero past the half spectra of n points in its
+    first n/2 + 1 slots (m >= n), made the padded spectrum of m points."""
+    if spec.shape[-1] > n // 2 + 1:
         # on the fine grid the coarse -n/2 coefficient c sits inside the band:
         # Re(c*e^{-i*n*x/2}) puts conj(c)/2 on the +n/2 mode
-        h = h.copy()
-        h[..., -1] = 0.5 * np.conj(h[..., -1])
-    return np.fft.irfft(h, m, norm="forward")
+        spec[..., n // 2] = 0.5 * np.conj(spec[..., n // 2])
+    return spec
 
 
-def truncated_coeffs(samples: np.ndarray, n: int) -> np.ndarray:
-    """The n/2 + 1 retained half-spectrum coefficients of m fine-grid samples."""
-    r = np.fft.rfft(samples, norm="forward")
+def fine_samples(h: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples on the m-point grid (into out, if given) of the half spectrum h
+    of n points (m >= n); an h of m/2 + 1 slots is taken as padded by fine_band."""
+    if h.shape[-1] < m // 2 + 1:
+        spec = np.zeros((*h.shape[:-1], m // 2 + 1), dtype=np.complex128)
+        spec[..., : h.shape[-1]] = h
+        h = fine_band(spec, 2 * (h.shape[-1] - 1))
+    return np.fft.irfft(h, m, norm="forward", out=out)
+
+
+def truncated_coeffs(samples: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The n/2 + 1 retained half-spectrum coefficients of m fine-grid samples (rfft into out)."""
+    r = np.fft.rfft(samples, norm="forward", out=out)
     if samples.shape[-1] == n:
         return r  # no padding: the Nyquist slot must not be folded onto itself
-    out = r[..., : n // 2 + 1]
+    h = r[..., : n // 2 + 1]
     # fold the fine +n/2 mode and its mirror into the single coarse Nyquist slot
-    out[..., -1] = 2.0 * out[..., -1].real
-    return out
+    h[..., -1] = 2.0 * h[..., -1].real
+    return h
 
 
 def padded_product(n: int, *halves: np.ndarray) -> np.ndarray:

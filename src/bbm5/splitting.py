@@ -150,13 +150,21 @@ class _DifferenceEngine:
         if eng.linear_only:
             return np.zeros_like(v_hat)
         # u is padded on demand, with v in the same transform
-        (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, self.u_traj[node].half)))
-        # the differences expanded, so that no O(u^3) terms cancel
-        return eng.combine(
-            v * v + 2.0 * u * v,
-            3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
-            2.0 * ux * vx + vx * vx,
-        )
+        fine = eng.fine_pair(np.stack((v_hat, self.u_traj[node].half)))
+        (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
+        # the differences expanded, so that no O(u^3) terms cancel, and formed
+        # in place with each product grouped as written
+        p3 = np.multiply(3.0, u)  # 3*u*u*v + 3*u*v*v + v*v*v
+        t = p3 * v
+        t *= v
+        p3 *= u
+        p3 *= v
+        p3 += t
+        p3 += np.multiply(np.multiply(v, v, out=t), v, out=t)
+        np.multiply(2.0, us, out=us)  # v*v + 2*u*v and 2*ux*vx + vx*vx, in us
+        us *= vs
+        us += np.multiply(vs, vs, out=vs)
+        return eng.combine(us[0], p3, us[1])
 
 
 def evolve_v(

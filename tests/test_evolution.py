@@ -228,6 +228,56 @@ def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
     assert calls == {"to_fine": 4, "from_fine": 4}
 
 
+def _buffers(eng):
+    """Copies of the ndarrays an engine holds, by attribute name."""
+    return {k: v.copy() for k, v in vars(eng).items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
+    # with dealias=False m == n: the padded spectrum has no zero tail
+    grid = Grid(n=64, length=16.0 * math.pi)
+    rng = np.random.default_rng(21)
+    states = [random_hs_field(grid, 1.5, rng, a).half for a in (0.5, 2.0, 0.1)]
+    states.append(sech_squared(grid, 0.5, 1.0).half)
+    nyquist = states[0].copy()
+    nyquist[-1] = 0.3  # a nonzero Nyquist slot, halved into the padded spectrum
+    stack = np.array([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(3)])
+    eng = SpectralEngine(grid, ref, dealias)
+    for c_hat in (*states, nyquist, stack, states[1], np.zeros_like(states[0]), states[2]):
+        assert np.array_equal(eng.nonlinear_hat(c_hat), _two_transform_nonlinear_hat(eng, c_hat))
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_nonlinear_hat_results_are_fresh(dealias, ref):
+    grid = Grid(n=64, length=16.0 * math.pi)
+    rng = np.random.default_rng(22)
+    a, b = (random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2))
+    eng = SpectralEngine(grid, ref, dealias)
+    first = eng.nonlinear_hat(a)
+    kept = _buffers(eng)
+    assert not any(np.shares_memory(first, v) for v in vars(eng).values()
+                   if isinstance(v, np.ndarray))
+    first[...] = 1e300
+    assert all(np.array_equal(v, kept[k]) for k, v in _buffers(eng).items())
+    second = eng.nonlinear_hat(b)
+    assert np.array_equal(second, _two_transform_nonlinear_hat(eng, b))
+    assert not np.shares_memory(first, second) and np.all(first == 1e300)
+    assert np.array_equal(eng.nonlinear_hat(a), _two_transform_nonlinear_hat(eng, a))
+
+
+def test_engine_memory_does_not_grow_with_a_stack(grid):
+    # Picard evaluates all K + 1 nodes as one stack on the cached engine
+    eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x))
+    eng = evolution._engine(grid, _spec())
+    held = {}
+    for K in (20, 200):
+        duhamel_picard(eta0, _spec(), StepperConfig(dt=0.2 / K), 0.2)
+        assert evolution._engine(grid, _spec()) is eng
+        held[K] = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+    assert held[20] == held[200], held
+
+
 @pytest.mark.parametrize("n", [64, 2048])
 def test_combine_and_step_leave_their_arguments_unchanged(n, ref):
     grid = Grid(n=n, length=16.0 * math.pi)

@@ -179,6 +179,22 @@ def test_difference_engine_pads_u_per_call_and_keeps_no_fine_grid_arrays(big_gri
         assert np.array_equal(nl(v0.half, node), padded(v0.half, node))
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_difference_engine_is_the_plain_expanded_formula_bit_for_bit(n):
+    grid = Grid(n=n, length=2.0 * math.pi)
+    rng = np.random.default_rng(n)
+    u_traj = [random_hs_field(grid, 1.5, rng, 0.5) for _ in range(3)]
+    v_hat = random_hs_field(grid, 1.5, rng, 0.3).half
+    eng = evolution._engine(grid, _spec())
+    nl = splitting._DifferenceEngine(eng, u_traj)
+    for node in range(3):
+        (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_traj[node].half)))
+        want = eng.combine(v * v + 2.0 * u * v,
+                           3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
+                           2.0 * ux * vx + vx * vx)
+        assert np.array_equal(nl(v_hat, node), want)
+
+
 def test_split_outputs_are_those_of_the_padded_trajectory(tmp_path, monkeypatch):
     # the acceptance-10 split config, byte for byte
     cfg = tmp_path / "split.json"
