@@ -27,7 +27,8 @@ from .coefficients import (
     derive_bbm5,
     derive_first_order,
 )
-from .evolution import Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, sech_squared
+from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
+                        sech_squared)
 from .spectral import (
     Field,
     Grid,
@@ -211,9 +212,9 @@ def epsilon_sweep(
     For each eps, evolve a right-moving unit-L2 sech^2 profile under the
     scaled dynamics on [0, t_final] and record the worst-case L2 residuals of
     the first-order system at the checkpoints.  The epsilons are stepped as
-    one (E, n/2 + 1) stack, each row by its own stepper's tables.  Returns
-    per-eps rows plus the fitted log-log slopes (target: order 2), which need
-    two or more distinct epsilons in (0, 1).
+    one (E, n/2 + 1) stack, each row by its own stepper's tables, up to the
+    first non-finite step.  Returns per-eps rows plus the fitted log-log
+    slopes (target: order 2), which need two or more distinct epsilons in (0, 1).
     """
     if (not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1
             or not all(0 < eps < 1 for eps in epsilons)
@@ -229,17 +230,15 @@ def epsilon_sweep(
     eta = data if data is not None else _unit_sech2(grid)
     worst = [abcd_residual_first(eta, m) for m in models]
     c_hat = np.stack([eta.half] * len(models))
-    for _ in range(n_checkpoints):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for _ in range(steps_per):
-                c_hat = stepper.step(c_hat)
-        finite = np.isfinite(c_hat.view(np.float64)).all(axis=1)
-        for eps, ok in zip(epsilons, finite):
-            if not ok:
-                raise NumericalError(f"non-finite state in the sweep at eps = {eps}")
-        for k, model in enumerate(models):
-            r1, r2 = abcd_residual_first(Field(grid, half=c_hat[k]), model)
-            worst[k] = (max(worst[k][0], r1), max(worst[k][1], r2))
+    try:
+        for _step, c_hat in _march(stepper, c_hat, n_checkpoints * steps_per, every=steps_per):
+            for k, model in enumerate(models):
+                r1, r2 = abcd_residual_first(Field(grid, half=c_hat[k]), model)
+                worst[k] = (max(worst[k][0], r1), max(worst[k][1], r2))
+    except NumericalError as exc:  # named by the first non-finite eps in the given order
+        exc.args = (f"non-finite state in the sweep at step {exc.step} (t = {exc.time:g}) "
+                    f"at eps = {epsilons[exc.rows[0]]}",)
+        raise
     rows = [{"eps": eps, "r1_L2": r1, "r2_L2": r2} for eps, (r1, r2) in zip(epsilons, worst)]
     out = {"rows": rows}
     loge = np.log([r["eps"] for r in rows])

@@ -28,6 +28,8 @@ fresh arrays and is not for concurrent use from threads.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
+``_march`` is the one ETDRK4 time loop, of ``run_simulation``, the splitting
+windows and the epsilon sweep; it stops at the first non-finite state.
 
 Note on the cubic coefficient: the contraction-mapping proof writes 1/4 where
 every other statement of the equation writes 1/8; we use 1/8 throughout.
@@ -347,6 +349,31 @@ def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     return Field(f.grid, half=_stepper(f.grid, spec, dt).step(f.half))
 
 
+class NumericalError(RuntimeError):
+    """A computation produced a non-finite state or failed to converge; that of
+    a time loop carries its step, time and, for a stack, non-finite rows."""
+
+    def __init__(self, message: str, step=None, time=None, rows=None):
+        super().__init__(message)
+        self.step, self.time, self.rows = step, time, rows
+
+
+def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every: int = 1):
+    """The one ETDRK4 time loop: yields (k, state) after step k = 1..steps when
+    k % every == 0 or k == steps.  Step k is stepper.step(state, nl, k - 1),
+    under its own np.errstate (none is held across a yield).  A non-finite
+    state raises NumericalError with step k, time k*dt and a stack's rows."""
+    for k in range(1, steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            c_hat = stepper.step(c_hat, nl, k - 1)
+        finite = np.isfinite(c_hat.view(np.float64)).all(axis=-1)
+        if not finite.all():
+            t, rows = k * stepper.dt, np.flatnonzero(~finite).tolist() if c_hat.ndim > 1 else None
+            raise NumericalError(f"non-finite state at step {k} of {steps} (t = {t:g})", k, t, rows)
+        if k % every == 0 or k == steps:
+            yield k, c_hat
+
+
 # ---------------------------------------------------------------------------
 # Simulation driver and diagnostics
 # ---------------------------------------------------------------------------
@@ -363,7 +390,11 @@ class RunReport:
     drift_residual: np.ndarray
     drift_predicted: np.ndarray | None = None
     snapshots: list[Field] = dc_field(default_factory=list)
-    aborted: bool = False
+    error: NumericalError | None = None  # the non-finite state that ended the run
+
+    @property
+    def aborted(self) -> bool:
+        return self.error is not None
 
     def write_csv(self, path) -> None:
         svals = sorted(self.hs_norms)
@@ -462,7 +493,8 @@ def run_simulation(
     Each record's diagnostics are computed when the state is recorded, so
     memory is O(1) states, plus the snapshots when keep_snapshots is set.
     NaN or overflow in the state aborts the run, returning the report of the
-    records made up to the last good state (aborted flag set).
+    records made up to the last good state; its ``error`` (``aborted`` is set)
+    is the NumericalError that gives the failing step and time.
     """
     if not 0.0 < T < np.inf or record_every < 1:
         raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
@@ -483,28 +515,25 @@ def run_simulation(
         if keep_snapshots:
             snapshots.append(f)
 
-    aborted = False
+    error = None
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
         for k, f in enumerate(traj):
             if k % record_every == 0 or k == n_steps:
                 record(k * dt, f)
     else:
-        stepper = _stepper(grid, spec, dt)
-        c_hat = eta0.half
         record(0.0, eta0)
-        with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
-            for k in range(1, n_steps + 1):
-                c_hat = stepper.step(c_hat)
-                if not np.all(np.isfinite(c_hat.view(np.float64))):
-                    aborted = True
-                    break
-                if k % record_every == 0 or k == n_steps:
+        try:
+            for k, c_hat in _march(_stepper(grid, spec, dt), eta0.half, n_steps,
+                                   every=record_every):
+                with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
                     record(k * dt, Field(grid, half=c_hat))
+        except NumericalError as exc:
+            error = exc
     times, evals, zm, predicted, *hs = table[:, :count]
     return RunReport(times=times, energy=evals, hs_norms=dict(zip(svals, hs)), zero_mode=zm,
                      drift_residual=_drift_residual(times, evals, predicted),
-                     drift_predicted=predicted, snapshots=snapshots, aborted=aborted)
+                     drift_predicted=predicted, snapshots=snapshots, error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +553,6 @@ class PicardDiagnostics:
             b / a if a > 0 else 0.0
             for a, b in zip(self.diff_norms, self.diff_norms[1:])
         ]
-
-
-class NumericalError(RuntimeError):
-    """A computation produced a non-finite state or failed to converge."""
 
 
 class PicardDivergenceError(NumericalError):

@@ -27,17 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Bbm5Coefficients
-from .evolution import (
-    NumericalError,
-    RhsSpec,
-    StepperConfig,
-    SpectralEngine,
-    _engine,
-    _linear_fit,
-    _stepper,
-    _time_lattice,
-    semigroup_apply,
-)
+from .evolution import (RhsSpec, StepperConfig, SpectralEngine, _engine, _linear_fit, _march,
+                        _stepper, _time_lattice, semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative, write_csv
 
 __all__ = [
@@ -56,16 +47,15 @@ __all__ = [
 class SplitConfig:
     """Frequency-splitting experiment parameters.
 
-    t0 defaults to t0_scale * N^(-2*(2-s)), with t0_scale positive and
-    finite, and is clamped from below to 10 * dt so the window always holds
-    a meaningful number of steps.
+    t0 is t0_scale * N^(-2*(2-s)), with t0_scale positive and finite,
+    clamped from below to 10 * dt so the window always holds a meaningful
+    number of steps.
     """
 
     cutoff: float
     s: float
     t0_scale: float = 1.0
     k_max: int = 1
-    t0_override: float | None = None
 
     def __post_init__(self):
         if not self.cutoff > 0:
@@ -78,8 +68,6 @@ class SplitConfig:
             raise ValueError(f"t0_scale must be positive and finite, got {self.t0_scale}")
 
     def t0(self, dt: float) -> float:
-        if self.t0_override is not None:
-            return self.t0_override
         raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
         return max(raw, 10.0 * dt)
 
@@ -92,23 +80,9 @@ class SplitState:
     k: int
 
 
-def split_initial(eta0: Field, cutoff: float, smooth: bool = False) -> tuple[Field, Field]:
-    """u0 = low pass of eta0 below the cutoff, v0 = eta0 - u0 (exact in spectral space).
-
-    With smooth=True the sharp indicator is replaced by a C^inf bump that is 1
-    for |xi| <= N and decays like exp(1 - 1/(1 - ((|xi|-N)/N)^2)) on N < |xi| < 2N,
-    which trades the exact support property for a gentler spectral edge.
-    """
-    if smooth:
-        xi = np.abs(eta0.grid.half_wavenumbers)
-        w = np.zeros_like(xi)
-        w[xi <= cutoff] = 1.0
-        ramp = (xi > cutoff) & (xi < 2.0 * cutoff)
-        r = (xi[ramp] - cutoff) / cutoff
-        w[ramp] = np.exp(1.0 - 1.0 / (1.0 - r * r))
-        u0 = Field(eta0.grid, half=w * eta0.half)
-    else:
-        u0 = low_pass(eta0, cutoff)
+def split_initial(eta0: Field, cutoff: float) -> tuple[Field, Field]:
+    """u0 = low pass of eta0 below the cutoff, v0 = eta0 - u0 (exact in spectral space)."""
+    u0 = low_pass(eta0, cutoff)
     return u0, eta0 - u0
 
 
@@ -121,21 +95,7 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Fi
     """
     steps, dt = _time_lattice(t0, cfg.dt)
     st = _stepper(u0.grid, spec, dt / 2.0)
-    return _trajectory(u0, 2 * steps, lambda c_hat, _k: st.step(c_hat))
-
-
-def _trajectory(f0: Field, steps: int, advance) -> list[Field]:
-    """f0 and the Fields of ``steps`` successive advance(state, k) calls on
-    its half spectrum; a non-finite state raises NumericalError."""
-    c_hat = f0.half
-    traj = [f0]
-    with np.errstate(over="ignore", invalid="ignore"):  # the loop checks finiteness
-        for k in range(steps):
-            c_hat = advance(c_hat, k)
-            if not np.all(np.isfinite(c_hat.view(np.float64))):
-                raise NumericalError(f"non-finite state at step {k + 1} of {steps}")
-            traj.append(Field(f0.grid, half=c_hat))
-    return traj
+    return [u0, *(Field(u0.grid, half=c) for _k, c in _march(st, u0.half, 2 * steps))]
 
 
 class _DifferenceEngine:
@@ -186,7 +146,7 @@ def evolve_v(
         )
     st = _stepper(v0.grid, spec, dt)
     nl = _DifferenceEngine(_engine(v0.grid, spec), u_traj)
-    return _trajectory(v0, steps, lambda c_hat, k: st.step(c_hat, nl, k))
+    return [v0, *(Field(v0.grid, half=c) for _k, c in _march(st, v0.half, steps, nl))]
 
 
 def compute_h(v_traj: list[Field], v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:

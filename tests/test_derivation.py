@@ -284,3 +284,31 @@ def test_stacked_sweep_names_the_first_non_finite_eps(epsilons, named):
     with pytest.raises(NumericalError, match=f"at eps = {named}$"):
         epsilon_sweep(grid, reference_parameters(), epsilons=epsilons, t_final=0.1, dt=0.01,
                       n_checkpoints=1, data=1e3 * _pulse(grid))
+
+
+@pytest.mark.parametrize("epsilons,named", [((1e-9, 0.5), 0.5), ((0.5, 1e-9), 0.5),
+                                            ((1e-9, 0.3, 0.5), 0.3)])
+def test_stacked_sweep_stops_at_the_first_non_finite_step(epsilons, named):
+    # the inputs of test_stacked_sweep_names_the_first_non_finite_eps, in two
+    # legs; the sweep stops at the first step at which a row of a plain
+    # per-eps loop is non-finite, not at the end of its leg
+    grid, dt = Grid(n=64, length=16.0 * math.pi), 0.01
+    data = 1e3 * _pulse(grid)
+    bad = {}
+    for row, eps in enumerate(epsilons):
+        stepper = Etdrk4Stepper(ScaledModel(grid, _params(eps, eps)).engine, dt)
+        c_hat, k = data.half, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < 10 and np.isfinite(c_hat).all():
+                c_hat, k = stepper.step(c_hat), k + 1
+        if not np.isfinite(c_hat).all():
+            bad.setdefault(k, []).append(row)
+    step = min(bad)
+    assert step < 5  # within the first leg
+    with pytest.raises(NumericalError) as info:
+        epsilon_sweep(grid, reference_parameters(), epsilons=epsilons, t_final=0.1, dt=dt,
+                      n_checkpoints=2, data=data)
+    err = info.value
+    assert (err.step, err.time, err.rows) == (step, step * dt, bad[step])
+    assert str(err) == f"non-finite state in the sweep at step {step} (t = {step * dt:g}) " \
+                       f"at eps = {named}"

@@ -1,6 +1,7 @@
 """Semigroup, nonlinear right-hand side, ETDRK4 integrator, diagnostics and
 the Duhamel/Picard fixed point."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -414,6 +415,65 @@ def test_run_nan_abort():
     rep = run_simulation(eta0, _spec(), StepperConfig(dt=0.1), 10.0)
     assert rep.aborted
     assert np.all(np.isfinite(rep.energy))
+
+
+def test_run_abort_reports_the_step_and_time():
+    # the data of test_run_nan_abort at a smaller amplitude, so that some
+    # steps succeed before the state turns non-finite in a plain step loop
+    grid, dt = Grid(n=64, length=2.0 * math.pi), 0.1
+    eta0 = Field.from_samples(grid, 13.0 * np.cos(grid.x))
+    c_hat, bad = eta0.half, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(c_hat).all():
+            c_hat, bad = evolution._stepper(grid, _spec(), dt).step(c_hat), bad + 1
+    assert bad > 1
+    rep = run_simulation(eta0, _spec(), StepperConfig(dt=dt), 10.0)
+    assert rep.aborted and isinstance(rep.error, evolution.NumericalError)
+    assert (rep.error.step, rep.error.time, rep.error.rows) == (bad, bad * dt, None)
+    assert str(rep.error) == f"non-finite state at step {bad} of 100 (t = {bad * dt:g})"
+    assert np.array_equal(rep.times, np.arange(bad) * dt)  # every record up to the last good
+    assert run_simulation(eta0, _spec(), StepperConfig(dt=dt), 0.1).error is None
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_march_is_a_plain_step_loop_bit_for_bit(stacked):
+    grid, dt, steps = Grid(n=64, length=16.0 * math.pi), 0.02, 7
+    stepper = evolution._stepper(grid, _spec(), dt)
+    c0 = sech_squared(grid, 0.4).half
+    if stacked:  # (E, n/2 + 1) rows of one dt, each stepped by its own tables
+        other = SpectralEngine(grid, dataclasses.replace(REFERENCE_COEFFICIENTS, gamma=0.1))
+        stepper = evolution.Etdrk4Stepper.stack(
+            [stepper, evolution.Etdrk4Stepper(other, dt), stepper])
+        c0 = np.stack([c0, 0.5 * c0, gaussian_bump(grid, 0.3).half])
+    plain = [c0]
+    for _ in range(steps):
+        plain.append(stepper.step(plain[-1]))
+    for every, want in ((1, range(1, 8)), (3, (3, 6, 7)), (7, (7,)), (10, (7,))):
+        marched = list(evolution._march(stepper, c0, steps, every=every))
+        assert [k for k, _ in marched] == list(want)
+        assert all(np.array_equal(state, plain[k]) for k, state in marched)
+    # step k reads a passed nonlinearity at nodes 2(k-1), 2k-1 (twice) and 2k
+    nodes = []
+    nl = lambda c_hat, node: nodes.append(node) or stepper.engine.nonlinear_hat(c_hat)  # noqa: E731
+    marched = list(evolution._march(stepper, c0, steps, nl))
+    assert nodes == [2 * k + d for k in range(steps) for d in (0, 1, 1, 2)]
+    assert all(np.array_equal(state, plain[k]) for k, state in marched)
+
+
+def test_march_holds_no_errstate_across_a_yield():
+    grid = Grid(n=64, length=2.0 * math.pi)
+    stepper = evolution._stepper(grid, _spec(), 0.1)
+    with np.errstate(over="raise", invalid="print"):
+        before = np.geterr()
+        march = evolution._march(stepper, Field.from_samples(grid, np.cos(grid.x)).half, 5)
+        assert next(march)[0] == 1
+        assert np.geterr() == before  # the march is suspended after one step
+        march.close()
+        assert np.geterr() == before
+        # a state that overflows raises NumericalError, not FloatingPointError
+        huge = Field.from_samples(grid, 1e8 * np.cos(grid.x)).half
+        with pytest.raises(evolution.NumericalError, match=r"^non-finite state at step 1 of 5"):
+            list(evolution._march(stepper, huge, 5))
 
 
 def test_report_csv_format(tmp_path, grid):

@@ -62,17 +62,6 @@ def test_split_above_nyquist_leaves_nothing_high(rough):
     assert np.all(v0.spectral == 0.0)
 
 
-def test_split_smooth_variant(rough):
-    u0, v0 = split_initial(rough, 8.0, smooth=True)
-    assert np.abs(u0.spectral + v0.spectral - rough.spectral).max() == 0.0
-    xi = np.abs(rough.grid.wavenumbers)
-    # exact below the cutoff, zero beyond twice the cutoff, a ramp between
-    assert np.array_equal(u0.spectral[xi <= 8.0], rough.spectral[xi <= 8.0])
-    assert np.all(u0.spectral[xi >= 16.0] == 0.0)
-    ramp = (xi > 8.0) & (xi < 16.0)
-    assert np.any(u0.spectral[ramp] != 0.0)
-
-
 def test_high_part_norm_bound(rough):
     # ||v0||_{H^rho} <= ||eta0||_{H^s} * N^(rho - s)
     s = 1.5
@@ -111,7 +100,6 @@ def test_window_time_scaling_and_clamp():
     assert cfg.t0(1e-4) == pytest.approx(16.0 ** (-1.0))
     # clamp: tiny window but coarse dt
     assert SplitConfig(cutoff=256.0, s=1.0).t0(0.01) == pytest.approx(0.1)
-    assert SplitConfig(cutoff=8.0, s=1.5, t0_override=0.33).t0(1e-3) == 0.33
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +279,7 @@ def test_iterate_k_zero_returns_split_only(big_grid, rough):
 
 
 def test_iterate_one_round_invariants(big_grid, rough):
-    cfg = SplitConfig(cutoff=8.0, s=1.5, k_max=1, t0_override=0.05)
+    cfg = SplitConfig(cutoff=8.0, s=1.5, k_max=1, t0_scale=0.4)  # t0 = 0.05
     states, rep = iterate(rough, cfg, _spec(), StepperConfig(dt=5e-3))
     assert len(states) == 2
     # v is propagated freely, so its H^s norm is invariant
@@ -356,3 +344,28 @@ def test_blow_up_raises_numerical_error(big_grid, part):
         else:
             u_traj = evolve_u(Field.zero(big_grid), _spec(), cfg, 1.0)
             evolve_v(blow_up, u_traj, _spec(), cfg, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("part", ["u", "v"])
+def test_blow_up_reports_the_step_and_time(big_grid, part):
+    # the data of test_blow_up_raises_numerical_error; the step named is the
+    # first non-finite one of a plain step loop, and its time is k*dt with
+    # dt the stepper's own (a half step for u)
+    blow_up = random_hs_field(big_grid, 1.5, np.random.default_rng(0), amplitude=1e4)
+    u_traj = evolve_u(Field.zero(big_grid), _spec(), StepperConfig(dt=0.05), 1.0)
+    steps, dt = (40, 0.025) if part == "u" else (20, 0.05)
+    st = evolution._stepper(big_grid, _spec(), dt)
+    nl = None if part == "u" else splitting._DifferenceEngine(st.engine, u_traj)
+    c_hat, bad = blow_up.half, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(c_hat).all():
+            c_hat, bad = st.step(c_hat, nl, bad), bad + 1
+    with pytest.raises(NumericalError) as info:
+        if part == "u":
+            evolve_u(blow_up, _spec(), StepperConfig(dt=0.05), 1.0)
+        else:
+            evolve_v(blow_up, u_traj, _spec(), StepperConfig(dt=0.05), 1.0)
+    err = info.value
+    assert (err.step, err.time, err.rows) == (bad, bad * dt, None)
+    assert str(err) == f"non-finite state at step {bad} of {steps} (t = {bad * dt:g})"
