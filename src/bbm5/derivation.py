@@ -28,7 +28,7 @@ from .coefficients import (
     derive_first_order,
 )
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
-                        sech_squared)
+                        _time_lattice, sech_squared)
 from .spectral import (
     Field,
     Grid,
@@ -211,7 +211,8 @@ def epsilon_sweep(
 
     For each eps, evolve a right-moving unit-L2 sech^2 profile under the
     scaled dynamics on [0, t_final] and record the worst-case L2 residuals of
-    the first-order system at the checkpoints.  The epsilons are stepped as
+    the first-order system at the checkpoints, which split [0, t_final] into
+    equal legs of whole steps near dt.  The epsilons are stepped as
     one (E, n/2 + 1) stack, each row by its own stepper's tables, up to the
     first non-finite step.  Returns per-eps rows plus the fitted log-log
     slopes (target: order 2), which need two or more distinct epsilons in (0, 1).
@@ -222,7 +223,7 @@ def epsilon_sweep(
         raise ValueError(f"need 0 < t_final < inf, dt > 0, n_checkpoints >= 1 and two or "
                          f"more epsilons, distinct and in (0, 1), got {t_final}, {dt}, "
                          f"{n_checkpoints} and {list(epsilons)}")
-    steps_per = max(1, int(round(t_final / dt / n_checkpoints)))
+    steps_per, dt = _time_lattice(t_final / n_checkpoints, dt)
     models = [ScaledModel(grid, DerivationParameters(alpha=eps, beta=eps, model=model_params))
               for eps in epsilons]
     # one stepper advances every eps: row k of the state is eps k's

@@ -474,7 +474,7 @@ def _linear_fit(x, y) -> tuple[float, float]:
 
 def _time_lattice(T: float, dt: float) -> tuple[int, float]:
     """round(T/dt) steps, at least one, and their length: the lattice of both
-    time schemes and of the splitting windows."""
+    time schemes, of the splitting windows and of each epsilon-sweep leg."""
     steps = max(1, int(round(T / dt)))
     return steps, T / steps
 

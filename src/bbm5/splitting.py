@@ -18,6 +18,10 @@ scale like a negative power of N.  Iterating with the reassembly
 u_{k+1} = u(t0) + h(t0), v_{k+1} = S(t0)*v_k over windows of length
 t0 ~ N^{-2(2-s)} measures the energy-increment and remainder scaling laws of
 the global theory at finite N.
+
+A window steps v and u in lock step and keeps one state of each: u is
+advanced by half steps as the ETDRK4 stages of v read it, so no trajectory
+is stored and a window's memory does not grow with its number of steps.
 """
 
 from __future__ import annotations
@@ -86,31 +90,35 @@ def split_initial(eta0: Field, cutoff: float) -> tuple[Field, Field]:
     return u0, eta0 - u0
 
 
-def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> list[Field]:
-    """Full-equation evolution of the smooth part on [0, t0].
+def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float):
+    """Full-equation evolution of the smooth part on [0, t0], at half steps.
 
-    Checkpoints every half step (the v solver consumes states at ETDRK4 stage
-    times, so no interpolation is ever needed).  Returned trajectory has
-    2*steps + 1 entries at spacing dt/2.
+    A generator of (node, half spectrum) for the nodes 1..2*steps at spacing
+    dt/2, each state computed when it is read: the v solver reads u at the
+    ETDRK4 stage times, so no interpolation and no trajectory is needed.
     """
     steps, dt = _time_lattice(t0, cfg.dt)
-    st = _stepper(u0.grid, spec, dt / 2.0)
-    return [u0, *(Field(u0.grid, half=c) for _k, c in _march(st, u0.half, 2 * steps))]
+    return _march(_stepper(u0.grid, spec, dt / 2.0), u0.half, 2 * steps)
 
 
 class _DifferenceEngine:
-    """Nonlinearity F(u+v) - F(u) with frozen u values at half-step nodes."""
+    """Nonlinearity F(u+v) - F(u), with u at half-step nodes drawn from
+    u_states as the stages ask for them.  ETDRK4 asks for nodes 2k, 2k+1,
+    2k+1, 2k+2, never backwards, so one u state is kept."""
 
-    def __init__(self, engine: SpectralEngine, u_traj: list[Field]):
+    def __init__(self, engine: SpectralEngine, u0_half: np.ndarray, u_states):
         self.eng = engine
-        self.u_traj = u_traj
+        self.node, self.u = 0, u0_half
+        self.u_states = u_states
 
     def __call__(self, v_hat: np.ndarray, node: int) -> np.ndarray:
+        if node > self.node:  # u steps even under linear-only dynamics
+            self.node, self.u = next(self.u_states)
         eng = self.eng
         if eng.linear_only:
             return np.zeros_like(v_hat)
         # u is padded on demand, with v in the same transform
-        fine = eng.fine_pair(np.stack((v_hat, self.u_traj[node].half)))
+        fine = eng.fine_pair(np.stack((v_hat, self.u)))
         (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
         # the differences expanded, so that no O(u^3) terms cancel, and formed
         # in place with each product grouped as written
@@ -127,35 +135,23 @@ class _DifferenceEngine:
         return eng.combine(us[0], p3, us[1])
 
 
-def evolve_v(
-    v0: Field,
-    u_traj: list[Field],
-    spec: RhsSpec,
-    cfg: StepperConfig,
-    t0: float,
-) -> list[Field]:
-    """Difference-equation evolution of the rough part on [0, t0].
-
-    u_traj must be the half-step checkpoint trajectory from evolve_u over the
-    same window.  Returns the v trajectory at full-step spacing.
-    """
+def evolve_v(v0: Field, u0: Field, spec: RhsSpec, cfg: StepperConfig,
+             t0: float) -> tuple[Field, Field]:
+    """Difference-equation evolution of the rough part on [0, t0], with the
+    smooth part stepped alongside from u0.  Returns (v(t0), u(t0))."""
     steps, dt = _time_lattice(t0, cfg.dt)
-    if len(u_traj) != 2 * steps + 1:
-        raise ValueError(
-            f"u trajectory has {len(u_traj)} checkpoints, expected {2 * steps + 1}"
-        )
-    st = _stepper(v0.grid, spec, dt)
-    nl = _DifferenceEngine(_engine(v0.grid, spec), u_traj)
-    return [v0, *(Field(v0.grid, half=c) for _k, c in _march(st, v0.half, steps, nl))]
+    nl = _DifferenceEngine(_engine(v0.grid, spec), u0.half, evolve_u(u0, spec, cfg, t0))
+    for _k, vT in _march(_stepper(v0.grid, spec, dt), v0.half, steps, nl):
+        pass  # steps >= 1; only the last state is kept
+    return Field(v0.grid, half=vT), Field(u0.grid, half=nl.u)
 
 
-def compute_h(v_traj: list[Field], v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:
+def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:
     """Duhamel remainder h(t0) = v(t0) - S(t0)*v0 and its norm summary.
 
     The summary records the H^2 norm alongside the equivalent
     ||h||_H1 + ||dx h||_H1 combination.
     """
-    vT = v_traj[-1]
     free = semigroup_apply(v0, t0, c)
     h = vT - free
     norms = {
@@ -195,10 +191,8 @@ def iterate(
         "u_H2_t0": [],
     }
     for k in range(cfg.k_max):
-        u_traj = evolve_u(states[-1].u, spec, stepper, t0)
-        v_traj = evolve_v(states[-1].v, u_traj, spec, stepper, t0)
-        h, norms = compute_h(v_traj, states[-1].v, t0, c)
-        u_t0 = u_traj[-1]
+        v_t0, u_t0 = evolve_v(states[-1].v, states[-1].u, spec, stepper, t0)
+        h, norms = compute_h(v_t0, states[-1].v, t0, c)
         u_next = u_t0 + h
         v_next = semigroup_apply(states[-1].v, t0, c)
         report["E_u_t0"].append(energy(u_t0, c))
@@ -214,8 +208,9 @@ def n_sweep(
     eta0: Field,
     s: float,
     cutoffs=(8.0, 16.0, 32.0, 64.0),
-    spec: RhsSpec | None = None,
-    stepper: StepperConfig | None = None,
+    *,
+    spec: RhsSpec,
+    stepper: StepperConfig = StepperConfig(),
     t0_scale: float = 1.0,
 ) -> dict:
     """One splitting round per cutoff N plus log-log regression slopes.
@@ -223,9 +218,6 @@ def n_sweep(
     Grid sanity: the Nyquist frequency should sit at least 4x above the
     largest cutoff so the sharp truncation is far from the resolution limit.
     """
-    if spec is None:
-        raise ValueError("spec is required")
-    stepper = stepper or StepperConfig()
     nyq = eta0.grid.nyquist
     if nyq < 4.0 * max(cutoffs):
         raise ValueError(

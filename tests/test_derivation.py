@@ -15,7 +15,7 @@ from bbm5.derivation import (
     epsilon_sweep,
     reconstruct_velocity,
 )
-from bbm5.evolution import Etdrk4Stepper, NumericalError
+from bbm5.evolution import Etdrk4Stepper, NumericalError, _time_lattice
 from bbm5.spectral import Field, Grid, sobolev_norm
 
 
@@ -258,18 +258,26 @@ def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
         Etdrk4Stepper.stack([steppers[0], Etdrk4Stepper(steppers[1].engine, 2.0 * dt)])
 
 
-def test_stacked_sweep_rows_are_the_per_eps_loop_bit_for_bit():
-    grid, t_final, dt, n_checkpoints = Grid(n=128, length=16.0 * math.pi), 0.1, 0.01, 2
+# dt = 0.03 does not divide t_final = 0.1: the sweep steps the shared lattice,
+# 3 steps of 1/30 that end at t_final (it used to stop at t = 0.09)
+@pytest.mark.parametrize("dt,n_checkpoints", [
+    pytest.param(0.01, 2, id="dt-divides-t_final"),
+    pytest.param(0.03, 1, id="dt-does-not-divide-t_final"),
+])
+def test_stacked_sweep_rows_are_the_per_eps_loop_bit_for_bit(dt, n_checkpoints):
+    grid, t_final = Grid(n=128, length=16.0 * math.pi), 0.1
     data = _pulse(grid)
     sweep = epsilon_sweep(grid, reference_parameters(), epsilons=EPS, t_final=t_final, dt=dt,
                           n_checkpoints=n_checkpoints, data=data)
+    steps_per, dt = _time_lattice(t_final / n_checkpoints, dt)
+    assert n_checkpoints * steps_per * dt == pytest.approx(t_final, rel=1e-15)
     for row, eps in zip(sweep["rows"], EPS, strict=True):
         model = ScaledModel(grid, _params(eps, eps))
         stepper = Etdrk4Stepper(model.engine, dt)
         r1_max, r2_max = abcd_residual_first(data, model)
         c_hat = data.half
         for _ in range(n_checkpoints):
-            for _ in range(round(t_final / dt / n_checkpoints)):
+            for _ in range(steps_per):
                 c_hat = stepper.step(c_hat)
             r1, r2 = abcd_residual_first(Field(grid, half=c_hat), model)
             r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)

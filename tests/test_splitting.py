@@ -4,6 +4,7 @@ remainder and the reassembly iteration."""
 import filecmp
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,10 +109,16 @@ def test_window_time_scaling_and_clamp():
 
 
 def test_v_zero_stays_zero(big_grid, rough):
+    # every step of evolve_v's own march, not only the last
     u0, _ = split_initial(rough, 8.0)
     cfg = StepperConfig(dt=0.01)
-    u_traj = evolve_u(u0, _spec(), cfg, 0.1)
-    v_traj = evolve_v(Field.zero(big_grid), u_traj, _spec(), cfg, 0.1)
+    steps, dt = evolution._time_lattice(0.1, cfg.dt)
+    nl = splitting._DifferenceEngine(evolution._engine(big_grid, _spec()), u0.half,
+                                     evolve_u(u0, _spec(), cfg, 0.1))
+    march = evolution._march(evolution._stepper(big_grid, _spec(), dt),
+                             Field.zero(big_grid).half, steps, nl)
+    v_traj = [Field(big_grid, half=c) for _k, c in march]
+    assert len(v_traj) == steps == 10
     assert all(np.all(v.spectral == 0.0) for v in v_traj)
 
 
@@ -121,29 +128,22 @@ def test_u_zero_reduces_to_plain_equation(big_grid):
     v0 = random_hs_field(big_grid, 1.5, np.random.default_rng(3), amplitude=0.1)
     cfg = StepperConfig(dt=0.01)
     t0 = 0.1
-    zeros = [Field.zero(big_grid) for _ in range(2 * 10 + 1)]
-    v_traj = evolve_v(v0, zeros, _spec(), cfg, t0)
+    v_t0, _u_t0 = evolve_v(v0, Field.zero(big_grid), _spec(), cfg, t0)
     rep = run_simulation(v0, _spec(), cfg, t0, keep_snapshots=True)
     direct = rep.snapshots[-1]
-    assert sobolev_norm(v_traj[-1] - direct, 1.0) <= 1e-12
-
-
-def test_evolve_v_checkpoint_count_guard(big_grid, rough):
-    u0, v0 = split_initial(rough, 8.0)
-    cfg = StepperConfig(dt=0.01)
-    u_traj = evolve_u(u0, _spec(), cfg, 0.1)
-    with pytest.raises(ValueError, match="checkpoints"):
-        evolve_v(v0, u_traj[:-1], _spec(), cfg, 0.1)
+    assert sobolev_norm(v_t0 - direct, 1.0) <= 1e-12
 
 
 class _PaddedTrajectoryEngine:
-    """The difference nonlinearity with the whole u trajectory padded up
-    front, one transform per array."""
+    """The difference nonlinearity with the whole u trajectory drawn and
+    padded up front, one transform per array; u is its last state."""
 
-    def __init__(self, engine, u_traj):
+    def __init__(self, engine, u0_half, u_states):
         self.eng = engine
-        self.u_fine = [engine.to_fine(f.half) for f in u_traj]
-        self.ux_fine = [engine.to_fine(engine.ikx_d * f.half) for f in u_traj]
+        u_traj = [u0_half, *(c for _k, c in u_states)]
+        self.u = u_traj[-1]
+        self.u_fine = [engine.to_fine(c) for c in u_traj]
+        self.ux_fine = [engine.to_fine(engine.ikx_d * c) for c in u_traj]
 
     def __call__(self, v_hat, node):
         eng, u, ux = self.eng, self.u_fine[node], self.ux_fine[node]
@@ -156,15 +156,18 @@ class _PaddedTrajectoryEngine:
 
 def test_difference_engine_pads_u_per_call_and_keeps_no_fine_grid_arrays(big_grid, rough):
     u0, v0 = split_initial(rough, 8.0)
-    u_traj = evolve_u(u0, _spec(), StepperConfig(dt=0.01), 0.1)
+    cfg = StepperConfig(dt=0.01)
     eng = evolution._engine(big_grid, _spec())
-    nl = splitting._DifferenceEngine(eng, u_traj)
-    assert nl.u_traj is u_traj
-    assert not any(isinstance(v, (np.ndarray, list)) and v is not u_traj
-                   for v in vars(nl).values())
-    padded = _PaddedTrajectoryEngine(eng, u_traj)
-    for node in (0, 7, len(u_traj) - 1):
+    nl = splitting._DifferenceEngine(eng, u0.half, evolve_u(u0, _spec(), cfg, 0.1))
+    padded = _PaddedTrajectoryEngine(eng, u0.half, evolve_u(u0, _spec(), cfg, 0.1))
+    for node in range(2 * 10 + 1):  # each node in turn, as the stages ask for them
         assert np.array_equal(nl(v0.half, node), padded(v0.half, node))
+        assert nl.node == node
+        # the one array kept is u's current half spectrum
+        kept = [v for v in vars(nl).values() if isinstance(v, (np.ndarray, list))]
+        assert len(kept) == 1 and kept[0] is nl.u
+        assert nl.u.shape == (big_grid.n // 2 + 1,)
+    assert np.array_equal(nl.u, padded.u)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -174,7 +177,8 @@ def test_difference_engine_is_the_plain_expanded_formula_bit_for_bit(n):
     u_traj = [random_hs_field(grid, 1.5, rng, 0.5) for _ in range(3)]
     v_hat = random_hs_field(grid, 1.5, rng, 0.3).half
     eng = evolution._engine(grid, _spec())
-    nl = splitting._DifferenceEngine(eng, u_traj)
+    nl = splitting._DifferenceEngine(eng, u_traj[0].half,
+                                     ((k, f.half) for k, f in enumerate(u_traj[1:], 1)))
     for node in range(3):
         (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_traj[node].half)))
         want = eng.combine(v * v + 2.0 * u * v,
@@ -205,11 +209,42 @@ def test_additivity(big_grid, rough):
     u0, v0 = split_initial(eta0, 8.0)
     cfg = StepperConfig(dt=5e-3)
     t0 = 0.1
-    u_traj = evolve_u(u0, _spec(), cfg, t0)
-    v_traj = evolve_v(v0, u_traj, _spec(), cfg, t0)
+    v_t0, u_t0 = evolve_v(v0, u0, _spec(), cfg, t0)
     rep = run_simulation(eta0, _spec(), cfg, t0, keep_snapshots=True)
-    err = sobolev_norm(u_traj[-1] + v_traj[-1] - rep.snapshots[-1], 1.0)
+    err = sobolev_norm(u_t0 + v_t0 - rep.snapshots[-1], 1.0)
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_evolve_v_returns_the_last_state_of_evolve_u(big_grid, rough, linear_only):
+    # u steps as the stages of v read it, under linear-only dynamics too,
+    # and ends at node 2*steps bit for bit
+    u0, v0 = split_initial(rough, 8.0)
+    spec = RhsSpec(REFERENCE_COEFFICIENTS, linear_only=linear_only)
+    cfg, t0 = StepperConfig(dt=0.01), 0.1
+    *_, (node, u_last) = evolve_u(u0, spec, cfg, t0)
+    _v_t0, u_t0 = evolve_v(v0, u0, spec, cfg, t0)
+    assert node == 2 * 10
+    assert np.array_equal(u_t0.half, u_last)
+    assert not np.array_equal(u_t0.half, u0.half)
+
+
+def test_window_memory_does_not_grow_with_its_steps():
+    # one iterate round at n=1024, N=8 (t0 = 0.125) with 4x the steps keeps
+    # less than four more half spectra: the window holds no trajectory
+    grid = Grid(n=1024, length=2.0 * math.pi)
+    eta0 = random_hs_field(grid, 1.5, np.random.default_rng(42))
+    cfg = SplitConfig(cutoff=8.0, s=1.5)
+    peaks = {}
+    for dt in (1e-3, 2.5e-4):
+        iterate(eta0, cfg, _spec(), StepperConfig(dt=dt))  # builds the cached steppers
+        tracemalloc.start()
+        try:
+            iterate(eta0, cfg, _spec(), StepperConfig(dt=dt))
+            peaks[dt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2.5e-4] - peaks[1e-3] < 4 * (grid.n // 2 + 1) * 16, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +255,8 @@ def test_additivity(big_grid, rough):
 def test_h_zero_for_zero_v(big_grid, rough):
     u0, _ = split_initial(rough, 8.0)
     cfg = StepperConfig(dt=0.01)
-    u_traj = evolve_u(u0, _spec(), cfg, 0.1)
-    v_traj = evolve_v(Field.zero(big_grid), u_traj, _spec(), cfg, 0.1)
-    h, norms = compute_h(v_traj, Field.zero(big_grid), 0.1, REFERENCE_COEFFICIENTS)
+    v_t0, _u_t0 = evolve_v(Field.zero(big_grid), u0, _spec(), cfg, 0.1)
+    h, norms = compute_h(v_t0, Field.zero(big_grid), 0.1, REFERENCE_COEFFICIENTS)
     assert norms["h_H2"] == 0.0
 
 
@@ -232,9 +266,8 @@ def test_h_zero_under_linear_only_dynamics(big_grid, rough):
     spec = RhsSpec(REFERENCE_COEFFICIENTS, linear_only=True)
     cfg = StepperConfig(dt=0.01)
     t0 = 0.1
-    u_traj = evolve_u(u0, spec, cfg, t0)
-    v_traj = evolve_v(v0, u_traj, spec, cfg, t0)
-    _, norms = compute_h(v_traj, v0, t0, REFERENCE_COEFFICIENTS)
+    v_t0, _u_t0 = evolve_v(v0, u0, spec, cfg, t0)
+    _, norms = compute_h(v_t0, v0, t0, REFERENCE_COEFFICIENTS)
     assert norms["h_H2"] <= 1e-12
 
 
@@ -242,9 +275,8 @@ def test_h_norm_summary_consistency(big_grid, rough):
     u0, v0 = split_initial(rough, 8.0)
     cfg = StepperConfig(dt=0.01)
     t0 = 0.1
-    u_traj = evolve_u(u0, _spec(), cfg, t0)
-    v_traj = evolve_v(v0, u_traj, _spec(), cfg, t0)
-    h, norms = compute_h(v_traj, v0, t0, REFERENCE_COEFFICIENTS)
+    v_t0, _u_t0 = evolve_v(v0, u0, _spec(), cfg, t0)
+    h, norms = compute_h(v_t0, v0, t0, REFERENCE_COEFFICIENTS)
     assert norms["h_H1"] <= norms["h_H2"] * (1.0 + 1e-12)
     # equivalent-norm sandwich for the H1 + |dx .|_H1 combination
     assert norms["h_H2"] <= norms["h_H1_plus_dxh_H1"] * (1.0 + 1e-12)
@@ -340,10 +372,9 @@ def test_blow_up_raises_numerical_error(big_grid, part):
     cfg = StepperConfig(dt=0.05)
     with pytest.raises(NumericalError, match="non-finite state"):
         if part == "u":
-            evolve_u(blow_up, _spec(), cfg, 1.0)
+            evolve_v(Field.zero(big_grid), blow_up, _spec(), cfg, 1.0)
         else:
-            u_traj = evolve_u(Field.zero(big_grid), _spec(), cfg, 1.0)
-            evolve_v(blow_up, u_traj, _spec(), cfg, 1.0)
+            evolve_v(blow_up, Field.zero(big_grid), _spec(), cfg, 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -353,19 +384,20 @@ def test_blow_up_reports_the_step_and_time(big_grid, part):
     # first non-finite one of a plain step loop, and its time is k*dt with
     # dt the stepper's own (a half step for u)
     blow_up = random_hs_field(big_grid, 1.5, np.random.default_rng(0), amplitude=1e4)
-    u_traj = evolve_u(Field.zero(big_grid), _spec(), StepperConfig(dt=0.05), 1.0)
+    zero = Field.zero(big_grid)
     steps, dt = (40, 0.025) if part == "u" else (20, 0.05)
     st = evolution._stepper(big_grid, _spec(), dt)
-    nl = None if part == "u" else splitting._DifferenceEngine(st.engine, u_traj)
+    nl = None if part == "u" else splitting._DifferenceEngine(
+        st.engine, zero.half, evolve_u(zero, _spec(), StepperConfig(dt=0.05), 1.0))
     c_hat, bad = blow_up.half, 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(c_hat).all():
             c_hat, bad = st.step(c_hat, nl, bad), bad + 1
     with pytest.raises(NumericalError) as info:
         if part == "u":
-            evolve_u(blow_up, _spec(), StepperConfig(dt=0.05), 1.0)
+            evolve_v(zero, blow_up, _spec(), StepperConfig(dt=0.05), 1.0)
         else:
-            evolve_v(blow_up, u_traj, _spec(), StepperConfig(dt=0.05), 1.0)
+            evolve_v(blow_up, zero, _spec(), StepperConfig(dt=0.05), 1.0)
     err = info.value
     assert (err.step, err.time, err.rows) == (bad, bad * dt, None)
     assert str(err) == f"non-finite state at step {bad} of {steps} (t = {bad * dt:g})"
