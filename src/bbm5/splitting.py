@@ -19,9 +19,10 @@ u_{k+1} = u(t0) + h(t0), v_{k+1} = S(t0)*v_k over windows of length
 t0 ~ N^{-2(2-s)} measures the energy-increment and remainder scaling laws of
 the global theory at finite N.
 
-A window steps v and u in lock step and keeps one state of each: u is
-advanced by half steps as the ETDRK4 stages of v read it, so no trajectory
-is stored and a window's memory does not grow with its number of steps.
+A window applies ETDRK4 to the coupled system, the (v; u) stack with the
+nonlinearity (F(u+v) - F(u); F(u)): u's row steps as u alone, u(t0) + v(t0)
+is the full march of eta0 up to rounding, and only the current stack is
+kept, so a window's memory does not grow with its number of steps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Bbm5Coefficients
-from .evolution import (RhsSpec, StepperConfig, SpectralEngine, _engine, _linear_fit, _march,
+from .evolution import (RhsSpec, StepperConfig, SpectralEngine, _linear_fit, _march,
                         _stepper, _time_lattice, semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative, write_csv
 
@@ -90,60 +91,59 @@ def split_initial(eta0: Field, cutoff: float) -> tuple[Field, Field]:
     return u0, eta0 - u0
 
 
-def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float):
-    """Full-equation evolution of the smooth part on [0, t0], at half steps.
-
-    A generator of (node, half spectrum) for the nodes 1..2*steps at spacing
-    dt/2, each state computed when it is read: the v solver reads u at the
-    ETDRK4 stage times, so no interpolation and no trajectory is needed.
-    """
+def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> Field:
+    """Full-equation evolution of the smooth part: u(t0) on the window's
+    lattice, the u(t0) of evolve_v bit for bit.  A non-finite state raises
+    NumericalError with its step and time (rows is None for one state)."""
     steps, dt = _time_lattice(t0, cfg.dt)
-    return _march(_stepper(u0.grid, spec, dt / 2.0), u0.half, 2 * steps)
+    for _k, uT in _march(_stepper(u0.grid, spec, dt), u0.half, steps):
+        pass  # steps >= 1; only the last state is kept
+    return Field(u0.grid, half=uT)
 
 
-class _DifferenceEngine:
-    """Nonlinearity F(u+v) - F(u), with u at half-step nodes drawn from
-    u_states as the stages ask for them.  ETDRK4 asks for nodes 2k, 2k+1,
-    2k+1, 2k+2, never backwards, so one u state is kept."""
+def _window_nl(eng: SpectralEngine):
+    """(F(u+v) - F(u); F(u)) of a window's (v; u) stack, padded by one
+    transform and truncated by another.  u's row forms nonlinear_hat's
+    products in its order, so u steps as it does alone, bit for bit."""
 
-    def __init__(self, engine: SpectralEngine, u0_half: np.ndarray, u_states):
-        self.eng = engine
-        self.node, self.u = 0, u0_half
-        self.u_states = u_states
-
-    def __call__(self, v_hat: np.ndarray, node: int) -> np.ndarray:
-        if node > self.node:  # u steps even under linear-only dynamics
-            self.node, self.u = next(self.u_states)
-        eng = self.eng
+    def nl(vu: np.ndarray, _node: int) -> np.ndarray:
         if eng.linear_only:
-            return np.zeros_like(v_hat)
-        # u is padded on demand, with v in the same transform
-        fine = eng.fine_pair(np.stack((v_hat, self.u)))
+            return np.zeros_like(vu)
+        fine = eng.fine_pair(vu)
         (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
-        # the differences expanded, so that no O(u^3) terms cancel, and formed
-        # in place with each product grouped as written
-        p3 = np.multiply(3.0, u)  # 3*u*u*v + 3*u*v*v + v*v*v
-        t = p3 * v
+        prods = np.empty((3, *fine.shape[1:]))  # quadratic, cubic, gradient; rows (v, u)
+        p2, p3, pg = prods
+        np.multiply(us, us, out=prods[::2, 1])  # u's row: u*u and ux*ux, then u*(u*u)
+        np.multiply(u, p2[1], out=p3[1])
+        # v's row: the differences expanded, so that no O(u^3) terms cancel,
+        # and formed in place with each product grouped as written
+        c = np.multiply(3.0, u, out=p3[0])  # 3*u*u*v + 3*u*v*v + v*v*v
+        t = c * v
         t *= v
-        p3 *= u
-        p3 *= v
-        p3 += t
-        p3 += np.multiply(np.multiply(v, v, out=t), v, out=t)
-        np.multiply(2.0, us, out=us)  # v*v + 2*u*v and 2*ux*vx + vx*vx, in us
-        us *= vs
-        us += np.multiply(vs, vs, out=vs)
-        return eng.combine(us[0], p3, us[1])
+        c *= u
+        c *= v
+        c += t
+        c += np.multiply(np.multiply(v, v, out=t), v, out=t)
+        d = prods[::2, 0]  # v*v + 2*u*v and 2*ux*vx + vx*vx, into (p2[0], pg[0])
+        np.multiply(2.0, us, out=d)
+        d *= vs
+        d += np.multiply(vs, vs, out=vs)
+        return eng.combine(p2, p3, pg, prods[1:])
+
+    return nl
 
 
 def evolve_v(v0: Field, u0: Field, spec: RhsSpec, cfg: StepperConfig,
              t0: float) -> tuple[Field, Field]:
-    """Difference-equation evolution of the rough part on [0, t0], with the
-    smooth part stepped alongside from u0.  Returns (v(t0), u(t0))."""
+    """Difference-equation evolution of the rough part on [0, t0], stepped
+    with the smooth part as one (v; u) stack.  Returns (v(t0), u(t0)), u(t0)
+    being evolve_u's bit for bit.  A non-finite state raises NumericalError
+    with its step, its time and the non-finite rows (0 for v, 1 for u)."""
     steps, dt = _time_lattice(t0, cfg.dt)
-    nl = _DifferenceEngine(_engine(v0.grid, spec), u0.half, evolve_u(u0, spec, cfg, t0))
-    for _k, vT in _march(_stepper(v0.grid, spec, dt), v0.half, steps, nl):
+    st = _stepper(v0.grid, spec, dt)
+    for _k, vu in _march(st, np.stack((v0.half, u0.half)), steps, _window_nl(st.engine)):
         pass  # steps >= 1; only the last state is kept
-    return Field(v0.grid, half=vT), Field(u0.grid, half=nl.u)
+    return Field(v0.grid, half=vu[0]), Field(u0.grid, half=vu[1])
 
 
 def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:

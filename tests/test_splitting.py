@@ -111,15 +111,13 @@ def test_window_time_scaling_and_clamp():
 def test_v_zero_stays_zero(big_grid, rough):
     # every step of evolve_v's own march, not only the last
     u0, _ = split_initial(rough, 8.0)
-    cfg = StepperConfig(dt=0.01)
-    steps, dt = evolution._time_lattice(0.1, cfg.dt)
-    nl = splitting._DifferenceEngine(evolution._engine(big_grid, _spec()), u0.half,
-                                     evolve_u(u0, _spec(), cfg, 0.1))
-    march = evolution._march(evolution._stepper(big_grid, _spec(), dt),
-                             Field.zero(big_grid).half, steps, nl)
-    v_traj = [Field(big_grid, half=c) for _k, c in march]
-    assert len(v_traj) == steps == 10
-    assert all(np.all(v.spectral == 0.0) for v in v_traj)
+    steps, dt = evolution._time_lattice(0.1, 0.01)
+    st = evolution._stepper(big_grid, _spec(), dt)
+    march = evolution._march(st, np.stack((Field.zero(big_grid).half, u0.half)), steps,
+                             splitting._window_nl(st.engine))
+    v_rows = [vu[0] for _k, vu in march]
+    assert len(v_rows) == steps == 10
+    assert all(np.all(v == 0.0) for v in v_rows)
 
 
 def test_u_zero_reduces_to_plain_equation(big_grid):
@@ -134,57 +132,39 @@ def test_u_zero_reduces_to_plain_equation(big_grid):
     assert sobolev_norm(v_t0 - direct, 1.0) <= 1e-12
 
 
-class _PaddedTrajectoryEngine:
-    """The difference nonlinearity with the whole u trajectory drawn and
-    padded up front, one transform per array; u is its last state."""
+def _padded_plain_nl(eng):
+    """The window nonlinearity as plain formulas of fresh temporaries, each
+    array padded by its own transform."""
 
-    def __init__(self, engine, u0_half, u_states):
-        self.eng = engine
-        u_traj = [u0_half, *(c for _k, c in u_states)]
-        self.u = u_traj[-1]
-        self.u_fine = [engine.to_fine(c) for c in u_traj]
-        self.ux_fine = [engine.to_fine(engine.ikx_d * c) for c in u_traj]
+    def nl(vu, _node):
+        if eng.linear_only:
+            return np.zeros_like(vu)
+        v, u = (eng.to_fine(c) for c in vu)
+        vx, ux = (eng.to_fine(eng.ikx_d * c) for c in vu)
+        return np.stack((eng.combine(v * v + 2.0 * u * v,
+                                     3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
+                                     2.0 * ux * vx + vx * vx),
+                         eng.combine(u * u, u * (u * u), ux * ux)))
 
-    def __call__(self, v_hat, node):
-        eng, u, ux = self.eng, self.u_fine[node], self.ux_fine[node]
-        v = eng.to_fine(v_hat)
-        vx = eng.to_fine(eng.ikx_d * v_hat)
-        return eng.combine(v * v + 2.0 * u * v,
-                           3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
-                           2.0 * ux * vx + vx * vx)
-
-
-def test_difference_engine_pads_u_per_call_and_keeps_no_fine_grid_arrays(big_grid, rough):
-    u0, v0 = split_initial(rough, 8.0)
-    cfg = StepperConfig(dt=0.01)
-    eng = evolution._engine(big_grid, _spec())
-    nl = splitting._DifferenceEngine(eng, u0.half, evolve_u(u0, _spec(), cfg, 0.1))
-    padded = _PaddedTrajectoryEngine(eng, u0.half, evolve_u(u0, _spec(), cfg, 0.1))
-    for node in range(2 * 10 + 1):  # each node in turn, as the stages ask for them
-        assert np.array_equal(nl(v0.half, node), padded(v0.half, node))
-        assert nl.node == node
-        # the one array kept is u's current half spectrum
-        kept = [v for v in vars(nl).values() if isinstance(v, (np.ndarray, list))]
-        assert len(kept) == 1 and kept[0] is nl.u
-        assert nl.u.shape == (big_grid.n // 2 + 1,)
-    assert np.array_equal(nl.u, padded.u)
+    return nl
 
 
 @pytest.mark.parametrize("n", [64, 1024])
-def test_difference_engine_is_the_plain_expanded_formula_bit_for_bit(n):
+def test_window_nl_is_the_expanded_formula_and_nonlinear_hat_bit_for_bit(n):
+    # row 0: F(u+v) - F(u) expanded; row 1: F(u) as the equation's own engine forms it
     grid = Grid(n=n, length=2.0 * math.pi)
     rng = np.random.default_rng(n)
-    u_traj = [random_hs_field(grid, 1.5, rng, 0.5) for _ in range(3)]
+    u_hat = random_hs_field(grid, 1.5, rng, 0.5).half
     v_hat = random_hs_field(grid, 1.5, rng, 0.3).half
     eng = evolution._engine(grid, _spec())
-    nl = splitting._DifferenceEngine(eng, u_traj[0].half,
-                                     ((k, f.half) for k, f in enumerate(u_traj[1:], 1)))
-    for node in range(3):
-        (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_traj[node].half)))
-        want = eng.combine(v * v + 2.0 * u * v,
-                           3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
-                           2.0 * ux * vx + vx * vx)
-        assert np.array_equal(nl(v_hat, node), want)
+    got = splitting._window_nl(eng)(np.stack((v_hat, u_hat)), 0)
+    (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_hat)))
+    want = eng.combine(v * v + 2.0 * u * v,
+                       3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
+                       2.0 * ux * vx + vx * vx)
+    assert got.shape == (2, n // 2 + 1)
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[1], eng.nonlinear_hat(u_hat))
 
 
 def test_split_outputs_are_those_of_the_padded_trajectory(tmp_path, monkeypatch):
@@ -195,11 +175,11 @@ def test_split_outputs_are_those_of_the_padded_trajectory(tmp_path, monkeypatch)
         "split": {"s": 1.5, "cutoffs": [4.0, 8.0], "initial": {"kind": "random", "s": 1.5}}}))
     run = lambda tag: cli_main(["split", "--config", str(cfg), "--out",  # noqa: E731
                                 str(tmp_path / tag), "--seed", "17", "--quiet"])
-    assert run("per-call") == 0
-    monkeypatch.setattr(splitting, "_DifferenceEngine", _PaddedTrajectoryEngine)
+    assert run("in-place") == 0
+    monkeypatch.setattr(splitting, "_window_nl", _padded_plain_nl)
     assert run("padded") == 0
     names = ["split_summary.json", "split_sweep.csv"]
-    assert filecmp.cmpfiles(tmp_path / "per-call", tmp_path / "padded", names,
+    assert filecmp.cmpfiles(tmp_path / "in-place", tmp_path / "padded", names,
                             shallow=False)[0] == names
 
 
@@ -217,16 +197,33 @@ def test_additivity(big_grid, rough):
 
 @pytest.mark.parametrize("linear_only", [False, True])
 def test_evolve_v_returns_the_last_state_of_evolve_u(big_grid, rough, linear_only):
-    # u steps as the stages of v read it, under linear-only dynamics too,
-    # and ends at node 2*steps bit for bit
+    # u's row of the (v; u) stack steps as u alone, under linear-only
+    # dynamics too, bit for bit
     u0, v0 = split_initial(rough, 8.0)
     spec = RhsSpec(REFERENCE_COEFFICIENTS, linear_only=linear_only)
     cfg, t0 = StepperConfig(dt=0.01), 0.1
-    *_, (node, u_last) = evolve_u(u0, spec, cfg, t0)
+    u_alone = evolve_u(u0, spec, cfg, t0)
     _v_t0, u_t0 = evolve_v(v0, u0, spec, cfg, t0)
-    assert node == 2 * 10
-    assert np.array_equal(u_t0.half, u_last)
+    assert np.array_equal(u_t0.half, u_alone.half)
     assert not np.array_equal(u_t0.half, u0.half)
+
+
+@pytest.mark.parametrize("n, dt", [(64, 0.01), (1024, 1e-3)])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_window_is_additive_on_its_lattice(n, dt, linear_only):
+    # u(t0) + v(t0) is the ETDRK4 march of eta0 on the same lattice, up to
+    # rounding: the window steps u and v with the same stages
+    grid = Grid(n=n, length=2.0 * math.pi)
+    eta0 = random_hs_field(grid, 1.5, np.random.default_rng(n))
+    spec = RhsSpec(REFERENCE_COEFFICIENTS, linear_only=linear_only)
+    t0 = 0.1
+    u0, v0 = split_initial(eta0, 8.0)
+    v_t0, u_t0 = evolve_v(v0, u0, spec, StepperConfig(dt=dt), t0)
+    steps, dt_lattice = evolution._time_lattice(t0, dt)
+    *_, (_k, eta_t0) = evolution._march(evolution._stepper(grid, spec, dt_lattice),
+                                        eta0.half, steps)
+    eta_t0 = Field(grid, half=eta_t0)
+    assert sobolev_norm(u_t0 + v_t0 - eta_t0, 1.0) <= 1e-13 * sobolev_norm(eta_t0, 1.0)
 
 
 def test_window_memory_does_not_grow_with_its_steps():
@@ -351,9 +348,9 @@ def test_second_identical_n_sweep_builds_no_stepper(big_grid, rough, monkeypatch
     sweep = lambda: n_sweep(rough, 1.5, (8.0, 10.0), spec=_spec(),  # noqa: E731
                             stepper=StepperConfig(dt=0.01))
     first = sweep()
-    assert len(built) == 4  # a half-step and a full-step stepper per window
+    assert len(built) == 2  # one stepper per window
     assert sweep() == first
-    assert len(built) == 4
+    assert len(built) == 2
 
 
 def test_n_sweep_leaves_out_a_slope_it_cannot_fit(big_grid):
@@ -381,23 +378,22 @@ def test_blow_up_raises_numerical_error(big_grid, part):
 @pytest.mark.parametrize("part", ["u", "v"])
 def test_blow_up_reports_the_step_and_time(big_grid, part):
     # the data of test_blow_up_raises_numerical_error; the step named is the
-    # first non-finite one of a plain step loop, and its time is k*dt with
-    # dt the stepper's own (a half step for u)
+    # first non-finite one of a plain step loop of the (v; u) stack, its time
+    # is k*dt, and its rows are the non-finite ones (0 = v, 1 = u)
     blow_up = random_hs_field(big_grid, 1.5, np.random.default_rng(0), amplitude=1e4)
     zero = Field.zero(big_grid)
-    steps, dt = (40, 0.025) if part == "u" else (20, 0.05)
+    v0, u0 = (zero, blow_up) if part == "u" else (blow_up, zero)
+    dt = 0.05
     st = evolution._stepper(big_grid, _spec(), dt)
-    nl = None if part == "u" else splitting._DifferenceEngine(
-        st.engine, zero.half, evolve_u(zero, _spec(), StepperConfig(dt=0.05), 1.0))
-    c_hat, bad = blow_up.half, 0
+    nl = splitting._window_nl(st.engine)
+    vu, bad = np.stack((v0.half, u0.half)), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while np.isfinite(c_hat).all():
-            c_hat, bad = st.step(c_hat, nl, bad), bad + 1
+        while np.isfinite(vu).all():
+            vu, bad = st.step(vu, nl, bad), bad + 1
+    rows = np.flatnonzero(~np.isfinite(vu).all(axis=1)).tolist()
+    assert (1 in rows) == (part == "u")  # a blown-up u takes v with it, not the other way
     with pytest.raises(NumericalError) as info:
-        if part == "u":
-            evolve_v(zero, blow_up, _spec(), StepperConfig(dt=0.05), 1.0)
-        else:
-            evolve_v(blow_up, zero, _spec(), StepperConfig(dt=0.05), 1.0)
+        evolve_v(v0, u0, _spec(), StepperConfig(dt=dt), 1.0)
     err = info.value
-    assert (err.step, err.time, err.rows) == (bad, bad * dt, None)
-    assert str(err) == f"non-finite state at step {bad} of {steps} (t = {bad * dt:g})"
+    assert (err.step, err.time, err.rows) == (bad, bad * dt, rows)
+    assert str(err) == f"non-finite state at step {bad} of 20 (t = {bad * dt:g})"
