@@ -54,6 +54,7 @@ from .spectral import (
     fine_band,
     fine_samples,
     integral_cube,
+    sampled_integral_cube,
     sobolev_norm,
     sobolev_weights,
     spectral_derivative,
@@ -217,11 +218,15 @@ class SpectralEngine:
         out += np.multiply(self._ipsi, q[1], out=q[1])
         return out
 
-    def nonlinear_hat(self, c_hat: np.ndarray) -> np.ndarray:
-        """Spectral coefficients of the real nonlinear right-hand side."""
+    def nonlinear_hat(self, c_hat: np.ndarray, cube: np.ndarray | None = None) -> np.ndarray:
+        """Spectral coefficients of the real nonlinear right-hand side; cube, a
+        one-slot array, receives the integral of (c_x)^3 of a single state c_hat
+        from its fine samples."""
         if self.linear_only:
             return np.zeros_like(c_hat)
         u, ux = fine = self.fine_pair(c_hat, self._spec if c_hat.ndim == 1 else None)
+        if cube is not None:
+            cube[0] = sampled_integral_cube(ux, self.grid.length)
         u2 = np.multiply(u, u, out=self._scratch if fine is self._fine else None)
         u *= u2  # u^3
         ux *= ux
@@ -297,36 +302,26 @@ class Etdrk4Stepper:
             setattr(st, name, np.stack([getattr(s, name) for s in steppers]))
         return st
 
-    def step(
-        self,
-        c_hat: np.ndarray,
-        nl: Callable[[np.ndarray, int], np.ndarray] | None = None,
-        k: int = 0,
-    ) -> np.ndarray:
-        """Advance c_hat by dt.
-
-        nl(state, node) evaluates the nonlinearity at half-step node index
-        ``node`` (node 2k = t, 2k+1 = t+dt/2, 2k+2 = t+dt), so a caller can
-        freeze time-dependent data per node; the default is the engine's own
-        autonomous nonlinearity.
-        """
-        if nl is None:
-            nl = self._autonomous
+    def step(self, c_hat: np.ndarray, nl: Callable[[np.ndarray], np.ndarray] | None = None,
+             cube: np.ndarray | None = None) -> np.ndarray:
+        """Advance c_hat by dt, with nl(state) the nonlinearity, by default the
+        engine's nonlinear_hat; cube, if given, goes to stage 0's call only."""
+        nl = nl or self.engine.nonlinear_hat
         # In place only on arrays made here, bit for bit the plain formula:
         # complex products keep their operand order (with FMA they do not commute).
-        n0 = nl(c_hat, 2 * k)
+        n0 = nl(c_hat) if cube is None else nl(c_hat, cube)
         ec = self.e_half * c_hat
         a = self.q * n0
         a += ec
-        na = nl(a, 2 * k + 1)
+        na = nl(a)
         b = self.q * na
         b += ec
-        nb = nl(b, 2 * k + 1)
+        nb = nl(b)
         cst = 2.0 * nb
         cst -= n0
         np.multiply(self.q, cst, out=cst)
         cst += np.multiply(self.e_half, a, out=ec)
-        nc = nl(cst, 2 * k + 2)
+        nc = nl(cst)
         out = self.e_full * c_hat
         out += np.multiply(self.f1, n0, out=ec)
         s = na + nb
@@ -334,9 +329,6 @@ class Etdrk4Stepper:
         out += s
         out += np.multiply(self.f3, nc, out=s)
         return out
-
-    def _autonomous(self, c_hat: np.ndarray, _node: int) -> np.ndarray:
-        return self.engine.nonlinear_hat(c_hat)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -358,14 +350,17 @@ class NumericalError(RuntimeError):
         self.step, self.time, self.rows = step, time, rows
 
 
-def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every: int = 1):
+def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every: int = 1,
+           cube: np.ndarray | None = None):
     """The one ETDRK4 time loop: yields (k, state) after step k = 1..steps when
-    k % every == 0 or k == steps.  Step k is stepper.step(state, nl, k - 1),
-    under its own np.errstate (none is held across a yield).  A non-finite
-    state raises NumericalError with step k, time k*dt and a stack's rows."""
+    k % every == 0 or k == steps.  Step k is stepper.step(state, nl), under its
+    own np.errstate (none is held across a yield).  The step after the initial
+    state and after each yielded one passes cube, so that it then holds the
+    integral of (c_x)^3 of that state.  A non-finite state raises
+    NumericalError with step k, time k*dt and a stack's rows."""
     for k in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            c_hat = stepper.step(c_hat, nl, k - 1)
+            c_hat = stepper.step(c_hat, nl, cube if (k - 1) % every == 0 else None)
         finite = np.isfinite(c_hat.view(np.float64)).all(axis=-1)
         if not finite.all():
             t, rows = k * stepper.dt, np.flatnonzero(~finite).tolist() if c_hat.ndim > 1 else None
@@ -408,7 +403,9 @@ def energy_drift_predicted(f: Field, c: Bbm5Coefficients) -> float:
 
     Exactly zero in the energy-conserving regime (same tolerance as the
     coefficient flag, so a gamma that is 7/48 up to rounding predicts no
-    drift instead of a denormal-scale one).
+    drift instead of a denormal-scale one).  The integral is taken from the
+    2n samples of f_x, those that SpectralEngine.nonlinear_hat pads, so the
+    records of run_simulation that read it there match this bit for bit.
     """
     if c.energy_conserving:
         return 0.0
@@ -492,6 +489,10 @@ def run_simulation(
 
     Each record's diagnostics are computed when the state is recorded, so
     memory is O(1) states, plus the snapshots when keep_snapshots is set.
+    The predicted drift of a record is energy_drift_predicted's; with a
+    dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
+    of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of
+    the next step pads anyway, and computed apart only for the final record.
     NaN or overflow in the state aborts the run, returning the report of the
     records made up to the last good state; its ``error`` (``aborted`` is set)
     is the NumericalError that gives the failing step and time.
@@ -506,10 +507,13 @@ def run_simulation(
     table = np.empty((4 + len(svals), n_steps // record_every + 2))
     count = 0
     snapshots = []
+    cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
+            and not spec.linear_only and not c.energy_conserving else None)
 
-    def record(t: float, f: Field) -> None:
+    def record(t: float, f: Field, direct: bool = True) -> None:
         nonlocal count
-        table[:, count] = (t, energy(f, c), f.zero_mode, energy_drift_predicted(f, c),
+        table[:, count] = (t, energy(f, c), f.zero_mode,
+                           energy_drift_predicted(f, c) if direct else np.nan,
                            *(sobolev_norm(f, s) for s in svals))
         count += 1
         if keep_snapshots:
@@ -522,14 +526,18 @@ def run_simulation(
             if k % record_every == 0 or k == n_steps:
                 record(k * dt, f)
     else:
-        record(0.0, eta0)
+        record(0.0, eta0, cube is None)
         try:
             for k, c_hat in _march(_stepper(grid, spec, dt), eta0.half, n_steps,
-                                   every=record_every):
+                                   every=record_every, cube=cube):
+                if cube is not None:  # the step after the last record wrote its integral
+                    table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
                 with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
-                    record(k * dt, Field(grid, half=c_hat))
+                    record(k * dt, Field(grid, half=c_hat), cube is None or k == n_steps)
         except NumericalError as exc:
             error = exc
+            if cube is not None:  # so did a step before the one that failed
+                table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
     times, evals, zm, predicted, *hs = table[:, :count]
     return RunReport(times=times, energy=evals, hs_norms=dict(zip(svals, hs)), zero_mode=zm,
                      drift_residual=_drift_residual(times, evals, predicted),

@@ -347,9 +347,14 @@ def dealiased_product3(f: Field, g: Field, h: Field) -> Field:
 
 def integral_cube(f: Field) -> float:
     """Integral of f^3, computed alias-free on a padded grid."""
-    w = fine_samples(f.half, 2 * f.grid.n)
-    # the mean of w*w*w; w**3 is a general power, slow on subnormal tails
-    return float(f.grid.length * ((w * w * w).sum() / w.size))
+    return sampled_integral_cube(fine_samples(f.half, 2 * f.grid.n), f.grid.length)
+
+
+def sampled_integral_cube(w: np.ndarray, length: float) -> float:
+    """Integral of f^3 over the period length from samples w of f on a
+    uniform grid: length times the mean of w*w*w (w**3 is a general power,
+    slow on subnormal tails)."""
+    return float(length * ((w * w * w).sum() / w.size))
 
 
 # ---------------------------------------------------------------------------

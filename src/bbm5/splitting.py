@@ -106,7 +106,7 @@ def _window_nl(eng: SpectralEngine):
     transform and truncated by another.  u's row forms nonlinear_hat's
     products in its order, so u steps as it does alone, bit for bit."""
 
-    def nl(vu: np.ndarray, _node: int) -> np.ndarray:
+    def nl(vu: np.ndarray) -> np.ndarray:
         if eng.linear_only:
             return np.zeros_like(vu)
         fine = eng.fine_pair(vu)

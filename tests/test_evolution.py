@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS, multipliers
-from bbm5 import evolution
+from bbm5 import evolution, spectral
 from bbm5.evolution import (
     PicardDivergenceError,
     RhsSpec,
@@ -291,7 +291,7 @@ def test_combine_and_step_leave_their_arguments_unchanged(n, ref):
 
     seen = []  # every array step hands to nl or gets back from it, with a copy
 
-    def nl(c_hat, _node):
+    def nl(c_hat):
         out = eng.nonlinear_hat(c_hat)
         seen.extend([(c_hat, c_hat.copy()), (out, out.copy())])
         return out
@@ -452,11 +452,8 @@ def test_march_is_a_plain_step_loop_bit_for_bit(stacked):
         marched = list(evolution._march(stepper, c0, steps, every=every))
         assert [k for k, _ in marched] == list(want)
         assert all(np.array_equal(state, plain[k]) for k, state in marched)
-    # step k reads a passed nonlinearity at nodes 2(k-1), 2k-1 (twice) and 2k
-    nodes = []
-    nl = lambda c_hat, node: nodes.append(node) or stepper.engine.nonlinear_hat(c_hat)  # noqa: E731
-    marched = list(evolution._march(stepper, c0, steps, nl))
-    assert nodes == [2 * k + d for k in range(steps) for d in (0, 1, 1, 2)]
+    # a passed nonlinearity is called on the state alone
+    marched = list(evolution._march(stepper, c0, steps, stepper.engine.nonlinear_hat))
     assert all(np.array_equal(state, plain[k]) for k, state in marched)
 
 
@@ -596,6 +593,68 @@ def test_run_diagnostics_are_the_field_functions_of_the_snapshots(grid, scheme, 
         for s in (0.0, 1.5):
             assert rep.hs_norms[s][k] == sobolev_norm(f, s)
     assert np.any(rep.drift_predicted != 0.0)
+
+
+SHIFTED = dataclasses.replace(REFERENCE_COEFFICIENTS, gamma=7.0 / 48.0 + 0.1)  # drift != 0
+
+
+def _assert_predictions_are_the_snapshots(rep, c):
+    assert len(rep.snapshots) == len(rep.times) == len(rep.drift_predicted)
+    assert np.all(np.isfinite(rep.drift_predicted))  # no placeholder is left
+    for k, f in enumerate(rep.snapshots):
+        assert rep.drift_predicted[k] == energy_drift_predicted(f, c)
+
+
+@pytest.mark.parametrize("record_every,dealias,linear_only", [
+    (1, True, False), (3, True, False), (3, False, False), (3, True, True)])
+def test_record_predictions_are_energy_drift_predicted_bit_for_bit(record_every, dealias,
+                                                                   linear_only):
+    # a dealiased run reads each record's integral from the step after it; the
+    # final record, an undealiased and a linear run compute it directly.  T/dt
+    # = 8.3 makes 8 steps of T/8, so record_every=3 ends off its lattice.
+    grid = Grid(n=128, length=16.0 * math.pi)
+    eta0 = sech_squared(grid, 0.5, 1.0)
+    spec = RhsSpec(SHIFTED, dealias=dealias, linear_only=linear_only)
+    rep = run_simulation(eta0, spec, StepperConfig(dt=0.01), 0.083, record_every=record_every,
+                         keep_snapshots=True)
+    assert len(rep.times) == (9 if record_every == 1 else 4)
+    _assert_predictions_are_the_snapshots(rep, SHIFTED)
+    assert np.all(rep.drift_predicted != 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_an_aborted_run_predicts_its_last_good_record(record_every):
+    # the data of test_run_abort_reports_the_step_and_time made asymmetric, so
+    # that the drift is not zero.  Step 9 fails: with record_every=1 it is the
+    # step after the last record, with 3 the second step after it (record 6)
+    grid, dt = Grid(n=64, length=2.0 * math.pi), 0.1
+    eta0 = Field.from_samples(grid, 10.5 * (np.cos(grid.x) + 0.3 * np.sin(2.0 * grid.x)))
+    rep = run_simulation(eta0, RhsSpec(SHIFTED), StepperConfig(dt=dt), 10.0,
+                         record_every=record_every, keep_snapshots=True)
+    assert rep.aborted and rep.error.step == 9
+    assert len(rep.times) == (9 if record_every == 1 else 3)
+    _assert_predictions_are_the_snapshots(rep, SHIFTED)
+
+
+@pytest.mark.parametrize("c,extra", [(SHIFTED, 1), (REFERENCE_COEFFICIENTS, 0)])
+def test_records_cost_no_padded_transform_but_the_last(monkeypatch, c, extra):
+    # 4 padded inverse transforms per ETDRK4 step; a non-conserving run adds
+    # one for its final record, a conserving one predicts no drift at all
+    grid, steps = Grid(n=64, length=16.0 * math.pi), 6
+    calls = []
+    original = evolution.fine_samples
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "fine_samples", counted)
+    monkeypatch.setattr(spectral, "fine_samples", counted)
+    rep = run_simulation(sech_squared(grid, 0.5, 1.0), RhsSpec(c), StepperConfig(dt=0.01),
+                         steps * 0.01)
+    assert len(rep.times) == steps + 1
+    assert len(calls) == 4 * steps + extra
 
 
 # ---------------------------------------------------------------------------

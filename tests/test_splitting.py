@@ -136,7 +136,7 @@ def _padded_plain_nl(eng):
     """The window nonlinearity as plain formulas of fresh temporaries, each
     array padded by its own transform."""
 
-    def nl(vu, _node):
+    def nl(vu):
         if eng.linear_only:
             return np.zeros_like(vu)
         v, u = (eng.to_fine(c) for c in vu)
@@ -157,7 +157,7 @@ def test_window_nl_is_the_expanded_formula_and_nonlinear_hat_bit_for_bit(n):
     u_hat = random_hs_field(grid, 1.5, rng, 0.5).half
     v_hat = random_hs_field(grid, 1.5, rng, 0.3).half
     eng = evolution._engine(grid, _spec())
-    got = splitting._window_nl(eng)(np.stack((v_hat, u_hat)), 0)
+    got = splitting._window_nl(eng)(np.stack((v_hat, u_hat)))
     (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_hat)))
     want = eng.combine(v * v + 2.0 * u * v,
                        3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
@@ -389,7 +389,7 @@ def test_blow_up_reports_the_step_and_time(big_grid, part):
     vu, bad = np.stack((v0.half, u0.half)), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.isfinite(vu).all():
-            vu, bad = st.step(vu, nl, bad), bad + 1
+            vu, bad = st.step(vu, nl), bad + 1
     rows = np.flatnonzero(~np.isfinite(vu).all(axis=1)).tolist()
     assert (1 in rows) == (part == "u")  # a blown-up u takes v with it, not the other way
     with pytest.raises(NumericalError) as info:
