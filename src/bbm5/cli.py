@@ -290,6 +290,8 @@ def cmd_simulate(args, run: _Setup) -> int:
             "scheme": run.stepper.scheme, "dt": run.stepper.dt, "T": sec["T"],
             "seed": run.seed, "dealias": sec["dealias"], "aborted": report.aborted,
         })
+        if report.aborted:  # no summary is printed, and the first record may be bad
+            return ""
         drift = abs(report.energy[-1] - report.energy[0])
         rel = drift / report.energy[0] if report.energy[0] > 0 else 0.0
         return f"simulate: T={sec['T']} relative energy drift {rel:.3e}"

@@ -26,6 +26,7 @@ from .coefficients import (
     ModelParameters,
     derive_bbm5,
     derive_first_order,
+    derive_second_order,
 )
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
@@ -102,9 +103,22 @@ class ScaledModel:
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
         eng = self.engine
         c_hat, ct_hat = eta.half, eta_t.half
-        (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)))
+        # fresh arrays: an engine per eps keeping a stack slot would raise the sweep's peak
+        (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)), fresh=True)
         nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
         return Field(self.grid, half=-1j * eng.phi * ct_hat + nl)
+
+
+def _first_order(eta: Field, eta_t: Field, p: DerivationParameters):
+    """The first-order corrections A and B, and the eta^2 and eta_xx they are of."""
+    f = derive_first_order(p.model)
+    a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
+    rho = float(p.model.rho)
+    eta2 = dealiased_product2(eta, eta)
+    dxx_eta = spectral_derivative(eta, 2)
+    A = -0.25 * eta2
+    B = 0.5 * (c - a + rho) * dxx_eta + 0.5 * (b - d + rho) * spectral_derivative(eta_t, 1)
+    return A, B, eta2, dxx_eta
 
 
 def correction_terms(
@@ -113,18 +127,10 @@ def correction_terms(
     """The five correction fields (A, B, C, D, E) of the velocity ansatz."""
     model = p.model
     f = derive_first_order(model)
-    from .coefficients import derive_second_order
-
     s = derive_second_order(model)
     a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
     rho = float(model.rho)
-
-    eta2 = dealiased_product2(eta, eta)
-    A = -0.25 * eta2
-
-    dxx_eta = spectral_derivative(eta, 2)
-    dx_eta_t = spectral_derivative(eta_t, 1)
-    B = 0.5 * (c - a + rho) * dxx_eta + 0.5 * (b - d + rho) * dx_eta_t
+    A, B, eta2, dxx_eta = _first_order(eta, eta_t, p)
 
     c_coeff = 0.125 * (a + 4.0 * b + 2.0 * c - d) + 0.1875 * (a + b - c - d) + 0.375 * rho
     dxx_eta2 = spectral_derivative(eta2, 2)
@@ -151,13 +157,14 @@ def correction_terms(
 def reconstruct_velocity(
     eta: Field, eta_t: Field, p: DerivationParameters, truncate_first_order: bool = False
 ) -> Field:
-    """Assemble w = eta + alpha*A + beta*B (+ alpha*beta*C + beta^2*D + alpha^2*E)."""
-    A, B, C, D, E = correction_terms(eta, eta_t, p)
+    """Assemble w = eta + alpha*A + beta*B (+ alpha*beta*C + beta^2*D + alpha^2*E);
+    the first-order velocity forms A and B only."""
     a, b = p.alpha, p.beta
-    w = eta + a * A + b * B
-    if not truncate_first_order:
-        w = w + a * b * C + b * b * D + a * a * E
-    return w
+    if truncate_first_order:
+        A, B, *_ = _first_order(eta, eta_t, p)
+        return eta + a * A + b * B
+    A, B, C, D, E = correction_terms(eta, eta_t, p)
+    return eta + a * A + b * B + a * b * C + b * b * D + a * a * E
 
 
 def abcd_residual_first(
@@ -165,9 +172,9 @@ def abcd_residual_first(
 ) -> tuple[float, float]:
     """L^2 norms of the two first-order system residuals.
 
-    Uses the first-order truncated velocity; time derivatives come from the
-    scaled evolution law.  Residuals are expected to be O(eps^2) when
-    alpha = beta = eps.
+    Uses the first-order truncated velocity, which forms only the
+    corrections A and B; time derivatives come from the scaled evolution
+    law.  Residuals are expected to be O(eps^2) when alpha = beta = eps.
     """
     p = model.p
     a_p, b_p = p.alpha, p.beta

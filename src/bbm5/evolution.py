@@ -23,8 +23,9 @@ Each spectral kernel has one implementation: the symbol formulas in
 in ``SpectralEngine.combine``, which the equation, the difference equation
 of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
 all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
-linear symbol of any engine.  An engine owns its work buffers, returns
-fresh arrays and is not for concurrent use from threads.
+linear symbol of any engine.  An engine owns its work buffers, one set for
+a single state and one slot for the last stack shape it evaluated; it
+returns fresh arrays and is not for concurrent use from threads.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -38,6 +39,7 @@ every other statement of the equation writes 1/8; we use 1/8 throughout.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -143,8 +145,10 @@ class SpectralEngine:
     ``bbm5.derivation`` needs an engine at alpha = beta = 0.  ``weights``
     are the factors of the quadratic, cubic and gradient terms; the
     equation's are (1, 1/8, 7/48), the scaled law passes its own.  The
-    engine owns the work buffers of a single state's nonlinearity, so it is
-    not for concurrent use from threads; every result is a fresh array.
+    engine owns the work buffers of the nonlinearity: one set for a single
+    state and one slot, remade when a stack of another shape than the last
+    comes.  So it is not for concurrent use from threads; every result is
+    a fresh array.
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
@@ -161,45 +165,59 @@ class SpectralEngine:
         self._ipsi = 1j * self.psi
         self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
-        # a single state's work buffers; the spectrum's tail past n/2 stays zero
-        self._spec, self._coeffs = np.zeros((2, 2, self.m // 2 + 1), dtype=np.complex128)
-        self._fine, self._scratch = np.empty((2, self.m)), np.empty(self.m)
+        # a single state's work buffers (spectrum, samples, coefficients, scratch);
+        # the spectrum's tail past n/2 stays zero
+        spec, coeffs = np.zeros((2, 2, self.m // 2 + 1), dtype=np.complex128)
+        self._one = spec, np.empty((2, self.m)), coeffs, np.empty(self.m)
+        self._slot = None  # the same for the last stack shape evaluated
+
+    def _work(self, lead: tuple) -> tuple:
+        """Work buffers of states of leading shape lead: a single state's, or the
+        slot, made anew for a new stack shape (its arrays apart: a joint one of
+        128 kB or more is mapped on its own and raises peak RSS)."""
+        if not lead:
+            return self._one
+        if self._slot is None or self._slot[3].shape[:-1] != lead:
+            half, fine = (2, *lead, self.m // 2 + 1), (2, *lead, self.m)
+            self._slot = (np.zeros(half, dtype=np.complex128), np.empty(fine),
+                          np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
+        return self._slot
 
     @classmethod
     def stack(cls, engines: Sequence["SpectralEngine"]) -> "SpectralEngine":
         """Engines of one grid as one, their tables stacked as rows: its
         nonlinear_hat of an (E, n/2 + 1) stack is, row by row, each engine's,
-        because nonlinear_hat broadcasts over rows."""
+        because nonlinear_hat broadcasts over rows.  It owns its buffers."""
         first = engines[0]
         if any((e.grid, e.dealias, e.linear_only) != (first.grid, first.dealias, first.linear_only)
                for e in engines):
             raise ValueError("stacked engines need one grid, dealias and linear_only")
-        eng = cls.__new__(cls)
-        eng.__dict__.update(first.__dict__)  # grid, dealias, linear_only, ikx_d, m, buffers
+        eng = cls(first.grid, first.coefficients, first.dealias, first.linear_only)
         eng.coefficients = tuple(e.coefficients for e in engines)
         for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
             setattr(eng, name, np.stack([getattr(e, name) for e in engines]))
-        for name in ("_w3", "_wg"):  # the scalar weights as (E, 1) columns
-            setattr(eng, name, np.array([[getattr(e, name)] for e in engines]))
+        for name in ("_w3", "_wg"):  # the scalar weights as full rows of the fine grid
+            setattr(eng, name, np.stack([np.full(eng.m, getattr(e, name)) for e in engines]))
         return eng
 
     # -- padded transforms ------------------------------------------------
 
-    def to_fine(self, c_hat: np.ndarray) -> np.ndarray:
-        return fine_samples(c_hat, self.m, out=self._fine if c_hat is self._spec else None)
+    def to_fine(self, c_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return fine_samples(c_hat, self.m, out=out)
 
-    def from_fine(self, samples: np.ndarray) -> np.ndarray:
-        return truncated_coeffs(samples, self.grid.n,
-                                out=self._coeffs if samples is self._fine else None)
+    def from_fine(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return truncated_coeffs(samples, self.grid.n, out=out)
 
-    def fine_pair(self, c_hat: np.ndarray, spec: np.ndarray | None = None) -> np.ndarray:
-        """Fine-grid samples of c_hat and its x-derivative as one stack, by one
-        transform of spec, a (2, ..., m/2 + 1) array zero past n/2, or a fresh one."""
-        spec = np.zeros((2, *c_hat.shape[:-1], self.m // 2 + 1), complex) if spec is None else spec
+    def fine_pair(self, c_hat: np.ndarray, fresh: bool = False) -> np.ndarray:
+        """Fine-grid samples of c_hat and its x-derivative as one (2, ..., m) stack, by
+        one transform, in the engine's work buffer for c_hat's shape (see _work) or,
+        for a caller that evaluates rarely and should not keep buffers, a fresh one."""
+        spec, fine = ((np.zeros((2, *c_hat.shape[:-1], self.m // 2 + 1), complex), None)
+                      if fresh else self._work(c_hat.shape[:-1])[:2])
         h = spec[..., : c_hat.shape[-1]]
         h[0] = c_hat
         np.multiply(self.ikx_d, c_hat, out=h[1])
-        return self.to_fine(fine_band(spec, self.grid.n))
+        return self.to_fine(fine_band(spec, self.grid.n), fine)
 
     # -- right-hand side --------------------------------------------------
 
@@ -213,7 +231,7 @@ class SpectralEngine:
         np.multiply(self._wg, pg, out=fine[1])
         fine[1] += np.multiply(self._w3, p3, out=fine[0])
         fine[0] = p2
-        q = self.from_fine(fine)
+        q = self.from_fine(fine, self._work(p2.shape[:-1])[2])
         out = self._quad * q[0]
         out += np.multiply(self._ipsi, q[1], out=q[1])
         return out
@@ -224,10 +242,10 @@ class SpectralEngine:
         from its fine samples."""
         if self.linear_only:
             return np.zeros_like(c_hat)
-        u, ux = fine = self.fine_pair(c_hat, self._spec if c_hat.ndim == 1 else None)
+        u, ux = fine = self.fine_pair(c_hat)
         if cube is not None:
             cube[0] = sampled_integral_cube(ux, self.grid.length)
-        u2 = np.multiply(u, u, out=self._scratch if fine is self._fine else None)
+        u2 = np.multiply(u, u, out=self._work(c_hat.shape[:-1])[3])
         u *= u2  # u^3
         ux *= ux
         return self.combine(u2, u, ux, fine)
@@ -493,9 +511,10 @@ def run_simulation(
     dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
     of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of
     the next step pads anyway, and computed apart only for the final record.
-    NaN or overflow in the state aborts the run, returning the report of the
-    records made up to the last good state; its ``error`` (``aborted`` is set)
-    is the NumericalError that gives the failing step and time.
+    A non-finite state, or a record whose energy, H^s norms or prediction
+    are not finite, ends the run: the report holds the records before it,
+    and its ``error`` (``aborted`` is set) is the NumericalError that gives
+    that step and time.
     """
     if not 0.0 < T < np.inf or record_every < 1:
         raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
@@ -510,34 +529,43 @@ def run_simulation(
     cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
             and not spec.linear_only and not c.energy_conserving else None)
 
-    def record(t: float, f: Field, direct: bool = True) -> None:
-        nonlocal count
-        table[:, count] = (t, energy(f, c), f.zero_mode,
-                           energy_drift_predicted(f, c) if direct else np.nan,
-                           *(sobolev_norm(f, s) for s in svals))
-        count += 1
-        if keep_snapshots:
-            snapshots.append(f)
+    def complete(k: int) -> bool:
+        """Whether record k, the last, is finite once it has the integral that
+        the step after it wrote; if not it is dropped, and error names it."""
+        nonlocal count, error
+        if cube is not None and k < n_steps:
+            table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
+        if all(map(math.isfinite, table[1:, count - 1].tolist())):
+            return True
+        count -= 1
+        del snapshots[count:]
+        error = NumericalError(f"non-finite diagnostics at step {k} of {n_steps} "
+                               f"(t = {k * dt:g})", k, k * dt)
+        return False
 
-    error = None
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
-        for k, f in enumerate(traj):
-            if k % record_every == 0 or k == n_steps:
-                record(k * dt, f)
+        states = ((k, f) for k, f in enumerate(traj) if k % record_every == 0 or k == n_steps)
     else:
-        record(0.0, eta0, cube is None)
-        try:
-            for k, c_hat in _march(_stepper(grid, spec, dt), eta0.half, n_steps,
-                                   every=record_every, cube=cube):
-                if cube is not None:  # the step after the last record wrote its integral
-                    table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
-                with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
-                    record(k * dt, Field(grid, half=c_hat), cube is None or k == n_steps)
-        except NumericalError as exc:
-            error = exc
-            if cube is not None:  # so did a step before the one that failed
-                table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
+        march = _march(_stepper(grid, spec, dt), eta0.half, n_steps, every=record_every, cube=cube)
+        states = itertools.chain([(0, eta0)], ((k, Field(grid, half=h)) for k, h in march))
+    error = last = None
+    try:
+        for k, f in states:  # a record is checked when the next state arrives
+            if last is not None and not complete(last):
+                break
+            with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
+                table[:, count] = (k * dt, energy(f, c), f.zero_mode,
+                                   energy_drift_predicted(f, c) if cube is None or k == n_steps
+                                   else np.nan, *(sobolev_norm(f, s) for s in svals))
+            count, last = count + 1, k
+            if keep_snapshots:
+                snapshots.append(f)
+        else:
+            complete(last)
+    except NumericalError as exc:
+        error = exc
+        complete(last)  # a step before the one that failed wrote its integral
     times, evals, zm, predicted, *hs = table[:, :count]
     return RunReport(times=times, energy=evals, hs_norms=dict(zip(svals, hs)), zero_mode=zm,
                      drift_residual=_drift_residual(times, evals, predicted),
@@ -590,7 +618,8 @@ def duhamel_picard(
             f"T_bar = {t_bar} (C_s = {cfg.contraction_constant_cs}, "
             f"||eta0||_Hs = {r0})"
         )
-    eng = _engine(eta0.grid, spec)
+    # an engine of its own, so that no cached one keeps the (K + 1)-row buffers
+    eng = SpectralEngine(eta0.grid, spec.coefficients, spec.dealias, spec.linear_only)
     K, dt = _time_lattice(T, cfg.dt)
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt

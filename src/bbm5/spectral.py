@@ -327,11 +327,12 @@ def truncated_coeffs(samples: np.ndarray, n: int, out: np.ndarray | None = None)
 def padded_product(n: int, *halves: np.ndarray) -> np.ndarray:
     """Half spectrum of the alias-free product of two fields (2/3-rule
     padding) or three (1/2 rule) of n points, given as half spectra or as
-    stacks of them along the last axis."""
+    stacks of them along the last axis, all of one shape; every factor is
+    padded by one transform call."""
     m = 3 * n // 2 if len(halves) == 2 and n % 4 == 0 else 2 * n
-    w = fine_samples(halves[0], m)
-    for h in halves[1:]:
-        w = w * fine_samples(h, m)
+    w, *rest = fine_samples(np.stack(halves), m)
+    for f in rest:
+        w *= f
     return truncated_coeffs(w, n)
 
 

@@ -105,14 +105,14 @@ def _window_nl(eng: SpectralEngine):
     """(F(u+v) - F(u); F(u)) of a window's (v; u) stack, padded by one
     transform and truncated by another.  u's row forms nonlinear_hat's
     products in its order, so u steps as it does alone, bit for bit."""
+    prods = np.empty((3, 2, eng.m))  # quadratic, cubic, gradient; rows (v, u)
+    p2, p3, pg = prods
 
     def nl(vu: np.ndarray) -> np.ndarray:
         if eng.linear_only:
             return np.zeros_like(vu)
         fine = eng.fine_pair(vu)
         (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
-        prods = np.empty((3, *fine.shape[1:]))  # quadratic, cubic, gradient; rows (v, u)
-        p2, p3, pg = prods
         np.multiply(us, us, out=prods[::2, 1])  # u's row: u*u and ux*ux, then u*(u*u)
         np.multiply(u, p2[1], out=p3[1])
         # v's row: the differences expanded, so that no O(u^3) terms cancel,

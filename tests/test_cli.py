@@ -262,6 +262,29 @@ def test_non_finite_run_exits_3_with_one_line(tmp_path, capsys, command, section
         "run aborted on non-finite state; last-good report written"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [16.0, 1e200])
+@pytest.mark.parametrize("command,section,name", [("simulate", "simulate", "run.csv"),
+                                                  ("energy-drift", "energy_drift",
+                                                   "energy_drift.csv")])
+def test_a_run_whose_diagnostics_overflow_writes_finite_rows(tmp_path, capsys, command, section,
+                                                            name, amplitude):
+    # amplitude 16: the record at t = 0.2 has a finite state but E = inf and
+    # a NaN prediction, and both CSVs used to end in that row.  1e200: the
+    # initial record's energy overflows, and the CSV has its header only
+    cfg = _write_config(
+        tmp_path,
+        {"coeffs": {"rho": -0.5}, "grid": {"n": 64}, "stepper": {"dt": 0.1},
+         section: {"T": 10.0, "initial": {"kind": "cosine", "amplitude": amplitude}}},
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "run aborted on non-finite state; last-good report written"]
+    header, *rows = (tmp_path / name).read_text().splitlines()
+    assert len(rows) == (2 if amplitude == 16.0 else 0)
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 DRIFT_CONFIG = {
     "grid": {"n": 128, "length": 16.0 * math.pi},
     "stepper": {"dt": 0.01},

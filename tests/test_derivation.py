@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bbm5 import derivation
 from bbm5.coefficients import reference_parameters
 from bbm5.derivation import (
     DerivationParameters,
@@ -196,6 +197,44 @@ def test_residual_translation_invariant(dgrid):
     assert r2b == pytest.approx(r2a, rel=1e-10)
 
 
+def test_residual_forms_the_first_order_terms_only(dgrid, monkeypatch):
+    # eta^2 for A, then w*eta, eta*eta_t and w*w_x of the residuals; C, D and
+    # E, which the first-order velocity drops, are not formed
+    calls = {"dealiased_product2": 0, "dealiased_product3": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(derivation, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(derivation, name, counted)
+    p = _params()
+    abcd_residual_first(_eta_pair(dgrid, p)[0], ScaledModel(dgrid, p))
+    assert calls == {"dealiased_product2": 4, "dealiased_product3": 0}
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, eps,
+                                                                        monkeypatch):
+    p = _params(eps, eps)
+    model = ScaledModel(dgrid, p)
+    eta = _eta_pair(dgrid, p, amplitude=0.5)[0]
+    got = abcd_residual_first(eta, model)
+
+    def five_term_velocity(eta, eta_t, p, truncate_first_order=False):
+        A, B, C, D, E = correction_terms(eta, eta_t, p)
+        w = eta + p.alpha * A + p.beta * B
+        if not truncate_first_order:
+            w = w + p.alpha * p.beta * C + p.beta * p.beta * D + p.alpha * p.alpha * E
+        return w
+
+    eta_t = model.eta_t(eta)
+    for truncate in (True, False):
+        assert np.array_equal(reconstruct_velocity(eta, eta_t, p, truncate).half,
+                              five_term_velocity(eta, eta_t, p, truncate).half)
+    monkeypatch.setattr(derivation, "reconstruct_velocity", five_term_velocity)
+    assert got == abcd_residual_first(eta, model)
+
+
 @pytest.mark.parametrize("t_final,dt,n_checkpoints,epsilons", [
     *(pytest.param(*case, (0.1, 0.05), id="-".join(map(str, case)))
       for case in [(0.1, 0.0, 1), (0.1, 0.01, 0), (0.0, 0.01, 1), (math.inf, 0.01, 1)]),
@@ -250,9 +289,12 @@ def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
     for k, st in enumerate(steppers):
         for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
             assert np.array_equal(getattr(stacked, name)[k], getattr(st, name)), name
-        for name in ("phi", "psi", "tau", "_quad", "_ipsi", "_w3", "_wg"):
-            assert np.array_equal(getattr(stacked.engine, name)[k],
-                                  np.reshape(getattr(st.engine, name), -1)), name
+        for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
+            assert np.array_equal(getattr(stacked.engine, name)[k], getattr(st.engine, name)), name
+        for name in ("_w3", "_wg"):  # full rows of the engine's scalar weight
+            row = getattr(stacked.engine, name)[k]
+            assert row.shape == (stacked.engine.m,), name
+            assert np.all(row == getattr(st.engine, name)), name
         assert np.array_equal(out[k], st.step(c))
     with pytest.raises(ValueError, match="one dt"):
         Etdrk4Stepper.stack([steppers[0], Etdrk4Stepper(steppers[1].engine, 2.0 * dt)])

@@ -219,9 +219,9 @@ def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
     for name in calls:
         original = getattr(SpectralEngine, name)
 
-        def counting(self, arr, _name=name, _original=original):
+        def counting(self, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(self, arr)
+            return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(SpectralEngine, name, counting)
     stepper = evolution.Etdrk4Stepper(SpectralEngine(grid, ref), 0.01)
@@ -229,14 +229,33 @@ def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
     assert calls == {"to_fine": 4, "from_fine": 4}
 
 
+def _arrays(eng):
+    """The ndarrays an engine holds, by attribute name, those in its tuples of
+    work buffers (a single state's and the stack slot) included."""
+    arrays = {}
+    for k, v in vars(eng).items():
+        for i, a in enumerate(v if isinstance(v, tuple) else [v]):
+            if isinstance(a, np.ndarray):
+                arrays[f"{k}[{i}]" if isinstance(v, tuple) else k] = a
+    return arrays
+
+
 def _buffers(eng):
     """Copies of the ndarrays an engine holds, by attribute name."""
-    return {k: v.copy() for k, v in vars(eng).items() if isinstance(v, np.ndarray)}
+    return {k: v.copy() for k, v in _arrays(eng).items()}
+
+
+def _stacked_engine(grid, dealias, ref):
+    return SpectralEngine.stack([SpectralEngine(grid, ref, dealias, weights=w)
+                                 for w in ((1.0, 0.125, 7.0 / 48.0), (0.3, -0.7, 2.5),
+                                           (-1.1, 0.4, 0.9))])
 
 
 @pytest.mark.parametrize("dealias", [True, False])
 def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
-    # with dealias=False m == n: the padded spectrum has no zero tail
+    # with dealias=False m == n: the padded spectrum has no zero tail.  Single
+    # states, stacks of three and of two rows alternate on one engine, so its
+    # stack slot is remade and reused in turn; a stacked engine reuses its own
     grid = Grid(n=64, length=16.0 * math.pi)
     rng = np.random.default_rng(21)
     states = [random_hs_field(grid, 1.5, rng, a).half for a in (0.5, 2.0, 0.1)]
@@ -244,9 +263,15 @@ def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
     nyquist = states[0].copy()
     nyquist[-1] = 0.3  # a nonzero Nyquist slot, halved into the padded spectrum
     stack = np.array([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(3)])
+    pair = np.array([nyquist, states[2]])
     eng = SpectralEngine(grid, ref, dealias)
-    for c_hat in (*states, nyquist, stack, states[1], np.zeros_like(states[0]), states[2]):
+    for c_hat in (*states, nyquist, stack, states[1], pair, np.zeros_like(stack), stack,
+                  np.zeros_like(states[0]), pair, states[2], stack[::-1]):
         assert np.array_equal(eng.nonlinear_hat(c_hat), _two_transform_nonlinear_hat(eng, c_hat))
+    stacked = _stacked_engine(grid, dealias, ref)
+    for rows in (stack, stack[::-1], np.zeros_like(stack), stack):
+        assert np.array_equal(stacked.nonlinear_hat(rows),
+                              _two_transform_nonlinear_hat(stacked, rows))
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -254,29 +279,55 @@ def test_nonlinear_hat_results_are_fresh(dealias, ref):
     grid = Grid(n=64, length=16.0 * math.pi)
     rng = np.random.default_rng(22)
     a, b = (random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2))
-    eng = SpectralEngine(grid, ref, dealias)
-    first = eng.nonlinear_hat(a)
-    kept = _buffers(eng)
-    assert not any(np.shares_memory(first, v) for v in vars(eng).values()
-                   if isinstance(v, np.ndarray))
-    first[...] = 1e300
-    assert all(np.array_equal(v, kept[k]) for k, v in _buffers(eng).items())
-    second = eng.nonlinear_hat(b)
-    assert np.array_equal(second, _two_transform_nonlinear_hat(eng, b))
-    assert not np.shares_memory(first, second) and np.all(first == 1e300)
-    assert np.array_equal(eng.nonlinear_hat(a), _two_transform_nonlinear_hat(eng, a))
+    stack = np.array([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(3)])
+    for eng, x, y in ((SpectralEngine(grid, ref, dealias), a, b),
+                      (SpectralEngine(grid, ref, dealias), stack, stack[:2]),
+                      (_stacked_engine(grid, dealias, ref), stack, stack[::-1])):
+        first = eng.nonlinear_hat(x)
+        assert not any(np.shares_memory(first, v) for v in _arrays(eng).values())
+        kept = _buffers(eng)
+        first[...] = 1e300
+        assert all(np.array_equal(v, kept[k]) for k, v in _buffers(eng).items())
+        second = eng.nonlinear_hat(y)
+        assert not any(np.shares_memory(second, v) for v in _arrays(eng).values())
+        assert np.array_equal(second, _two_transform_nonlinear_hat(eng, y))
+        assert not np.shares_memory(first, second) and np.all(first == 1e300)
+        assert np.array_equal(eng.nonlinear_hat(x), _two_transform_nonlinear_hat(eng, x))
+
+
+def test_a_stacked_engine_shares_no_buffer_with_its_engines(grid, ref):
+    engines = [SpectralEngine(grid, ref), SpectralEngine(grid, ref, weights=(0.3, -0.7, 2.5))]
+    rng = np.random.default_rng(23)
+    engines[0].nonlinear_hat(np.array([random_hs_field(grid, 1.5, rng, 0.5).half] * 2))
+    stacked = SpectralEngine.stack(engines)
+    stacked.nonlinear_hat(np.array([random_hs_field(grid, 1.5, rng, 0.5).half] * 2))
+    assert stacked._slot is not None and engines[0]._slot is not None
+    for eng in engines:
+        writable = [v for v in _arrays(eng).values() if v.flags.writeable]
+        assert not any(np.shares_memory(v, w) for v in _arrays(stacked).values()
+                       for w in writable)
 
 
 def test_engine_memory_does_not_grow_with_a_stack(grid):
-    # Picard evaluates all K + 1 nodes as one stack on the cached engine
+    # Picard evaluates all K + 1 nodes as one stack, on an engine of its own:
+    # neither the cached engine nor anything else keeps its buffers
     eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x))
     eng = evolution._engine(grid, _spec())
-    held = {}
-    for K in (20, 200):
-        duhamel_picard(eta0, _spec(), StepperConfig(dt=0.2 / K), 0.2)
+    duhamel_picard(eta0, _spec(), StepperConfig(dt=0.2 / 20), 0.2)  # fills the caches
+    held, retained = {}, {}
+    for K in (50, 200):
+        tracemalloc.start()
+        try:
+            duhamel_picard(eta0, _spec(), StepperConfig(dt=0.2 / K), 0.2)
+            retained[K] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         assert evolution._engine(grid, _spec()) is eng
-        held[K] = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
-    assert held[20] == held[200], held
+        held[K] = sum(v.nbytes for v in _arrays(eng).values())
+    assert held[50] == held[200], held
+    # a (K + 1)-row stack slot kept anywhere would be about a megabyte; a
+    # kilobyte is less than two states, and leaves room for tracing noise
+    assert retained[200] < retained[50] + 1024, retained
 
 
 @pytest.mark.parametrize("n", [64, 2048])
@@ -563,15 +614,19 @@ def test_run_memory_is_bounded_in_the_number_of_records():
     run_simulation(eta0, _spec(), cfg, 0.04)  # builds the cached stepper
     peaks = {}
     for steps in (40, 400):
-        tracemalloc.start()
-        try:
-            run_simulation(eta0, _spec(), cfg, steps * cfg.dt, record_every=1)
-            peaks[steps] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    per_record = (peaks[400] - peaks[40]) / 360
+        for every in (1, steps):
+            tracemalloc.start()
+            try:
+                run_simulation(eta0, _spec(), cfg, steps * cfg.dt, record_every=every)
+                peaks[steps, every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    # the memory of the records: the peak less that of a run of the same
+    # steps with one record past the initial one, whose base is a step's arrays
+    records = {steps: peaks[steps, 1] - peaks[steps, steps] for steps in (40, 400)}
+    per_record = (records[400] - records[40]) / 360
     assert per_record < 1024, peaks
-    assert peaks[400] < 3 * peaks[40], peaks
+    assert records[400] / 400 < 3 * records[40] / 40, peaks
 
 
 @pytest.mark.parametrize("scheme,dt,T", [("exponential_rk4", 0.01, 0.2),
@@ -635,6 +690,47 @@ def test_an_aborted_run_predicts_its_last_good_record(record_every):
     assert rep.aborted and rep.error.step == 9
     assert len(rep.times) == (9 if record_every == 1 else 3)
     _assert_predictions_are_the_snapshots(rep, SHIFTED)
+
+
+def _assert_all_finite(rep):
+    assert all(np.all(np.isfinite(a)) for a in (rep.times, rep.energy, rep.zero_mode,
+                                                 rep.drift_predicted, rep.drift_residual,
+                                                 *rep.hs_norms.values()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dealias", [True, False])
+def test_a_record_whose_diagnostics_overflow_ends_the_run(dealias):
+    # the state at step 7 is finite (coefficients up to 6e154), but its
+    # energy and H^1 norm overflow and its prediction is NaN; step 8 is not
+    # finite.  The run used to keep that record and end with an inf/NaN row
+    grid, dt = Grid(n=64, length=2.0 * math.pi), 0.1
+    eta0 = Field.from_samples(grid, 11.0 * (np.cos(grid.x) + 0.3 * np.sin(2.0 * grid.x)))
+    spec = RhsSpec(SHIFTED, dealias=dealias)
+    rep = run_simulation(eta0, spec, StepperConfig(dt=dt), 10.0, record_every=1,
+                         keep_snapshots=True)
+    err = rep.error
+    assert isinstance(err, evolution.NumericalError) and rep.aborted
+    assert (err.step, err.time, err.rows) == (7, 7 * dt, None)
+    assert str(err) == f"non-finite diagnostics at step 7 of 100 (t = {7 * dt:g})"
+    assert len(rep.times) == 7 and rep.times[-1] == 6 * dt
+    _assert_all_finite(rep)
+    _assert_predictions_are_the_snapshots(rep, SHIFTED)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dealias", [True, False])
+def test_a_record_whose_prediction_alone_overflows_ends_the_run(dealias):
+    # E and the H^s norms of 1e103*cos x are finite, (eta_x)^3 overflows and
+    # the integral is NaN: the initial record goes, whether its prediction is
+    # read from the step after it (dealiased) or computed at once
+    grid = Grid(n=64, length=2.0 * math.pi)
+    eta0 = Field.from_samples(grid, 1e103 * np.cos(grid.x))
+    assert math.isfinite(energy(eta0, SHIFTED))
+    rep = run_simulation(eta0, RhsSpec(SHIFTED, dealias=dealias), StepperConfig(dt=0.1), 1.0,
+                         keep_snapshots=True)
+    assert (rep.error.step, rep.error.time) == (0, 0.0)
+    assert len(rep.times) == len(rep.snapshots) == len(rep.drift_residual) == 0
 
 
 @pytest.mark.parametrize("c,extra", [(SHIFTED, 1), (REFERENCE_COEFFICIENTS, 0)])

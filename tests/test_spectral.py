@@ -495,6 +495,39 @@ def test_product3_exact_for_low_modes(grid):
     assert np.abs(p.samples - expected).max() < 1e-13
 
 
+def _per_factor_product(n, *halves):
+    """padded_product with one padded transform per factor."""
+    m = 3 * n // 2 if len(halves) == 2 and n % 4 == 0 else 2 * n
+    w = fine_samples(halves[0], m)
+    for h in halves[1:]:
+        w = w * fine_samples(h, m)
+    return truncated_coeffs(w, n)
+
+
+@pytest.mark.parametrize("n", [64, 66])  # 3n/2 and 2n points for two factors
+@pytest.mark.parametrize("factors", [2, 3])
+@pytest.mark.parametrize("stack", [(), (5,)])
+def test_padded_product_is_one_transform_each_way_and_the_per_factor_formula(
+        n, factors, stack, monkeypatch):
+    grid = Grid(n=n, length=2.0 * math.pi)
+    rng = np.random.default_rng(n + factors)
+    halves = [np.array([_random_field(grid, rng, 0.5).half for _ in range(math.prod(stack))])
+              .reshape(*stack, n // 2 + 1) for _ in range(factors)]
+    assert np.all(halves[0][..., -1] != 0.0)  # a Nyquist slot for fine_band to halve
+    want = _per_factor_product(n, *halves)
+    calls = {"irfft": 0, "rfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    got = spectral.padded_product(n, *halves)
+    assert calls == {"irfft": 1, "rfft": 1}
+    assert got.shape == (*stack, n // 2 + 1)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-100])
 def test_integral_cube_matches_the_general_power(scale):
     # a skewed sech^2 pulse, so that the integral of its derivative cubed
