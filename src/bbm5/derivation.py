@@ -16,12 +16,12 @@ epsilon (Stokes number 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import (
-    AbcdFirst,
     Bbm5Coefficients,
     ModelParameters,
     derive_bbm5,
@@ -30,15 +30,9 @@ from .coefficients import (
 )
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
-from .spectral import (
-    Field,
-    Grid,
-    dealiased_product2,
-    dealiased_product3,
-    sobolev_norm,
-    spectral_derivative,
-    write_csv,
-)
+from .spectral import (CACHE_SIZE, Field, Grid, dealiased_product2, dealiased_product3,
+                       derivative_symbol, padded_product, sobolev_norm, sobolev_weights,
+                       spectral_derivative, write_csv)
 
 __all__ = [
     "DerivationParameters",
@@ -75,14 +69,13 @@ class ScaledModel:
     nonlinear weights (a, a^2/8, a*b*7/48) in place of (1, 1/8, 7/48), so
     one SpectralEngine evaluates it.  eta_tt differentiates that law along
     the flow, which polarises the products to 2*eta*eta_t, 3*eta^2*eta_t and
-    2*eta_x*eta_tx.  Both work on the half spectra of their Fields.
+    2*eta_x*eta_tx.  _eta_t and _eta_tt evaluate both on half spectra or stacks.
     """
 
     def __init__(self, grid: Grid, p: DerivationParameters):
         self.grid = grid
         self.p = p
         self.coeffs: Bbm5Coefficients = derive_bbm5(p.model)
-        self.abcd: AbcdFirst = derive_first_order(p.model)
         a, b = p.alpha, p.beta
         c = self.coeffs
         scaled = Bbm5Coefficients(
@@ -97,27 +90,33 @@ class ScaledModel:
         )
 
     def eta_t(self, eta: Field) -> Field:
-        eng = self.engine
-        return Field(self.grid, half=-1j * eng.phi * eta.half + eng.nonlinear_hat(eta.half))
+        return Field(self.grid, half=_eta_t(self.engine, eta.half))
 
     def eta_tt(self, eta: Field, eta_t: Field) -> Field:
-        eng = self.engine
-        c_hat, ct_hat = eta.half, eta_t.half
-        # fresh arrays: an engine per eps keeping a stack slot would raise the sweep's peak
-        (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)), fresh=True)
-        nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
-        return Field(self.grid, half=-1j * eng.phi * ct_hat + nl)
+        return Field(self.grid, half=_eta_tt(self.engine, eta.half, eta_t.half))
 
 
-def _first_order(eta: Field, eta_t: Field, p: DerivationParameters):
-    """The first-order corrections A and B, and the eta^2 and eta_xx they are of."""
-    f = derive_first_order(p.model)
-    a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
-    rho = float(p.model.rho)
-    eta2 = dealiased_product2(eta, eta)
-    dxx_eta = spectral_derivative(eta, 2)
-    A = -0.25 * eta2
-    B = 0.5 * (c - a + rho) * dxx_eta + 0.5 * (b - d + rho) * spectral_derivative(eta_t, 1)
+def _eta_t(eng: SpectralEngine, c_hat: np.ndarray) -> np.ndarray:
+    return -1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat)
+
+
+def _eta_tt(eng: SpectralEngine, c_hat: np.ndarray, ct_hat: np.ndarray) -> np.ndarray:
+    # fresh arrays: a (2, E) stack slot would replace the (E,) one that the sweep steps in
+    (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)), fresh=True)
+    nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
+    return -1j * eng.phi * ct_hat + nl
+
+
+def _first_order(c_hat: np.ndarray, ct_hat: np.ndarray, model: ModelParameters, grid: Grid):
+    """The first-order corrections A and B, and the eta^2 and eta_xx they are of, as half
+    spectra (or stacks of them) of eta and eta_t."""
+    f = derive_first_order(model)
+    a, b, c, d, rho = float(f.a), float(f.b), float(f.c), float(f.d), float(model.rho)
+    eta2 = padded_product(grid.n, c_hat, c_hat)
+    dxx_eta = c_hat * derivative_symbol(grid, 2)
+    A = eta2 * -0.25
+    B = (dxx_eta * (0.5 * (c - a + rho))
+         + ct_hat * derivative_symbol(grid, 1) * (0.5 * (b - d + rho)))
     return A, B, eta2, dxx_eta
 
 
@@ -130,7 +129,8 @@ def correction_terms(
     s = derive_second_order(model)
     a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
     rho = float(model.rho)
-    A, B, eta2, dxx_eta = _first_order(eta, eta_t, p)
+    A, B, eta2, dxx_eta = (Field(eta.grid, half=h)
+                           for h in _first_order(eta.half, eta_t.half, model, eta.grid))
 
     c_coeff = 0.125 * (a + 4.0 * b + 2.0 * c - d) + 0.1875 * (a + b - c - d) + 0.375 * rho
     dxx_eta2 = spectral_derivative(eta2, 2)
@@ -161,48 +161,60 @@ def reconstruct_velocity(
     the first-order velocity forms A and B only."""
     a, b = p.alpha, p.beta
     if truncate_first_order:
-        A, B, *_ = _first_order(eta, eta_t, p)
-        return eta + a * A + b * B
+        A, B, *_ = _first_order(eta.half, eta_t.half, p.model, eta.grid)
+        return Field(eta.grid, half=eta.half + A * a + B * b)
     A, B, C, D, E = correction_terms(eta, eta_t, p)
     return eta + a * A + b * B + a * b * C + b * b * D + a * a * E
 
 
-def abcd_residual_first(
-    eta: Field, model: ScaledModel
-) -> tuple[float, float]:
+def _residual_norms(eng: SpectralEngine, c_hat, alpha, beta, model: ModelParameters):
+    """The L^2 norms (r1, r2) of the first-order system residuals of c_hat, a half spectrum
+    or an (E, n/2 + 1) stack of them with eng stacked and alpha, beta (E, 1) columns."""
+    grid = eng.grid
+    f = derive_first_order(model)
+    a, b, c, d, rho = float(f.a), float(f.b), float(f.c), float(f.d), float(model.rho)
+    dx1, dx2, dx3 = (derivative_symbol(grid, k) for k in (1, 2, 3))
+    eta_t = _eta_t(eng, c_hat)
+    eta_tt = _eta_tt(eng, c_hat, eta_t)
+    A, B, *_ = _first_order(c_hat, eta_t, model, grid)
+    w = c_hat + A * alpha + B * beta  # the first-order truncated velocity
+
+    # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
+    r1 = (eta_t + w * dx1 + padded_product(grid.n, w, c_hat) * dx1 * alpha
+          + (w * dx3 * a - eta_t * dx2 * b) * beta)
+
+    # w_t for the truncated ansatz: eta_t + alpha*A_t + beta*B_t with
+    # A_t = -eta*eta_t/2 and B_t needing eta_tt through the mixed derivative
+    A_t = padded_product(grid.n, c_hat, eta_t) * -0.5
+    B_t = eta_t * dx2 * (0.5 * (c - a + rho)) + eta_tt * dx1 * (0.5 * (b - d + rho))
+    w_t = eta_t + A_t * alpha + B_t * beta
+
+    # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)
+    r2 = (w_t + c_hat * dx1 + padded_product(grid.n, w, w * dx1) * alpha
+          + (c_hat * dx3 * c - w_t * dx2 * d) * beta)
+    power = np.abs(np.stack((r1, r2))) ** 2  # the quadrature of sobolev_norm(., 0.0)
+    return np.sqrt(grid.length * (sobolev_weights(grid, 0.0) * power).sum(-1))
+
+
+def abcd_residual_first(eta: Field, model: ScaledModel) -> tuple[float, float]:
     """L^2 norms of the two first-order system residuals.
 
     Uses the first-order truncated velocity, which forms only the
     corrections A and B; time derivatives come from the scaled evolution
     law.  Residuals are expected to be O(eps^2) when alpha = beta = eps.
+    This is the one-row case of the stacked evaluation of epsilon_sweep.
     """
+    if eta.grid != model.grid:
+        raise ValueError("fields live on different grids")
     p = model.p
-    a_p, b_p = p.alpha, p.beta
-    ab = model.abcd
-    a, b, c, d = float(ab.a), float(ab.b), float(ab.c), float(ab.d)
+    return tuple(map(float, _residual_norms(model.engine, eta.half, p.alpha, p.beta, p.model)))
 
-    eta_t = model.eta_t(eta)
-    eta_tt = model.eta_tt(eta, eta_t)
-    w = reconstruct_velocity(eta, eta_t, p, truncate_first_order=True)
 
-    # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
-    w_eta = dealiased_product2(w, eta)
-    r1f = (eta_t + spectral_derivative(w, 1) + a_p * spectral_derivative(w_eta, 1)
-           + b_p * (a * spectral_derivative(w, 3) - b * spectral_derivative(eta_t, 2)))
-
-    # w_t for the truncated ansatz: eta_t + alpha*A_t + beta*B_t with
-    # A_t = -eta*eta_t/2 and B_t needing eta_tt through the mixed derivative
-    rho = float(p.model.rho)
-    A_t = -0.5 * dealiased_product2(eta, eta_t)
-    B_t = (0.5 * (c - a + rho) * spectral_derivative(eta_t, 2)
-           + 0.5 * (b - d + rho) * spectral_derivative(eta_tt, 1))
-    w_t = eta_t + a_p * A_t + b_p * B_t
-
-    # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)
-    w_wx = dealiased_product2(w, spectral_derivative(w, 1))
-    r2f = (w_t + spectral_derivative(eta, 1) + a_p * w_wx
-           + b_p * (c * spectral_derivative(eta, 3) - d * spectral_derivative(w_t, 2)))
-    return sobolev_norm(r1f, 0.0), sobolev_norm(r2f, 0.0)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _sweep_stepper(grid: Grid, model: ModelParameters, epsilons: tuple, dt: float):
+    """The sweep's stepper: row k of its stack steps eps k's scaled law."""
+    return Etdrk4Stepper.stack([Etdrk4Stepper(
+        ScaledModel(grid, DerivationParameters(eps, eps, model)).engine, dt) for eps in epsilons])
 
 
 def epsilon_sweep(
@@ -216,13 +228,15 @@ def epsilon_sweep(
 ) -> dict:
     """Residual order measurement over an epsilon-halving sweep.
 
-    For each eps, evolve a right-moving unit-L2 sech^2 profile under the
-    scaled dynamics on [0, t_final] and record the worst-case L2 residuals of
-    the first-order system at the checkpoints, which split [0, t_final] into
-    equal legs of whole steps near dt.  The epsilons are stepped as
-    one (E, n/2 + 1) stack, each row by its own stepper's tables, up to the
-    first non-finite step.  Returns per-eps rows plus the fitted log-log
-    slopes (target: order 2), which need two or more distinct epsilons in (0, 1).
+    For each eps, evolve a right-moving unit-L2 sech^2 profile (or data, a
+    Field on grid) under the scaled dynamics on [0, t_final] and record the
+    worst-case L2 residuals of the first-order system at the checkpoints,
+    which split [0, t_final] into equal legs of whole steps near dt.  The
+    epsilons are stepped as one (E, n/2 + 1) stack by one cached stepper
+    (at most CACHE_SIZE), each row by its own eps's tables, up to the first
+    non-finite step; a checkpoint's residuals are one evaluation of the
+    stack.  Returns per-eps rows plus the fitted log-log slopes (target:
+    order 2), which need two or more distinct epsilons in (0, 1).
     """
     if (not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1
             or not all(0 < eps < 1 for eps in epsilons)
@@ -230,24 +244,23 @@ def epsilon_sweep(
         raise ValueError(f"need 0 < t_final < inf, dt > 0, n_checkpoints >= 1 and two or "
                          f"more epsilons, distinct and in (0, 1), got {t_final}, {dt}, "
                          f"{n_checkpoints} and {list(epsilons)}")
+    if data is not None and data.grid != grid:
+        raise ValueError(f"data live on {data.grid}, the sweep on {grid}")
     steps_per, dt = _time_lattice(t_final / n_checkpoints, dt)
-    models = [ScaledModel(grid, DerivationParameters(alpha=eps, beta=eps, model=model_params))
-              for eps in epsilons]
     # one stepper advances every eps: row k of the state is eps k's
-    stepper = Etdrk4Stepper.stack([Etdrk4Stepper(m.engine, dt) for m in models])
-    eta = data if data is not None else _unit_sech2(grid)
-    worst = [abcd_residual_first(eta, m) for m in models]
-    c_hat = np.stack([eta.half] * len(models))
+    stepper = _sweep_stepper(grid, model_params, tuple(epsilons), dt)
+    eps = np.array(epsilons, dtype=float)[:, None]
+    c_hat = np.stack([(data if data is not None else _unit_sech2(grid)).half] * len(epsilons))
+    worst = _residual_norms(stepper.engine, c_hat, eps, eps, model_params)
     try:
         for _step, c_hat in _march(stepper, c_hat, n_checkpoints * steps_per, every=steps_per):
-            for k, model in enumerate(models):
-                r1, r2 = abcd_residual_first(Field(grid, half=c_hat[k]), model)
-                worst[k] = (max(worst[k][0], r1), max(worst[k][1], r2))
+            r = _residual_norms(stepper.engine, c_hat, eps, eps, model_params)
+            worst = np.where(r > worst, r, worst)  # max(worst, r), as a NaN leaves it
     except NumericalError as exc:  # named by the first non-finite eps in the given order
         exc.args = (f"non-finite state in the sweep at step {exc.step} (t = {exc.time:g}) "
                     f"at eps = {epsilons[exc.rows[0]]}",)
         raise
-    rows = [{"eps": eps, "r1_L2": r1, "r2_L2": r2} for eps, (r1, r2) in zip(epsilons, worst)]
+    rows = [{"eps": e, "r1_L2": r1, "r2_L2": r2} for e, r1, r2 in zip(epsilons, *worst.tolist())]
     out = {"rows": rows}
     loge = np.log([r["eps"] for r in rows])
     for key in ("r1_L2", "r2_L2"):

@@ -2,6 +2,7 @@
 reduction of the first-order system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from bbm5.derivation import (
     epsilon_sweep,
     reconstruct_velocity,
 )
-from bbm5.evolution import Etdrk4Stepper, NumericalError, _time_lattice
-from bbm5.spectral import Field, Grid, sobolev_norm
+from bbm5.evolution import CACHE_SIZE, Etdrk4Stepper, NumericalError, _time_lattice
+from bbm5.spectral import (Field, Grid, dealiased_product2, sobolev_norm,
+                           spectral_derivative)
 
 
 @pytest.fixture
@@ -197,24 +199,80 @@ def test_residual_translation_invariant(dgrid):
     assert r2b == pytest.approx(r2a, rel=1e-10)
 
 
+def _reference_residual(eta, model, velocity=reconstruct_velocity):
+    """abcd_residual_first as it was written on Fields, one eps at a time."""
+    p = model.p
+    a_p, b_p = p.alpha, p.beta
+    ab = derivation.derive_first_order(p.model)
+    a, b, c, d = float(ab.a), float(ab.b), float(ab.c), float(ab.d)
+
+    eta_t = model.eta_t(eta)
+    eta_tt = model.eta_tt(eta, eta_t)
+    w = velocity(eta, eta_t, p, truncate_first_order=True)
+
+    # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
+    w_eta = dealiased_product2(w, eta)
+    r1f = (eta_t + spectral_derivative(w, 1) + a_p * spectral_derivative(w_eta, 1)
+           + b_p * (a * spectral_derivative(w, 3) - b * spectral_derivative(eta_t, 2)))
+
+    # w_t for the truncated ansatz: eta_t + alpha*A_t + beta*B_t with
+    # A_t = -eta*eta_t/2 and B_t needing eta_tt through the mixed derivative
+    rho = float(p.model.rho)
+    A_t = -0.5 * dealiased_product2(eta, eta_t)
+    B_t = (0.5 * (c - a + rho) * spectral_derivative(eta_t, 2)
+           + 0.5 * (b - d + rho) * spectral_derivative(eta_tt, 1))
+    w_t = eta_t + a_p * A_t + b_p * B_t
+
+    # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)
+    w_wx = dealiased_product2(w, spectral_derivative(w, 1))
+    r2f = (w_t + spectral_derivative(eta, 1) + a_p * w_wx
+           + b_p * (c * spectral_derivative(eta, 3) - d * spectral_derivative(w_t, 2)))
+    return sobolev_norm(r1f, 0.0), sobolev_norm(r2f, 0.0)
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+def test_residual_rows_are_the_field_reference_bit_for_bit(dgrid, steps):
+    # the one-row call and each row of one stacked evaluation, at t = 0 and
+    # after steps of the sweep's stacked stepper
+    epsilons, dt = (0.1, 0.0125), 0.01
+    stepper = derivation._sweep_stepper(dgrid, reference_parameters(), epsilons, dt)
+    c_hat = np.stack([_eta_pair(dgrid, _params(), amplitude=0.5)[0].half] * len(epsilons))
+    for _ in range(steps):
+        c_hat = stepper.step(c_hat)
+    eps = np.array(epsilons)[:, None]
+    stacked = derivation._residual_norms(stepper.engine, c_hat, eps, eps, reference_parameters())
+    assert stacked.shape == (2, len(epsilons))
+    for k, e in enumerate(epsilons):
+        model, eta = ScaledModel(dgrid, _params(e, e)), Field(dgrid, half=c_hat[k])
+        expected = _reference_residual(eta, model)
+        assert abcd_residual_first(eta, model) == expected
+        assert tuple(stacked[:, k].tolist()) == expected
+
+
+def test_residual_refuses_a_field_of_another_grid(dgrid):
+    p = _params()
+    other = Grid(n=dgrid.n, length=2.0 * dgrid.length)
+    with pytest.raises(ValueError, match="different grids"):
+        abcd_residual_first(_eta_pair(other, p)[0], ScaledModel(dgrid, p))
+
+
 def test_residual_forms_the_first_order_terms_only(dgrid, monkeypatch):
     # eta^2 for A, then w*eta, eta*eta_t and w*w_x of the residuals; C, D and
     # E, which the first-order velocity drops, are not formed
-    calls = {"dealiased_product2": 0, "dealiased_product3": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(derivation, name)):
-            calls[_name] += 1
-            return _original(*args)
+    factors = []
 
-        monkeypatch.setattr(derivation, name, counted)
+    def counted(n, *halves, _original=derivation.padded_product):
+        factors.append(len(halves))
+        return _original(n, *halves)
+
+    monkeypatch.setattr(derivation, "padded_product", counted)
     p = _params()
     abcd_residual_first(_eta_pair(dgrid, p)[0], ScaledModel(dgrid, p))
-    assert calls == {"dealiased_product2": 4, "dealiased_product3": 0}
+    assert factors == [2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.0125])
-def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, eps,
-                                                                        monkeypatch):
+def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, eps):
     p = _params(eps, eps)
     model = ScaledModel(dgrid, p)
     eta = _eta_pair(dgrid, p, amplitude=0.5)[0]
@@ -231,8 +289,7 @@ def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, e
     for truncate in (True, False):
         assert np.array_equal(reconstruct_velocity(eta, eta_t, p, truncate).half,
                               five_term_velocity(eta, eta_t, p, truncate).half)
-    monkeypatch.setattr(derivation, "reconstruct_velocity", five_term_velocity)
-    assert got == abcd_residual_first(eta, model)
+    assert got == _reference_residual(eta, model, velocity=five_term_velocity)
 
 
 @pytest.mark.parametrize("t_final,dt,n_checkpoints,epsilons", [
@@ -251,6 +308,17 @@ def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons
         epsilon_sweep(Grid(n=64, length=16.0 * math.pi), reference_parameters(),
                       epsilons=epsilons, t_final=t_final, dt=dt,
                       n_checkpoints=n_checkpoints)
+
+
+@pytest.mark.parametrize("other", [
+    pytest.param(Grid(n=64, length=8.0 * math.pi), id="same-n-other-length"),
+    pytest.param(Grid(n=128, length=16.0 * math.pi), id="other-n"),
+])
+def test_epsilon_sweep_refuses_data_of_another_grid(other):
+    grid = Grid(n=64, length=16.0 * math.pi)
+    with pytest.raises(ValueError, match="data live on"):
+        epsilon_sweep(grid, reference_parameters(), epsilons=(0.1, 0.05), t_final=0.1, dt=0.05,
+                      n_checkpoints=1, data=_pulse(other))
 
 
 def test_epsilon_sweep_cheap_slope(dgrid):
@@ -362,3 +430,47 @@ def test_stacked_sweep_stops_at_the_first_non_finite_step(epsilons, named):
     assert (err.step, err.time, err.rows) == (step, step * dt, bad[step])
     assert str(err) == f"non-finite state in the sweep at step {step} (t = {step * dt:g}) " \
                        f"at eps = {named}"
+
+
+# ---------------------------------------------------------------------------
+# The sweep's stepper cache
+# ---------------------------------------------------------------------------
+
+
+def _small_sweep(dt=0.05):
+    return epsilon_sweep(Grid(n=32, length=16.0 * math.pi), reference_parameters(),
+                         epsilons=(0.1, 0.05), t_final=0.1, dt=dt, n_checkpoints=1)
+
+
+def test_second_identical_epsilon_sweep_builds_no_stepper(monkeypatch):
+    built = []
+    init = Etdrk4Stepper.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Etdrk4Stepper, "__init__", counting_init)
+    derivation._sweep_stepper.cache_clear()
+    first = _small_sweep()
+    assert len(built) == 2  # one stepper per eps, stacked into one
+    assert _small_sweep() == first
+    assert len(built) == 2
+
+
+def test_sweep_stepper_cache_is_bounded():
+    for k in range(3 * CACHE_SIZE):
+        _small_sweep(dt=0.05 / (1.0 + k / 7.0))
+    assert derivation._sweep_stepper.cache_info().currsize <= CACHE_SIZE
+
+
+def test_repeated_sweep_keeps_no_memory():
+    _small_sweep()  # fills the cache and the stacked engine's slot
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _small_sweep()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024, kept

@@ -384,6 +384,26 @@ def test_etdrk4_exact_on_linear_flow(grid, rng, ref):
     assert np.abs(stepped.spectral - free.spectral).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n", [64, 2048])  # below and above numpy's temporary-elision size
+def test_etdrk4_weights_are_the_contour_formulas_bit_for_bit(n, ref):
+    # the tables are the contour means of these formulas, bit for bit; a rewrite of the
+    # build (one evaluation of each power of lr, say) has to keep them
+    eng = SpectralEngine(Grid(n=n, length=64.0 * math.pi), ref)
+    dt, n_contour = 1e-3, 32
+    stepper = evolution.Etdrk4Stepper(eng, dt, n_contour)
+    roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    lr = dt * (-1j * eng.phi)[:, None] + roots[None, :]
+    elr = np.exp(lr)
+    expected = {
+        "q": (np.exp(lr / 2.0) - 1.0) / lr,
+        "f1": (-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3,
+        "f2": (2.0 + lr + elr * (lr - 2.0)) / lr**3,
+        "f3": (-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3,
+    }
+    for name, g in expected.items():
+        assert np.array_equal(getattr(stepper, name), dt * g.mean(1)), name
+
+
 def test_etdrk4_zero_field_stays_zero(grid):
     out = exponential_rk4_step(Field.zero(grid), _spec(), 0.1)
     assert np.all(out.spectral == 0.0)
