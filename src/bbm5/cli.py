@@ -327,6 +327,8 @@ def cmd_split(args, run: _Setup) -> int:
 
 def cmd_multiplier_table(args, run: _Setup) -> int:
     sec = run.config["multiplier_table"]
+    if sec["count"] < 1:
+        raise ConfigError(f"multiplier_table.count must be at least 1, got {sec['count']}")
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
     write_csv(os.path.join(_out_dir(args), "multiplier_table.csv"),

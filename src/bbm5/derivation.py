@@ -11,13 +11,14 @@ surface elevation evolves under the small-parameter form of the one-way
 model (the alpha/beta-scaled fifth-order equation), time derivatives are
 taken from that evolution law rather than finite-differenced, and the
 residual order is measured by an epsilon-halving sweep with alpha = beta =
-epsilon (Stokes number 1).
+epsilon (Stokes number 1).  The sweep steps all epsilons as one stack on one
+engine of the scaled law, built with epsilon as an (E, 1) column.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .coefficients import (
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
 from .spectral import (CACHE_SIZE, Field, Grid, dealiased_product2, dealiased_product3,
-                       derivative_symbol, padded_product, sobolev_norm, sobolev_weights,
-                       spectral_derivative, write_csv)
+                       derivative_symbol, fine_samples, padded_product, sobolev_norm,
+                       sobolev_weights, spectral_derivative, write_csv)
 
 __all__ = [
     "DerivationParameters",
@@ -69,25 +70,15 @@ class ScaledModel:
     nonlinear weights (a, a^2/8, a*b*7/48) in place of (1, 1/8, 7/48), so
     one SpectralEngine evaluates it.  eta_tt differentiates that law along
     the flow, which polarises the products to 2*eta*eta_t, 3*eta^2*eta_t and
-    2*eta_x*eta_tx.  _eta_t and _eta_tt evaluate both on half spectra or stacks.
+    2*eta_x*eta_tx.  _eta_t and _eta_tt evaluate both on half spectra or stacks,
+    on the engine that _scaled_engine builds.
     """
 
     def __init__(self, grid: Grid, p: DerivationParameters):
         self.grid = grid
         self.p = p
         self.coeffs: Bbm5Coefficients = derive_bbm5(p.model)
-        a, b = p.alpha, p.beta
-        c = self.coeffs
-        scaled = Bbm5Coefficients(
-            gamma1=c.gamma1 * b,
-            gamma2=c.gamma2 * b,
-            delta1=c.delta1 * b**2,
-            delta2=c.delta2 * b**2,
-            gamma=c.gamma * b,
-        )
-        self.engine = SpectralEngine(
-            grid, scaled, weights=(a, a * a / 8.0, a * b * 7.0 / 48.0)
-        )
+        self.engine = _scaled_engine(grid, self.coeffs, p.alpha, p.beta)
 
     def eta_t(self, eta: Field) -> Field:
         return Field(self.grid, half=_eta_t(self.engine, eta.half))
@@ -96,13 +87,22 @@ class ScaledModel:
         return Field(self.grid, half=_eta_tt(self.engine, eta.half, eta_t.half))
 
 
+def _scaled_engine(grid: Grid, c: Bbm5Coefficients, a, b) -> SpectralEngine:
+    """The scaled law's engine at alpha = a, beta = b: numbers, or (E, 1) columns for a stack."""
+    g1, g2, d1, d2, g = map(float, astuple(c))  # a Fraction times a column is an object array
+    # b * b, not b**2: a float's ** is libm's pow, a column's the exact square
+    scaled = Bbm5Coefficients(g1 * b, g2 * b, d1 * (b * b), d2 * (b * b), g * b)
+    return SpectralEngine(grid, scaled, weights=(a, a * a / 8.0, a * b * 7.0 / 48.0))
+
+
 def _eta_t(eng: SpectralEngine, c_hat: np.ndarray) -> np.ndarray:
     return -1j * eng.phi * c_hat + eng.nonlinear_hat(c_hat)
 
 
 def _eta_tt(eng: SpectralEngine, c_hat: np.ndarray, ct_hat: np.ndarray) -> np.ndarray:
-    # fresh arrays: a (2, E) stack slot would replace the (E,) one that the sweep steps in
-    (u, ut), (ux, utx) = eng.fine_pair(np.stack((c_hat, ct_hat)), fresh=True)
+    # not fine_pair: its (2, E) stack slot would replace the (E,) one the sweep steps in
+    u, ut, ux, utx = fine_samples(
+        np.stack((c_hat, ct_hat, eng.ikx_d * c_hat, eng.ikx_d * ct_hat)), eng.m)
     nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)
     return -1j * eng.phi * ct_hat + nl
 
@@ -213,8 +213,8 @@ def abcd_residual_first(eta: Field, model: ScaledModel) -> tuple[float, float]:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _sweep_stepper(grid: Grid, model: ModelParameters, epsilons: tuple, dt: float):
     """The sweep's stepper: row k of its stack steps eps k's scaled law."""
-    return Etdrk4Stepper.stack([Etdrk4Stepper(
-        ScaledModel(grid, DerivationParameters(eps, eps, model)).engine, dt) for eps in epsilons])
+    eps = np.array(epsilons, dtype=float)[:, None]
+    return Etdrk4Stepper(_scaled_engine(grid, derive_bbm5(model), eps, eps), dt)
 
 
 def epsilon_sweep(

@@ -25,7 +25,8 @@ of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
 all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
 linear symbol of any engine.  An engine owns its work buffers, one set for
 a single state and one slot for the last stack shape it evaluated; it
-returns fresh arrays and is not for concurrent use from threads.
+returns new arrays and is not for concurrent use from threads.  Coefficients
+and weights given as (E, 1) columns step a stack of E states row by row.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -145,10 +146,11 @@ class SpectralEngine:
     ``bbm5.derivation`` needs an engine at alpha = beta = 0.  ``weights``
     are the factors of the quadratic, cubic and gradient terms; the
     equation's are (1, 1/8, 7/48), the scaled law passes its own.  The
-    engine owns the work buffers of the nonlinearity: one set for a single
-    state and one slot, remade when a stack of another shape than the last
-    comes.  So it is not for concurrent use from threads; every result is
-    a fresh array.
+    fields of coefficients and the weights are numbers or (E, 1) columns,
+    one row per state of a stack.  The engine owns the work buffers of the
+    nonlinearity: one set for a single state and one slot, remade when a
+    stack of another shape than the last comes.  So it is not for
+    concurrent use from threads; every result is a new array.
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
@@ -159,12 +161,15 @@ class SpectralEngine:
         self.linear_only = linear_only
         _varphi, self.phi, self.psi, self.tau = multipliers(grid.half_wavenumbers, coefficients)
         for tab in (self.phi, self.psi, self.tau):
-            tab[-1] = 0.0  # odd symbols: keep realness exactly
-        w2, self._w3, self._wg = weights
+            tab[..., -1] = 0.0  # odd symbols: keep realness exactly
+        w2, w3, wg = weights
         self._quad = -1j * w2 * self.tau
         self._ipsi = 1j * self.psi
         self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
+        # a column of weights as full rows of the fine grid: combine is faster with them
+        self._w3, self._wg = (w if np.ndim(w) == 0 else np.repeat(w, self.m, axis=-1)
+                              for w in (w3, wg))
         # a single state's work buffers (spectrum, samples, coefficients, scratch);
         # the spectrum's tail past n/2 stays zero
         spec, coeffs = np.zeros((2, 2, self.m // 2 + 1), dtype=np.complex128)
@@ -183,23 +188,6 @@ class SpectralEngine:
                           np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
         return self._slot
 
-    @classmethod
-    def stack(cls, engines: Sequence["SpectralEngine"]) -> "SpectralEngine":
-        """Engines of one grid as one, their tables stacked as rows: its
-        nonlinear_hat of an (E, n/2 + 1) stack is, row by row, each engine's,
-        because nonlinear_hat broadcasts over rows.  It owns its buffers."""
-        first = engines[0]
-        if any((e.grid, e.dealias, e.linear_only) != (first.grid, first.dealias, first.linear_only)
-               for e in engines):
-            raise ValueError("stacked engines need one grid, dealias and linear_only")
-        eng = cls(first.grid, first.coefficients, first.dealias, first.linear_only)
-        eng.coefficients = tuple(e.coefficients for e in engines)
-        for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
-            setattr(eng, name, np.stack([getattr(e, name) for e in engines]))
-        for name in ("_w3", "_wg"):  # the scalar weights as full rows of the fine grid
-            setattr(eng, name, np.stack([np.full(eng.m, getattr(e, name)) for e in engines]))
-        return eng
-
     # -- padded transforms ------------------------------------------------
 
     def to_fine(self, c_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -208,12 +196,10 @@ class SpectralEngine:
     def from_fine(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return truncated_coeffs(samples, self.grid.n, out=out)
 
-    def fine_pair(self, c_hat: np.ndarray, fresh: bool = False) -> np.ndarray:
+    def fine_pair(self, c_hat: np.ndarray) -> np.ndarray:
         """Fine-grid samples of c_hat and its x-derivative as one (2, ..., m) stack, by
-        one transform, in the engine's work buffer for c_hat's shape (see _work) or,
-        for a caller that evaluates rarely and should not keep buffers, a fresh one."""
-        spec, fine = ((np.zeros((2, *c_hat.shape[:-1], self.m // 2 + 1), complex), None)
-                      if fresh else self._work(c_hat.shape[:-1])[:2])
+        one transform, in the engine's work buffer for c_hat's shape (see _work)."""
+        spec, fine = self._work(c_hat.shape[:-1])[:2]
         h = spec[..., : c_hat.shape[-1]]
         h[0] = c_hat
         np.multiply(self.ikx_d, c_hat, out=h[1])
@@ -226,7 +212,7 @@ class SpectralEngine:
         """-i*(w2*tau*q2 - psi*(w3*q3 + wg*g2)), with q2, q3, g2 the
         coefficients of the fine-grid quadratic, cubic and gradient products
         p2, p3, pg; p2 and the sum of the psi-terms share one transform, of a
-        fresh (2, ..., m) stack or of fine, whose rows p3 and pg may be."""
+        new (2, ..., m) stack or of fine, whose rows p3 and pg may be."""
         fine = np.empty((2, *p2.shape)) if fine is None else fine
         np.multiply(self._wg, pg, out=fine[1])
         fine[1] += np.multiply(self._w3, p3, out=fine[0])
@@ -283,7 +269,8 @@ class Etdrk4Stepper:
     Built from the linear symbol of any engine.  The linear part
     e^{-i*phi*dt} is applied exactly; the quadrature weights are evaluated
     by contour averaging over roots of unity (Kassam & Trefethen) to dodge
-    cancellation at small |L*dt|.
+    cancellation at small |L*dt|.  The tables of a stacked engine are
+    stacked too, each row bit for bit that of the row's one-row engine.
     """
 
     def __init__(self, engine: SpectralEngine, dt: float, n_contour: int = 32):
@@ -293,32 +280,21 @@ class Etdrk4Stepper:
         self.e_full = np.exp(dt * lam)
         self.e_half = np.exp(0.5 * dt * lam)
         roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
-        lr = dt * lam[:, None] + roots[None, :]
-        elr = np.exp(lr)
 
         def contour_mean(g):
             # complex contour (lam is imaginary, so means stay complex)
             return dt * g.mean(1)
 
-        self.q = contour_mean((np.exp(lr / 2.0) - 1.0) / lr)
-        self.f1 = contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3)
-        self.f2 = contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3)
-        self.f3 = contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)
-
-    @classmethod
-    def stack(cls, steppers: Sequence["Etdrk4Stepper"]) -> "Etdrk4Stepper":
-        """Steppers of one dt as one, their tables stacked as rows, so that
-        step advances an (E, n/2 + 1) stack, each row by its own stepper.
-        Each row's tables are its stepper's own, bit for bit: the contour
-        weights are not recomputed on the stack, which rounds differently."""
-        if any(s.dt != steppers[0].dt for s in steppers):
-            raise ValueError("stacked steppers need one dt")
-        st = cls.__new__(cls)
-        st.engine = SpectralEngine.stack([s.engine for s in steppers])
-        st.dt = steppers[0].dt
-        for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
-            setattr(st, name, np.stack([getattr(s, name) for s in steppers]))
-        return st
+        # row by row: a whole stack rounds differently (elided temporaries) and peaks higher
+        rows = []
+        for row in lam.reshape(-1, lam.shape[-1]):
+            lr = dt * row[:, None] + roots[None, :]
+            elr = np.exp(lr)
+            rows.append((contour_mean((np.exp(lr / 2.0) - 1.0) / lr),
+                         contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3),
+                         contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3),
+                         contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)))
+        self.q, self.f1, self.f2, self.f3 = (np.reshape(t, lam.shape) for t in zip(*rows))
 
     def step(self, c_hat: np.ndarray, nl: Callable[[np.ndarray], np.ndarray] | None = None,
              cube: np.ndarray | None = None) -> np.ndarray:

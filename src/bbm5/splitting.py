@@ -218,13 +218,13 @@ def n_sweep(
     Grid sanity: the Nyquist frequency should sit at least 4x above the
     largest cutoff so the sharp truncation is far from the resolution limit.
     """
+    if len(cutoffs) == 0 or len(set(cutoffs)) < len(cutoffs):
+        raise ValueError(f"cutoffs must be one or more distinct values, got {list(cutoffs)}")
     nyq = eta0.grid.nyquist
     if nyq < 4.0 * max(cutoffs):
         raise ValueError(
             f"grid Nyquist {nyq} below 4x the largest cutoff {max(cutoffs)}"
         )
-    if len(set(cutoffs)) < len(cutoffs):
-        raise ValueError(f"cutoffs must be distinct, got {list(cutoffs)}")
     rows = []
     for N in cutoffs:
         cfg = SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1)

@@ -330,9 +330,10 @@ def test_split_blow_up_exits_3_with_one_line(tmp_path, capsys):
     assert not out.exists()  # nothing is written
 
 
-@pytest.mark.parametrize("cutoffs", [[8, 8, 8], [8, 8, 16]])
+@pytest.mark.parametrize("cutoffs", [[8, 8, 8], [8, 8, 16], []])
 def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypatch, cutoffs):
-    # [8, 8, 8] ran the whole sweep before linregress refused it; [8, 8, 16] exited 0
+    # [8, 8, 8] ran the whole sweep before linregress refused it; [8, 8, 16] exited 0;
+    # [] failed on "max() arg is an empty sequence", which named no key
     def window(*args, **kwargs):
         raise AssertionError("a window ran")
 
@@ -344,7 +345,8 @@ def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"configuration error: cutoffs must be distinct, got {[float(N) for N in cutoffs]}"]
+        "configuration error: cutoffs must be one or more distinct values, "
+        f"got {[float(N) for N in cutoffs]}"]
     assert not out.exists()
 
 
@@ -353,7 +355,7 @@ def test_derivation_repeated_epsilon_exits_2_before_running(tmp_path, capsys, mo
     def model(*args, **kwargs):
         raise AssertionError("a scaled model was built")
 
-    monkeypatch.setattr(derivation, "ScaledModel", model)
+    monkeypatch.setattr(derivation, "_scaled_engine", model)
     cfg = _write_config(tmp_path, {"grid": {"n": 128, "length": 16.0 * math.pi},
                                    "derivation": {**_DERIVATION, "epsilons": [0.1, 0.1, 0.05]}})
     out = tmp_path / "out"
@@ -405,6 +407,19 @@ def test_multiplier_table_psi_at_one(tmp_path):
     assert psi == pytest.approx(0.847059, abs=1e-6)
     assert tau == pytest.approx(87.0 / 170.0, abs=1e-12)
     assert omega == 0.5
+
+
+@pytest.mark.parametrize("count", [-1, 0])
+def test_multiplier_table_refuses_a_count_below_one(tmp_path, capsys, count):
+    # -1 exited 2 with numpy's message, which named no key; 0 wrote an empty table
+    cfg = _write_config(tmp_path, {"multiplier_table": {"count": count}})
+    out = tmp_path / "out"
+    assert main(["multiplier-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: multiplier_table.count must be at least 1, got {count}"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,15 @@ def _pulse(grid):
 
 
 def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
-    grid, dt = Grid(n=128, length=16.0 * math.pi), 0.01
-    steppers = [Etdrk4Stepper(ScaledModel(grid, _params(e, e)).engine, dt) for e in EPS]
-    stacked = Etdrk4Stepper.stack(steppers)
+    # n = 512 and four epsilons: contour weights evaluated on the whole (E, n/2 + 1, 32)
+    # stack at once round differently there (numpy elides temporaries of 256 KiB and
+    # up); built row by row, each row is its one-eps stepper's bit for bit
+    grid, dt, epsilons = Grid(n=512, length=16.0 * math.pi), 2e-3, (0.1, 0.05, 0.025, 0.0125)
+    stacked = derivation._sweep_stepper(grid, reference_parameters(), epsilons, dt)
     c = _pulse(grid).half
-    out = stacked.step(np.stack([c] * len(EPS)))
-    for k, st in enumerate(steppers):
+    out = stacked.step(np.stack([c] * len(epsilons)))
+    for k, e in enumerate(epsilons):
+        st = Etdrk4Stepper(ScaledModel(grid, _params(e, e)).engine, dt)
         for name in ("e_full", "e_half", "q", "f1", "f2", "f3"):
             assert np.array_equal(getattr(stacked, name)[k], getattr(st, name)), name
         for name in ("phi", "psi", "tau", "_quad", "_ipsi"):
@@ -364,8 +367,6 @@ def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
             assert row.shape == (stacked.engine.m,), name
             assert np.all(row == getattr(st.engine, name)), name
         assert np.array_equal(out[k], st.step(c))
-    with pytest.raises(ValueError, match="one dt"):
-        Etdrk4Stepper.stack([steppers[0], Etdrk4Stepper(steppers[1].engine, 2.0 * dt)])
 
 
 # dt = 0.03 does not divide t_final = 0.1: the sweep steps the shared lattice,
@@ -453,9 +454,9 @@ def test_second_identical_epsilon_sweep_builds_no_stepper(monkeypatch):
     monkeypatch.setattr(Etdrk4Stepper, "__init__", counting_init)
     derivation._sweep_stepper.cache_clear()
     first = _small_sweep()
-    assert len(built) == 2  # one stepper per eps, stacked into one
+    assert len(built) == 1  # one stepper of both epsilons' tables
     assert _small_sweep() == first
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_sweep_stepper_cache_is_bounded():
