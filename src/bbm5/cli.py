@@ -138,6 +138,8 @@ def _typed(value, kind, name: str):
         return tuple(_typed(v, _NUM, f"{name}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"config value {name} has wrong type {type(value).__name__}")
+    if kind is _NUM and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, no float
+        raise ConfigError(f"config value {name} must be a finite number, got {value}")
     return float(value) if kind is _NUM else value
 
 
@@ -241,9 +243,9 @@ def _out_dir(args) -> str:
 
 
 def _write_meta(out_dir: str, name: str, payload: dict) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # before the file
     with open(os.path.join(out_dir, name), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _say(args, text: str, file=None) -> None:

@@ -238,10 +238,10 @@ def epsilon_sweep(
     stack.  Returns per-eps rows plus the fitted log-log slopes (target:
     order 2), which need two or more distinct epsilons in (0, 1).
     """
-    if (not (0.0 < t_final < np.inf and dt > 0) or n_checkpoints < 1
+    if (not (0.0 < t_final < np.inf and 0.0 < dt < np.inf) or n_checkpoints < 1
             or not all(0 < eps < 1 for eps in epsilons)
             or len(epsilons) < 2 or len(set(epsilons)) < len(epsilons)):
-        raise ValueError(f"need 0 < t_final < inf, dt > 0, n_checkpoints >= 1 and two or "
+        raise ValueError(f"need 0 < t_final, dt < inf, n_checkpoints >= 1 and two or "
                          f"more epsilons, distinct and in (0, 1), got {t_final}, {dt}, "
                          f"{n_checkpoints} and {list(epsilons)}")
     if data is not None and data.grid != grid:
@@ -251,11 +251,10 @@ def epsilon_sweep(
     stepper = _sweep_stepper(grid, model_params, tuple(epsilons), dt)
     eps = np.array(epsilons, dtype=float)[:, None]
     c_hat = np.stack([(data if data is not None else _unit_sech2(grid)).half] * len(epsilons))
-    worst = _residual_norms(stepper.engine, c_hat, eps, eps, model_params)
     try:
-        for _step, c_hat in _march(stepper, c_hat, n_checkpoints * steps_per, every=steps_per):
+        for k, c_hat in _march(stepper, c_hat, n_checkpoints * steps_per, every=steps_per):
             r = _residual_norms(stepper.engine, c_hat, eps, eps, model_params)
-            worst = np.where(r > worst, r, worst)  # max(worst, r), as a NaN leaves it
+            worst = r if k == 0 else np.where(r > worst, r, worst)  # max, as a NaN leaves it
     except NumericalError as exc:  # named by the first non-finite eps in the given order
         exc.args = (f"non-finite state in the sweep at step {exc.step} (t = {exc.time:g}) "
                     f"at eps = {epsilons[exc.rows[0]]}",)

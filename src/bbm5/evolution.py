@@ -31,7 +31,8 @@ and weights given as (E, 1) columns step a stack of E states row by row.
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
 ``_march`` is the one ETDRK4 time loop, of ``run_simulation``, the splitting
-windows and the epsilon sweep; it stops at the first non-finite state.
+windows and the epsilon sweep; it yields the initial state as step 0 and
+stops at the first non-finite state.
 
 Note on the cubic coefficient: the contraction-mapping proof writes 1/4 where
 every other statement of the equation writes 1/8; we use 1/8 throughout.
@@ -40,7 +41,6 @@ every other statement of the equation writes 1/8; we use 1/8 throughout.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
@@ -86,6 +86,7 @@ __all__ = [
 
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
+N_CONTOUR = 32  # roots of unity of the ETDRK4 contour means
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,8 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in ("picard_duhamel", "exponential_rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
@@ -154,11 +155,10 @@ class SpectralEngine:
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
-                 linear_only: bool = False, *, weights=(1.0, CUBIC_COEFF, GRAD_COEFF)):
+                 *, weights=(1.0, CUBIC_COEFF, GRAD_COEFF)):
         self.grid = grid
         self.coefficients = coefficients
         self.dealias = dealias
-        self.linear_only = linear_only
         _varphi, self.phi, self.psi, self.tau = multipliers(grid.half_wavenumbers, coefficients)
         for tab in (self.phi, self.psi, self.tau):
             tab[..., -1] = 0.0  # odd symbols: keep realness exactly
@@ -226,8 +226,6 @@ class SpectralEngine:
         """Spectral coefficients of the real nonlinear right-hand side; cube, a
         one-slot array, receives the integral of (c_x)^3 of a single state c_hat
         from its fine samples."""
-        if self.linear_only:
-            return np.zeros_like(c_hat)
         u, ux = fine = self.fine_pair(c_hat)
         if cube is not None:
             cube[0] = sampled_integral_cube(ux, self.grid.length)
@@ -242,7 +240,9 @@ class SpectralEngine:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _engine(grid: Grid, spec: RhsSpec) -> SpectralEngine:
-    return SpectralEngine(grid, spec.coefficients, spec.dealias, spec.linear_only)
+    """spec's engine on grid; a linear-only spec's has nonlinear weights (0, 0, 0)."""
+    weights = (0.0, 0.0, 0.0) if spec.linear_only else (1.0, CUBIC_COEFF, GRAD_COEFF)
+    return SpectralEngine(grid, spec.coefficients, spec.dealias, weights=weights)
 
 
 def nonlinear_rhs(f: Field, spec: RhsSpec) -> Field:
@@ -273,13 +273,13 @@ class Etdrk4Stepper:
     stacked too, each row bit for bit that of the row's one-row engine.
     """
 
-    def __init__(self, engine: SpectralEngine, dt: float, n_contour: int = 32):
+    def __init__(self, engine: SpectralEngine, dt: float):
         self.engine = engine
         self.dt = dt
         lam = -1j * engine.phi
         self.e_full = np.exp(dt * lam)
         self.e_half = np.exp(0.5 * dt * lam)
-        roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+        roots = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
 
         def contour_mean(g):
             # complex contour (lam is imaginary, so means stay complex)
@@ -297,13 +297,13 @@ class Etdrk4Stepper:
         self.q, self.f1, self.f2, self.f3 = (np.reshape(t, lam.shape) for t in zip(*rows))
 
     def step(self, c_hat: np.ndarray, nl: Callable[[np.ndarray], np.ndarray] | None = None,
-             cube: np.ndarray | None = None) -> np.ndarray:
+             n0: np.ndarray | None = None) -> np.ndarray:
         """Advance c_hat by dt, with nl(state) the nonlinearity, by default the
-        engine's nonlinear_hat; cube, if given, goes to stage 0's call only."""
+        engine's nonlinear_hat; n0, if given, is stage 0's nl(c_hat)."""
         nl = nl or self.engine.nonlinear_hat
         # In place only on arrays made here, bit for bit the plain formula:
         # complex products keep their operand order (with FMA they do not commute).
-        n0 = nl(c_hat) if cube is None else nl(c_hat, cube)
+        n0 = nl(c_hat) if n0 is None else n0
         ec = self.e_half * c_hat
         a = self.q * n0
         a += ec
@@ -346,20 +346,25 @@ class NumericalError(RuntimeError):
 
 def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every: int = 1,
            cube: np.ndarray | None = None):
-    """The one ETDRK4 time loop: yields (k, state) after step k = 1..steps when
-    k % every == 0 or k == steps.  Step k is stepper.step(state, nl), under its
-    own np.errstate (none is held across a yield).  The step after the initial
-    state and after each yielded one passes cube, so that it then holds the
-    integral of (c_x)^3 of that state.  A non-finite state raises
-    NumericalError with step k, time k*dt and a stack's rows."""
-    for k in range(1, steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            c_hat = stepper.step(c_hat, nl, cube if (k - 1) % every == 0 else None)
+    """The one ETDRK4 time loop: yields (k, state) for k = 0, the initial state, and after
+    step k = 1..steps when k % every == 0 or k == steps.  Step k is stepper.step(state,
+    nl, n0), under its own np.errstate (none is held across a yield); with cube, n0 is
+    stage 0, nl(state, cube), evaluated under its own before each yield but the last,
+    so that cube then holds the integral of (c_x)^3 of the yielded state.  A non-finite
+    state raises NumericalError with step k, time k*dt and a stack's rows."""
+    n0 = None
+    for k in range(steps + 1):
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                c_hat, n0 = stepper.step(c_hat, nl, n0), None
         finite = np.isfinite(c_hat.view(np.float64)).all(axis=-1)
         if not finite.all():
             t, rows = k * stepper.dt, np.flatnonzero(~finite).tolist() if c_hat.ndim > 1 else None
             raise NumericalError(f"non-finite state at step {k} of {steps} (t = {t:g})", k, t, rows)
         if k % every == 0 or k == steps:
+            if cube is not None and k < steps:
+                with np.errstate(over="ignore", invalid="ignore"):  # the caller checks cube
+                    n0 = (nl or stepper.engine.nonlinear_hat)(c_hat, cube)
             yield k, c_hat
 
 
@@ -486,11 +491,11 @@ def run_simulation(
     The predicted drift of a record is energy_drift_predicted's; with a
     dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
     of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of
-    the next step pads anyway, and computed apart only for the final record.
-    A non-finite state, or a record whose energy, H^s norms or prediction
-    are not finite, ends the run: the report holds the records before it,
-    and its ``error`` (``aborted`` is set) is the NumericalError that gives
-    that step and time.
+    the next step pads anyway, evaluated when the record's state is yielded,
+    and computed apart only for the final record.  A non-finite state, or a
+    record whose energy, H^s norms or prediction are not finite, ends the
+    run: the report holds the records before it, and its ``error``
+    (``aborted`` is set) is the NumericalError that gives that step and time.
     """
     if not 0.0 < T < np.inf or record_every < 1:
         raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
@@ -503,45 +508,30 @@ def run_simulation(
     count = 0
     snapshots = []
     cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
-            and not spec.linear_only and not c.energy_conserving else None)
-
-    def complete(k: int) -> bool:
-        """Whether record k, the last, is finite once it has the integral that
-        the step after it wrote; if not it is dropped, and error names it."""
-        nonlocal count, error
-        if cube is not None and k < n_steps:
-            table[3, count - 1] = (c.gamma - GRAD_COEFF) * float(cube[0])
-        if all(map(math.isfinite, table[1:, count - 1].tolist())):
-            return True
-        count -= 1
-        del snapshots[count:]
-        error = NumericalError(f"non-finite diagnostics at step {k} of {n_steps} "
-                               f"(t = {k * dt:g})", k, k * dt)
-        return False
-
+            and not c.energy_conserving else None)
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
         states = ((k, f) for k, f in enumerate(traj) if k % record_every == 0 or k == n_steps)
     else:
         march = _march(_stepper(grid, spec, dt), eta0.half, n_steps, every=record_every, cube=cube)
-        states = itertools.chain([(0, eta0)], ((k, Field(grid, half=h)) for k, h in march))
-    error = last = None
+        states = ((k, Field(grid, half=h)) for k, h in march)
+    error = None
     try:
-        for k, f in states:  # a record is checked when the next state arrives
-            if last is not None and not complete(last):
-                break
+        for k, f in states:
             with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
-                table[:, count] = (k * dt, energy(f, c), f.zero_mode,
-                                   energy_drift_predicted(f, c) if cube is None or k == n_steps
-                                   else np.nan, *(sobolev_norm(f, s) for s in svals))
-            count, last = count + 1, k
+                row = (k * dt, energy(f, c), f.zero_mode,
+                       energy_drift_predicted(f, c) if cube is None or k == n_steps
+                       else (c.gamma - GRAD_COEFF) * float(cube[0]),
+                       *(sobolev_norm(f, s) for s in svals))
+            if not all(map(math.isfinite, row[1:])):
+                raise NumericalError(f"non-finite diagnostics at step {k} of {n_steps} "
+                                     f"(t = {k * dt:g})", k, k * dt)
+            table[:, count] = row
+            count += 1
             if keep_snapshots:
                 snapshots.append(f)
-        else:
-            complete(last)
     except NumericalError as exc:
         error = exc
-        complete(last)  # a step before the one that failed wrote its integral
     times, evals, zm, predicted, *hs = table[:, :count]
     return RunReport(times=times, energy=evals, hs_norms=dict(zip(svals, hs)), zero_mode=zm,
                      drift_residual=_drift_residual(times, evals, predicted),
@@ -594,8 +584,8 @@ def duhamel_picard(
             f"T_bar = {t_bar} (C_s = {cfg.contraction_constant_cs}, "
             f"||eta0||_Hs = {r0})"
         )
-    # an engine of its own, so that no cached one keeps the (K + 1)-row buffers
-    eng = SpectralEngine(eta0.grid, spec.coefficients, spec.dealias, spec.linear_only)
+    # an engine of its own, uncached, so that no cached one keeps the (K + 1)-row buffers
+    eng = _engine.__wrapped__(eta0.grid, spec)
     K, dt = _time_lattice(T, cfg.dt)
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt

@@ -65,8 +65,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
 
     @functools.cached_property
     def x(self) -> np.ndarray:

@@ -109,8 +109,6 @@ def _window_nl(eng: SpectralEngine):
     p2, p3, pg = prods
 
     def nl(vu: np.ndarray) -> np.ndarray:
-        if eng.linear_only:
-            return np.zeros_like(vu)
         fine = eng.fine_pair(vu)
         (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
         np.multiply(us, us, out=prods[::2, 1])  # u's row: u*u and ux*ux, then u*(u*u)

@@ -146,6 +146,31 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, values):
     assert len(err) == 1 and err[0].startswith("configuration error")
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("simulate", '{"stepper": {"dt": Infinity}}', "stepper.dt"),
+    ("simulate", '{"grid": {"length": NaN}}', "grid.length"),
+    ("simulate", '{"simulate": {"T": 1%s}}' % ("0" * 400), "simulate.T"),
+    ("derivation-residual", '{"derivation": {"dt": -Infinity}}', "derivation.dt"),
+    ("split", '{"split": {"cutoffs": [8.0, NaN]}}', "split.cutoffs[1]"),
+])
+def test_a_non_finite_config_number_exits_2_before_writing(tmp_path, capsys, command, text, key):
+    # json reads Infinity and NaN; dt = Infinity ran one step of length T, wrote
+    # run.csv and left run_meta.json cut off at "dt": before it exited 2
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: config value {key} must")
+    assert not out.exists()
+
+
+def test_write_meta_leaves_no_file_for_a_payload_it_cannot_write(tmp_path):
+    with pytest.raises(ValueError, match="Out of range float"):
+        cli._write_meta(str(tmp_path), "meta.json", {"dt": math.inf})
+    assert not (tmp_path / "meta.json").exists()
+
+
 def test_split_s_out_of_range_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"split": {"s": 2.5}})
     assert main(["split", "--config", cfg]) == EXIT_CONFIG

@@ -294,7 +294,8 @@ def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, e
 
 @pytest.mark.parametrize("t_final,dt,n_checkpoints,epsilons", [
     *(pytest.param(*case, (0.1, 0.05), id="-".join(map(str, case)))
-      for case in [(0.1, 0.0, 1), (0.1, 0.01, 0), (0.0, 0.01, 1), (math.inf, 0.01, 1)]),
+      for case in [(0.1, 0.0, 1), (0.1, 0.01, 0), (0.0, 0.01, 1), (math.inf, 0.01, 1),
+                   (0.1, math.inf, 1)]),
     pytest.param(0.1, 0.01, 1, (0.0, 0.1), id="eps-zero"),
     pytest.param(0.1, 0.01, 1, (0.1, -0.05), id="eps-negative"),
     pytest.param(0.1, 0.01, 1, (), id="eps-none"),

@@ -381,7 +381,7 @@ def test_etdrk4_weights_are_the_contour_formulas_bit_for_bit(n, ref):
     # build (one evaluation of each power of lr, say) has to keep them
     eng = SpectralEngine(Grid(n=n, length=64.0 * math.pi), ref)
     dt, n_contour = 1e-3, 32
-    stepper = evolution.Etdrk4Stepper(eng, dt, n_contour)
+    stepper = evolution.Etdrk4Stepper(eng, dt)
     roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
     lr = dt * (-1j * eng.phi)[:, None] + roots[None, :]
     elr = np.exp(lr)
@@ -510,7 +510,7 @@ def test_march_is_a_plain_step_loop_bit_for_bit(stacked):
     plain = [c0]
     for _ in range(steps):
         plain.append(stepper.step(plain[-1]))
-    for every, want in ((1, range(1, 8)), (3, (3, 6, 7)), (7, (7,)), (10, (7,))):
+    for every, want in ((1, range(8)), (3, (0, 3, 6, 7)), (7, (0, 7)), (10, (0, 7))):
         marched = list(evolution._march(stepper, c0, steps, every=every))
         assert [k for k, _ in marched] == list(want)
         assert all(np.array_equal(state, plain[k]) for k, state in marched)
@@ -525,7 +525,7 @@ def test_march_holds_no_errstate_across_a_yield():
     with np.errstate(over="raise", invalid="print"):
         before = np.geterr()
         march = evolution._march(stepper, Field.from_samples(grid, np.cos(grid.x)).half, 5)
-        assert next(march)[0] == 1
+        assert next(march)[0] == 0 and next(march)[0] == 1
         assert np.geterr() == before  # the march is suspended after one step
         march.close()
         assert np.geterr() == before
@@ -533,6 +533,37 @@ def test_march_holds_no_errstate_across_a_yield():
         huge = Field.from_samples(grid, 1e8 * np.cos(grid.x)).half
         with pytest.raises(evolution.NumericalError, match=r"^non-finite state at step 1 of 5"):
             list(evolution._march(stepper, huge, 5))
+
+
+def test_march_yields_each_state_with_its_stage_0_integral():
+    # with cube, every yielded state but the last has had stage 0 of its next step
+    # evaluated, which wrote its integral of (c_x)^3; the last has not
+    grid, dt, steps = Grid(n=64, length=16.0 * math.pi), 0.02, 7
+    stepper = evolution._stepper(grid, RhsSpec(SHIFTED), dt)
+    c0 = sech_squared(grid, 0.4).half
+    plain = [c0]
+    for _ in range(steps):
+        plain.append(stepper.step(plain[-1]))
+    cube, seen = np.full(1, np.nan), []
+    for k, c_hat in evolution._march(stepper, c0, steps, every=3, cube=cube):
+        seen.append(k)
+        assert np.array_equal(c_hat, plain[k])
+        if k < steps:
+            predicted = energy_drift_predicted(Field(grid, half=c_hat), SHIFTED)
+            assert (SHIFTED.gamma - evolution.GRAD_COEFF) * cube[0] == predicted != 0.0
+        else:
+            assert np.isnan(cube[0])
+        cube[0] = np.nan
+    assert seen == [0, 3, 6, 7]
+    # a stage 0 handed to the step is the one it would evaluate
+    nl = stepper.engine.nonlinear_hat
+    assert np.array_equal(stepper.step(c0, nl, n0=nl(c0)), stepper.step(c0))
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_stepper_config_refuses_a_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        StepperConfig(dt=dt)
 
 
 def test_report_csv_format(tmp_path, grid):

@@ -57,6 +57,12 @@ def test_grid_rejects_bad_length():
         Grid(n=8, length=0.0)
 
 
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_grid_rejects_a_non_finite_length(length):
+    with pytest.raises(ValueError, match="length must be positive and finite"):
+        Grid(n=8, length=length)
+
+
 def test_wavenumber_lattice(grid):
     xi = grid.wavenumbers
     assert xi[0] == 0.0
