@@ -6,14 +6,12 @@ unit modules: the whole file takes a few minutes on one core.
 """
 
 import filecmp
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bbm5.cli import main as cli_main
 from bbm5.coefficients import (
     Bbm5Coefficients,
     ModelParameters,
@@ -42,6 +40,7 @@ from bbm5.symbols import (
     scan_sup,
     sup_bound,
 )
+from cli_outputs import CONFIGS, run_command
 
 
 def _verdict(num, name, ok, detail=""):
@@ -228,49 +227,11 @@ def test_acceptance_09_multilinear_estimate_scans():
 
 
 def test_acceptance_10_cli_determinism(tmp_path):
-    configs = {
-        "coeffs": {},
-        "simulate": {
-            "grid": {"n": 128, "length": 16.0 * math.pi},
-            "stepper": {"dt": 0.01},
-            "simulate": {"T": 0.1, "initial": {"kind": "random", "s": 1.5,
-                                               "amplitude": 0.2}},
-        },
-        "split": {
-            "grid": {"n": 128, "length": 2.0 * math.pi},
-            "stepper": {"dt": 0.01},
-            "split": {"s": 1.5, "cutoffs": [4.0, 8.0],
-                      "initial": {"kind": "random", "s": 1.5}},
-        },
-        "multiplier-table": {"multiplier_table": {"count": 21}},
-        "energy-drift": {
-            "grid": {"n": 128, "length": 16.0 * math.pi},
-            "stepper": {"dt": 0.01},
-            "energy_drift": {"T": 0.1, "initial": {"kind": "random", "s": 1.5,
-                                                   "amplitude": 0.2}},
-        },
-        "picard": {
-            "grid": {"n": 64, "length": 6.0},
-            "picard": {"T": 0.5, "initial": {"kind": "random", "s": 1.5,
-                                             "amplitude": 0.01}},
-        },
-        "derivation-residual": {
-            "grid": {"n": 128, "length": 16.0 * math.pi},
-            "derivation": {"epsilons": [0.1, 0.05], "t_final": 0.1,
-                           "dt": 0.01, "checkpoints": 1},
-        },
-    }
     mismatches = []
-    for command, payload in configs.items():
-        cfg = tmp_path / f"{command}.json"
-        cfg.write_text(json.dumps(payload))
-        dirs = []
-        for tag in ("a", "b"):
-            out = tmp_path / f"{command}-{tag}"
-            code = cli_main([command, "--config", str(cfg), "--out", str(out),
-                             "--seed", "17", "--quiet"])
-            assert code == 0, f"{command} exited {code}"
-            dirs.append(out)
+    for command in CONFIGS:
+        dirs = [tmp_path / f"{command}-{tag}" for tag in ("a", "b")]
+        for out in dirs:
+            run_command(command, out, tmp_path)
         names = sorted(p.name for p in dirs[0].iterdir())
         assert names, f"{command} wrote no outputs"
         _, diff, errors = filecmp.cmpfiles(dirs[0], dirs[1], names, shallow=False)
@@ -278,5 +239,5 @@ def test_acceptance_10_cli_determinism(tmp_path):
             mismatches.append((command, diff or errors))
     ok = not mismatches
     _verdict(10, "CLI determinism", ok,
-             f"{len(configs)} commands byte-compared" +
+             f"{len(CONFIGS)} commands byte-compared" +
              (f"; mismatches {mismatches}" if mismatches else ""))
