@@ -32,8 +32,8 @@ from .coefficients import (
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
 from .spectral import (CACHE_SIZE, Field, Grid, dealiased_product2, dealiased_product3,
-                       derivative_symbol, fine_samples, padded_product, sobolev_norm,
-                       sobolev_weights, spectral_derivative, write_csv)
+                       derivative_symbol, fine_samples, padded_product, quadratic_form,
+                       sobolev_norm, sobolev_weights, spectral_derivative, write_csv)
 
 __all__ = [
     "DerivationParameters",
@@ -192,8 +192,7 @@ def _residual_norms(eng: SpectralEngine, c_hat, alpha, beta, model: ModelParamet
     # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)
     r2 = (w_t + c_hat * dx1 + padded_product(grid.n, w, w * dx1) * alpha
           + (c_hat * dx3 * c - w_t * dx2 * d) * beta)
-    power = np.abs(np.stack((r1, r2))) ** 2  # the quadrature of sobolev_norm(., 0.0)
-    return np.sqrt(grid.length * (sobolev_weights(grid, 0.0) * power).sum(-1))
+    return np.sqrt(quadratic_form(np.stack((r1, r2)), grid, sobolev_weights(grid, 0.0)))
 
 
 def abcd_residual_first(eta: Field, model: ScaledModel) -> tuple[float, float]:

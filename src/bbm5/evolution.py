@@ -52,11 +52,12 @@ from .spectral import (
     CACHE_SIZE,
     Field,
     Grid,
+    _energy_weights,
     derivative_symbol,
-    energy,
     fine_band,
     fine_samples,
     integral_cube,
+    quadratic_form,
     sampled_integral_cube,
     sobolev_norm,
     sobolev_weights,
@@ -87,6 +88,7 @@ __all__ = [
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
 N_CONTOUR = 32  # roots of unity of the ETDRK4 contour means
+MAX_STEPS = 10**7  # of one time loop: 1,000 times acceptance 04's, and a bound on records
 
 
 @dataclass(frozen=True)
@@ -469,8 +471,10 @@ def _linear_fit(x, y) -> tuple[float, float]:
 
 
 def _time_lattice(T: float, dt: float) -> tuple[int, float]:
-    """round(T/dt) steps, at least one, and their length: the lattice of both
-    time schemes, of the splitting windows and of each epsilon-sweep leg."""
+    """round(T/dt) steps, 1 to MAX_STEPS (more is a ValueError), and their length:
+    the lattice of both time schemes, the splitting windows and each epsilon-sweep leg."""
+    if not T / dt <= MAX_STEPS:
+        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {T / dt:.3g} steps, over {MAX_STEPS:.0e}")
     steps = max(1, int(round(T / dt)))
     return steps, T / steps
 
@@ -486,8 +490,10 @@ def run_simulation(
 ) -> RunReport:
     """Advance eta0 to time T recording diagnostics.
 
-    Each record's diagnostics are computed when the state is recorded, so
-    memory is O(1) states, plus the snapshots when keep_snapshots is set.
+    Each record's diagnostics are computed when its state is yielded, its energy
+    and H^s norms by one quadratic_form call; a record builds no Field but a
+    snapshot or the argument of energy_drift_predicted.  So memory is O(1)
+    states, plus the snapshots when keep_snapshots is set.
     The predicted drift of a record is energy_drift_predicted's; with a
     dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
     of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of
@@ -503,26 +509,25 @@ def run_simulation(
     grid = eta0.grid
     n_steps, dt = _time_lattice(T, cfg.dt)
     svals = list(dict.fromkeys(monitor_s))
+    weights = np.stack([_energy_weights(grid, c), *(sobolev_weights(grid, s) for s in svals)])
     # a column of 8-byte numbers per record: t, E, zero mode, predicted dE/dt, H^s norms
     table = np.empty((4 + len(svals), n_steps // record_every + 2))
-    count = 0
-    snapshots = []
     cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
             and not c.energy_conserving else None)
     if cfg.scheme == "picard_duhamel":
         traj, _diag = duhamel_picard(eta0, spec, cfg, T)
-        states = ((k, f) for k, f in enumerate(traj) if k % record_every == 0 or k == n_steps)
+        states = ((k, f.half) for k, f in enumerate(traj) if k % record_every == 0 or k == n_steps)
     else:
-        march = _march(_stepper(grid, spec, dt), eta0.half, n_steps, every=record_every, cube=cube)
-        states = ((k, Field(grid, half=h)) for k, h in march)
-    error = None
+        states = _march(_stepper(grid, spec, dt), eta0.half, n_steps, every=record_every, cube=cube)
+    count, snapshots, error = 0, [], None
     try:
-        for k, f in states:
+        for k, h in states:
+            f = Field(grid, half=h) if keep_snapshots or cube is None or k == n_steps else None
             with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
-                row = (k * dt, energy(f, c), f.zero_mode,
+                e, *q = quadratic_form(h, grid, weights)
+                row = (k * dt, 0.5 * e, h[0].real,
                        energy_drift_predicted(f, c) if cube is None or k == n_steps
-                       else (c.gamma - GRAD_COEFF) * float(cube[0]),
-                       *(sobolev_norm(f, s) for s in svals))
+                       else (c.gamma - GRAD_COEFF) * float(cube[0]), *np.sqrt(q))
             if not all(map(math.isfinite, row[1:])):
                 raise NumericalError(f"non-finite diagnostics at step {k} of {n_steps} "
                                      f"(t = {k * dt:g})", k, k * dt)
@@ -596,7 +601,7 @@ def duhamel_picard(
 
     traj = free.copy()
     diffs: list[float] = []
-    hs_w = eta0.grid.length * sobolev_weights(eta0.grid, s)
+    hs_w = sobolev_weights(eta0.grid, s)
     converged = False
     for it in range(cfg.picard_max_iter):
         G = eng.nonlinear_hat(traj)  # all nodes in one call
@@ -613,8 +618,7 @@ def duhamel_picard(
                 e_2dt * G[k - 2] + 4.0 * e_dt * G[k - 1] + G[k]
             )
             new[k] = free[k] + i_last
-        d = new - traj
-        diff = float(np.sqrt((hs_w * np.abs(d) ** 2).sum(axis=1)).max())
+        diff = float(np.sqrt(quadratic_form(new - traj, eta0.grid, hs_w)).max())
         diffs.append(diff)
         traj = new
         if diff < cfg.picard_tol:

@@ -15,11 +15,11 @@ Nyquist slot holding the -n/2 coefficient (``Grid.half_wavenumbers``).
 Field arithmetic, the functions below and every time loop work on it; the
 samples and the full spectrum ``Field.spectral`` are built on request.
 
-The discrete H^s norm is sqrt(L * sum_j (1 + xi_j^2)^s |c_j|^2); for s = 0
-this is the L^2 integral of u^2 by Parseval.  On the half spectrum each
-interior mode stands for itself and its conjugate and is weighted twice.
-The weight tables and derivative symbols are cached per grid, at most
-``CACHE_SIZE`` of each kind.
+Every norm and the energy is ``quadratic_form``, L * sum_j w_j |c_j|^2 over
+the half spectrum, on which each interior mode stands for itself and its
+conjugate and is weighted twice: the H^s norm is its root with (1 + xi^2)^s
+weights (L^2 for s = 0), the energy half of it.  The weight tables and
+derivative symbols are cached per grid, at most ``CACHE_SIZE`` of each kind.
 
 The padded transforms live here once: ``fine_samples`` (irfft onto m points
 of the spectrum ``fine_band`` pads) and ``truncated_coeffs`` (rfft of m
@@ -104,11 +104,11 @@ class Field:
     Hermitian part of the coefficients) or from a half spectrum.
     """
 
-    __slots__ = ("grid", "_samples", "_half", "_spectral", "_power")
+    __slots__ = ("grid", "_samples", "_half", "_spectral")
 
     def __init__(self, grid: Grid, samples=None, spectral=None, half=None):
         self.grid = grid
-        self._samples = self._spectral = self._half = self._power = None
+        self._samples = self._spectral = self._half = None
         if samples is not None:
             self._samples = _frozen(samples, np.float64, (grid.n,), "samples")
             if not np.all(np.isfinite(self._samples)):
@@ -167,12 +167,6 @@ class Field:
     def zero_mode(self) -> float:
         return float(self.half[0].real)
 
-    def quadrature(self, w: np.ndarray) -> float:
-        """sum_j w_j |c_j|^2 over the half spectrum; |c|^2 is computed once."""
-        if self._power is None:
-            self._power = np.abs(self.half) ** 2
-        return float((w * self._power).sum())
-
     def max_imag_residue(self) -> float:
         """Departure from realness of the inverse transform."""
         return float(np.abs(np.fft.ifft(self.spectral * self.grid.n).imag).max())
@@ -220,7 +214,13 @@ def _half_weights(table):
     return weights
 
 
-sobolev_weights = _half_weights(lambda xi, s: (1.0 + xi * xi) ** s)
+def _sobolev_table(xi, s):
+    if not math.isfinite(s):
+        raise ValueError("Sobolev index must be finite")
+    return (1.0 + xi * xi) ** s
+
+
+sobolev_weights = _half_weights(_sobolev_table)
 _homogeneous_weights = _half_weights(
     lambda xi, s: np.where(xi == 0.0, 0.0, np.abs(xi) ** (2.0 * s)))
 _energy_weights = _half_weights(denominator)
@@ -235,16 +235,20 @@ def spectral_derivative(f: Field, order: int) -> Field:
     return Field(f.grid, half=f.half * derivative_symbol(f.grid, order))
 
 
+def quadratic_form(h: np.ndarray, grid: Grid, w: np.ndarray) -> np.ndarray:
+    """L * sum_j w_j |c_j|^2 over the half spectrum h; h may be a stack of half
+    spectra and w a stack of weight tables, and the result is the stack of forms."""
+    return grid.length * (w * np.abs(h) ** 2).sum(-1)
+
+
 def sobolev_norm(f: Field, s: float) -> float:
     """Discrete H^s norm with (1 + xi^2)^s weights."""
-    if not math.isfinite(s):
-        raise ValueError("Sobolev index must be finite")
-    return math.sqrt(f.grid.length * f.quadrature(sobolev_weights(f.grid, s)))
+    return math.sqrt(quadratic_form(f.half, f.grid, sobolev_weights(f.grid, s)))
 
 
 def homogeneous_sobolev_norm(f: Field, s: float) -> float:
     """Homogeneous counterpart with |xi|^(2s) weights (zero mode dropped)."""
-    return math.sqrt(f.grid.length * f.quadrature(_homogeneous_weights(f.grid, s)))
+    return math.sqrt(quadratic_form(f.half, f.grid, _homogeneous_weights(f.grid, s)))
 
 
 def energy(f: Field, c: Bbm5Coefficients) -> float:
@@ -254,7 +258,7 @@ def energy(f: Field, c: Bbm5Coefficients) -> float:
     evaluated by spectral quadrature.
     """
     require_wellposed(c, "energy")
-    return 0.5 * f.grid.length * f.quadrature(_energy_weights(f.grid, c))
+    return 0.5 * float(quadratic_form(f.half, f.grid, _energy_weights(f.grid, c)))
 
 
 def low_pass(f: Field, cutoff: float) -> Field:

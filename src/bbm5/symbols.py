@@ -31,6 +31,7 @@ from .spectral import (
     derivative_symbol,
     hermitian_half,
     padded_product,
+    quadratic_form,
     sobolev_weights,
 )
 
@@ -264,26 +265,20 @@ class OperatorNormScan:
         return float(self.running_max[-1] / before - 1.0) if before > 0 else 0.0
 
 
-def _hs_norms(h: np.ndarray, grid: Grid, s: float) -> np.ndarray:
-    """H^s norms of a stack of half spectra: sobolev_norm's sum, row by row."""
-    return np.sqrt(grid.length * (sobolev_weights(grid, s) * np.abs(h) ** 2).sum(axis=-1))
-
-
 def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
             grid: Grid) -> np.ndarray:
     """LHS/RHS of the named estimate for a stack of trials, 0 where the RHS
     vanishes; h holds each trial's half spectra along its second-last axis."""
-    if not math.isfinite(s):
-        raise ValueError("Sobolev index must be finite")
-    norms = _hs_norms(h, grid, s)
+    w = sobolev_weights(grid, s)
+    norms = np.sqrt(quadratic_form(h, grid, w))
     rhs = norms[..., 0]
     for k in range(1, h.shape[-2]):
         rhs = rhs * norms[..., k]
     if estimate_id == "psi_grad_bilinear":
         h = h * derivative_symbol(grid, 1)
     q = padded_product(grid.n, *(h[..., k, :] for k in range(h.shape[-2])))
-    # the -i composition of apply_symbol_real
-    lhs = _hs_norms(-1j * _half_table(_ESTIMATES[estimate_id]["symbol"], c, grid) * q, grid, s)
+    q = -1j * _half_table(_ESTIMATES[estimate_id]["symbol"], c, grid) * q  # as apply_symbol_real
+    lhs = np.sqrt(quadratic_form(q, grid, w))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(rhs == 0.0, 0.0, lhs / rhs)
 

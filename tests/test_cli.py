@@ -165,6 +165,24 @@ def test_a_non_finite_config_number_exits_2_before_writing(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,section,values", [
+    ("simulate", "simulate", {"T": 1e308}),
+    ("simulate", "simulate", {"T": 1e300}),
+    ("derivation-residual", "derivation", {**_DERIVATION, "t_final": 1e308}),
+    ("split", "split", {"cutoffs": [4.0, 8.0], "t0_scale": 1e308}),
+])
+def test_a_run_of_too_many_steps_exits_2_naming_t_and_dt(tmp_path, capsys, command, section,
+                                                          values):
+    # T/dt overflowed int(round(...)) with a traceback (exit 1), or sized a record
+    # table numpy refused, with a message that named no key
+    cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 6.0},
+                                   "stepper": {"dt": 0.01}, section: values})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith("configuration error: T = ") and " at dt = " in err[0]
+
+
 def test_write_meta_leaves_no_file_for_a_payload_it_cannot_write(tmp_path):
     with pytest.raises(ValueError, match="Out of range float"):
         cli._write_meta(str(tmp_path), "meta.json", {"dt": math.inf})

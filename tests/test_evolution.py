@@ -11,6 +11,7 @@ import pytest
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS, multipliers
 from bbm5 import evolution, spectral
 from bbm5.evolution import (
+    MAX_STEPS,
     PicardDivergenceError,
     RhsSpec,
     RunReport,
@@ -25,6 +26,7 @@ from bbm5.evolution import (
     run_simulation,
     sech_squared,
     semigroup_apply,
+    _time_lattice,
 )
 from bbm5.spectral import (Field, Grid, RegimeError, energy, fine_samples, full_spectrum,
                            half_spectrum, sobolev_norm, truncated_coeffs)
@@ -291,7 +293,9 @@ def test_nonlinear_hat_results_are_fresh(dealias, ref):
         assert not any(np.shares_memory(first, v) for v in _arrays(eng).values())
         kept = _buffers(eng)
         first[...] = 1e300
-        assert all(np.array_equal(v, kept[k]) for k, v in _buffers(eng).items())
+        # bytes, not values: a buffer the engine has not used yet holds whatever
+        # np.empty found, NaN patterns included, which equal nothing as values
+        assert all(v.tobytes() == kept[k].tobytes() for k, v in _buffers(eng).items())
         second = eng.nonlinear_hat(y)
         assert not any(np.shares_memory(second, v) for v in _arrays(eng).values())
         assert np.array_equal(second, _two_transform_nonlinear_hat(eng, y))
@@ -623,6 +627,13 @@ def test_both_schemes_step_one_time_lattice_when_t_over_dt_is_not_an_integer(gri
     assert len(reps[0].times) == 6
     assert np.array_equal(reps[0].times, reps[1].times)
     assert np.array_equal(reps[0].times, np.arange(6) * (0.052 / 5))
+
+
+def test_time_lattice_refuses_more_than_max_steps():
+    assert _time_lattice(10.0, 1e-6) == (MAX_STEPS, 1e-6)  # 10/1e-6 is exactly MAX_STEPS
+    for T, dt in ((10.0000001, 1e-6), (1e12, 1e-3), (1e308, 1e-3), (math.nan, 1e-3)):
+        with pytest.raises(ValueError, match=r"T = .* at dt = .* steps, over"):
+            _time_lattice(T, dt)
 
 
 def test_stepper_config_validation():

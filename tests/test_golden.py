@@ -18,13 +18,15 @@ from cli_outputs import CONFIGS, GOLDEN, run_command
 # A number that stands alone: not a digit of a name such as hs1 or a1.
 NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)(?![\w.])")
 
-# (rtol, atol) of the floats of each file.  The default is far below the
-# 1e-9 relative change of a scaled energy and far above last-bit noise,
-# which finite differences of the energy (drift_resid) amplify about 1e3-fold.
+# (rtol, atol) of the floats of each file.  rtol is far below the 1e-9
+# relative change of a scaled energy and far above last-bit noise.  The
+# drift_resid of run.csv and energy_drift.csv differentiates the energy
+# (about 10) over dt = 0.01: a last-bit change of E moves it by up to 4e-13.
 # picard.csv's later diff_hs are differences of nearly equal iterates, whose
 # relative rounding is that of their size against the state's.
 DEFAULT_TOLERANCE = (1e-10, 1e-13)
-TOLERANCE = {"picard.csv": (1e-6, 1e-15)}
+TOLERANCE = {"run.csv": (1e-10, 1e-10), "energy_drift.csv": (1e-10, 1e-10),
+             "picard.csv": (1e-6, 1e-15)}
 
 
 def _tokens(text: str) -> tuple[list[str], list[str]]:

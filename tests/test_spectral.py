@@ -27,6 +27,7 @@ from bbm5.spectral import (
     homogeneous_sobolev_norm,
     integral_cube,
     low_pass,
+    quadratic_form,
     read_snapshot_csv,
     sobolev_norm,
     spectral_derivative,
@@ -284,6 +285,28 @@ def test_weight_and_symbol_caches_stay_bounded(ref):
         assert cache.cache_info().currsize <= CACHE_SIZE
     # a repeated key is served from the cache
     assert spectral.sobolev_weights(grid, 1.0) is spectral.sobolev_weights(grid, 1.0)
+
+
+@pytest.mark.parametrize("n", [16, 128, 2048])
+def test_quadratic_form_of_a_stack_is_the_norms_and_energy_row_by_row(n, ref):
+    # the stacked sums round as the one-state sums: every row bit for bit
+    grid = Grid(n=n, length=16.0 * math.pi)
+    rng = np.random.default_rng(n)
+    re, im = rng.standard_normal((2, 5, n // 2 + 1))
+    stack = (re + 1j * im) / (1.0 + grid.half_wavenumbers ** 2)
+    svals = (0.0, 1.0, 1.5, 2.0)
+    weights = np.stack([spectral._energy_weights(grid, ref),
+                        *(spectral.sobolev_weights(grid, s) for s in svals)])
+    forms = {s: quadratic_form(stack, grid, spectral.sobolev_weights(grid, s)) for s in svals}
+    e_forms = quadratic_form(stack, grid, spectral._energy_weights(grid, ref))
+    for k, h in enumerate(stack):
+        f = Field(grid, half=h)
+        assert 0.5 * e_forms[k] == energy(f, ref)
+        for s in svals:
+            assert math.sqrt(forms[s][k]) == sobolev_norm(f, s)
+        # a stack of weight tables gives each table's form
+        stacked = quadratic_form(h, grid, weights)
+        assert stacked.tolist() == [e_forms[k], *(forms[s][k] for s in svals)]
 
 
 # ---------------------------------------------------------------------------
