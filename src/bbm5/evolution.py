@@ -490,10 +490,9 @@ def run_simulation(
 ) -> RunReport:
     """Advance eta0 to time T recording diagnostics.
 
-    Each record's diagnostics are computed when its state is yielded, its energy
-    and H^s norms by one quadratic_form call; a record builds no Field but a
-    snapshot or the argument of energy_drift_predicted.  So memory is O(1)
-    states, plus the snapshots when keep_snapshots is set.
+    Each record's diagnostics are computed when its state is yielded, E and the
+    H^s norms by one quadratic_form call, with no Field but a snapshot or the
+    argument of energy_drift_predicted: memory is O(1) states plus the snapshots.
     The predicted drift of a record is energy_drift_predicted's; with a
     dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
     of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of

@@ -270,10 +270,7 @@ def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
     """LHS/RHS of the named estimate for a stack of trials, 0 where the RHS
     vanishes; h holds each trial's half spectra along its second-last axis."""
     w = sobolev_weights(grid, s)
-    norms = np.sqrt(quadratic_form(h, grid, w))
-    rhs = norms[..., 0]
-    for k in range(1, h.shape[-2]):
-        rhs = rhs * norms[..., k]
+    rhs = np.sqrt(quadratic_form(h, grid, w)).prod(-1)  # the product of the factors' norms
     if estimate_id == "psi_grad_bilinear":
         h = h * derivative_symbol(grid, 1)
     q = padded_product(grid.n, *(h[..., k, :] for k in range(h.shape[-2])))
