@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coef
-from .coefficients import ModelParameters
+from .coefficients import ModelParameters, RegimeError
 from .derivation import epsilon_sweep
 from .derivation import write_sweep_csv as write_derivation_csv
 from .evolution import (
@@ -36,7 +36,7 @@ from .evolution import (
     run_simulation,
     sech_squared,
 )
-from .spectral import Field, Grid, RegimeError, read_snapshot_csv, sobolev_norm, write_csv
+from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, write_csv
 from .splitting import n_sweep, write_sweep_csv
 from .symbols import eval_symbol, random_hs_field
 

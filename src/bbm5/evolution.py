@@ -88,7 +88,7 @@ __all__ = [
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
 N_CONTOUR = 32  # roots of unity of the ETDRK4 contour means
-MAX_STEPS = 10**7  # of one time loop: 1,000 times acceptance 04's, and a bound on records
+MAX_STEPS = 10**7  # of a time loop (1,000 times acceptance 04's), its records, Picard's memory
 
 
 @dataclass(frozen=True)
@@ -470,13 +470,19 @@ def _linear_fit(x, y) -> tuple[float, float]:
     return float(slope), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
 
 
-def _time_lattice(T: float, dt: float) -> tuple[int, float]:
-    """round(T/dt) steps, 1 to MAX_STEPS (more is a ValueError), and their length:
-    the lattice of both time schemes, the splitting windows and each epsilon-sweep leg."""
-    if not T / dt <= MAX_STEPS:
-        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {T / dt:.3g} steps, over {MAX_STEPS:.0e}")
-    steps = max(1, int(round(T / dt)))
-    return steps, T / steps
+def _time_lattice(T: float, dt: float, legs: int = 1) -> tuple[int, float]:
+    """round(T/(legs*dt)) steps, at least 1, and their length: the lattice of every time loop,
+    of each epsilon-sweep leg.  ValueError unless 0 < T, dt < inf and legs*steps <= MAX_STEPS."""
+    for name, x in (("T", T), ("dt", dt)):
+        if not 0.0 < x < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x}")
+    ratio = T / legs / dt
+    steps = max(1, int(round(min(ratio, MAX_STEPS + 1))))
+    if legs * max(steps, ratio) > MAX_STEPS:
+        where = f" in {legs} checkpoints" if legs > 1 else ""
+        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {legs * max(steps, ratio):.3g} "
+                         f"steps{where}, over {MAX_STEPS:.0e}")
+    return steps, T / legs / steps
 
 
 def run_simulation(
@@ -502,8 +508,8 @@ def run_simulation(
     run: the report holds the records before it, and its ``error``
     (``aborted`` is set) is the NumericalError that gives that step and time.
     """
-    if not 0.0 < T < np.inf or record_every < 1:
-        raise ValueError(f"need 0 < T < inf and record_every >= 1, got {T} and {record_every}")
+    if record_every < 1:
+        raise ValueError(f"need record_every >= 1, got {record_every}")
     c = spec.coefficients
     grid = eta0.grid
     n_steps, dt = _time_lattice(T, cfg.dt)
@@ -577,8 +583,9 @@ def duhamel_picard(
     lattice (a single trapezoid panel seeds odd node counts).  Iteration
     stops when the sup-over-nodes H^s difference drops below picard_tol.
     """
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
+    K, dt = _time_lattice(T, cfg.dt)
+    if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
+        raise ValueError(f"T = {T:g} makes {K + 1} Picard nodes, over {MAX_STEPS:.0e} coefficients")
     s = cfg.sobolev_s
     r0 = sobolev_norm(eta0, s)
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)
@@ -590,7 +597,6 @@ def duhamel_picard(
         )
     # an engine of its own, uncached, so that no cached one keeps the (K + 1)-row buffers
     eng = _engine.__wrapped__(eta0.grid, spec)
-    K, dt = _time_lattice(T, cfg.dt)
     e_dt = eng.semigroup_factor(dt)
     e_2dt = e_dt * e_dt
     free = np.empty((K + 1, e_dt.size), dtype=np.complex128)

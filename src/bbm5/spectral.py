@@ -37,13 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Bbm5Coefficients, denominator, require_wellposed
-from .coefficients import RegimeError  # noqa: F401  (re-exported: callers import it from here)
 
 __all__ = [
     "Grid",
     "Field",
     "sobolev_norm",
-    "homogeneous_sobolev_norm",
     "energy",
     "low_pass",
     "spectral_derivative",
@@ -167,10 +165,6 @@ class Field:
     def zero_mode(self) -> float:
         return float(self.half[0].real)
 
-    def max_imag_residue(self) -> float:
-        """Departure from realness of the inverse transform."""
-        return float(np.abs(np.fft.ifft(self.spectral * self.grid.n).imag).max())
-
     def __add__(self, other: "Field") -> "Field":
         self._check_grid(other)
         return Field(self.grid, half=self.half + other.half)
@@ -221,8 +215,6 @@ def _sobolev_table(xi, s):
 
 
 sobolev_weights = _half_weights(_sobolev_table)
-_homogeneous_weights = _half_weights(
-    lambda xi, s: np.where(xi == 0.0, 0.0, np.abs(xi) ** (2.0 * s)))
 _energy_weights = _half_weights(denominator)
 
 
@@ -244,11 +236,6 @@ def quadratic_form(h: np.ndarray, grid: Grid, w: np.ndarray) -> np.ndarray:
 def sobolev_norm(f: Field, s: float) -> float:
     """Discrete H^s norm with (1 + xi^2)^s weights."""
     return math.sqrt(quadratic_form(f.half, f.grid, sobolev_weights(f.grid, s)))
-
-
-def homogeneous_sobolev_norm(f: Field, s: float) -> float:
-    """Homogeneous counterpart with |xi|^(2s) weights (zero mode dropped)."""
-    return math.sqrt(quadratic_form(f.half, f.grid, _homogeneous_weights(f.grid, s)))
 
 
 def energy(f: Field, c: Bbm5Coefficients) -> float:

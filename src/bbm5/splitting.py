@@ -34,11 +34,10 @@ import numpy as np
 from .coefficients import Bbm5Coefficients
 from .evolution import (RhsSpec, StepperConfig, SpectralEngine, _linear_fit, _march,
                         _stepper, _time_lattice, semigroup_apply)
-from .spectral import Field, energy, low_pass, sobolev_norm, spectral_derivative, write_csv
+from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
 
 __all__ = [
     "SplitConfig",
-    "SplitState",
     "split_initial",
     "evolve_u",
     "evolve_v",
@@ -75,14 +74,6 @@ class SplitConfig:
     def t0(self, dt: float) -> float:
         raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
         return max(raw, 10.0 * dt)
-
-
-@dataclass
-class SplitState:
-    u: Field
-    v: Field
-    h: Field | None
-    k: int
 
 
 def split_initial(eta0: Field, cutoff: float) -> tuple[Field, Field]:
@@ -144,21 +135,11 @@ def evolve_v(v0: Field, u0: Field, spec: RhsSpec, cfg: StepperConfig,
     return Field(v0.grid, half=vu[0]), Field(u0.grid, half=vu[1])
 
 
-def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:
-    """Duhamel remainder h(t0) = v(t0) - S(t0)*v0 and its norm summary.
-
-    The summary records the H^2 norm alongside the equivalent
-    ||h||_H1 + ||dx h||_H1 combination.
-    """
+def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, float]:
+    """Duhamel remainder h(t0) = v(t0) - S(t0)*v0 and ||h||_H2, the local theory's norm of it."""
     free = semigroup_apply(v0, t0, c)
     h = vT - free
-    norms = {
-        "h_H1": sobolev_norm(h, 1.0),
-        "dxh_H1": sobolev_norm(spectral_derivative(h, 1), 1.0),
-        "h_H2": sobolev_norm(h, 2.0),
-    }
-    norms["h_H1_plus_dxh_H1"] = norms["h_H1"] + norms["dxh_H1"]
-    return h, norms
+    return h, sobolev_norm(h, 2.0)
 
 
 def iterate(
@@ -166,21 +147,18 @@ def iterate(
     cfg: SplitConfig,
     spec: RhsSpec,
     stepper: StepperConfig,
-) -> tuple[SplitState, dict]:
+) -> tuple[Field, Field, dict]:
     """k_max rounds of window evolution and reassembly.
 
-    Records E(u_k), the invariant ||v_k||_Hs, and the remainder norms per round:
-    the report carries everything the scaling checks need.  Returns the final state.
+    Records E(u_k), the invariant ||v_k||_Hs, and the remainder's H^2 norm per round:
+    the report carries everything the scaling checks need.  Returns the final u, v and report.
     """
     if not spec.coefficients.energy_conserving:
         raise ValueError("iteration requires gamma = 7/48 (energy control)")
     u, v = split_initial(eta0, cfg.cutoff)
     t0 = cfg.t0(stepper.dt)
     c = spec.coefficients
-    state = SplitState(u=u, v=v, h=None, k=0)
     report: dict = {
-        "N": cfg.cutoff,
-        "s": cfg.s,
         "t0": t0,
         "E_u": [energy(u, c)],
         "v_hs": [sobolev_norm(v, cfg.s)],
@@ -188,16 +166,16 @@ def iterate(
         "h_H2": [],
         "u_H2_t0": [],
     }
-    for k in range(cfg.k_max):
-        v_t0, u_t0 = evolve_v(state.v, state.u, spec, stepper, t0)
-        h, norms = compute_h(v_t0, state.v, t0, c)
-        state = SplitState(u=u_t0 + h, v=semigroup_apply(state.v, t0, c), h=h, k=k + 1)
+    for _k in range(cfg.k_max):
+        v_t0, u_t0 = evolve_v(v, u, spec, stepper, t0)
+        h, h_H2 = compute_h(v_t0, v, t0, c)
+        u, v = u_t0 + h, semigroup_apply(v, t0, c)
         report["E_u_t0"].append(energy(u_t0, c))
-        report["h_H2"].append(norms["h_H2"])
+        report["h_H2"].append(h_H2)
         report["u_H2_t0"].append(sobolev_norm(u_t0, 2.0))
-        report["E_u"].append(energy(state.u, c))
-        report["v_hs"].append(sobolev_norm(state.v, cfg.s))
-    return state, report
+        report["E_u"].append(energy(u, c))
+        report["v_hs"].append(sobolev_norm(v, cfg.s))
+    return u, v, report
 
 
 def n_sweep(
@@ -224,7 +202,7 @@ def n_sweep(
     rows = []
     for N in cutoffs:
         cfg = SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1)
-        _state, rep = iterate(eta0, cfg, spec, stepper)
+        *_, rep = iterate(eta0, cfg, spec, stepper)
         rows.append(
             {
                 "N": N,

@@ -183,6 +183,38 @@ def test_a_run_of_too_many_steps_exits_2_naming_t_and_dt(tmp_path, capsys, comma
     assert err[0].startswith("configuration error: T = ") and " at dt = " in err[0]
 
 
+def test_a_sweep_of_too_many_checkpoints_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    # the step bound covered one leg only, so 10^12 legs of one step each ran on
+    def model(*args, **kwargs):
+        raise AssertionError("a scaled model was built")
+
+    monkeypatch.setattr(derivation, "_scaled_engine", model)
+    cfg = _write_config(tmp_path, {"grid": {"n": 64},
+                                   "derivation": {**_DERIVATION, "checkpoints": 10**12}})
+    out = tmp_path / "out"
+    assert main(["derivation-residual", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: T = 0.1 at dt = 0.01 makes 1e+12 steps "
+                   "in 1000000000000 checkpoints, over 1e+07"]
+    assert not out.exists()
+
+
+def test_picard_of_too_many_coefficients_exits_2_before_allocating(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 10^6 + 1 nodes of 33 coefficients: the lattice arrays and the padded stack
+    # would have taken gigabytes
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(evolution, "SpectralEngine", engine)
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 1e-5},
+                                   "picard": {"T": 10.0}})
+    assert main(["picard", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: T = 10 makes 1000001 Picard nodes, "
+                   "over 1e+07 coefficients"]
+
+
 def test_write_meta_leaves_no_file_for_a_payload_it_cannot_write(tmp_path):
     with pytest.raises(ValueError, match="Out of range float"):
         cli._write_meta(str(tmp_path), "meta.json", {"dt": math.inf})
@@ -406,7 +438,7 @@ def test_derivation_repeated_epsilon_exits_2_before_running(tmp_path, capsys, mo
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("configuration error: need 0 < t_final")
+    assert len(err) == 1 and err[0].startswith("configuration error: need n_checkpoints >= 1")
     assert "distinct" in err[0] and err[0].endswith("[0.1, 0.1, 0.05]")
     assert not out.exists()
 

@@ -305,7 +305,11 @@ def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, e
     pytest.param(0.1, 0.01, 1, (0.1, 1.5), id="eps-above-one"),
 ])
 def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons):
-    with pytest.raises(ValueError, match="n_checkpoints >= 1"):
+    # t_final and dt are admitted by the time lattice, as in every time loop
+    match = ("T must be positive and finite" if not 0.0 < t_final < math.inf
+             else "dt must be positive and finite" if not 0.0 < dt < math.inf
+             else "n_checkpoints >= 1")
+    with pytest.raises(ValueError, match=match):
         epsilon_sweep(Grid(n=64, length=16.0 * math.pi), reference_parameters(),
                       epsilons=epsilons, t_final=t_final, dt=dt,
                       n_checkpoints=n_checkpoints)

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS, multipliers
+from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, RegimeError,
+                               multipliers)
 from bbm5 import evolution, spectral
 from bbm5.evolution import (
     MAX_STEPS,
@@ -28,7 +29,7 @@ from bbm5.evolution import (
     semigroup_apply,
     _time_lattice,
 )
-from bbm5.spectral import (Field, Grid, RegimeError, energy, fine_samples, full_spectrum,
+from bbm5.spectral import (Field, Grid, energy, fine_samples, full_spectrum,
                            half_spectrum, sobolev_norm, truncated_coeffs)
 from bbm5.symbols import Symbol, eval_symbol, random_hs_field
 
@@ -631,9 +632,29 @@ def test_both_schemes_step_one_time_lattice_when_t_over_dt_is_not_an_integer(gri
 
 def test_time_lattice_refuses_more_than_max_steps():
     assert _time_lattice(10.0, 1e-6) == (MAX_STEPS, 1e-6)  # 10/1e-6 is exactly MAX_STEPS
-    for T, dt in ((10.0000001, 1e-6), (1e12, 1e-3), (1e308, 1e-3), (math.nan, 1e-3)):
+    for T, dt in ((10.0000001, 1e-6), (1e12, 1e-3), (1e308, 1e-3)):
         with pytest.raises(ValueError, match=r"T = .* at dt = .* steps, over"):
             _time_lattice(T, dt)
+
+
+@pytest.mark.parametrize("T,dt", [(0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
+                                  (0.1, 0.0), (0.1, -0.01), (0.1, math.nan), (0.1, math.inf)])
+def test_time_lattice_admits_only_a_positive_finite_t_and_dt(T, dt):
+    # every time loop is admitted here; _time_lattice(-1.0, 0.01) was (1, -1.0),
+    # one step backward, and (0.1, inf) one step of 0.1
+    name = "dt" if 0.0 < T < math.inf else "T"
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+        _time_lattice(T, dt)
+
+
+def test_time_lattice_bounds_the_steps_of_all_legs():
+    # the epsilon sweep's legs, one a checkpoint, each of one step at least
+    assert _time_lattice(10.0, 1e-6, 10) == (MAX_STEPS // 10, 1e-6)
+    # 11 legs of round(909090.9) steps; 10^12 and 10^7 + 1 legs of one step each
+    for T, dt, legs in ((10.0, 1e-6, 11), (0.1, 0.01, 10**12), (1e-6, 1.0, MAX_STEPS + 1)):
+        message = rf"^T = {T:g} at dt = {dt:g} makes .* steps in {legs} checkpoints, over "
+        with pytest.raises(ValueError, match=message):
+            _time_lattice(T, dt, legs)
 
 
 def test_stepper_config_validation():
@@ -654,7 +675,9 @@ def test_stepper_config_rejects_contraction_constant(cs):
 @pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (math.inf, 1), (0.05, 0),
                                            (0.05, -1)])
 def test_run_simulation_rejects_out_of_range(grid, T, record_every):
-    with pytest.raises(ValueError, match="0 < T < inf and record_every >= 1"):
+    # T is admitted by the time lattice, as in every time loop
+    match = "record_every >= 1" if record_every < 1 else "T must be positive and finite"
+    with pytest.raises(ValueError, match=match):
         run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01), T,
                        record_every=record_every)
 

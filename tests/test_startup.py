@@ -1,9 +1,12 @@
 """Start-up: importing bbm5 and running every CLI command loads no scipy
-module (``import scipy.stats`` alone costs about a second)."""
+module (``import scipy.stats`` alone costs about a second), and every name a
+module exports exists."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +54,15 @@ def test_every_command_runs_without_loading_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == {command: 0 for command in CONFIGS}
     assert result["scipy"] == []
+
+
+def test_every_name_in_a_modules_all_exists():
+    # a stale entry breaks ``from bbm5.<module> import *``
+    exported = {}
+    for info in pkgutil.iter_modules(bbm5.__path__):
+        module = importlib.import_module(f"bbm5.{info.name}")
+        exported[info.name] = getattr(module, "__all__", ())
+        missing = [name for name in exported[info.name] if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
+    assert all(exported[name] for name in ("coefficients", "derivation", "evolution",
+                                           "spectral", "splitting", "symbols"))
