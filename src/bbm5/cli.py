@@ -138,7 +138,8 @@ def _typed(value, kind, name: str):
         return tuple(_typed(v, _NUM, f"{name}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"config value {name} has wrong type {type(value).__name__}")
-    if kind is _NUM and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, no float
+    # NaN, or no float: an int key too, since a time lattice divides by one
+    if kind in (_NUM, int) and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigError(f"config value {name} must be a finite number, got {value}")
     return float(value) if kind is _NUM else value
 
@@ -342,22 +343,22 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
 
 def cmd_picard(args, run: _Setup) -> int:
     eta0 = run.initial("picard")
-    out = _out_dir(args)
     try:
         traj, diag = duhamel_picard(eta0, RhsSpec(run.coeffs), run.stepper,
                                     run.config["picard"]["T"])
     except PicardDivergenceError as exc:
-        _write_picard_csv(os.path.join(out, "picard.csv"), exc.diagnostics)
+        _write_picard_csv(args, exc.diagnostics)
         _say(args, str(exc), sys.stderr)
         return EXIT_NUMERIC
-    _write_picard_csv(os.path.join(out, "picard.csv"), diag)
+    _write_picard_csv(args, diag)
     _say(args, f"picard: converged in {diag.iterations} iterations, "
                f"final H1 norm {sobolev_norm(traj[-1], 1.0):.6e}")
     return EXIT_OK
 
 
-def _write_picard_csv(path, diag) -> None:
-    write_csv(path, ("iteration", "diff_hs", "ratio"),
+def _write_picard_csv(args, diag) -> None:
+    """picard.csv in the output directory, made here: a picard that exits 2 leaves none."""
+    write_csv(os.path.join(_out_dir(args), "picard.csv"), ("iteration", "diff_hs", "ratio"),
               zip(range(1, diag.iterations + 1), diag.diff_norms, [float("nan")] + diag.ratios))
 
 

@@ -20,13 +20,13 @@ Each spectral kernel has one implementation: the symbol formulas in
 ``coefficients.multipliers``; the padded transforms in ``spectral``
 (``fine_samples``/``truncated_coeffs``, wrapped by ``SpectralEngine.to_fine``
 /``from_fine``); the combination -i*(tau*q2 - psi*((1/8)*q3 + (7/48)*g2))
-in ``SpectralEngine.combine``, which the equation, the difference equation
-of ``bbm5.splitting`` and the alpha/beta-scaled law of ``bbm5.derivation``
-all call; the ETDRK4 weights and step in ``Etdrk4Stepper``, built from the
-linear symbol of any engine.  An engine owns its work buffers, one set for
-a single state and one slot for the last stack shape it evaluated; it
-returns new arrays and is not for concurrent use from threads.  Coefficients
-and weights given as (E, 1) columns step a stack of E states row by row.
+in ``SpectralEngine.combine``, which the equation and the alpha/beta-scaled
+law of ``bbm5.derivation`` call; the ETDRK4 weights and step in
+``Etdrk4Stepper``, built from the linear symbol of any engine.  An engine
+owns its work buffers, one set for a single state and one slot for the last
+stack shape it evaluated; it returns new arrays and is not for concurrent
+use from threads.  Coefficients and weights given as (E, 1) columns step a
+stack of E states row by row.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -214,7 +214,8 @@ class SpectralEngine:
         """-i*(w2*tau*q2 - psi*(w3*q3 + wg*g2)), with q2, q3, g2 the
         coefficients of the fine-grid quadratic, cubic and gradient products
         p2, p3, pg; p2 and the sum of the psi-terms share one transform, of a
-        new (2, ..., m) stack or of fine, whose rows p3 and pg may be."""
+        new (2, ..., m) stack or of fine, whose rows p3 and pg may be.  Called
+        by nonlinear_hat and by _eta_tt of bbm5.derivation."""
         fine = np.empty((2, *p2.shape)) if fine is None else fine
         np.multiply(self._wg, pg, out=fine[1])
         fine[1] += np.multiply(self._w3, p3, out=fine[0])

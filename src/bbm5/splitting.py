@@ -19,9 +19,10 @@ u_{k+1} = u(t0) + h(t0), v_{k+1} = S(t0)*v_k over windows of length
 t0 ~ N^{-2(2-s)} measures the energy-increment and remainder scaling laws of
 the global theory at finite N.
 
-A window applies ETDRK4 to the coupled system, the (v; u) stack with the
-nonlinearity (F(u+v) - F(u); F(u)): u's row steps as u alone, u(t0) + v(t0)
-is the full march of eta0 up to rounding, and only the current stack is
+A window applies ETDRK4 to the coupled system.  Its stages for (v; u) are
+those for (eta; u) with eta = u + v, so a window steps the (eta; u) stack
+with the equation's own nonlinearity (F(eta); F(u)) and reads v(t0) off as
+eta(t0) - u(t0): u's row steps as u alone, and only the current stack is
 kept, so a window's memory does not grow with its number of steps.
 """
 
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import Bbm5Coefficients
-from .evolution import (RhsSpec, StepperConfig, SpectralEngine, _linear_fit, _march,
-                        _stepper, _time_lattice, semigroup_apply)
+from .evolution import (RhsSpec, StepperConfig, _linear_fit, _march, _stepper, _time_lattice,
+                        semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
 
 __all__ = [
@@ -92,47 +93,18 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> Field:
     return Field(u0.grid, half=uT)
 
 
-def _window_nl(eng: SpectralEngine):
-    """(F(u+v) - F(u); F(u)) of a window's (v; u) stack, padded by one
-    transform and truncated by another.  u's row forms nonlinear_hat's
-    products in its order, so u steps as it does alone, bit for bit."""
-    prods = np.empty((3, 2, eng.m))  # quadratic, cubic, gradient; rows (v, u)
-    p2, p3, pg = prods
-
-    def nl(vu: np.ndarray) -> np.ndarray:
-        fine = eng.fine_pair(vu)
-        (v, u), vs, us = fine[0], fine[:, 0], fine[:, 1]  # vs = (v, vx), us = (u, ux)
-        np.multiply(us, us, out=prods[::2, 1])  # u's row: u*u and ux*ux, then u*(u*u)
-        np.multiply(u, p2[1], out=p3[1])
-        # v's row: the differences expanded, so that no O(u^3) terms cancel,
-        # and formed in place with each product grouped as written
-        c = np.multiply(3.0, u, out=p3[0])  # 3*u*u*v + 3*u*v*v + v*v*v
-        t = c * v
-        t *= v
-        c *= u
-        c *= v
-        c += t
-        c += np.multiply(np.multiply(v, v, out=t), v, out=t)
-        d = prods[::2, 0]  # v*v + 2*u*v and 2*ux*vx + vx*vx, into (p2[0], pg[0])
-        np.multiply(2.0, us, out=d)
-        d *= vs
-        d += np.multiply(vs, vs, out=vs)
-        return eng.combine(p2, p3, pg, prods[1:])
-
-    return nl
-
-
 def evolve_v(v0: Field, u0: Field, spec: RhsSpec, cfg: StepperConfig,
              t0: float) -> tuple[Field, Field]:
-    """Difference-equation evolution of the rough part on [0, t0], stepped
-    with the smooth part as one (v; u) stack.  Returns (v(t0), u(t0)), u(t0)
-    being evolve_u's bit for bit.  A non-finite state raises NumericalError
-    with its step, its time and the non-finite rows (0 for v, 1 for u)."""
+    """Difference-equation evolution of the rough part on [0, t0], stepped as
+    the (eta; u) stack with eta0 = u0 + v0.  Returns (v(t0), u(t0)), v(t0)
+    being eta(t0) - u(t0) and u(t0) evolve_u's bit for bit.  A non-finite
+    state raises NumericalError with its step, its time and the non-finite
+    rows (0 for eta, 1 for u)."""
     steps, dt = _time_lattice(t0, cfg.dt)
-    st = _stepper(v0.grid, spec, dt)
-    for _k, vu in _march(st, np.stack((v0.half, u0.half)), steps, _window_nl(st.engine)):
+    eta_u = np.stack((u0.half + v0.half, u0.half))
+    for _k, eu in _march(_stepper(v0.grid, spec, dt), eta_u, steps):
         pass  # steps >= 1; only the last state is kept
-    return Field(v0.grid, half=vu[0]), Field(u0.grid, half=vu[1])
+    return Field(v0.grid, half=eu[0] - eu[1]), Field(u0.grid, half=eu[1])
 
 
 def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, float]:

@@ -152,10 +152,15 @@ def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, values):
     ("simulate", '{"simulate": {"T": 1%s}}' % ("0" * 400), "simulate.T"),
     ("derivation-residual", '{"derivation": {"dt": -Infinity}}', "derivation.dt"),
     ("split", '{"split": {"cutoffs": [8.0, NaN]}}', "split.cutoffs[1]"),
+    pytest.param("derivation-residual", '{"grid": {"n": 64}, "derivation": {"epsilons": '
+                 '[0.1, 0.05], "t_final": 0.1, "dt": 0.01, "checkpoints": 1%s}}' % ("0" * 400),
+                 "derivation.checkpoints", id="checkpoints-1e400"),
 ])
 def test_a_non_finite_config_number_exits_2_before_writing(tmp_path, capsys, command, text, key):
     # json reads Infinity and NaN; dt = Infinity ran one step of length T, wrote
-    # run.csv and left run_meta.json cut off at "dt": before it exited 2
+    # run.csv and left run_meta.json cut off at "dt": before it exited 2.  An int
+    # key beyond a float's range ended in an OverflowError traceback (exit 1) when
+    # the sweep's time lattice divided t_final by 10^400 checkpoints
     cfg = tmp_path / "config.json"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -303,6 +308,21 @@ def test_picard_beyond_existence_time_exits_2(tmp_path, capsys):
     )
     assert main(["picard", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "T_bar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"grid": {"n": 64, "length": 6.0},
+     "picard": {"T": 10.0, "initial": {"kind": "cosine", "amplitude": 1.0}}},
+    {"grid": {"n": 64}, "stepper": {"dt": 1e-5}, "picard": {"T": 10.0}},
+])
+def test_picard_that_exits_2_leaves_no_out_directory(tmp_path, capsys, config):
+    # beyond the existence time, and over the coefficient bound: the directory
+    # was made before duhamel_picard checked the config, and was left empty
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, config)
+    assert main(["picard", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,section", [("simulate", "simulate"),

@@ -1,19 +1,15 @@
 """High/low frequency splitting: decomposition, difference dynamics,
 remainder and the reassembly iteration."""
 
-import filecmp
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bbm5 import evolution, splitting
-from bbm5.cli import main as cli_main
+from bbm5 import evolution
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
-from bbm5.evolution import (NumericalError, RhsSpec, StepperConfig, run_simulation,
-                            semigroup_apply)
+from bbm5.evolution import NumericalError, RhsSpec, StepperConfig, run_simulation
 from bbm5.spectral import Field, Grid, sobolev_norm
 from bbm5.splitting import (
     SplitConfig,
@@ -109,13 +105,13 @@ def test_window_time_scaling_and_clamp():
 
 
 def test_v_zero_stays_zero(big_grid, rough):
-    # every step of evolve_v's own march, not only the last
+    # every step of evolve_v's own (eta; u) march, not only the last: with
+    # v0 = 0 the rows are equal, so v = eta - u is exactly zero
     u0, _ = split_initial(rough, 8.0)
     steps, dt = evolution._time_lattice(0.1, 0.01)
-    st = evolution._stepper(big_grid, _spec(), dt)
-    march = evolution._march(st, np.stack((Field.zero(big_grid).half, u0.half)), steps,
-                             splitting._window_nl(st.engine))
-    v_rows = [vu[0] for _k, vu in march]
+    march = evolution._march(evolution._stepper(big_grid, _spec(), dt),
+                             np.stack((u0.half, u0.half)), steps)
+    v_rows = [eu[0] - eu[1] for _k, eu in march]
     assert len(v_rows) == steps + 1 == 11
     assert all(np.all(v == 0.0) for v in v_rows)
 
@@ -132,55 +128,6 @@ def test_u_zero_reduces_to_plain_equation(big_grid):
     assert sobolev_norm(v_t0 - direct, 1.0) <= 1e-12
 
 
-def _padded_plain_nl(eng):
-    """The window nonlinearity as plain formulas of fresh temporaries, each
-    array padded by its own transform."""
-
-    def nl(vu):
-        v, u = (eng.to_fine(c) for c in vu)
-        vx, ux = (eng.to_fine(eng.ikx_d * c) for c in vu)
-        return np.stack((eng.combine(v * v + 2.0 * u * v,
-                                     3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
-                                     2.0 * ux * vx + vx * vx),
-                         eng.combine(u * u, u * (u * u), ux * ux)))
-
-    return nl
-
-
-@pytest.mark.parametrize("n", [64, 1024])
-def test_window_nl_is_the_expanded_formula_and_nonlinear_hat_bit_for_bit(n):
-    # row 0: F(u+v) - F(u) expanded; row 1: F(u) as the equation's own engine forms it
-    grid = Grid(n=n, length=2.0 * math.pi)
-    rng = np.random.default_rng(n)
-    u_hat = random_hs_field(grid, 1.5, rng, 0.5).half
-    v_hat = random_hs_field(grid, 1.5, rng, 0.3).half
-    eng = evolution._engine(grid, _spec())
-    got = splitting._window_nl(eng)(np.stack((v_hat, u_hat)))
-    (v, u), (vx, ux) = eng.fine_pair(np.stack((v_hat, u_hat)))
-    want = eng.combine(v * v + 2.0 * u * v,
-                       3.0 * u * u * v + 3.0 * u * v * v + v * v * v,
-                       2.0 * ux * vx + vx * vx)
-    assert got.shape == (2, n // 2 + 1)
-    assert np.array_equal(got[0], want)
-    assert np.array_equal(got[1], eng.nonlinear_hat(u_hat))
-
-
-def test_split_outputs_are_those_of_the_padded_trajectory(tmp_path, monkeypatch):
-    # the acceptance-10 split config, byte for byte
-    cfg = tmp_path / "split.json"
-    cfg.write_text(json.dumps({
-        "grid": {"n": 128, "length": 2.0 * math.pi}, "stepper": {"dt": 0.01},
-        "split": {"s": 1.5, "cutoffs": [4.0, 8.0], "initial": {"kind": "random", "s": 1.5}}}))
-    run = lambda tag: cli_main(["split", "--config", str(cfg), "--out",  # noqa: E731
-                                str(tmp_path / tag), "--seed", "17", "--quiet"])
-    assert run("in-place") == 0
-    monkeypatch.setattr(splitting, "_window_nl", _padded_plain_nl)
-    assert run("padded") == 0
-    names = ["split_summary.json", "split_sweep.csv"]
-    assert filecmp.cmpfiles(tmp_path / "in-place", tmp_path / "padded", names,
-                            shallow=False)[0] == names
-
-
 def test_additivity(big_grid, rough):
     # u + v must reconstruct the direct solve of the full equation
     eta0 = Field.from_spectral(big_grid, 0.5 * rough.spectral)
@@ -195,14 +142,17 @@ def test_additivity(big_grid, rough):
 
 @pytest.mark.parametrize("linear_only", [False, True])
 def test_evolve_v_returns_the_last_state_of_evolve_u(big_grid, rough, linear_only):
-    # u's row of the (v; u) stack steps as u alone, under linear-only
-    # dynamics too, bit for bit
+    # each row of the (eta; u) stack steps as that state alone, under
+    # linear-only dynamics too, bit for bit: u(t0) is evolve_u's of u0, and
+    # v(t0) is evolve_u's of eta0 = u0 + v0 less that of u0
     u0, v0 = split_initial(rough, 8.0)
     spec = RhsSpec(REFERENCE_COEFFICIENTS, linear_only=linear_only)
     cfg, t0 = StepperConfig(dt=0.01), 0.1
     u_alone = evolve_u(u0, spec, cfg, t0)
-    _v_t0, u_t0 = evolve_v(v0, u0, spec, cfg, t0)
+    eta_alone = evolve_u(u0 + v0, spec, cfg, t0)
+    v_t0, u_t0 = evolve_v(v0, u0, spec, cfg, t0)
     assert np.array_equal(u_t0.half, u_alone.half)
+    assert np.array_equal(v_t0.half, eta_alone.half - u_alone.half)
     assert not np.array_equal(u_t0.half, u0.half)
 
 
@@ -376,20 +326,19 @@ def test_blow_up_raises_numerical_error(big_grid, part):
 @pytest.mark.parametrize("part", ["u", "v"])
 def test_blow_up_reports_the_step_and_time(big_grid, part):
     # the data of test_blow_up_raises_numerical_error; the step named is the
-    # first non-finite one of a plain step loop of the (v; u) stack, its time
-    # is k*dt, and its rows are the non-finite ones (0 = v, 1 = u)
+    # first non-finite one of a plain step loop of the (eta; u) stack, its
+    # time is k*dt, and its rows are the non-finite ones (0 = eta, 1 = u)
     blow_up = random_hs_field(big_grid, 1.5, np.random.default_rng(0), amplitude=1e4)
     zero = Field.zero(big_grid)
     v0, u0 = (zero, blow_up) if part == "u" else (blow_up, zero)
     dt = 0.05
     st = evolution._stepper(big_grid, _spec(), dt)
-    nl = splitting._window_nl(st.engine)
-    vu, bad = np.stack((v0.half, u0.half)), 0
+    eu, bad = np.stack(((u0 + v0).half, u0.half)), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while np.isfinite(vu).all():
-            vu, bad = st.step(vu, nl), bad + 1
-    rows = np.flatnonzero(~np.isfinite(vu).all(axis=1)).tolist()
-    assert (1 in rows) == (part == "u")  # a blown-up u takes v with it, not the other way
+        while np.isfinite(eu).all():
+            eu, bad = st.step(eu), bad + 1
+    rows = np.flatnonzero(~np.isfinite(eu).all(axis=1)).tolist()
+    assert (1 in rows) == (part == "u")  # a blown-up u takes eta with it, not the other way
     with pytest.raises(NumericalError) as info:
         evolve_v(v0, u0, _spec(), StepperConfig(dt=dt), 1.0)
     err = info.value
