@@ -27,6 +27,7 @@ from .coefficients import ModelParameters, RegimeError
 from .derivation import epsilon_sweep
 from .derivation import write_sweep_csv as write_derivation_csv
 from .evolution import (
+    MAX_STEPS,
     NumericalError,
     PicardDivergenceError,
     RhsSpec,
@@ -332,6 +333,9 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
     sec = run.config["multiplier_table"]
     if sec["count"] < 1:
         raise ConfigError(f"multiplier_table.count must be at least 1, got {sec['count']}")
+    if sec["count"] > MAX_STEPS:  # six columns of 8-byte numbers a row, held at once
+        raise ConfigError(f"multiplier_table.count must be at most {MAX_STEPS:.0e}, "
+                          f"got {sec['count']}")
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
     write_csv(os.path.join(_out_dir(args), "multiplier_table.csv"),

@@ -100,7 +100,7 @@ def _eta_t(eng: SpectralEngine, c_hat: np.ndarray) -> np.ndarray:
 
 
 def _eta_tt(eng: SpectralEngine, c_hat: np.ndarray, ct_hat: np.ndarray) -> np.ndarray:
-    # not fine_pair: its (2, E) stack slot would replace the (E,) one the sweep steps in
+    # not the engine's work buffers: a (4, E) set would replace the (2, E) one the sweep steps in
     u, ut, ux, utx = fine_samples(
         np.stack((c_hat, ct_hat, eng.ikx_d * c_hat, eng.ikx_d * ct_hat)), eng.m)
     nl = eng.combine(2.0 * u * ut, 3.0 * u * u * ut, 2.0 * ux * utx)

@@ -22,11 +22,11 @@ Each spectral kernel has one implementation: the symbol formulas in
 /``from_fine``); the combination -i*(tau*q2 - psi*((1/8)*q3 + (7/48)*g2))
 in ``SpectralEngine.combine``, which the equation and the alpha/beta-scaled
 law of ``bbm5.derivation`` call; the ETDRK4 weights and step in
-``Etdrk4Stepper``, built from the linear symbol of any engine.  An engine
-owns its work buffers, one set for a single state and one slot for the last
-stack shape it evaluated; it returns new arrays and is not for concurrent
-use from threads.  Coefficients and weights given as (E, 1) columns step a
-stack of E states row by row.
+``Etdrk4Stepper``, built from the linear symbol of any engine, which always
+steps its engine's ``nonlinear_hat``.  An engine owns one set of work
+buffers, for the last leading shape it evaluated; it returns new arrays and
+is not for concurrent use from threads.  Coefficients and weights given as
+(E, 1) columns step a stack of E states row by row.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,8 +151,8 @@ class SpectralEngine:
     equation's are (1, 1/8, 7/48), the scaled law passes its own.  The
     fields of coefficients and the weights are numbers or (E, 1) columns,
     one row per state of a stack.  The engine owns the work buffers of the
-    nonlinearity: one set for a single state and one slot, remade when a
-    stack of another shape than the last comes.  So it is not for
+    nonlinearity: one set, for the leading shape of the last state or stack
+    it evaluated, remade when another shape comes.  So it is not for
     concurrent use from threads; every result is a new array.
     """
 
@@ -172,23 +172,18 @@ class SpectralEngine:
         # a column of weights as full rows of the fine grid: combine is faster with them
         self._w3, self._wg = (w if np.ndim(w) == 0 else np.repeat(w, self.m, axis=-1)
                               for w in (w3, wg))
-        # a single state's work buffers (spectrum, samples, coefficients, scratch);
-        # the spectrum's tail past n/2 stays zero
-        spec, coeffs = np.zeros((2, 2, self.m // 2 + 1), dtype=np.complex128)
-        self._one = spec, np.empty((2, self.m)), coeffs, np.empty(self.m)
-        self._slot = None  # the same for the last stack shape evaluated
+        self._buffers = None  # the work buffers of the last leading shape evaluated
 
     def _work(self, lead: tuple) -> tuple:
-        """Work buffers of states of leading shape lead: a single state's, or the
-        slot, made anew for a new stack shape (its arrays apart: a joint one of
-        128 kB or more is mapped on its own and raises peak RSS)."""
-        if not lead:
-            return self._one
-        if self._slot is None or self._slot[3].shape[:-1] != lead:
+        """Work buffers (spectrum, samples, coefficients, scratch) of states of
+        leading shape lead, () for a single state, made anew when lead is not the
+        last one's (its arrays apart: a joint one of 128 kB or more is mapped on
+        its own and raises peak RSS); the spectrum's tail past n/2 stays zero."""
+        if self._buffers is None or self._buffers[3].shape[:-1] != lead:
             half, fine = (2, *lead, self.m // 2 + 1), (2, *lead, self.m)
-            self._slot = (np.zeros(half, dtype=np.complex128), np.empty(fine),
-                          np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
-        return self._slot
+            self._buffers = (np.zeros(half, dtype=np.complex128), np.empty(fine),
+                             np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
+        return self._buffers
 
     # -- padded transforms ------------------------------------------------
 
@@ -197,15 +192,6 @@ class SpectralEngine:
 
     def from_fine(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return truncated_coeffs(samples, self.grid.n, out=out)
-
-    def fine_pair(self, c_hat: np.ndarray) -> np.ndarray:
-        """Fine-grid samples of c_hat and its x-derivative as one (2, ..., m) stack, by
-        one transform, in the engine's work buffer for c_hat's shape (see _work)."""
-        spec, fine = self._work(c_hat.shape[:-1])[:2]
-        h = spec[..., : c_hat.shape[-1]]
-        h[0] = c_hat
-        np.multiply(self.ikx_d, c_hat, out=h[1])
-        return self.to_fine(fine_band(spec, self.grid.n), fine)
 
     # -- right-hand side --------------------------------------------------
 
@@ -228,11 +214,16 @@ class SpectralEngine:
     def nonlinear_hat(self, c_hat: np.ndarray, cube: np.ndarray | None = None) -> np.ndarray:
         """Spectral coefficients of the real nonlinear right-hand side; cube, a
         one-slot array, receives the integral of (c_x)^3 of a single state c_hat
-        from its fine samples."""
-        u, ux = fine = self.fine_pair(c_hat)
+        from its fine samples.  c_hat and its x-derivative are padded as one
+        (2, ..., m) stack, by one transform, in the work buffers of its shape."""
+        spec, fine, _, u2 = self._work(c_hat.shape[:-1])
+        h = spec[..., : c_hat.shape[-1]]
+        h[0] = c_hat
+        np.multiply(self.ikx_d, c_hat, out=h[1])
+        u, ux = fine = self.to_fine(fine_band(spec, self.grid.n), fine)
         if cube is not None:
             cube[0] = sampled_integral_cube(ux, self.grid.length)
-        u2 = np.multiply(u, u, out=self._work(c_hat.shape[:-1])[3])
+        np.multiply(u, u, out=u2)
         u *= u2  # u^3
         ux *= ux
         return self.combine(u2, u, ux, fine)
@@ -299,11 +290,10 @@ class Etdrk4Stepper:
                          contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)))
         self.q, self.f1, self.f2, self.f3 = (np.reshape(t, lam.shape) for t in zip(*rows))
 
-    def step(self, c_hat: np.ndarray, nl: Callable[[np.ndarray], np.ndarray] | None = None,
-             n0: np.ndarray | None = None) -> np.ndarray:
-        """Advance c_hat by dt, with nl(state) the nonlinearity, by default the
-        engine's nonlinear_hat; n0, if given, is stage 0's nl(c_hat)."""
-        nl = nl or self.engine.nonlinear_hat
+    def step(self, c_hat: np.ndarray, n0: np.ndarray | None = None) -> np.ndarray:
+        """Advance c_hat by dt with the engine's nonlinear_hat; n0, if given, is
+        stage 0's nonlinear_hat(c_hat)."""
+        nl = self.engine.nonlinear_hat
         # In place only on arrays made here, bit for bit the plain formula:
         # complex products keep their operand order (with FMA they do not commute).
         n0 = nl(c_hat) if n0 is None else n0
@@ -347,19 +337,19 @@ class NumericalError(RuntimeError):
         self.step, self.time, self.rows = step, time, rows
 
 
-def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every: int = 1,
+def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, every: int = 1,
            cube: np.ndarray | None = None):
     """The one ETDRK4 time loop: yields (k, state) for k = 0, the initial state, and after
     step k = 1..steps when k % every == 0 or k == steps.  Step k is stepper.step(state,
-    nl, n0), under its own np.errstate (none is held across a yield); with cube, n0 is
-    stage 0, nl(state, cube), evaluated under its own before each yield but the last,
-    so that cube then holds the integral of (c_x)^3 of the yielded state.  A non-finite
-    state raises NumericalError with step k, time k*dt and a stack's rows."""
+    n0), under its own np.errstate (none is held across a yield); with cube, n0 is stage
+    0, the engine's nonlinear_hat(state, cube), evaluated under its own before each yield
+    but the last, so that cube then holds the integral of (c_x)^3 of the yielded state.
+    A non-finite state raises NumericalError with step k, time k*dt and a stack's rows."""
     n0 = None
     for k in range(steps + 1):
         if k:
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                c_hat, n0 = stepper.step(c_hat, nl, n0), None
+                c_hat, n0 = stepper.step(c_hat, n0), None
         finite = np.isfinite(c_hat.view(np.float64)).all(axis=-1)
         if not finite.all():
             t, rows = k * stepper.dt, np.flatnonzero(~finite).tolist() if c_hat.ndim > 1 else None
@@ -367,7 +357,7 @@ def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, nl=None, every
         if k % every == 0 or k == steps:
             if cube is not None and k < steps:
                 with np.errstate(over="ignore", invalid="ignore"):  # the caller checks cube
-                    n0 = (nl or stepper.engine.nonlinear_hat)(c_hat, cube)
+                    n0 = stepper.engine.nonlinear_hat(c_hat, cube)
             yield k, c_hat
 
 
@@ -477,11 +467,15 @@ def _time_lattice(T: float, dt: float, legs: int = 1) -> tuple[int, float]:
     for name, x in (("T", T), ("dt", dt)):
         if not 0.0 < x < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {x}")
-    ratio = T / legs / dt
-    steps = max(1, int(round(min(ratio, MAX_STEPS + 1))))
-    if legs * max(steps, ratio) > MAX_STEPS:
+    if legs > MAX_STEPS:  # a step a leg at least; T / legs overflows past a float's range
+        steps, count = 1, max(float(legs) if legs < 1e308 else math.inf, T / dt)
+    else:
+        ratio = T / legs / dt
+        steps = max(1, int(round(min(ratio, MAX_STEPS + 1))))
+        count = legs * max(steps, ratio)
+    if count > MAX_STEPS:
         where = f" in {legs} checkpoints" if legs > 1 else ""
-        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {legs * max(steps, ratio):.3g} "
+        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {count:.3g} "
                          f"steps{where}, over {MAX_STEPS:.0e}")
     return steps, T / legs / steps
 

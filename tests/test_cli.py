@@ -517,6 +517,18 @@ def test_multiplier_table_refuses_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_multiplier_table_refuses_a_count_over_the_step_bound(tmp_path, capsys):
+    # 10^12 rows ended in numpy's allocation traceback ("7.28 TiB") and exit 1
+    cfg = _write_config(tmp_path, {"multiplier_table": {"count": 10**12}})
+    out = tmp_path / "out"
+    assert main(["multiplier-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: multiplier_table.count must be at most 1e+07, got 1000000000000"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # split / derivation-residual (small runs)
 # ---------------------------------------------------------------------------

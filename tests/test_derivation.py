@@ -315,6 +315,14 @@ def test_epsilon_sweep_rejects_out_of_range(t_final, dt, n_checkpoints, epsilons
                       n_checkpoints=n_checkpoints)
 
 
+def test_epsilon_sweep_refuses_checkpoints_past_a_float_s_range():
+    # the time lattice divided t_final by 10^400 checkpoints: OverflowError, not ValueError
+    with pytest.raises(ValueError, match=r"^T = 0\.1 at dt = 0\.01 makes inf steps in 10{400} "
+                                         r"checkpoints, over 1e\+07$"):
+        epsilon_sweep(Grid(64, 50.0), reference_parameters(), (0.1, 0.05), t_final=0.1,
+                      dt=0.01, n_checkpoints=10**400)
+
+
 @pytest.mark.parametrize("other", [
     pytest.param(Grid(n=64, length=8.0 * math.pi), id="same-n-other-length"),
     pytest.param(Grid(n=128, length=16.0 * math.pi), id="other-n"),

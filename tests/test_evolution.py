@@ -238,8 +238,8 @@ def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
 
 
 def _arrays(eng):
-    """The ndarrays an engine holds, by attribute name, those in its tuples of
-    work buffers (a single state's and the stack slot) included."""
+    """The ndarrays an engine holds, by attribute name, those in its tuple of
+    work buffers included."""
     arrays = {}
     for k, v in vars(eng).items():
         for i, a in enumerate(v if isinstance(v, tuple) else [v]):
@@ -279,6 +279,24 @@ def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
     for rows in (stack, stack[::-1], np.zeros_like(stack), stack):
         assert np.array_equal(stacked.nonlinear_hat(rows),
                               _two_transform_nonlinear_hat(stacked, rows))
+
+
+def test_engine_keeps_one_buffer_set_for_the_last_shape(ref):
+    # a single state's buffers are reused; a stack's replace them, and the next
+    # single state remakes them once, then reuses them
+    grid = Grid(n=64, length=16.0 * math.pi)
+    rng = np.random.default_rng(23)
+    a, b = (random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2))
+    eng = SpectralEngine(grid, ref)
+    held = []
+    for c_hat in (a, b, np.stack([a, b]), b, a):
+        assert np.array_equal(eng.nonlinear_hat(c_hat), _two_transform_nonlinear_hat(eng, c_hat))
+        held.append(eng._buffers)
+    single, again, stack, remade, reused = held
+    assert again is single and reused is remade
+    assert stack is not single and remade is not stack and remade is not single
+    assert stack[1].shape == (2, 2, eng.m) and remade[1].shape == (2, eng.m)
+    assert not any(np.shares_memory(x, y) for x in remade for y in single)
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -336,17 +354,22 @@ def test_combine_and_step_leave_their_arguments_unchanged(n, ref):
     eng.combine(*products)
     assert all(np.array_equal(p, k) for p, k in zip(products, kept))
 
-    seen = []  # every array step hands to nl or gets back from it, with a copy
+    seen = []  # every array step hands to nonlinear_hat or gets back from it, with a copy
+    original = eng.nonlinear_hat
 
-    def nl(c_hat):
-        out = eng.nonlinear_hat(c_hat)
+    def spy(c_hat):
+        out = original(c_hat)
         seen.extend([(c_hat, c_hat.copy()), (out, out.copy())])
         return out
 
     c_hat = random_hs_field(grid, 1.5, rng, 0.5).half
     before = c_hat.copy()
     stepper = evolution.Etdrk4Stepper(eng, 0.01)
-    got = stepper.step(c_hat, nl)
+    eng.nonlinear_hat = spy  # the step looks it up on its engine
+    try:
+        got = stepper.step(c_hat)
+    finally:
+        del eng.nonlinear_hat
     assert np.array_equal(c_hat, before)
     assert len(seen) == 8 and all(np.array_equal(a, k) for a, k in seen)
     # and the step is the ETDRK4 formula evaluated plainly, bit for bit
@@ -519,9 +542,6 @@ def test_march_is_a_plain_step_loop_bit_for_bit(stacked):
         marched = list(evolution._march(stepper, c0, steps, every=every))
         assert [k for k, _ in marched] == list(want)
         assert all(np.array_equal(state, plain[k]) for k, state in marched)
-    # a passed nonlinearity is called on the state alone
-    marched = list(evolution._march(stepper, c0, steps, stepper.engine.nonlinear_hat))
-    assert all(np.array_equal(state, plain[k]) for k, state in marched)
 
 
 def test_march_holds_no_errstate_across_a_yield():
@@ -562,7 +582,7 @@ def test_march_yields_each_state_with_its_stage_0_integral():
     assert seen == [0, 3, 6, 7]
     # a stage 0 handed to the step is the one it would evaluate
     nl = stepper.engine.nonlinear_hat
-    assert np.array_equal(stepper.step(c0, nl, n0=nl(c0)), stepper.step(c0))
+    assert np.array_equal(stepper.step(c0, nl(c0)), stepper.step(c0))
 
 
 @pytest.mark.parametrize("dt", [math.inf, math.nan])
