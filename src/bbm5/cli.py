@@ -189,7 +189,10 @@ class _Setup:
 
     @functools.cached_property
     def grid(self) -> Grid:
-        return Grid(n=self.config["grid"]["n"], length=self.config["grid"]["length"])
+        n = self.config["grid"]["n"]
+        if n > MAX_STEPS:  # an engine and its stepper take about 100 bytes a grid point
+            raise ConfigError(f"grid.n must be at most {MAX_STEPS:.0e}, got {n}")
+        return Grid(n=n, length=self.config["grid"]["length"])
 
     @functools.cached_property
     def stepper(self) -> StepperConfig:

@@ -88,6 +88,7 @@ __all__ = [
 CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
 N_CONTOUR = 32  # roots of unity of the ETDRK4 contour means
+CONTOUR_BLOCK = 64  # modes of a contour-table block: 64 x 32 complex numbers, 32 KiB
 MAX_STEPS = 10**7  # of a time loop (1,000 times acceptance 04's), its records, Picard's memory
 
 
@@ -263,8 +264,10 @@ class Etdrk4Stepper:
     Built from the linear symbol of any engine.  The linear part
     e^{-i*phi*dt} is applied exactly; the quadrature weights are evaluated
     by contour averaging over roots of unity (Kassam & Trefethen) to dodge
-    cancellation at small |L*dt|.  The tables of a stacked engine are
-    stacked too, each row bit for bit that of the row's one-row engine.
+    cancellation at small |L*dt|, a block of CONTOUR_BLOCK modes at a time,
+    so the build needs little more memory than its tables.  The tables of a
+    stacked engine are stacked too, each row bit for bit that of the row's
+    one-row engine.
     """
 
     def __init__(self, engine: SpectralEngine, dt: float):
@@ -279,16 +282,20 @@ class Etdrk4Stepper:
             # complex contour (lam is imaginary, so means stay complex)
             return dt * g.mean(1)
 
-        # row by row: a whole stack rounds differently (elided temporaries) and peaks higher
-        rows = []
-        for row in lam.reshape(-1, lam.shape[-1]):
-            lr = dt * row[:, None] + roots[None, :]
+        # a block of modes at a time, of every row alike: a block's temporaries are under
+        # numpy's elision size, so every n and stack rounds as one mode alone, and the
+        # build peaks at one block over the tables
+        modes = lam.reshape(-1)
+        tables = np.empty((4, modes.size), dtype=complex)
+        for i in range(0, modes.size, CONTOUR_BLOCK):
+            lr = dt * modes[i : i + CONTOUR_BLOCK, None] + roots[None, :]
             elr = np.exp(lr)
-            rows.append((contour_mean((np.exp(lr / 2.0) - 1.0) / lr),
-                         contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3),
-                         contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3),
-                         contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)))
-        self.q, self.f1, self.f2, self.f3 = (np.reshape(t, lam.shape) for t in zip(*rows))
+            q, f1, f2, f3 = tables[:, i : i + CONTOUR_BLOCK]
+            q[:] = contour_mean((np.exp(lr / 2.0) - 1.0) / lr)
+            f1[:] = contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3)
+            f2[:] = contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr**3)
+            f3[:] = contour_mean((-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3)
+        self.q, self.f1, self.f2, self.f3 = tables.reshape(4, *lam.shape)
 
     def step(self, c_hat: np.ndarray, n0: np.ndarray | None = None) -> np.ndarray:
         """Advance c_hat by dt with the engine's nonlinear_hat; n0, if given, is

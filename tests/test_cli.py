@@ -529,6 +529,26 @@ def test_multiplier_table_refuses_a_count_over_the_step_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "energy-drift", "split", "picard",
+                                     "derivation-residual"])
+def test_a_grid_over_the_step_bound_exits_2_naming_grid_n(tmp_path, capsys, command):
+    # 10^12 points ended in numpy's allocation traceback ("7.28 TiB") and exit 1
+    cfg = _write_config(tmp_path, {"grid": {"n": 10**12}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: grid.n must be at most 1e+07, got 1000000000000"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coeffs", "multiplier-table"])
+def test_commands_without_a_grid_accept_any_grid_n(tmp_path, command):
+    cfg = _write_config(tmp_path, {"grid": {"n": 10**12}, "multiplier_table": {"count": 5}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # split / derivation-residual (small runs)
 # ---------------------------------------------------------------------------

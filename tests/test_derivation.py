@@ -364,7 +364,7 @@ def _pulse(grid):
 def test_stacked_stepper_tables_and_step_are_the_per_row_ones():
     # n = 512 and four epsilons: contour weights evaluated on the whole (E, n/2 + 1, 32)
     # stack at once round differently there (numpy elides temporaries of 256 KiB and
-    # up); built row by row, each row is its one-eps stepper's bit for bit
+    # up); built a block of modes at a time, each row is its one-eps stepper's bit for bit
     grid, dt, epsilons = Grid(n=512, length=16.0 * math.pi), 2e-3, (0.1, 0.05, 0.025, 0.0125)
     stacked = derivation._sweep_stepper(grid, reference_parameters(), epsilons, dt)
     c = _pulse(grid).half

@@ -403,24 +403,41 @@ def test_etdrk4_exact_on_linear_flow(grid, rng, ref):
     assert np.abs(stepped.spectral - free.spectral).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [64, 2048])  # below and above numpy's temporary-elision size
+@pytest.mark.parametrize("n", [64, 1024, 2048])  # rows below and above numpy's elision size
 def test_etdrk4_weights_are_the_contour_formulas_bit_for_bit(n, ref):
-    # the tables are the contour means of these formulas, bit for bit; a rewrite of the
-    # build (one evaluation of each power of lr, say) has to keep them
+    # each table entry is the contour mean of these formulas over that mode's own 32
+    # points, bit for bit, at every n; a rewrite of the build (one evaluation of each
+    # power of lr, say) has to keep them
     eng = SpectralEngine(Grid(n=n, length=64.0 * math.pi), ref)
     dt, n_contour = 1e-3, 32
     stepper = evolution.Etdrk4Stepper(eng, dt)
     roots = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
-    lr = dt * (-1j * eng.phi)[:, None] + roots[None, :]
-    elr = np.exp(lr)
-    expected = {
-        "q": (np.exp(lr / 2.0) - 1.0) / lr,
-        "f1": (-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3,
-        "f2": (2.0 + lr + elr * (lr - 2.0)) / lr**3,
-        "f3": (-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3,
-    }
-    for name, g in expected.items():
-        assert np.array_equal(getattr(stepper, name), dt * g.mean(1)), name
+    for j, lam in enumerate(-1j * eng.phi):
+        lr = dt * lam + roots
+        elr = np.exp(lr)
+        expected = {
+            "q": (np.exp(lr / 2.0) - 1.0) / lr,
+            "f1": (-4.0 - lr + elr * (4.0 - 3.0 * lr + lr**2)) / lr**3,
+            "f2": (2.0 + lr + elr * (lr - 2.0)) / lr**3,
+            "f3": (-4.0 - 3.0 * lr - lr**2 + elr * (4.0 - lr)) / lr**3,
+        }
+        for name, g in expected.items():
+            assert np.array_equal(getattr(stepper, name)[j], dt * g.mean()), (name, j)
+
+
+def test_stepper_build_peaks_near_its_tables(ref):
+    # built on whole (n/2 + 1, 32) contour arrays the build peaked at 27 times its six
+    # tables at n = 2^16; a block of modes at a time it peaks at one block over them
+    eng = SpectralEngine(Grid(n=2**16, length=64.0 * math.pi), ref)
+    tracemalloc.start()
+    try:
+        stepper = evolution.Etdrk4Stepper(eng, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(getattr(stepper, name).nbytes
+                 for name in ("e_full", "e_half", "q", "f1", "f2", "f3"))
+    assert peak < 2 * tables, (peak, tables)
 
 
 def test_etdrk4_zero_field_stays_zero(grid):
