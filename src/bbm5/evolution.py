@@ -89,6 +89,7 @@ CUBIC_COEFF = 1.0 / 8.0
 GRAD_COEFF = 7.0 / 48.0
 N_CONTOUR = 32  # roots of unity of the ETDRK4 contour means
 CONTOUR_BLOCK = 64  # modes of a contour-table block: 64 x 32 complex numbers, 32 KiB
+PICARD_BLOCK = 64  # nodes of a Picard block, evaluated as one stack of states
 MAX_STEPS = 10**7  # of a time loop (1,000 times acceptance 04's), its records, Picard's memory
 
 
@@ -611,7 +612,9 @@ def duhamel_picard(
     hs_w = sobolev_weights(eta0.grid, s)
     converged = False
     for it in range(cfg.picard_max_iter):
-        G = eng.nonlinear_hat(traj)  # all nodes in one call
+        G = np.empty_like(traj)
+        for a in range(0, K + 1, PICARD_BLOCK):
+            G[a : a + PICARD_BLOCK] = eng.nonlinear_hat(traj[a : a + PICARD_BLOCK])
         # I_k approximates int_0^{t_k} S(t_k - t') G(t') dt'; advanced two
         # nodes at a time so each iteration costs O(K): a Simpson panel over
         # [t_{k-2}, t_k] is added to the semigroup-shifted I_{k-2}.  Only
