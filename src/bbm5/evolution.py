@@ -583,57 +583,48 @@ def duhamel_picard(
 
     eta^{m+1}(t) = S(t)*eta0 + int_0^t S(t-t') N(eta^m(t')) dt', starting from
     the free evolution, with composite Simpson quadrature on ETDRK4's time
-    lattice (a single trapezoid panel seeds odd node counts).  Iteration
+    lattice (a single trapezoid panel seeds odd node counts).  As S(t_k - t')
+    = S(t_k)S(-t'), node k is S(t_k) times eta0 plus a running sum of Simpson
+    panels of S(-t_j)N(eta^m(t_j)), the integrating-factor form of Cox &
+    Matthews (2002), summed a block of PICARD_BLOCK nodes at a time.  Iteration
     stops when the sup-over-nodes H^s difference drops below picard_tol.
     """
     K, dt = _time_lattice(T, cfg.dt)
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
         raise ValueError(f"T = {T:g} makes {K + 1} Picard nodes, over {MAX_STEPS:.0e} coefficients")
-    s = cfg.sobolev_s
-    r0 = sobolev_norm(eta0, s)
+    r0 = sobolev_norm(eta0, cfg.sobolev_s)
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)
     if T > t_bar:
-        raise ValueError(
-            f"requested T = {T} exceeds the guaranteed existence time "
-            f"T_bar = {t_bar} (C_s = {cfg.contraction_constant_cs}, "
-            f"||eta0||_Hs = {r0})"
-        )
-    # an engine of its own, uncached, so that no cached one keeps the (K + 1)-row buffers
+        raise ValueError(f"requested T = {T} exceeds the guaranteed existence time T_bar = "
+                         f"{t_bar} (C_s = {cfg.contraction_constant_cs}, ||eta0||_Hs = {r0})")
+    # an engine of its own, uncached, so that no cached one keeps a block's buffers
     eng = _engine.__wrapped__(eta0.grid, spec)
-    e_dt = eng.semigroup_factor(dt)
-    e_2dt = e_dt * e_dt
-    free = np.empty((K + 1, e_dt.size), dtype=np.complex128)
-    free[0] = eta0.half
-    for k in range(1, K + 1):
-        free[k] = e_dt * free[k - 1]
-
-    traj = free.copy()
+    phase = eng.semigroup_factor(dt * np.arange(K + 1.0)[:, None])  # S(t_k), a row a node
+    traj = phase * eta0.half  # the free evolution
+    norms = np.empty(K + 1)
     diffs: list[float] = []
-    hs_w = sobolev_weights(eta0.grid, s)
-    converged = False
-    for it in range(cfg.picard_max_iter):
-        G = np.empty_like(traj)
+    hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
+    for _ in range(cfg.picard_max_iter):
+        # g_j = S(-t_j)*N(traj_j) and the sums R_0 = 0, R_1 = (dt/2)*(g_0 + g_1), R_k =
+        # R_{k-2} + (dt/3)*(g_{k-2} + 4*g_{k-1} + g_k) of a block's nodes follow those of
+        # the two nodes before it.  A block overwrites its nodes of traj, read by no later one.
+        g, r = np.zeros((2, PICARD_BLOCK + 2, phase.shape[1]), dtype=np.complex128)
         for a in range(0, K + 1, PICARD_BLOCK):
-            G[a : a + PICARD_BLOCK] = eng.nonlinear_hat(traj[a : a + PICARD_BLOCK])
-        # I_k approximates int_0^{t_k} S(t_k - t') G(t') dt'; advanced two
-        # nodes at a time so each iteration costs O(K): a Simpson panel over
-        # [t_{k-2}, t_k] is added to the semigroup-shifted I_{k-2}.  Only
-        # (I_{k-2}, I_{k-1}) are kept.
-        new = np.empty_like(traj)
-        new[0] = free[0]
-        i_prev, i_last = np.zeros_like(e_dt), 0.5 * dt * (e_dt * G[0] + G[1])
-        new[1] = free[1] + i_last
-        for k in range(2, K + 1):
-            i_prev, i_last = i_last, e_2dt * i_prev + (dt / 3.0) * (
-                e_2dt * G[k - 2] + 4.0 * e_dt * G[k - 1] + G[k]
-            )
-            new[k] = free[k] + i_last
-        diff = float(np.sqrt(quadratic_form(new - traj, eta0.grid, hs_w)).max())
-        diffs.append(diff)
-        traj = new
-        if diff < cfg.picard_tol:
-            converged = True
+            nodes = slice(a, min(a + PICARD_BLOCK, K + 1))
+            m = nodes.stop - a
+            g[2 : m + 2] = phase[nodes].conj() * eng.nonlinear_hat(traj[nodes])
+            r[2 : m + 2] = (dt / 3.0) * (g[:m] + 4.0 * g[1 : m + 1] + g[2 : m + 2])
+            if a == 0:
+                r[2], r[3] = 0.0, 0.5 * dt * (g[2] + g[3])
+            np.add.accumulate(r[0 : m + 2 : 2], out=r[0 : m + 2 : 2])
+            np.add.accumulate(r[1 : m + 2 : 2], out=r[1 : m + 2 : 2])
+            new = phase[nodes] * (eta0.half + r[2 : m + 2])
+            norms[nodes] = np.sqrt(quadratic_form(new - traj[nodes], eta0.grid, hs_w))
+            traj[nodes], g[:2], r[:2] = new, g[m : m + 2], r[m : m + 2]
+        diffs.append(float(norms.max()))
+        if diffs[-1] < cfg.picard_tol:
             break
+    converged = diffs[-1] < cfg.picard_tol
     diag = PicardDiagnostics(iterations=len(diffs), diff_norms=diffs, converged=converged)
     if not converged:
         raise PicardDivergenceError(

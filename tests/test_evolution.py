@@ -323,8 +323,8 @@ def test_nonlinear_hat_results_are_fresh(dealias, ref):
 
 
 def test_engine_memory_does_not_grow_with_a_stack(grid):
-    # Picard evaluates all K + 1 nodes as one stack, on an engine of its own:
-    # neither the cached engine nor anything else keeps its buffers
+    # Picard evaluates its nodes a block of PICARD_BLOCK at a time, on an engine
+    # of its own: neither the cached engine nor anything else keeps its buffers
     eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x))
     eng = evolution._engine(grid, _spec())
     duhamel_picard(eta0, _spec(), StepperConfig(dt=0.2 / 20), 0.2)  # fills the caches
@@ -1063,13 +1063,38 @@ def _picard_list_version(eta0, spec, cfg, T):
     return [full_spectrum(st) for st in traj], diffs
 
 
-def test_picard_two_slot_recursion_is_bit_identical_to_the_list(grid):
+@pytest.mark.parametrize("K", [1, 15, 128, 150])
+def test_picard_closed_form_matches_the_list(grid, K):
+    # the same Simpson rule summed in integrating-factor form, in blocks of
+    # PICARD_BLOCK nodes: K = 128 leaves a last block of one node, K = 150 an
+    # odd node count.  Only rounding moves; the last diffs are differences of
+    # iterates at rounding level, so they are compared in absolute terms.
     eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x) + 2e-3 * np.sin(3.0 * grid.x))
-    cfg = StepperConfig(dt=0.02)
+    cfg = StepperConfig(dt=0.3 / K)
     traj, diag = duhamel_picard(eta0, _spec(), cfg, 0.3)
     want_traj, want_diffs = _picard_list_version(eta0, _spec(), cfg, 0.3)
-    assert diag.converged and diag.diff_norms == want_diffs
-    assert all(np.array_equal(f.spectral, w) for f, w in zip(traj, want_traj, strict=True))
+    assert diag.converged and len(diag.diff_norms) == len(want_diffs)
+    assert np.allclose(diag.diff_norms, want_diffs, rtol=0.0, atol=1e-15)
+    scale = max(np.abs(w).max() for w in want_traj)
+    assert len(traj) == K + 1 == len(want_traj)
+    assert max(np.abs(f.spectral - w).max() for f, w in zip(traj, want_traj)) <= 1e-13 * scale
+
+
+def test_picard_peaks_under_128_bytes_a_coefficient(grid):
+    # the phases S(t_k) and the trajectory hold 32 bytes a coefficient, the
+    # returned Fields 16 more, and a block's work is bounded by PICARD_BLOCK;
+    # evaluating all K + 1 nodes as one stack peaked at 320
+    eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x))
+    cfg = StepperConfig(dt=1e-4)
+    duhamel_picard(eta0, _spec(), cfg, 0.2)  # fills the caches
+    tracemalloc.start()
+    try:
+        traj, diag = duhamel_picard(eta0, _spec(), cfg, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.converged and len(traj) == 2001
+    assert peak < 128 * len(traj) * (grid.n // 2 + 1), peak
 
 
 def test_picard_divergence_carries_diagnostics(grid):
