@@ -148,7 +148,7 @@ def _typed(value, kind, name: str):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
@@ -192,7 +192,11 @@ class _Setup:
         n = self.config["grid"]["n"]
         if n > MAX_STEPS:  # an engine and its stepper take about 100 bytes a grid point
             raise ConfigError(f"grid.n must be at most {MAX_STEPS:.0e}, got {n}")
-        return Grid(n=n, length=self.config["grid"]["length"])
+        grid = Grid(n=n, length=self.config["grid"]["length"])
+        if not np.isfinite(coef.multipliers(grid.nyquist, self.coeffs)).all():  # xi^4 overflows
+            raise ConfigError(f"grid.length = {grid.length!r} is too small for grid.n = {n}: "
+                              "the symbol tables overflow at its largest wavenumber")
+        return grid
 
     @functools.cached_property
     def stepper(self) -> StepperConfig:
@@ -220,7 +224,7 @@ class _Setup:
             return Field.zero(grid)
         if kind == "file":
             path = init["path"]
-            if path is None or not os.path.exists(path):
+            if path is None or not os.path.isfile(path):
                 raise ConfigError(f"initial data file not found: {path}")
             return read_snapshot_csv(grid, path)
         raise ConfigError(f"unknown initial data kind {kind!r}")

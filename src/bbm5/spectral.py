@@ -370,7 +370,8 @@ def write_snapshot_csv(f: Field, path) -> None:
 
 
 def read_snapshot_csv(grid: Grid, path) -> Field:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.n:
-        raise ValueError(f"snapshot has {data.shape[0]} rows, grid has {grid.n}")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] != grid.n or data.shape[1] < 2:
+        raise ValueError(f"snapshot has {data.shape[0]} rows of {data.shape[1]} columns, "
+                         f"grid has {grid.n}: it needs {grid.n} rows of x and eta")
     return Field.from_samples(grid, data[:, 1])

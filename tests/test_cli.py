@@ -543,6 +543,50 @@ def test_a_grid_over_the_step_bound_exits_2_naming_grid_n(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [5e-324, 1e-300])
+@pytest.mark.parametrize("command", ["simulate", "energy-drift", "split", "picard",
+                                     "derivation-residual"])
+def test_a_grid_too_short_for_its_symbols_exits_2_naming_grid_length(tmp_path, capsys,
+                                                                      command, length):
+    # 5e-324 ended in fftfreq's ZeroDivisionError traceback and exit 1 (L/n rounds
+    # to 0); at 1e-300 xi^4 overflowed, and simulate exited 3 on NaN tables
+    cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": length}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: grid.length = {length!r} is too small for grid.n = 64: "
+        "the symbol tables overflow at its largest wavenumber"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config directory", "initial.path directory",
+                                  "one-column snapshot", "one-row snapshot"])
+def test_an_input_that_is_not_a_file_of_the_grid_exits_2(tmp_path, capsys, case):
+    # the directories ended in IsADirectoryError tracebacks and the one column in
+    # an IndexError, exit 1; one row exited 2 saying "snapshot has 2 rows"
+    snap = tmp_path / "snap.csv"
+    snap.write_text("x\n" + "0.5\n" * 64 if case == "one-column snapshot" else "x,eta\n0,0.5\n")
+    path = str(tmp_path) if case == "initial.path directory" else str(snap)
+    cfg = str(tmp_path) if case == "config directory" else _write_config(tmp_path, {
+        "grid": {"n": 64}, "simulate": {"T": 0.01, "initial": {"kind": "file", "path": path}}})
+    want = {
+        "config directory": f"config file not found: {tmp_path}",
+        "initial.path directory": f"initial data file not found: {tmp_path}",
+        "one-column snapshot": "snapshot has 64 rows of 1 columns, grid has 64: "
+                               "it needs 64 rows of x and eta",
+        "one-row snapshot": "snapshot has 1 rows of 2 columns, grid has 64: "
+                            "it needs 64 rows of x and eta",
+    }[case]
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {want}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["coeffs", "multiplier-table"])
 def test_commands_without_a_grid_accept_any_grid_n(tmp_path, command):
     cfg = _write_config(tmp_path, {"grid": {"n": 10**12}, "multiplier_table": {"count": 5}})
