@@ -605,9 +605,9 @@ def duhamel_picard(
     diffs: list[float] = []
     hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
     for _ in range(cfg.picard_max_iter):
-        # g_j = S(-t_j)*N(traj_j) and the sums R_0 = 0, R_1 = (dt/2)*(g_0 + g_1), R_k =
-        # R_{k-2} + (dt/3)*(g_{k-2} + 4*g_{k-1} + g_k) of a block's nodes follow those of
-        # the two nodes before it.  A block overwrites its nodes of traj, read by no later one.
+        # g_j = S(-t_j)*N(traj_j); R_0 = 0, R_1 = (dt/2)*(g_0 + g_1), R_k = R_{k-2} + (dt/3)*
+        # (g_{k-2} + 4*g_{k-1} + g_k).  Rows 0-1 of g and r carry the two nodes before a
+        # block.  A block overwrites its nodes of traj, which no later block reads.
         g, r = np.zeros((2, PICARD_BLOCK + 2, phase.shape[1]), dtype=np.complex128)
         for a in range(0, K + 1, PICARD_BLOCK):
             nodes = slice(a, min(a + PICARD_BLOCK, K + 1))

@@ -1075,8 +1075,8 @@ def test_picard_closed_form_matches_the_list(grid, K):
     want_traj, want_diffs = _picard_list_version(eta0, _spec(), cfg, 0.3)
     assert diag.converged and len(diag.diff_norms) == len(want_diffs)
     assert np.allclose(diag.diff_norms, want_diffs, rtol=0.0, atol=1e-15)
-    scale = max(np.abs(w).max() for w in want_traj)
     assert len(traj) == K + 1 == len(want_traj)
+    scale = max(np.abs(w).max() for w in want_traj)
     assert max(np.abs(f.spectral - w).max() for f, w in zip(traj, want_traj)) <= 1e-13 * scale
 
 
