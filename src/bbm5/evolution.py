@@ -23,10 +23,11 @@ Each spectral kernel has one implementation: the symbol formulas in
 in ``SpectralEngine.combine``, which the equation and the alpha/beta-scaled
 law of ``bbm5.derivation`` call; the ETDRK4 weights and step in
 ``Etdrk4Stepper``, built from the linear symbol of any engine, which always
-steps its engine's ``nonlinear_hat``.  An engine owns one set of work
-buffers, for the last leading shape it evaluated; it returns new arrays and
-is not for concurrent use from threads.  Coefficients and weights given as
-(E, 1) columns step a stack of E states row by row.
+steps its engine's ``nonlinear_hat``.  An engine keeps one set of work
+buffers per thread, for the last leading shape that thread evaluated, and
+returns new arrays; its tables are read only, so one engine and its steppers
+serve several threads at once.  Coefficients and weights given as (E, 1)
+columns step a stack of E states row by row.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -153,9 +155,10 @@ class SpectralEngine:
     equation's are (1, 1/8, 7/48), the scaled law passes its own.  The
     fields of coefficients and the weights are numbers or (E, 1) columns,
     one row per state of a stack.  The engine owns the work buffers of the
-    nonlinearity: one set, for the leading shape of the last state or stack
-    it evaluated, remade when another shape comes.  So it is not for
-    concurrent use from threads; every result is a new array.
+    nonlinearity: one set per thread, for the leading shape of the last state
+    or stack that thread evaluated, remade when another shape comes.  The
+    tables are only read, so threads may share an engine; every result is a
+    new array.
     """
 
     def __init__(self, grid: Grid, coefficients: Bbm5Coefficients, dealias: bool = True,
@@ -174,18 +177,21 @@ class SpectralEngine:
         # a column of weights as full rows of the fine grid: combine is faster with them
         self._w3, self._wg = (w if np.ndim(w) == 0 else np.repeat(w, self.m, axis=-1)
                               for w in (w3, wg))
-        self._buffers = None  # the work buffers of the last leading shape evaluated
+        self._local = threading.local()  # .buffers: a thread's, of the last shape it evaluated
 
     def _work(self, lead: tuple) -> tuple:
-        """Work buffers (spectrum, samples, coefficients, scratch) of states of
-        leading shape lead, () for a single state, made anew when lead is not the
-        last one's (its arrays apart: a joint one of 128 kB or more is mapped on
-        its own and raises peak RSS); the spectrum's tail past n/2 stays zero."""
-        if self._buffers is None or self._buffers[3].shape[:-1] != lead:
+        """The calling thread's work buffers (spectrum, samples, coefficients,
+        scratch) of states of leading shape lead, () for a single state, made
+        anew when lead is not the last one's (its arrays apart: a joint one of
+        128 kB or more is mapped on its own and raises peak RSS); the
+        spectrum's tail past n/2 stays zero."""
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None or buffers[3].shape[:-1] != lead:
             half, fine = (2, *lead, self.m // 2 + 1), (2, *lead, self.m)
-            self._buffers = (np.zeros(half, dtype=np.complex128), np.empty(fine),
-                             np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
-        return self._buffers
+            buffers = (np.zeros(half, dtype=np.complex128), np.empty(fine),
+                       np.empty(half, dtype=np.complex128), np.empty(fine[1:]))
+            self._local.buffers = buffers
+        return buffers
 
     # -- padded transforms ------------------------------------------------
 
