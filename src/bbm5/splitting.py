@@ -24,10 +24,19 @@ those for (eta; u) with eta = u + v, so a window steps the (eta; u) stack
 with the equation's own nonlinearity (F(eta); F(u)) and reads v(t0) off as
 eta(t0) - u(t0): u's row steps as u alone, and only the current stack is
 kept, so a window's memory does not grow with its number of steps.
+
+The windows of n_sweep read nothing from each other, so they run in
+parallel lanes, one per usable CPU, on the shared cached engines (each
+thread has its own work buffers); the sweep's wall time is bounded below by
+its longest window, and its rows are bit for bit those of one window after
+another.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +172,11 @@ def n_sweep(
 
     Grid sanity: the Nyquist frequency should sit at least 4x above the
     largest cutoff so the sharp truncation is far from the resolution limit.
+    Every window's SplitConfig is checked before the first window steps.  The
+    windows run in min(len(cutoffs), usable CPUs) lanes (see _in_lanes), so
+    the wall time is bounded below by the longest window; the rows, and the
+    error raised, are those of the windows run one after another in cutoff
+    order.
     """
     if len(cutoffs) == 0 or len(set(cutoffs)) < len(cutoffs):
         raise ValueError(f"cutoffs must be one or more distinct values, got {list(cutoffs)}")
@@ -171,19 +185,12 @@ def n_sweep(
         raise ValueError(
             f"grid Nyquist {nyq} below 4x the largest cutoff {max(cutoffs)}"
         )
-    rows = []
-    for N in cutoffs:
-        cfg = SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1)
-        *_, rep = iterate(eta0, cfg, spec, stepper)
-        rows.append(
-            {
-                "N": N,
-                "t0": rep["t0"],
-                "h_H2": rep["h_H2"][0],
-                "u_H2_t0": rep["u_H2_t0"][0],
-                "E_u1_minus_E_ut0": rep["E_u"][1] - rep["E_u_t0"][0],
-            }
-        )
+    cfgs = [SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1) for N in cutoffs]
+    reports = _in_lanes([lambda cfg=cfg: iterate(eta0, cfg, spec, stepper)[2] for cfg in cfgs],
+                        [cfg.t0(stepper.dt) for cfg in cfgs])
+    rows = [{"N": N, "t0": rep["t0"], "h_H2": rep["h_H2"][0], "u_H2_t0": rep["u_H2_t0"][0],
+             "E_u1_minus_E_ut0": rep["E_u"][1] - rep["E_u_t0"][0]}
+            for N, rep in zip(cutoffs, reports)]
     out = {"s": s, "rows": rows}
     logN = np.log([r["N"] for r in rows])
     for key, vals in (("h_slope", [r["h_H2"] for r in rows]),
@@ -194,6 +201,51 @@ def n_sweep(
             slope, stderr = _linear_fit(logN[mask], np.log(vals[mask]))
             out[key] = {"slope": slope, "ci95": 1.96 * stderr}
     return out
+
+
+def _in_lanes(tasks: list, costs: list) -> list:
+    """[task() for task in tasks], computed in min(len(tasks), usable CPUs)
+    lanes.  The tasks go, largest cost first, each to the lane of least total
+    cost; the calling thread runs the first lane and one thread, in a copy of
+    the caller's context (numpy's errstate included), each other lane.  Every
+    lane is joined before the first failure in task order is raised.  If the
+    calling thread is interrupted, the other lanes start no further task."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lanes = [[] for _ in range(min(len(tasks), cpus or 1))]
+    loads = [0.0] * len(lanes)
+    for i in sorted(range(len(tasks)), key=costs.__getitem__, reverse=True):  # stable on ties
+        j = loads.index(min(loads))
+        lanes[j].append(i)
+        loads[j] += costs[i]
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+    interrupted = threading.Event()
+
+    def run(lane):
+        for i in lane:
+            if interrupted.is_set():
+                return
+            try:
+                results[i] = tasks[i]()
+            except Exception as exc:  # raised below, in task order
+                errors[i] = exc
+
+    threads = []
+    try:
+        for lane in lanes[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, lane))
+            thread.start()
+            threads.append(thread)
+        run(lanes[0])
+        for thread in threads:
+            thread.join()
+    finally:
+        interrupted.set()  # a no-op unless the calling thread was interrupted
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def write_sweep_csv(sweep: dict, path) -> None:

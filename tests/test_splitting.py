@@ -2,14 +2,17 @@
 remainder and the reassembly iteration."""
 
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bbm5 import evolution
+from bbm5 import evolution, splitting
 from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
-from bbm5.evolution import NumericalError, RhsSpec, StepperConfig, run_simulation
+from bbm5.evolution import NumericalError, RhsSpec, StepperConfig, _linear_fit, run_simulation
 from bbm5.spectral import Field, Grid, sobolev_norm
 from bbm5.splitting import (
     SplitConfig,
@@ -308,6 +311,124 @@ def test_n_sweep_leaves_out_a_slope_it_cannot_fit(big_grid):
                   stepper=StepperConfig(dt=0.01))
     assert len(out["rows"]) == 3
     assert "h_slope" not in out and "energy_increment_slope" not in out
+
+
+def _started_threads(monkeypatch):
+    """The threads started from now on, in order of start."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _row(N, rep):
+    return {"N": N, "t0": rep["t0"], "h_H2": rep["h_H2"][0], "u_H2_t0": rep["u_H2_t0"][0],
+            "E_u1_minus_E_ut0": rep["E_u"][1] - rep["E_u_t0"][0]}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_n_sweep_is_its_windows_one_after_another_bit_for_bit(rough, monkeypatch, cpus):
+    # the cutoffs are out of order and three windows clamp to one length, 10 dt;
+    # one lane per usable CPU up to one per window, the calling thread's among them
+    cutoffs, cfg = (16.0, 8.0, 32.0, 11.0), StepperConfig(dt=0.01)
+    want = [_row(N, iterate(rough, SplitConfig(cutoff=N, s=1.5), _spec(), cfg)[2])
+            for N in cutoffs]
+    _usable_cpus(monkeypatch, cpus)
+    started = _started_threads(monkeypatch)
+    out = n_sweep(rough, 1.5, cutoffs, spec=_spec(), stepper=cfg)
+    assert len(started) == min(cpus, len(cutoffs)) - 1
+    assert not any(thread.is_alive() for thread in started)
+    assert repr(out["rows"]) == repr(want)  # repr tells every float apart, -0.0 from 0.0
+    for key, col in (("h_slope", "h_H2"), ("energy_increment_slope", "E_u1_minus_E_ut0")):
+        slope, stderr = _linear_fit(np.log(cutoffs), np.log(np.abs([r[col] for r in want])))
+        assert repr(out[key]) == repr({"slope": slope, "ci95": 1.96 * stderr})
+
+
+def test_n_sweep_without_an_affinity_mask_has_a_lane_per_cpu(rough, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one lane
+    started = _started_threads(monkeypatch)
+    one = n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
+    assert started == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01)) == one
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def _fake_report(t0):
+    return {"t0": t0, "h_H2": [1.0], "u_H2_t0": [1.0], "E_u": [0.0, 1.0], "E_u_t0": [0.0]}
+
+
+def test_n_sweep_raises_the_first_failure_in_cutoff_order(rough, monkeypatch):
+    # a window a lane each: 16 fails late, 11 at once, and 32 is still running
+    # when they have failed; 16's error is raised, after every lane has ended
+    def window(eta0, cfg, spec, stepper):
+        time.sleep({16.0: 0.2, 32.0: 0.4}.get(cfg.cutoff, 0.0))
+        if cfg.cutoff in (16.0, 11.0):
+            raise NumericalError(f"window {cfg.cutoff:g} failed")
+        return eta0, eta0, _fake_report(cfg.t0(stepper.dt))
+
+    monkeypatch.setattr(splitting, "iterate", window)
+    _usable_cpus(monkeypatch, 4)
+    started = _started_threads(monkeypatch)
+    with pytest.raises(NumericalError, match="^window 16 failed$"):
+        n_sweep(rough, 1.5, (8.0, 16.0, 32.0, 11.0), spec=_spec(),
+                stepper=StepperConfig(dt=0.01))
+    assert len(started) == 3 and not any(thread.is_alive() for thread in started)
+
+
+def test_n_sweep_checks_every_cutoff_before_a_window_steps(rough, monkeypatch):
+    # the window of N = 8 used to run before SplitConfig refused N = -1
+    ran = []
+    monkeypatch.setattr(splitting, "iterate", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="cutoff N must be positive"):
+        n_sweep(rough, 1.5, (8.0, -1.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
+    assert ran == []
+
+
+def test_n_sweep_lanes_run_in_the_callers_numpy_errstate(rough, monkeypatch):
+    seen = []
+
+    def window(eta0, cfg, spec, stepper):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
+        return eta0, eta0, _fake_report(cfg.t0(stepper.dt))
+
+    monkeypatch.setattr(splitting, "iterate", window)
+    _usable_cpus(monkeypatch, 2)
+    with np.errstate(over="raise"):
+        n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
+    assert sorted(seen) == [(False, "raise"), (True, "raise")]
+
+
+def test_an_interrupted_sweep_starts_no_further_window(monkeypatch):
+    # costs 3, 2, 1: the calling thread's lane holds task 0, the other lane
+    # tasks 1 and 2; task 0 is interrupted while task 1 runs, so task 2 never starts
+    ran = []
+
+    def task(i):
+        def run():
+            if i == 0:
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+            ran.append(i)
+            time.sleep(0.2)
+        return run
+
+    _usable_cpus(monkeypatch, 2)
+    started = _started_threads(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        splitting._in_lanes([task(i) for i in range(3)], [3.0, 2.0, 1.0])
+    assert ran == [1]
+    assert len(started) == 1 and not started[0].is_alive()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
