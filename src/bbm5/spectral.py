@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +371,9 @@ def write_snapshot_csv(f: Field, path) -> None:
 
 
 def read_snapshot_csv(grid: Grid, path) -> Field:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # a file of its header alone is reported below, once
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] != grid.n or data.shape[1] < 2:
         raise ValueError(f"snapshot has {data.shape[0]} rows of {data.shape[1]} columns, "
                          f"grid has {grid.n}: it needs {grid.n} rows of x and eta")

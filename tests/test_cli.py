@@ -3,9 +3,14 @@ byte determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bbm5
 from bbm5 import cli, derivation, evolution, splitting
 from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from bbm5.evolution import RhsSpec, run_simulation
@@ -585,6 +590,27 @@ def test_an_input_that_is_not_a_file_of_the_grid_exits_2(tmp_path, capsys, case)
     assert captured.out == ""
     assert captured.err.splitlines() == [f"configuration error: {want}"]
     assert not out.exists()
+
+
+def test_a_snapshot_of_its_header_alone_exits_2_in_one_stderr_line(tmp_path):
+    # np.loadtxt's "input contained no data" warning and its source line used to
+    # come first, so a fresh interpreter printed three lines
+    snap = tmp_path / "snap.csv"
+    snap.write_text("x,eta\n")
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "simulate": {
+        "T": 0.01, "initial": {"kind": "file", "path": str(snap)}}})
+    src = str(Path(bbm5.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "bbm5.cli", "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "configuration error: snapshot has 0 rows of 1 columns, grid has 64: "
+        "it needs 64 rows of x and eta"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["coeffs", "multiplier-table"])
