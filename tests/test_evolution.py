@@ -283,16 +283,6 @@ def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
                               _two_transform_nonlinear_hat(stacked, rows))
 
 
-def _in_thread(fn):
-    """fn() in a new thread, joined; its result."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and len(out) == 1
-    return out[0]
-
-
 def test_engine_keeps_one_buffer_set_for_the_last_shape(ref):
     # a single state's buffers are reused; a stack's replace them, and the next
     # single state remakes them once, then reuses them.  Another thread gets a
@@ -312,12 +302,17 @@ def test_engine_keeps_one_buffer_set_for_the_last_shape(ref):
     assert not any(np.shares_memory(x, y) for x in remade for y in single)
     kept = [x.copy() for x in remade]
 
+    theirs = []
+
     def other():
         assert getattr(eng._local, "buffers", None) is None
         assert np.array_equal(eng.nonlinear_hat(b), _two_transform_nonlinear_hat(eng, b))
-        return eng._local.buffers
+        theirs.extend(eng._local.buffers)
 
-    theirs = _in_thread(other)
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(theirs) == 4
     assert eng._local.buffers is remade
     assert all(x.tobytes() == y.tobytes() for x, y in zip(remade, kept))
     assert [x.shape for x in theirs] == [x.shape for x in remade]
