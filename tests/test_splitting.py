@@ -412,15 +412,16 @@ def test_n_sweep_lanes_run_in_the_callers_numpy_errstate(rough, monkeypatch):
 def test_an_interrupted_sweep_starts_no_further_window(monkeypatch):
     # costs 3, 2, 1: the calling thread's lane holds task 0, the other lane
     # tasks 1 and 2; task 0 is interrupted while task 1 runs, so task 2 never starts
-    ran = []
+    ran, running = [], threading.Event()
 
     def task(i):
         def run():
             if i == 0:
-                time.sleep(0.05)
+                assert running.wait(timeout=60)
                 raise KeyboardInterrupt
             ran.append(i)
-            time.sleep(0.2)
+            running.set()
+            time.sleep(0.5)
         return run
 
     _usable_cpus(monkeypatch, 2)
