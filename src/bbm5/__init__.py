@@ -1,4 +1,11 @@
-"""Spectral laboratory for a fifth-order BBM-type water wave equation."""
+"""Spectral laboratory for a fifth-order BBM-type water wave equation.
+
+``import bbm5`` loads ``coefficients``, ``spectral`` and ``evolution``.  The
+symbol names (``Symbol``, ``apply_symbol``, ``apply_symbol_real``,
+``eval_symbol``, ``sup_bound``) and the ``symbols`` module load
+``bbm5.symbols`` on first use; ``derivation``, ``splitting`` and ``cli`` load
+only when imported.
+"""
 
 from .coefficients import (
     AbcdFirst,
@@ -14,7 +21,6 @@ from .coefficients import (
     validate,
 )
 from .spectral import Field, Grid, energy, low_pass, sobolev_norm, spectral_derivative
-from .symbols import Symbol, apply_symbol, apply_symbol_real, eval_symbol, sup_bound
 from .evolution import (
     RhsSpec,
     RunReport,
@@ -28,3 +34,21 @@ from .evolution import (
 )
 
 __version__ = "0.1.0"
+
+_SYMBOL_NAMES = ("Symbol", "apply_symbol", "apply_symbol_real", "eval_symbol", "sup_bound")
+# the names imported above, their modules included, and those loaded on first use
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | {*_SYMBOL_NAMES, "symbols"})
+
+
+def __getattr__(name: str):
+    if name == "symbols" or name in _SYMBOL_NAMES:
+        import importlib
+
+        symbols = importlib.import_module(".symbols", __name__)
+        return symbols if name == "symbols" else getattr(symbols, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -24,8 +24,6 @@ import numpy as np
 
 from . import coefficients as coef
 from .coefficients import ModelParameters, RegimeError
-from .derivation import epsilon_sweep
-from .derivation import write_sweep_csv as write_derivation_csv
 from .evolution import (
     MAX_STEPS,
     NumericalError,
@@ -38,8 +36,6 @@ from .evolution import (
     sech_squared,
 )
 from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, write_csv
-from .splitting import n_sweep, write_sweep_csv
-from .symbols import eval_symbol, random_hs_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,6 +211,8 @@ class _Setup:
         if kind == "gaussian":
             return gaussian_bump(grid, amp, init["width"], init["center"])
         if kind == "random":
+            from .symbols import random_hs_field
+
             rng = np.random.default_rng(self.seed if init["seed"] is None else init["seed"])
             return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
         if kind == "cosine":
@@ -321,6 +319,8 @@ def cmd_energy_drift(args, run: _Setup) -> int:
 
 
 def cmd_split(args, run: _Setup) -> int:
+    from .splitting import n_sweep, write_sweep_csv
+
     sec = run.config["split"]
     s = sec["s"]
     if not (1.0 <= s < 2.0):
@@ -337,6 +337,8 @@ def cmd_split(args, run: _Setup) -> int:
 
 
 def cmd_multiplier_table(args, run: _Setup) -> int:
+    from .symbols import eval_symbol
+
     sec = run.config["multiplier_table"]
     if sec["count"] < 1:
         raise ConfigError(f"multiplier_table.count must be at least 1, got {sec['count']}")
@@ -345,9 +347,10 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
                           f"got {sec['count']}")
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
+    # before the directory: an ill-posed model exits 2 here and leaves none
+    columns = [eval_symbol(kind, xi, run.coeffs) for kind in kinds]
     write_csv(os.path.join(_out_dir(args), "multiplier_table.csv"),
-              ("xi", "phi", "psi", "tau", "omega", "varphi"),
-              zip(xi, *(eval_symbol(kind, xi, run.coeffs) for kind in kinds)))
+              ("xi", "phi", "psi", "tau", "omega", "varphi"), zip(xi, *columns))
     _say(args, f"multiplier-table: {len(xi)} rows written")
     return EXIT_OK
 
@@ -374,12 +377,14 @@ def _write_picard_csv(args, diag) -> None:
 
 
 def cmd_derivation_residual(args, run: _Setup) -> int:
+    from .derivation import epsilon_sweep, write_sweep_csv
+
     sec = run.config["derivation"]
     sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"],
                           t_final=sec["t_final"], dt=sec["dt"],
                           n_checkpoints=sec["checkpoints"])
     out = _out_dir(args)
-    write_derivation_csv(sweep, os.path.join(out, "derivation_residual.csv"))
+    write_sweep_csv(sweep, os.path.join(out, "derivation_residual.csv"))
     _write_meta(out, "derivation_summary.json", sweep)
     _say(args, f"derivation-residual: slope r1 {sweep['slope_r1_L2']:.3f}, "
                f"slope r2 {sweep['slope_r2_L2']:.3f}")
