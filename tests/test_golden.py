@@ -1,4 +1,5 @@
-"""Golden outputs: the files of the seven CLI runs in ``cli_outputs``,
+"""Golden outputs: the files of the seven CLI runs in ``cli_outputs`` and of
+the four benchmark workloads at full size in ``workload_outputs``,
 regenerated and compared with the copies kept under ``tests/golden/``.
 
 Text and integers must match exactly, floats within the tolerance of their
@@ -13,7 +14,10 @@ import re
 
 import pytest
 
-from cli_outputs import CONFIGS, GOLDEN, run_command
+import cli_outputs
+import workload_outputs
+from cli_outputs import CONFIGS, run_command
+from workload_outputs import WORKLOADS, run_workload
 
 # A number that stands alone: not a digit of a name such as hs1 or a1.
 NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)(?![\w.])")
@@ -50,21 +54,30 @@ def _mismatches(new: str, old: str, rtol: float, atol: float) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("command", list(CONFIGS))
-def test_outputs_match_the_golden_files(tmp_path, command):
-    out = tmp_path / command
-    run_command(command, out, tmp_path)
-    golden = GOLDEN / command
+def _compare(out, golden, label: str) -> None:
+    """Every file of golden, read again from out, within its file's tolerance."""
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted(p.name for p in golden.iterdir())
     failures = {}
     for name in names:
         new, old = (out / name).read_text(), (golden / name).read_text()
-        print(f"[golden] {command}/{name}: bytes {'equal' if new == old else 'differ'}")
+        print(f"[golden] {label}/{name}: bytes {'equal' if new == old else 'differ'}")
         bad = _mismatches(new, old, *TOLERANCE.get(name, DEFAULT_TOLERANCE))
         if bad:
             failures[name] = bad[:5]
-    assert not failures, f"{command} outputs moved from tests/golden: {failures}"
+    assert not failures, f"{label} outputs moved from {golden}: {failures}"
+
+
+@pytest.mark.parametrize("command", list(CONFIGS))
+def test_outputs_match_the_golden_files(tmp_path, command):
+    run_command(command, tmp_path / command, tmp_path)
+    _compare(tmp_path / command, cli_outputs.GOLDEN / command, command)
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_workload_results_match_the_golden_files(tmp_path, workload):
+    run_workload(workload, tmp_path / workload, tmp_path)
+    _compare(tmp_path / workload, workload_outputs.GOLDEN / workload, f"workloads/{workload}")
 
 
 def test_mismatches_compare_text_integers_and_floats():
