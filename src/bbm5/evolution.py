@@ -269,8 +269,9 @@ class Etdrk4Stepper:
     """Fourth-order exponential time differencing over the exact semigroup.
 
     Built from the linear symbol of any engine.  The linear part
-    e^{-i*phi*dt} is applied exactly; the quadrature weights are evaluated
-    by contour averaging over roots of unity (Kassam & Trefethen) to dodge
+    e^{-i*phi*dt}, the engine's semigroup_factor, is applied exactly, and a
+    step is the ETDRK4 formula of Cox & Matthews.  The quadrature weights are
+    contour means over roots of unity (Kassam & Trefethen), which dodge
     cancellation at small |L*dt|, a block of CONTOUR_BLOCK modes at a time,
     so the build needs little more memory than its tables.  The tables of a
     stacked engine are stacked too, each row bit for bit that of the row's
@@ -280,9 +281,8 @@ class Etdrk4Stepper:
     def __init__(self, engine: SpectralEngine, dt: float):
         self.engine = engine
         self.dt = dt
+        self.e_full, self.e_half = engine.semigroup_factor(dt), engine.semigroup_factor(0.5 * dt)
         lam = -1j * engine.phi
-        self.e_full = np.exp(dt * lam)
-        self.e_half = np.exp(0.5 * dt * lam)
         roots = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
 
         def contour_mean(g):
@@ -307,29 +307,15 @@ class Etdrk4Stepper:
     def step(self, c_hat: np.ndarray, n0: np.ndarray | None = None) -> np.ndarray:
         """Advance c_hat by dt with the engine's nonlinear_hat; n0, if given, is
         stage 0's nonlinear_hat(c_hat)."""
-        nl = self.engine.nonlinear_hat
-        # In place only on arrays made here, bit for bit the plain formula:
-        # complex products keep their operand order (with FMA they do not commute).
+        nl, q, ec = self.engine.nonlinear_hat, self.q, self.e_half * c_hat
         n0 = nl(c_hat) if n0 is None else n0
-        ec = self.e_half * c_hat
-        a = self.q * n0
-        a += ec
+        # each product in this operand order: with FMA, complex products do not commute
+        a = ec + q * n0
         na = nl(a)
-        b = self.q * na
-        b += ec
+        b = ec + q * na
         nb = nl(b)
-        cst = 2.0 * nb
-        cst -= n0
-        np.multiply(self.q, cst, out=cst)
-        cst += np.multiply(self.e_half, a, out=ec)
-        nc = nl(cst)
-        out = self.e_full * c_hat
-        out += np.multiply(self.f1, n0, out=ec)
-        s = na + nb
-        np.multiply(2.0 * self.f2, s, out=s)
-        out += s
-        out += np.multiply(self.f3, nc, out=s)
-        return out
+        nc = nl(self.e_half * a + q * (2.0 * nb - n0))
+        return self.e_full * c_hat + self.f1 * n0 + 2.0 * self.f2 * (na + nb) + self.f3 * nc
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
