@@ -35,7 +35,7 @@ from .evolution import (
     run_simulation,
     sech_squared,
 )
-from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, write_csv
+from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, sobolev_weights, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -214,7 +214,13 @@ class _Setup:
             from .symbols import random_hs_field
 
             rng = np.random.default_rng(self.seed if init["seed"] is None else init["seed"])
-            return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
+            s = s if init["s"] is None else init["s"]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                f = random_hs_field(grid, s, rng, amp)
+            if not np.isfinite(f.half).all():
+                raise ConfigError(f"{section}.initial.s = {s!r} at amplitude {amp!r} makes "
+                                  f"random data that overflow on grid.n = {grid.n}")
+            return f
         if kind == "cosine":
             k = init["mode"]
             return Field.from_samples(grid, amp * np.cos(2.0 * np.pi * k * grid.x / grid.length))
@@ -290,6 +296,11 @@ def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
 
 def cmd_simulate(args, run: _Setup) -> int:
     sec = run.config["simulate"]
+    for s in sec["monitor_s"]:
+        with np.errstate(over="ignore"):  # refused below
+            if not np.isfinite(sobolev_weights(run.grid, s)).all():
+                raise ConfigError(f"simulate.monitor_s holds {s!r}, whose H^s weights "
+                                  f"overflow on grid.n = {run.grid.n}")
 
     def write(report, out: str) -> str:
         report.write_csv(os.path.join(out, "run.csv"))

@@ -21,13 +21,15 @@ Each spectral kernel has one implementation: the symbol formulas in
 (``fine_samples``/``truncated_coeffs``, wrapped by ``SpectralEngine.to_fine``
 /``from_fine``); the combination -i*(tau*q2 - psi*((1/8)*q3 + (7/48)*g2))
 in ``SpectralEngine.combine``, which the equation and the alpha/beta-scaled
-law of ``bbm5.derivation`` call; the ETDRK4 weights and step in
-``Etdrk4Stepper``, built from the linear symbol of any engine, which always
-steps its engine's ``nonlinear_hat``.  An engine keeps one set of work
-buffers per thread, for the last leading shape that thread evaluated, and
-returns new arrays; its tables are read only, so one engine and its steppers
-serve several threads at once.  Coefficients and weights given as (E, 1)
-columns step a stack of E states row by row.
+law of ``bbm5.derivation`` call; the semigroup factor exp(-i*phi*t) in
+``SpectralEngine.semigroup_factor``, which ``semigroup_apply``, Picard and the
+stepper's phases call; the ETDRK4 weights and step in ``Etdrk4Stepper``,
+built from the linear symbol of any engine, whose step is the ETDRK4 formula
+written out and always steps its engine's ``nonlinear_hat``.  An engine
+keeps one set of work buffers per thread, for the last leading shape that
+thread evaluated, and returns new arrays; its tables are read only, so one
+engine and its steppers serve several threads at once.  Coefficients and
+weights given as (E, 1) columns step a stack of E states row by row.
 
 The engine, the stepper and every time loop work on half spectra in rfft
 layout, the spectral state ``Field.half`` of Field itself (``bbm5.spectral``).

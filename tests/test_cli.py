@@ -566,6 +566,42 @@ def test_a_grid_too_short_for_its_symbols_exits_2_naming_grid_length(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,section", [("simulate", "simulate"),
+                                             ("energy-drift", "energy_drift"),
+                                             ("split", "split"), ("picard", "picard")])
+def test_random_data_that_overflow_exit_2_naming_initial_s(tmp_path, capsys, command, section):
+    # (1 + xi^2)^199.5 overflows at n = 64: the four commands exited 3 on NaN data
+    # after 7-9 stderr lines, and picard iterated 50 times on it
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, section: {
+        "initial": {"kind": "random", "s": -400.0}, **({"cutoffs": [4.0, 8.0]}
+                                                       if section == "split" else {})}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: {section}.initial.s = -400.0 at amplitude 1.0 makes random "
+        "data that overflow on grid.n = 64"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_monitored_s_whose_weights_overflow_exits_2(tmp_path, capsys):
+    # (1 + xi^2)^400 overflows at n = 64: simulate wrote a run.csv of its header
+    # alone and exited 3, "run aborted on non-finite state"
+    cfg = _write_config(tmp_path, {"grid": {"n": 64},
+                                   "simulate": {"T": 0.01, "monitor_s": [0.0, 400.0]}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "configuration error: simulate.monitor_s holds 400.0, whose H^s weights overflow "
+        "on grid.n = 64"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["config directory", "initial.path directory",
                                   "one-column snapshot", "one-row snapshot"])
 def test_an_input_that_is_not_a_file_of_the_grid_exits_2(tmp_path, capsys, case):
