@@ -14,9 +14,7 @@ import re
 
 import pytest
 
-import cli_outputs
-import workload_outputs
-from cli_outputs import CONFIGS, run_command
+from cli_outputs import CONFIGS, GOLDEN, run_command
 from workload_outputs import WORKLOADS, run_workload
 
 # A number that stands alone: not a digit of a name such as hs1 or a1.
@@ -71,13 +69,14 @@ def _compare(out, golden, label: str) -> None:
 @pytest.mark.parametrize("command", list(CONFIGS))
 def test_outputs_match_the_golden_files(tmp_path, command):
     run_command(command, tmp_path / command, tmp_path)
-    _compare(tmp_path / command, cli_outputs.GOLDEN / command, command)
+    _compare(tmp_path / command, GOLDEN / command, command)
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_workload_results_match_the_golden_files(tmp_path, workload):
     run_workload(workload, tmp_path / workload, tmp_path)
-    _compare(tmp_path / workload, workload_outputs.GOLDEN / workload, f"workloads/{workload}")
+    label = f"workloads/{workload}"
+    _compare(tmp_path / workload, GOLDEN / label, label)
 
 
 def test_mismatches_compare_text_integers_and_floats():

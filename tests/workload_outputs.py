@@ -36,10 +36,6 @@ def _pulse_center(length: float) -> float:
     return float(np.random.default_rng(SEED).uniform(0.25 * length, 0.75 * length))
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
 def soliton(out: Path, work: Path) -> None:
     eta0 = evolution.sech_squared(SOLITON_GRID, 0.5, 1.0, _pulse_center(SOLITON_GRID.length))
     report = evolution.run_simulation(eta0, evolution.RhsSpec(REFERENCE_COEFFICIENTS),
@@ -67,7 +63,7 @@ def split_sweep(out: Path, work: Path) -> None:
     sweep = splitting.n_sweep(eta0, 1.5, (8.0, 16.0, 32.0, 64.0),
                               spec=evolution.RhsSpec(REFERENCE_COEFFICIENTS),
                               stepper=evolution.StepperConfig(dt=DT))
-    _write_json(out / "split_summary.json", sweep)
+    cli._write_meta(str(out), "split_summary.json", sweep)
 
 
 def theory_scans(out: Path, work: Path) -> None:
@@ -78,7 +74,7 @@ def theory_scans(out: Path, work: Path) -> None:
     sweep = derivation.epsilon_sweep(Grid(512, 16.0 * math.pi), reference_parameters(),
                                      epsilons=(0.1, 0.05, 0.025, 0.0125), t_final=0.25,
                                      dt=2e-3, n_checkpoints=1)
-    _write_json(out / "theory_scans.json", {"scan_maxima": maxima, "epsilon_sweep": sweep})
+    cli._write_meta(str(out), "theory_scans.json", {"scan_maxima": maxima, "epsilon_sweep": sweep})
 
 
 WORKLOADS = {f.__name__: f for f in (soliton, drift_dense, split_sweep, theory_scans)}
