@@ -154,15 +154,9 @@ def correction_terms(
     return A, B, C, D, E
 
 
-def reconstruct_velocity(
-    eta: Field, eta_t: Field, p: DerivationParameters, truncate_first_order: bool = False
-) -> Field:
-    """Assemble w = eta + alpha*A + beta*B (+ alpha*beta*C + beta^2*D + alpha^2*E);
-    the first-order velocity forms A and B only."""
+def reconstruct_velocity(eta: Field, eta_t: Field, p: DerivationParameters) -> Field:
+    """Assemble w = eta + alpha*A + beta*B + alpha*beta*C + beta^2*D + alpha^2*E."""
     a, b = p.alpha, p.beta
-    if truncate_first_order:
-        A, B, *_ = _first_order(eta.half, eta_t.half, p.model, eta.grid)
-        return Field(eta.grid, half=eta.half + A * a + B * b)
     A, B, C, D, E = correction_terms(eta, eta_t, p)
     return eta + a * A + b * B + a * b * C + b * b * D + a * a * E
 

@@ -365,11 +365,6 @@ def write_csv(path, header, rows) -> None:
                       + "\n" for row in rows)
 
 
-def write_snapshot_csv(f: Field, path) -> None:
-    """Physical-space snapshot: header ``x,eta``."""
-    write_csv(path, ("x", "eta"), zip(f.grid.x, f.samples))
-
-
 def read_snapshot_csv(grid: Grid, path) -> Field:
     with warnings.catch_warnings():  # a file of its header alone is reported below, once
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

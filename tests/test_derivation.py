@@ -98,15 +98,6 @@ def test_velocity_leading_order(dgrid):
     assert np.abs(w.spectral - eta.spectral).max() == 0.0
 
 
-def test_first_order_truncation_matches_manual_assembly(dgrid):
-    p = _params()
-    eta, eta_t = _eta_pair(dgrid, p)
-    A, B, *_ = correction_terms(eta, eta_t, p)
-    w = reconstruct_velocity(eta, eta_t, p, truncate_first_order=True)
-    manual = eta.spectral + p.alpha * A.spectral + p.beta * B.spectral
-    assert np.abs(w.spectral - manual).max() < 1e-15
-
-
 def test_velocity_deviation_is_first_order():
     # ||w - eta||_L2 = O(eps): halving eps roughly halves the gap
     grid = Grid(n=256, length=16.0 * math.pi)
@@ -199,7 +190,7 @@ def test_residual_translation_invariant(dgrid):
     assert r2b == pytest.approx(r2a, rel=1e-10)
 
 
-def _reference_residual(eta, model, velocity=reconstruct_velocity):
+def _reference_residual(eta, model):
     """abcd_residual_first as it was written on Fields, one eps at a time."""
     p = model.p
     a_p, b_p = p.alpha, p.beta
@@ -208,7 +199,8 @@ def _reference_residual(eta, model, velocity=reconstruct_velocity):
 
     eta_t = model.eta_t(eta)
     eta_tt = model.eta_tt(eta, eta_t)
-    w = velocity(eta, eta_t, p, truncate_first_order=True)
+    A, B, *_ = correction_terms(eta, eta_t, p)
+    w = eta + a_p * A + b_p * B  # the first-order truncated velocity
 
     # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
     w_eta = dealiased_product2(w, eta)
@@ -276,20 +268,12 @@ def test_residual_is_the_route_through_all_five_corrections_bit_for_bit(dgrid, e
     p = _params(eps, eps)
     model = ScaledModel(dgrid, p)
     eta = _eta_pair(dgrid, p, amplitude=0.5)[0]
-    got = abcd_residual_first(eta, model)
-
-    def five_term_velocity(eta, eta_t, p, truncate_first_order=False):
-        A, B, C, D, E = correction_terms(eta, eta_t, p)
-        w = eta + p.alpha * A + p.beta * B
-        if not truncate_first_order:
-            w = w + p.alpha * p.beta * C + p.beta * p.beta * D + p.alpha * p.alpha * E
-        return w
-
     eta_t = model.eta_t(eta)
-    for truncate in (True, False):
-        assert np.array_equal(reconstruct_velocity(eta, eta_t, p, truncate).half,
-                              five_term_velocity(eta, eta_t, p, truncate).half)
-    assert got == _reference_residual(eta, model, velocity=five_term_velocity)
+    A, B, C, D, E = correction_terms(eta, eta_t, p)
+    five = eta + p.alpha * A + p.beta * B + p.alpha * p.beta * C + p.beta * p.beta * D \
+        + p.alpha * p.alpha * E
+    assert np.array_equal(reconstruct_velocity(eta, eta_t, p).half, five.half)
+    assert abcd_residual_first(eta, model) == _reference_residual(eta, model)
 
 
 @pytest.mark.parametrize("t_final,dt,n_checkpoints,epsilons", [

@@ -31,7 +31,6 @@ from bbm5.spectral import (
     spectral_derivative,
     truncated_coeffs,
     write_csv,
-    write_snapshot_csv,
 )
 from bbm5.symbols import Symbol, random_hs_field
 
@@ -586,7 +585,7 @@ def test_integral_and_cube(grid):
 def test_snapshot_round_trip(tmp_path, grid, rng):
     f = _random_field(grid, rng)
     path = tmp_path / "snap.csv"
-    write_snapshot_csv(f, path)
+    write_csv(path, ("x", "eta"), zip(grid.x, f.samples))
     assert path.read_text().splitlines()[0] == "x,eta"
     g = read_snapshot_csv(grid, path)
     assert np.abs(g.samples - f.samples).max() < 1e-15
@@ -611,7 +610,7 @@ def test_write_csv_format(tmp_path, rng):
 def test_snapshot_wrong_grid_rejected(tmp_path, grid, rng):
     f = _random_field(grid, rng)
     path = tmp_path / "snap.csv"
-    write_snapshot_csv(f, path)
+    write_csv(path, ("x", "eta"), zip(grid.x, f.samples))
     with pytest.raises(ValueError, match="rows"):
         read_snapshot_csv(Grid(n=grid.n * 2, length=grid.length), path)
 
