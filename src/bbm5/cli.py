@@ -205,11 +205,15 @@ class _Setup:
         """The section's initial data; s is the H^s index of random data
         whose ``initial.s`` is not set."""
         init, grid = self.config[section]["initial"], self.grid
-        kind, amp = init["kind"], init["amplitude"]
+        kind, amp, width = init["kind"], init["amplitude"], init["width"]
+        # sech2 divides by the width, gaussian by 2*width^2, which rounds to 0 sooner
+        if kind in ("sech2", "gaussian") and (width if kind == "sech2" else width**2) == 0.0:
+            raise ConfigError(f"{section}.initial.width = {width!r} makes {kind} data divide "
+                              "by zero")
         if kind == "sech2":
-            return sech_squared(grid, amp, init["width"], init["center"])
+            return sech_squared(grid, amp, width, init["center"])
         if kind == "gaussian":
-            return gaussian_bump(grid, amp, init["width"], init["center"])
+            return gaussian_bump(grid, amp, width, init["center"])
         if kind == "random":
             from .symbols import random_hs_field
 
@@ -232,6 +236,25 @@ class _Setup:
                 raise ConfigError(f"initial data file not found: {path}")
             return read_snapshot_csv(grid, path)
         raise ConfigError(f"unknown initial data kind {kind!r}")
+
+    def scale_key(self, section: str) -> str:
+        """The key that sets the size of the section's initial data, and its value."""
+        key = "path" if self.config[section]["initial"]["kind"] == "file" else "amplitude"
+        return f"{section}.initial.{key} = {self.config[section]['initial'][key]!r}"
+
+    def picard_initial(self, section: str) -> Field:
+        """The section's initial data for duhamel_picard, whose existence-time
+        guard measures it in H^s at stepper.sobolev_s: refused when that norm
+        overflows, naming the weights when they do."""
+        f, s, n = self.initial(section), self.stepper.sobolev_s, self.grid.n
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if not np.isfinite(sobolev_weights(self.grid, s)).all():
+                raise ConfigError(f"stepper.sobolev_s = {s!r} makes H^s weights that overflow "
+                                  f"on grid.n = {n}")
+            if not math.isfinite(sobolev_norm(f, s)):
+                raise ConfigError(f"{self.scale_key(section)} makes initial data whose "
+                                  f"H^s norm at stepper.sobolev_s = {s!r} overflows")
+        return f
 
 
 def _coeffs_payload(run: _Setup) -> dict:
@@ -284,8 +307,13 @@ def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
     abort on stderr (exit 3) or write's summary line on stdout."""
     sec = run.config[section]
     spec = RhsSpec(run.coeffs, dealias=sec["dealias"])
-    report = run_simulation(run.initial(section), spec, run.stepper, sec["T"],
+    eta0 = (run.picard_initial(section) if run.stepper.scheme == "picard_duhamel"
+            else run.initial(section))
+    report = run_simulation(eta0, spec, run.stepper, sec["T"],
                             record_every=sec["record_every"], **kwargs)
+    if report.aborted and report.error.step == 0:  # the initial data's own record
+        raise ConfigError(f"{run.scale_key(section)} makes initial data whose energy, "
+                          "H^s norms or predicted drift overflow")
     summary = write(report, _out_dir(args))
     if report.aborted:
         _say(args, "run aborted on non-finite state; last-good report written", sys.stderr)
@@ -367,7 +395,7 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
 
 
 def cmd_picard(args, run: _Setup) -> int:
-    eta0 = run.initial("picard")
+    eta0 = run.picard_initial("picard")
     try:
         traj, diag = duhamel_picard(eta0, RhsSpec(run.coeffs), run.stepper,
                                     run.config["picard"]["T"])
@@ -394,6 +422,10 @@ def cmd_derivation_residual(args, run: _Setup) -> int:
     sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"],
                           t_final=sec["t_final"], dt=sec["dt"],
                           n_checkpoints=sec["checkpoints"])
+    slopes = sweep["slope_r1_L2"], sweep["slope_r2_L2"]
+    if not all(map(math.isfinite, slopes)):  # so is a fit through a residual 0 or not finite
+        raise NumericalError(f"the sweep's residual slopes {slopes} are not finite; "
+                             "nothing written")
     out = _out_dir(args)
     write_sweep_csv(sweep, os.path.join(out, "derivation_residual.csv"))
     _write_meta(out, "derivation_summary.json", sweep)

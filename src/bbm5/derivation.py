@@ -28,6 +28,7 @@ from .coefficients import (
     derive_bbm5,
     derive_first_order,
     derive_second_order,
+    require_wellposed,
 )
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
@@ -237,6 +238,7 @@ def epsilon_sweep(
                          f"in (0, 1), got {n_checkpoints} and {list(epsilons)}")
     if data is not None and data.grid != grid:
         raise ValueError(f"data live on {data.grid}, the sweep on {grid}")
+    require_wellposed(derive_bbm5(model_params), "epsilon_sweep")
     steps_per, dt = _time_lattice(t_final, dt, n_checkpoints)
     # one stepper advances every eps: row k of the state is eps k's
     stepper = _sweep_stepper(grid, model_params, tuple(epsilons), dt)

@@ -140,10 +140,10 @@ class StepperConfig:
 
 
 def local_existence_time(hs_norm: float, cs: float) -> float:
-    """Guaranteed existence time 1/(8*C_s*r0*(1+r0)); infinite for zero data."""
-    if hs_norm == 0.0:
-        return np.inf
-    return 1.0 / (8.0 * cs * hs_norm * (1.0 + hs_norm))
+    """Guaranteed existence time 1/(8*C_s*r0*(1+r0)); infinite where that
+    product is 0, for zero data or when it underflows."""
+    product = 8.0 * cs * hs_norm * (1.0 + hs_norm)
+    return 1.0 / product if product > 0.0 else np.inf
 
 
 class SpectralEngine:

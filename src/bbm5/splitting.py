@@ -82,7 +82,11 @@ class SplitConfig:
             raise ValueError(f"t0_scale must be positive and finite, got {self.t0_scale}")
 
     def t0(self, dt: float) -> float:
-        raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
+        try:
+            raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
+        except OverflowError:  # a float's ** raises where a product gives inf
+            raise ValueError(f"cutoff N = {self.cutoff!r} makes N^(-2*(2-s)) overflow at "
+                             f"s = {self.s!r}") from None
         return max(raw, 10.0 * dt)
 
 

@@ -371,17 +371,26 @@ def test_a_run_whose_diagnostics_overflow_writes_finite_rows(tmp_path, capsys, c
                                                             name, amplitude):
     # amplitude 16: the record at t = 0.2 has a finite state but E = inf and
     # a NaN prediction, and both CSVs used to end in that row.  1e200: the
-    # initial record's energy overflows, and the CSV has its header only
+    # initial record's energy overflows; that exited 3 with a CSV of its header
+    # alone, and is now a configuration error that writes nothing
     cfg = _write_config(
         tmp_path,
         {"coeffs": {"rho": -0.5}, "grid": {"n": 64}, "stepper": {"dt": 0.1},
          section: {"T": 10.0, "initial": {"kind": "cosine", "amplitude": amplitude}}},
     )
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERIC
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out)])
+    if amplitude == 1e200:
+        assert code == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {section}.initial.amplitude = 1e+200 makes initial data "
+            "whose energy, H^s norms or predicted drift overflow"]
+        return
+    assert code == EXIT_NUMERIC
     assert capsys.readouterr().err.splitlines() == [
         "run aborted on non-finite state; last-good report written"]
-    header, *rows = (tmp_path / name).read_text().splitlines()
-    assert len(rows) == (2 if amplitude == 16.0 else 0)
+    header, *rows = (out / name).read_text().splitlines()
+    assert len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
@@ -602,6 +611,71 @@ def test_a_monitored_s_whose_weights_overflow_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["sech2", "gaussian"])
+@pytest.mark.parametrize("command,section", [("simulate", "simulate"),
+                                             ("energy-drift", "energy_drift"),
+                                             ("split", "split"), ("picard", "picard")])
+def test_a_width_that_divides_by_zero_exits_2_naming_initial_width(tmp_path, capsys, command,
+                                                                    section, kind):
+    # two RuntimeWarnings, then "non-finite samples" from Field, which named no
+    # key; a gaussian's 2*width^2 is 0 already at 1e-200
+    width = 0.0 if kind == "sech2" else 1e-200
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, section: {
+        "initial": {"kind": kind, "width": width}}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: {section}.initial.width = {width!r} makes {kind} data divide "
+        "by zero"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stepper,initial,want", [
+    pytest.param({}, {"amplitude": a}, f"picard.initial.amplitude = {a!r} makes initial data "
+                 "whose H^s norm at stepper.sobolev_s = 1.0 overflows", id=f"amplitude={a:g}")
+    for a in (1e300, -1e300)
+] + [
+    pytest.param({"sobolev_s": s}, {}, f"stepper.sobolev_s = {float(s)!r} makes H^s weights "
+                 "that overflow on grid.n = 64", id=f"sobolev_s={s:g}")
+    for s in (1e300, 2**62)
+])
+def test_picard_data_whose_hs_norm_overflows_exits_2_naming_the_key(tmp_path, capsys, stepper,
+                                                                     initial, want):
+    # an overflow RuntimeWarning in the H^s norm, then "requested T = 0.1 exceeds
+    # the guaranteed existence time T_bar = 0.0", which named neither key
+    cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 6.0}, "stepper": stepper,
+                                   "picard": {"T": 0.1, "initial": {
+                                       "kind": "random", "amplitude": 0.01, **initial}}})
+    out = tmp_path / "out"
+    assert main(["picard", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {want}"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,section", [("simulate", "simulate"),
+                                             ("energy-drift", "energy_drift")])
+def test_random_data_whose_first_record_overflows_exit_2_naming_the_amplitude(
+        tmp_path, capsys, command, section):
+    # exited 3, "run aborted on non-finite state", with a CSV of its header alone
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 0.01}, section: {
+        "T": 0.02, "initial": {"kind": "random", "amplitude": 1e300}}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: {section}.initial.amplitude = 1e+300 makes initial data whose "
+        "energy, H^s norms or predicted drift overflow"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["config directory", "initial.path directory",
                                   "one-column snapshot", "one-row snapshot"])
 def test_an_input_that_is_not_a_file_of_the_grid_exits_2(tmp_path, capsys, case):
@@ -692,6 +766,40 @@ def test_derivation_residual_small_run(tmp_path):
     lines = (tmp_path / "derivation_residual.csv").read_text().splitlines()
     assert lines[0] == "eps,r1_L2,r2_L2,slope_running"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("rho,got", [
+    pytest.param(1.0, "gamma1 must be > 0, got -0.41666666666666663", id="rho=1"),
+    pytest.param(1e300, "gamma1 must be > 0, got -5e+299; delta1 must be > 0, got 0.0",
+                 id="rho=1e300"),
+])
+def test_derivation_residual_refuses_ill_posed_coefficients(tmp_path, capsys, rho, got):
+    # rho = 1 exited 0 with the residuals of an ill-posed model; 1e300 exited 2
+    # on JSON's "Out of range float values" after RuntimeWarnings, leaving --out
+    cfg = _write_config(tmp_path, {"coeffs": {"rho": rho}, "grid": {"n": 64}, "derivation": {
+        "epsilons": [0.1, 0.05], "t_final": 0.02, "dt": 0.01, "checkpoints": 1}})
+    out = tmp_path / "out"
+    assert main(["derivation-residual", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: epsilon_sweep requires gamma1, delta1 > 0: {got}"]
+    assert not out.exists()
+
+
+def test_a_sweep_whose_slopes_are_not_finite_exits_3_writing_nothing(tmp_path, capsys):
+    # at grid.length 1e300 the residuals underflow to 0: the CSV writer's running
+    # slope raised ZeroDivisionError (exit 1) after the directory was made
+    cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 1e300}, "derivation": {
+        "epsilons": [0.1, 0.05], "t_final": 0.02, "dt": 0.01, "checkpoints": 1}})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # log(0) in the fit
+        code = main(["derivation-residual", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: the sweep's residual slopes (nan, nan) are not finite; "
+        "nothing written"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

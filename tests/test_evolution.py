@@ -1033,6 +1033,7 @@ def test_drift_law_with_run_length_off_the_record_lattice():
 
 def test_local_existence_time_values():
     assert local_existence_time(0.0, 1.0) == np.inf
+    assert local_existence_time(0.01, 5e-324) == np.inf  # 8*cs*r0*(1 + r0) underflows to 0
     assert local_existence_time(0.01, 1.0) == pytest.approx(1.0 / (0.08 * 1.01))
     assert local_existence_time(1.0, 2.0) == pytest.approx(1.0 / 32.0)
 

@@ -1,7 +1,8 @@
 """The exit contract under generated configs: any command with one to three
 keys of ``cli._SCHEMA`` set to an adversarial value or to the key's default
 exits 0, 2 or 3 and raises nothing; an exit 2 prints one stderr line and
-leaves no ``--out`` directory.
+leaves no ``--out`` directory.  A warning counts as a stderr line, since a
+process prints it there.
 
 A draw whose config resolves runs only if its work, grid points times
 steps (times rows, windows or iterations), is at most ``WORK``, so no example
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -105,8 +107,11 @@ def _work(command, doc):
         if not (1.0 <= sec["s"] < 2.0 and 0.0 < sec["t0_scale"] < math.inf
                 and all(N > 0 for N in sec["cutoffs"])):
             return n
-        t0 = [max(sec["t0_scale"] * N ** (-2.0 * (2.0 - sec["s"])), 10.0 * dt)
-              for N in sec["cutoffs"]]
+        try:
+            t0 = [max(sec["t0_scale"] * N ** (-2.0 * (2.0 - sec["s"])), 10.0 * dt)
+                  for N in sec["cutoffs"]]
+        except OverflowError:  # refused before any window steps
+            return 0.0
         return 2 * n * sum(_steps(t, dt) for t in t0)
     sec = config["derivation"]
     legs = max(sec["checkpoints"], 1)
@@ -119,15 +124,46 @@ def _run(command, doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
             code = cli.main([command, "--config", path, "--out", out])
-        return code, err.getvalue(), os.path.exists(out)
+        lines = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+        return code, lines + err.getvalue(), os.path.exists(out)
+
+
+def _with(command, **sections):
+    """BASE[command] with the given sections' keys set."""
+    doc = copy.deepcopy(BASE[command])
+    for name, keys in sections.items():
+        for key, value in keys.items():
+            if isinstance(value, dict):
+                doc.setdefault(name, {}).setdefault(key, {}).update(value)
+            else:
+                doc.setdefault(name, {})[key] = value
+    return command, doc
 
 
 @settings(max_examples=150, derandomize=True, database=None)
 @given(draws())
 # ill-posed coefficients: multiplier-table made its --out directory before it refused them
 @example(("multiplier-table", {"multiplier_table": {"count": 5}, "coeffs": {"mu1": 1}}))
+# 8*cs*r0*(1 + r0) underflowed to 0: a ZeroDivisionError in local_existence_time
+@example(_with("picard", stepper={"cs": 5e-324}))
+# the residuals underflow to 0: a ZeroDivisionError in the CSV writer, after the directory
+@example(_with("derivation-residual", grid={"length": 1e300}))
+# ill-posed: RuntimeWarnings, then JSON's "Out of range float values", after the directory
+@example(_with("derivation-residual", coeffs={"rho": 1e300}))
+# two RuntimeWarnings, then "non-finite samples", naming no key
+@example(_with("simulate", simulate={"initial": {"width": 0}}))
+@example(_with("energy-drift", energy_drift={"initial": {"kind": "gaussian", "width": 0}}))
+# an overflow RuntimeWarning in the H^s norm, then a message naming T
+@example(_with("picard", picard={"initial": {"amplitude": 1e300}}))
+@example(_with("picard", picard={"initial": {"amplitude": -1e300}}))
+@example(_with("picard", stepper={"sobolev_s": 1e300}))
+@example(_with("picard", stepper={"sobolev_s": 2**62}))
+# N^(-2*(2-s)) past a float's range: an OverflowError in SplitConfig.t0
+@example(_with("split", split={"cutoffs": [5e-324]}))
 def test_every_generated_config_keeps_the_exit_contract(draw):
     command, doc = draw
     assume(_work(command, doc) <= WORK)

@@ -85,6 +85,9 @@ def test_config_validation():
         SplitConfig(cutoff=8.0, s=2.5)
     with pytest.raises(ValueError, match="s must"):
         SplitConfig(cutoff=8.0, s=0.5)
+    # 5e-324 ** -1 raised OverflowError, a traceback from the CLI
+    with pytest.raises(ValueError, match=r"^cutoff N = 5e-324 makes N\^\(-2\*\(2-s\)\) overflow"):
+        SplitConfig(cutoff=5e-324, s=1.5).t0(0.01)
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
