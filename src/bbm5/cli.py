@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import coefficients as coef
-from .coefficients import ModelParameters, RegimeError
+from .coefficients import ModelParameters, ParameterError
 from .evolution import (
     MAX_STEPS,
     NumericalError,
@@ -35,7 +35,7 @@ from .evolution import (
     run_simulation,
     sech_squared,
 )
-from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, sobolev_weights, write_csv
+from .spectral import Field, Grid, read_snapshot_csv, sobolev_norm, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,6 +97,17 @@ _SCHEMA = {
     "derivation": {"epsilons": (list, (0.1, 0.05, 0.025, 0.0125)), "t_final": (_NUM, 1.0),
                    "dt": (_NUM, 2e-3), "checkpoints": (int, 4)},
     "seed": (int, 0),
+}
+
+# The config key of each parameter a ParameterError names, {} for the command's
+# section; a RegimeError's coefficient is named with the keys it depends on.
+_KEYS = {
+    "width": "{}.initial.width",
+    "s": "{}.initial.s",
+    "monitor_s": "{}.monitor_s",
+    "sobolev_s": "stepper.sobolev_s",
+    "gamma1": "gamma1 (set by coeffs.theta, coeffs.lam, coeffs.mu, coeffs.rho)",
+    "delta1": f"delta1 (set by coeffs.{', coeffs.'.join(_PARAMETERS)})",
 }
 
 # Defaults that differ by command.  Each replaces the table's default of the
@@ -206,10 +217,6 @@ class _Setup:
         whose ``initial.s`` is not set."""
         init, grid = self.config[section]["initial"], self.grid
         kind, amp, width = init["kind"], init["amplitude"], init["width"]
-        # sech2 divides by the width, gaussian by 2*width^2, which rounds to 0 sooner
-        if kind in ("sech2", "gaussian") and (width if kind == "sech2" else width**2) == 0.0:
-            raise ConfigError(f"{section}.initial.width = {width!r} makes {kind} data divide "
-                              "by zero")
         if kind == "sech2":
             return sech_squared(grid, amp, width, init["center"])
         if kind == "gaussian":
@@ -218,13 +225,7 @@ class _Setup:
             from .symbols import random_hs_field
 
             rng = np.random.default_rng(self.seed if init["seed"] is None else init["seed"])
-            s = s if init["s"] is None else init["s"]
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                f = random_hs_field(grid, s, rng, amp)
-            if not np.isfinite(f.half).all():
-                raise ConfigError(f"{section}.initial.s = {s!r} at amplitude {amp!r} makes "
-                                  f"random data that overflow on grid.n = {grid.n}")
-            return f
+            return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
         if kind == "cosine":
             k = init["mode"]
             return Field.from_samples(grid, amp * np.cos(2.0 * np.pi * k * grid.x / grid.length))
@@ -237,24 +238,15 @@ class _Setup:
             return read_snapshot_csv(grid, path)
         raise ConfigError(f"unknown initial data kind {kind!r}")
 
-    def scale_key(self, section: str) -> str:
-        """The key that sets the size of the section's initial data, and its value."""
-        key = "path" if self.config[section]["initial"]["kind"] == "file" else "amplitude"
-        return f"{section}.initial.{key} = {self.config[section]['initial'][key]!r}"
 
-    def picard_initial(self, section: str) -> Field:
-        """The section's initial data for duhamel_picard, whose existence-time
-        guard measures it in H^s at stepper.sobolev_s: refused when that norm
-        overflows, naming the weights when they do."""
-        f, s, n = self.initial(section), self.stepper.sobolev_s, self.grid.n
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            if not np.isfinite(sobolev_weights(self.grid, s)).all():
-                raise ConfigError(f"stepper.sobolev_s = {s!r} makes H^s weights that overflow "
-                                  f"on grid.n = {n}")
-            if not math.isfinite(sobolev_norm(f, s)):
-                raise ConfigError(f"{self.scale_key(section)} makes initial data whose "
-                                  f"H^s norm at stepper.sobolev_s = {s!r} overflows")
-        return f
+def _named(exc: ParameterError, config: dict, section: str) -> str:
+    """exc's message, its parameter's first mention replaced by the config key;
+    eta0's is the key that sets the size of the section's data, with its value."""
+    key = _KEYS.get(exc.name, exc.name).format(section)
+    if exc.name == "eta0":
+        key = "path" if config[section]["initial"]["kind"] == "file" else "amplitude"
+        key = f"{section}.initial.{key} = {config[section]['initial'][key]!r}"
+    return str(exc).replace(exc.name, key, 1)
 
 
 def _coeffs_payload(run: _Setup) -> dict:
@@ -307,13 +299,11 @@ def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
     abort on stderr (exit 3) or write's summary line on stdout."""
     sec = run.config[section]
     spec = RhsSpec(run.coeffs, dealias=sec["dealias"])
-    eta0 = (run.picard_initial(section) if run.stepper.scheme == "picard_duhamel"
-            else run.initial(section))
-    report = run_simulation(eta0, spec, run.stepper, sec["T"],
+    report = run_simulation(run.initial(section), spec, run.stepper, sec["T"],
                             record_every=sec["record_every"], **kwargs)
     if report.aborted and report.error.step == 0:  # the initial data's own record
-        raise ConfigError(f"{run.scale_key(section)} makes initial data whose energy, "
-                          "H^s norms or predicted drift overflow")
+        raise ParameterError("eta0", "eta0 makes initial data whose energy, H^s norms or "
+                             "predicted drift overflow")
     summary = write(report, _out_dir(args))
     if report.aborted:
         _say(args, "run aborted on non-finite state; last-good report written", sys.stderr)
@@ -324,11 +314,6 @@ def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
 
 def cmd_simulate(args, run: _Setup) -> int:
     sec = run.config["simulate"]
-    for s in sec["monitor_s"]:
-        with np.errstate(over="ignore"):  # refused below
-            if not np.isfinite(sobolev_weights(run.grid, s)).all():
-                raise ConfigError(f"simulate.monitor_s holds {s!r}, whose H^s weights "
-                                  f"overflow on grid.n = {run.grid.n}")
 
     def write(report, out: str) -> str:
         report.write_csv(os.path.join(out, "run.csv"))
@@ -395,9 +380,8 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
 
 
 def cmd_picard(args, run: _Setup) -> int:
-    eta0 = run.picard_initial("picard")
     try:
-        traj, diag = duhamel_picard(eta0, RhsSpec(run.coeffs), run.stepper,
+        traj, diag = duhamel_picard(run.initial("picard"), RhsSpec(run.coeffs), run.stepper,
                                     run.config["picard"]["T"])
     except PicardDivergenceError as exc:
         _write_picard_csv(args, exc.diagnostics)
@@ -477,8 +461,11 @@ def main(argv=None) -> int:
             section.update((k, getattr(args, k)) for k in _PARAMETERS
                            if getattr(args, k) is not None)
             section["rho_auto"] = section["rho_auto"] or args.rho_auto
-        return args.handler(args, _Setup(config, args.seed))
-    except (ConfigError, RegimeError, ValueError) as exc:
+        with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
+            return args.handler(args, _Setup(config, args.seed))
+    except ValueError as exc:
+        if isinstance(exc, ParameterError):
+            exc = _named(exc, config, args.command.replace("-", "_"))
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "derive_bbm5",
     "rho_for_energy_conservation",
     "validate",
+    "ParameterError",
     "RegimeError",
     "require_wellposed",
     "denominator",
@@ -187,15 +188,25 @@ def validate(c: Bbm5Coefficients) -> list[str]:
     return violations
 
 
-class RegimeError(ValueError):
-    """Raised when coefficients violate the gamma1, delta1 > 0 hypotheses."""
+class ParameterError(ValueError):
+    """A parameter value that the arithmetic it is given to cannot use;
+    ``name`` is the parameter, with which the message starts."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+class RegimeError(ParameterError):
+    """Coefficients that violate gamma1, delta1 > 0; ``name`` is the first that does."""
 
 
 def require_wellposed(c: Bbm5Coefficients, who: str) -> None:
     """The regime check of every public entry that receives coefficients."""
     violations = validate(c)
     if violations:
-        raise RegimeError(f"{who} requires gamma1, delta1 > 0: " + "; ".join(violations))
+        raise RegimeError("gamma1" if not c.gamma1 > 0 else "delta1",
+                          f"{who} requires gamma1, delta1 > 0: " + "; ".join(violations))
 
 
 def denominator(xi, c: Bbm5Coefficients):

@@ -25,6 +25,7 @@ import numpy as np
 from .coefficients import (
     Bbm5Coefficients,
     ModelParameters,
+    ParameterError,
     derive_bbm5,
     derive_first_order,
     derive_second_order,
@@ -269,6 +270,9 @@ def _unit_sech2(grid: Grid) -> Field:
 
 def write_sweep_csv(sweep: dict, path) -> None:
     rows = sweep["rows"]
+    if not all(r["r1_L2"] > 0.0 for r in rows):  # the running slope is a log of their ratios
+        raise ParameterError("sweep", "sweep has a residual r1_L2 that is not above 0, whose "
+                             "running slope is undefined")
     slopes = [float("nan")] + [np.log(b["r1_L2"] / a["r1_L2"]) / np.log(b["eps"] / a["eps"])
                                for a, b in zip(rows, rows[1:])]
     write_csv(path, ("eps", "r1_L2", "r2_L2", "slope_running"),

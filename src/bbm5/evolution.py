@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, multipliers, require_wellposed
+from .coefficients import Bbm5Coefficients, ParameterError, multipliers, require_wellposed
 from .spectral import (
     CACHE_SIZE,
     Field,
@@ -512,6 +512,10 @@ def run_simulation(
     n_steps, dt = _time_lattice(T, cfg.dt)
     svals = list(dict.fromkeys(monitor_s))
     weights = np.stack([_energy_weights(grid, c), *(sobolev_weights(grid, s) for s in svals)])
+    for s, w in zip(svals, weights[1:]):
+        if not np.isfinite(w).all():
+            raise ParameterError("monitor_s", f"monitor_s holds {s!r}, whose H^s weights "
+                                 f"overflow on grid.n = {grid.n}")
     # a column of 8-byte numbers per record: t, E, zero mode, predicted dE/dt, H^s norms
     table = np.empty((4 + len(svals), n_steps // record_every + 2))
     cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
@@ -586,7 +590,14 @@ def duhamel_picard(
     K, dt = _time_lattice(T, cfg.dt)
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
         raise ValueError(f"T = {T:g} makes {K + 1} Picard nodes, over {MAX_STEPS:.0e} coefficients")
+    hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
+    if not np.isfinite(hs_w).all():
+        raise ParameterError("sobolev_s", f"sobolev_s = {cfg.sobolev_s!r} makes H^s weights "
+                             f"that overflow on grid.n = {eta0.grid.n}")
     r0 = sobolev_norm(eta0, cfg.sobolev_s)
+    if not math.isfinite(r0):
+        raise ParameterError("eta0", "eta0 makes initial data whose H^s norm at "
+                             f"stepper.sobolev_s = {cfg.sobolev_s!r} overflows")
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)
     if T > t_bar:
         raise ValueError(f"requested T = {T} exceeds the guaranteed existence time T_bar = "
@@ -597,7 +608,6 @@ def duhamel_picard(
     traj = phase * eta0.half  # the free evolution
     norms = np.empty(K + 1)
     diffs: list[float] = []
-    hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
     for _ in range(cfg.picard_max_iter):
         # g_j = S(-t_j)*N(traj_j); R_0 = 0, R_1 = (dt/2)*(g_0 + g_1), R_k = R_{k-2} + (dt/3)*
         # (g_{k-2} + 4*g_{k-1} + g_k).  Rows 0-1 of g and r carry the two nodes before a
@@ -618,6 +628,7 @@ def duhamel_picard(
         diffs.append(float(norms.max()))
         if diffs[-1] < cfg.picard_tol:
             break
+    del phase, g, r, new  # before the returned Fields copy traj
     converged = diffs[-1] < cfg.picard_tol
     diag = PicardDiagnostics(iterations=len(diffs), diff_norms=diffs, converged=converged)
     if not converged:
@@ -636,13 +647,17 @@ def duhamel_picard(
 
 def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
                   center: float | None = None) -> Field:
+    if width * width == 0.0:  # at |width| < 1.5e-162 already
+        raise ParameterError("width", f"width = {width!r} makes gaussian data divide by zero")
     x0 = grid.length / 2.0 if center is None else center
     x = grid.x
-    return Field.from_samples(grid, amplitude * np.exp(-((x - x0) ** 2) / (2.0 * width**2)))
+    return Field.from_samples(grid, amplitude * np.exp(-((x - x0) ** 2) / (2.0 * width * width)))
 
 
 def sech_squared(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
                  center: float | None = None) -> Field:
+    if width == 0.0:
+        raise ParameterError("width", f"width = {width!r} makes sech2 data divide by zero")
     x0 = grid.length / 2.0 if center is None else center
     x = grid.x
     return Field.from_samples(grid, amplitude / np.cosh((x - x0) / width) ** 2)

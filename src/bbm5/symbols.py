@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, denominator, multipliers, require_wellposed
+from .coefficients import (Bbm5Coefficients, ParameterError, denominator, multipliers,
+                           require_wellposed)
 from .spectral import (
     CACHE_SIZE,
     Field,
@@ -238,7 +239,11 @@ def _random_halves(grid: Grid, s: float, rng: np.random.Generator, shape: tuple,
 
 def random_hs_field(grid: Grid, s: float, rng: np.random.Generator, amplitude=1.0) -> Field:
     """Random real field with spectral amplitudes (1+xi^2)^(-(s+1)/2) * N(0,1)."""
-    return Field(grid, half=_random_halves(grid, s, rng, (), amplitude))
+    half = _random_halves(grid, s, rng, (), amplitude)
+    if not np.isfinite(half).all():
+        raise ParameterError("s", f"s = {s!r} at amplitude {amplitude!r} makes random data "
+                             f"that overflow on grid.n = {grid.n}")
+    return Field(grid, half=half)
 
 
 _ESTIMATES = {

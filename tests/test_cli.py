@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bbm5
@@ -775,7 +776,8 @@ def test_derivation_residual_small_run(tmp_path):
 ])
 def test_derivation_residual_refuses_ill_posed_coefficients(tmp_path, capsys, rho, got):
     # rho = 1 exited 0 with the residuals of an ill-posed model; 1e300 exited 2
-    # on JSON's "Out of range float values" after RuntimeWarnings, leaving --out
+    # on JSON's "Out of range float values" after RuntimeWarnings, leaving --out.
+    # The line names the keys gamma1 depends on, coeffs.rho among them
     cfg = _write_config(tmp_path, {"coeffs": {"rho": rho}, "grid": {"n": 64}, "derivation": {
         "epsilons": [0.1, 0.05], "t_final": 0.02, "dt": 0.01, "checkpoints": 1}})
     out = tmp_path / "out"
@@ -783,19 +785,38 @@ def test_derivation_residual_refuses_ill_posed_coefficients(tmp_path, capsys, rh
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"configuration error: epsilon_sweep requires gamma1, delta1 > 0: {got}"]
+        "configuration error: epsilon_sweep requires gamma1 (set by coeffs.theta, coeffs.lam, "
+        f"coeffs.mu, coeffs.rho), delta1 > 0: {got}"]
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coeffs,want", [
+    pytest.param({"rho": 1.0}, "gamma1 (set by coeffs.theta, coeffs.lam, coeffs.mu, "
+                 "coeffs.rho), delta1 > 0: gamma1 must be > 0, got -0.41666666666666663",
+                 id="rho=1"),
+    pytest.param({"mu1": 1.0}, "gamma1, delta1 (set by coeffs.theta, coeffs.lam, coeffs.mu, "
+                 "coeffs.lam1, coeffs.mu1, coeffs.rho) > 0: delta1 must be > 0, got "
+                 "-0.01620370370370371", id="mu1=1"),
+])
+def test_a_regime_refusal_names_the_keys_of_its_coefficient(tmp_path, capsys, coeffs, want):
+    # named the derived coefficient and no config key
+    cfg = _write_config(tmp_path, {"coeffs": coeffs, "grid": {"n": 16}, "simulate": {"T": 0.01}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: RhsSpec requires {want}"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_a_sweep_whose_slopes_are_not_finite_exits_3_writing_nothing(tmp_path, capsys):
     # at grid.length 1e300 the residuals underflow to 0: the CSV writer's running
-    # slope raised ZeroDivisionError (exit 1) after the directory was made
+    # slope raised ZeroDivisionError (exit 1) after the directory was made, and
+    # the fit's log(0) warned before the line that explains
     cfg = _write_config(tmp_path, {"grid": {"n": 64, "length": 1e300}, "derivation": {
         "epsilons": [0.1, 0.05], "t_final": 0.02, "dt": 0.01, "checkpoints": 1}})
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):  # log(0) in the fit
-        code = main(["derivation-residual", "--config", cfg, "--out", str(out)])
-    assert code == EXIT_NUMERIC
+    assert main(["derivation-residual", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
     assert capsys.readouterr().err.splitlines() == [
         "numerical failure: the sweep's residual slopes (nan, nan) are not finite; "
         "nothing written"]
@@ -805,6 +826,20 @@ def test_a_sweep_whose_slopes_are_not_finite_exits_3_writing_nothing(tmp_path, c
 # ---------------------------------------------------------------------------
 # Environment and determinism
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,config,code", [
+    ("coeffs", {}, EXIT_OK),
+    ("simulate", {"grid": {"n": 64}, "simulate": {"initial": {"width": 0}}}, EXIT_CONFIG),
+    ("derivation-residual", {"grid": {"n": 64, "length": 1e300}, "derivation": {
+        "epsilons": [0.1, 0.05], "t_final": 0.02, "dt": 0.01, "checkpoints": 1}}, EXIT_NUMERIC),
+])
+def test_main_leaves_numpy_s_error_state_as_it_found_it(tmp_path, capsys, command, config, code):
+    cfg = _write_config(tmp_path, config)
+    with np.errstate(over="raise", under="warn"):
+        before = np.geterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == code
+        assert np.geterr() == before
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -18,10 +18,12 @@ from bbm5.coefficients import (
     Bbm5Coefficients,
     GAMMA_CONSERVING,
     ModelParameters,
+    RegimeError,
     derive_bbm5,
     derive_first_order,
     derive_second_order,
     reference_parameters,
+    require_wellposed,
     rho_for_energy_conservation,
     validate,
 )
@@ -266,6 +268,15 @@ def test_validate_reports_each_violation_by_name():
     assert len(msgs) == 2
     assert any("gamma1" in m for m in msgs)
     assert any("delta1" in m for m in msgs)
+
+
+@pytest.mark.parametrize("gamma1,delta1,name", [(-1.0, 1.0, "gamma1"), (1.0, 0.0, "delta1"),
+                                                (0.0, 0.0, "gamma1")])
+def test_a_regime_error_names_the_first_coefficient_out_of_the_regime(gamma1, delta1, name):
+    bad = Bbm5Coefficients(gamma1=gamma1, gamma2=0.0, delta1=delta1, delta2=0.0, gamma=0.0)
+    with pytest.raises(RegimeError) as exc:
+        require_wellposed(bad, "test")
+    assert exc.value.name == name
 
 
 def test_theta_out_of_range_rejected():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bbm5 import derivation
-from bbm5.coefficients import reference_parameters
+from bbm5.coefficients import ParameterError, reference_parameters
 from bbm5.derivation import (
     DerivationParameters,
     ScaledModel,
@@ -316,6 +316,16 @@ def test_epsilon_sweep_refuses_data_of_another_grid(other):
     with pytest.raises(ValueError, match="data live on"):
         epsilon_sweep(grid, reference_parameters(), epsilons=(0.1, 0.05), t_final=0.1, dt=0.05,
                       n_checkpoints=1, data=_pulse(other))
+
+
+def test_write_sweep_csv_refuses_a_residual_that_is_not_positive(tmp_path):
+    # the running slope divided by it: ZeroDivisionError
+    rows = [{"eps": eps, "r1_L2": r, "r2_L2": 0.0} for eps, r in ((0.1, 0.0), (0.05, 0.0))]
+    path = tmp_path / "derivation_residual.csv"
+    with pytest.raises(ParameterError) as exc:
+        derivation.write_sweep_csv({"rows": rows}, path)
+    assert exc.value.name == "sweep"
+    assert not path.exists()
 
 
 def test_epsilon_sweep_cheap_slope(dgrid):

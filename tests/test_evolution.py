@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, RegimeError,
-                               multipliers)
+from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, ParameterError,
+                               RegimeError, multipliers)
 from bbm5 import evolution, spectral
 from bbm5.evolution import (
     MAX_STEPS,
@@ -1133,10 +1133,12 @@ def test_picard_closed_form_matches_the_list(grid, K):
     assert max(np.abs(f.spectral - w).max() for f, w in zip(traj, want_traj)) <= 1e-13 * scale
 
 
-def test_picard_peaks_under_128_bytes_a_coefficient(grid):
+def test_picard_peaks_under_48_bytes_a_coefficient(grid):
     # the phases S(t_k) and the trajectory hold 32 bytes a coefficient, the
     # returned Fields 16 more, and a block's work is bounded by PICARD_BLOCK;
-    # evaluating all K + 1 nodes as one stack peaked at 320
+    # the phases are freed before the Fields are made.  Evaluating all K + 1
+    # nodes as one stack peaked at 320, and holding the phases while the
+    # Fields were made at 57
     eta0 = Field.from_samples(grid, 5e-3 * np.cos(grid.x))
     cfg = StepperConfig(dt=1e-4)
     duhamel_picard(eta0, _spec(), cfg, 0.2)  # fills the caches
@@ -1147,7 +1149,34 @@ def test_picard_peaks_under_128_bytes_a_coefficient(grid):
     finally:
         tracemalloc.stop()
     assert diag.converged and len(traj) == 2001
-    assert peak < 128 * len(traj) * (grid.n // 2 + 1), peak
+    assert peak < 48 * len(traj) * (grid.n // 2 + 1), peak
+
+
+@pytest.mark.parametrize("call,want", [
+    pytest.param(lambda g: sech_squared(g, width=0.0),
+                 "width = 0.0 makes sech2 data divide by zero", id="sech2"),
+    pytest.param(lambda g: gaussian_bump(g, width=1e-200),  # 2*width^2 rounds to 0
+                 "width = 1e-200 makes gaussian data divide by zero", id="gaussian"),
+    pytest.param(lambda g: run_simulation(Field.zero(g), _spec(), StepperConfig(dt=0.01), 0.02,
+                                          monitor_s=(0.0, 400.0)),
+                 "monitor_s holds 400.0, whose H^s weights overflow on grid.n = 64",
+                 id="monitor_s"),
+    pytest.param(lambda g: duhamel_picard(Field.zero(g), _spec(), StepperConfig(sobolev_s=2**62),
+                                          0.1),
+                 "sobolev_s = 4611686018427387904 makes H^s weights that overflow on grid.n = 64",
+                 id="sobolev_s"),
+    pytest.param(lambda g: duhamel_picard(Field.from_samples(g, 1e300 * np.cos(g.x)), _spec(),
+                                          StepperConfig(), 0.1),
+                 "eta0 makes initial data whose H^s norm at stepper.sobolev_s = 1.0 overflows",
+                 id="eta0"),
+])
+def test_a_parameter_the_arithmetic_cannot_use_raises_parameter_error(grid, call, want):
+    # each divided by zero or overflowed: non-finite samples, a run of non-finite
+    # records, or Picard's "T_bar = 0.0"; the CLI refused them in its own copies
+    with np.errstate(all="ignore"), pytest.raises(ParameterError) as exc:
+        call(grid)
+    assert str(exc.value) == want
+    assert exc.value.name == want.split()[0]
 
 
 def test_picard_divergence_carries_diagnostics(grid):

@@ -1,8 +1,8 @@
 """The exit contract under generated configs: any command with one to three
 keys of ``cli._SCHEMA`` set to an adversarial value or to the key's default
-exits 0, 2 or 3 and raises nothing; an exit 2 prints one stderr line and
-leaves no ``--out`` directory.  A warning counts as a stderr line, since a
-process prints it there.
+exits 0, 2 or 3 and raises nothing; an exit 2 or 3 prints one stderr line,
+and an exit 2 leaves no ``--out`` directory.  A warning counts as a stderr
+line, since a process prints it there.
 
 A draw whose config resolves runs only if its work, grid points times
 steps (times rows, windows or iterations), is at most ``WORK``, so no example
@@ -55,12 +55,19 @@ def _leaves(table, path=()):
 KEYS = dict(_leaves(cli._SCHEMA))
 
 
-def _default(command, path):
+def default(command, path):
     table = cli._COMMAND_DEFAULTS.get(command, {})
     for key in path[:-1]:
         table = table.get(key, {})
     value = table.get(path[-1], KEYS[path][1])
     return list(value) if isinstance(value, tuple) else value
+
+
+def set_key(doc, path, value):
+    """Set the key at path of the config doc, making its sections."""
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[path[-1]] = value
 
 
 @st.composite
@@ -69,13 +76,10 @@ def draws(draw):
     paths = draw(st.lists(st.sampled_from(sorted(KEYS)), min_size=1, max_size=3, unique=True))
     doc = copy.deepcopy(BASE[command])
     for path in paths:
-        values = st.sampled_from(ADVERSARIAL) | st.just(_default(command, path))
+        values = st.sampled_from(ADVERSARIAL) | st.just(default(command, path))
         if KEYS[path][0] is list:
             values |= st.lists(st.sampled_from(NUMBERS), max_size=3)
-        section = doc
-        for key in path[:-1]:
-            section = section.setdefault(key, {})
-        section[path[-1]] = draw(values)
+        set_key(doc, path, draw(values))
     return command, doc
 
 
@@ -85,7 +89,7 @@ def _steps(T, dt):
     return max(1.0, steps) if steps <= MAX_STEPS else 0.0
 
 
-def _work(command, doc):
+def work(command, doc):
     try:
         config = cli._resolve(doc, cli._SCHEMA, cli._COMMAND_DEFAULTS.get(command, {}))
     except cli.ConfigError:
@@ -132,6 +136,16 @@ def _run(command, doc):
         return code, lines + err.getvalue(), os.path.exists(out)
 
 
+def check(command, doc):
+    """Run one config and assert the exit contract."""
+    code, err, made_out = _run(command, doc)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), (code, err)
+    if code != cli.EXIT_OK:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    if code == cli.EXIT_CONFIG:
+        assert not made_out
+
+
 def _with(command, **sections):
     """BASE[command] with the given sections' keys set."""
     doc = copy.deepcopy(BASE[command])
@@ -164,11 +178,11 @@ def _with(command, **sections):
 @example(_with("picard", stepper={"sobolev_s": 2**62}))
 # N^(-2*(2-s)) past a float's range: an OverflowError in SplitConfig.t0
 @example(_with("split", split={"cutoffs": [5e-324]}))
+# exit 3 after six overflow RuntimeWarnings from the window steps
+@example(_with("split", split={"initial": {"amplitude": 1e300}}))
+# width**2 past a float's range: an OverflowError in gaussian_bump
+@example(_with("simulate", simulate={"initial": {"kind": "gaussian", "width": 1e300}}))
 def test_every_generated_config_keeps_the_exit_contract(draw):
     command, doc = draw
-    assume(_work(command, doc) <= WORK)
-    code, err, made_out = _run(command, doc)
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), (code, err)
-    if code == cli.EXIT_CONFIG:
-        assert err.count("\n") == 1 and err.endswith("\n"), err
-        assert not made_out
+    assume(work(command, doc) <= WORK)
+    check(command, doc)

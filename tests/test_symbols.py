@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbm5 import symbols
-from bbm5.coefficients import Bbm5Coefficients, RegimeError
+from bbm5.coefficients import Bbm5Coefficients, ParameterError, RegimeError
 from bbm5.spectral import (
     Field,
     Grid,
@@ -205,6 +205,16 @@ def test_random_field_is_real_and_seeded(grid):
     c = f.spectral
     assert c[0].imag == 0.0 and np.array_equal(c[:0:-1], np.conj(c[1:]))
     assert np.array_equal(f.spectral, g.spectral)
+
+
+def test_random_data_that_overflow_raise_parameter_error_after_numpy_s_warning(grid):
+    # the field was made, of non-finite coefficients; a library caller keeps
+    # numpy's warnings, which the command line silences
+    with pytest.warns(RuntimeWarning), pytest.raises(ParameterError) as exc:
+        random_hs_field(grid, -400.0, np.random.default_rng(0))
+    assert exc.value.name == "s"
+    assert str(exc.value) == ("s = -400.0 at amplitude 1.0 makes random data that overflow "
+                              "on grid.n = 64")
 
 
 def test_random_field_amplitude_scaling(grid):
