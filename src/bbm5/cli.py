@@ -42,8 +42,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ParameterError):  # ConfigError(message), a message that names its key
+    __init__ = functools.partialmethod(ParameterError.__init__, "")
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +99,14 @@ _SCHEMA = {
     "seed": (int, 0),
 }
 
-# The config key of each parameter a ParameterError names, {} for the command's
-# section; a RegimeError's coefficient is named with the keys it depends on.
+# The config key of each parameter a ParameterError names that _named cannot
+# derive from its name; a coefficient is named with the keys it depends on.
 _KEYS = {
-    "width": "{}.initial.width",
-    "s": "{}.initial.s",
-    "monitor_s": "{}.monitor_s",
-    "sobolev_s": "stepper.sobolev_s",
+    "cutoff": "split.cutoffs: cutoff",
+    "n_checkpoints": "derivation.checkpoints",
+    ("derivation", "T"): "derivation.t_final",
+    ("split", "T"): "the window's T (set by split.t0_scale)",
+    "gamma": "gamma (set by coeffs.theta, coeffs.lam, coeffs.mu, coeffs.rho)",
     "gamma1": "gamma1 (set by coeffs.theta, coeffs.lam, coeffs.mu, coeffs.rho)",
     "delta1": f"delta1 (set by coeffs.{', coeffs.'.join(_PARAMETERS)})",
 }
@@ -180,7 +181,7 @@ class _Setup:
 
     def __init__(self, config: dict, seed: int | None):
         self.config = config
-        self.seed = config["seed"] if seed is None else seed
+        self.seed, self.seed_key = (config["seed"], "seed") if seed is None else (seed, "--seed")
         section = config["coeffs"]
         p = ModelParameters(**{k: section[k] for k in _PARAMETERS})
         if section["rho_auto"]:
@@ -224,7 +225,11 @@ class _Setup:
         if kind == "random":
             from .symbols import random_hs_field
 
-            rng = np.random.default_rng(self.seed if init["seed"] is None else init["seed"])
+            seed, key = ((self.seed, self.seed_key) if init["seed"] is None
+                         else (init["seed"], f"{section}.initial.seed"))
+            if seed < 0:  # numpy refuses it, naming no key
+                raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
+            rng = np.random.default_rng(seed)
             return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
         if kind == "cosine":
             k = init["mode"]
@@ -232,18 +237,17 @@ class _Setup:
         if kind == "zero":
             return Field.zero(grid)
         if kind == "file":
-            path = init["path"]
-            if path is None or not os.path.isfile(path):
-                raise ConfigError(f"initial data file not found: {path}")
-            return read_snapshot_csv(grid, path)
+            return read_snapshot_csv(grid, init["path"])
         raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
 def _named(exc: ParameterError, config: dict, section: str) -> str:
-    """exc's message, its parameter's first mention replaced by the config key;
-    eta0's is the key that sets the size of the section's data, with its value."""
-    key = _KEYS.get(exc.name, exc.name).format(section)
-    if exc.name == "eta0":
+    """exc's message, its parameter's first mention replaced by its key in _KEYS, else by the
+    key of that name in the first of the section's initial data, section, grid, stepper, coeffs."""
+    keys = {k: f"{w}.{k}" for w in ("coeffs", "stepper", "grid", section) for k in config[w]}
+    keys.update((k, f"{section}.initial.{k}") for k in config[section].get("initial", ()))
+    key = _KEYS.get((section, exc.name)) or _KEYS.get(exc.name) or keys.get(exc.name, exc.name)
+    if exc.name == "eta0":  # the key that sets the size of the data, with its value
         key = "path" if config[section]["initial"]["kind"] == "file" else "amplitude"
         key = f"{section}.initial.{key} = {config[section]['initial'][key]!r}"
     return str(exc).replace(exc.name, key, 1)
@@ -453,19 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    section = args.command.replace("-", "_").removesuffix("_residual")  # the config section
     try:
         config = _resolve(_load_config(args.config), _SCHEMA,
                           _COMMAND_DEFAULTS.get(args.command, {}))
         if args.command == "coeffs":
-            section = config["coeffs"]
-            section.update((k, getattr(args, k)) for k in _PARAMETERS
-                           if getattr(args, k) is not None)
-            section["rho_auto"] = section["rho_auto"] or args.rho_auto
+            coeffs = config["coeffs"]
+            coeffs.update((k, getattr(args, k)) for k in _PARAMETERS
+                          if getattr(args, k) is not None)
+            coeffs["rho_auto"] = coeffs["rho_auto"] or args.rho_auto
         with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
             return args.handler(args, _Setup(config, args.seed))
-    except ValueError as exc:
-        if isinstance(exc, ParameterError):
-            exc = _named(exc, config, args.command.replace("-", "_"))
+    except ParameterError as exc:
+        exc = exc if isinstance(exc, ConfigError) else _named(exc, config, section)
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -74,9 +74,9 @@ class ModelParameters:
     def __post_init__(self):
         for name in ("theta", "lam", "mu", "lam1", "mu1", "rho"):
             if not _is_finite(getattr(self, name)):
-                raise ValueError(f"ModelParameters.{name} must be finite")
+                raise ParameterError(name, f"{name} must be finite, got {getattr(self, name)}")
         if not (0 <= self.theta <= 1):
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+            raise ParameterError("theta", f"theta must lie in [0, 1], got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def validate(c: Bbm5Coefficients) -> list[str]:
 
 
 class ParameterError(ValueError):
-    """A parameter value that the arithmetic it is given to cannot use;
-    ``name`` is the parameter, with which the message starts."""
+    """A parameter value outside the range its computation admits, the refusal
+    the CLI exits 2 on; ``name`` is the parameter, as its message first names it."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)

@@ -235,8 +235,9 @@ def epsilon_sweep(
     """
     if (n_checkpoints < 1 or not all(0 < eps < 1 for eps in epsilons)
             or len(epsilons) < 2 or len(set(epsilons)) < len(epsilons)):
-        raise ValueError(f"need n_checkpoints >= 1 and two or more epsilons, distinct and "
-                         f"in (0, 1), got {n_checkpoints} and {list(epsilons)}")
+        raise ParameterError("n_checkpoints" if n_checkpoints < 1 else "epsilons",
+                             "need n_checkpoints >= 1 and two or more epsilons, distinct and "
+                             f"in (0, 1), got {n_checkpoints} and {list(epsilons)}")
     if data is not None and data.grid != grid:
         raise ValueError(f"data live on {data.grid}, the sweep on {grid}")
     require_wellposed(derive_bbm5(model_params), "epsilon_sweep")

@@ -127,16 +127,16 @@ class StepperConfig:
 
     def __post_init__(self):
         if self.scheme not in ("picard_duhamel", "exponential_rk4"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ParameterError("scheme", f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise ParameterError("dt", f"dt must be positive and finite, got {self.dt}")
         if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
+            raise ParameterError("picard_tol", "picard_tol must be positive")
         if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be positive")
+            raise ParameterError("picard_max_iter", "picard_max_iter must be positive")
         if not 0.0 < self.contraction_constant_cs < np.inf:
-            raise ValueError(f"contraction constant cs must be positive and finite, "
-                             f"got {self.contraction_constant_cs}")
+            raise ParameterError("cs", f"contraction constant cs must be positive and finite, "
+                                 f"got {self.contraction_constant_cs}")
 
 
 def local_existence_time(hs_norm: float, cs: float) -> float:
@@ -465,10 +465,10 @@ def _linear_fit(x, y) -> tuple[float, float]:
 
 def _time_lattice(T: float, dt: float, legs: int = 1) -> tuple[int, float]:
     """round(T/(legs*dt)) steps, at least 1, and their length: the lattice of every time loop,
-    of each epsilon-sweep leg.  ValueError unless 0 < T, dt < inf and legs*steps <= MAX_STEPS."""
+    of each epsilon-sweep leg.  Refused unless 0 < T, dt < inf and legs*steps <= MAX_STEPS."""
     for name, x in (("T", T), ("dt", dt)):
         if not 0.0 < x < np.inf:
-            raise ValueError(f"{name} must be positive and finite, got {x}")
+            raise ParameterError(name, f"{name} must be positive and finite, got {x}")
     if legs > MAX_STEPS:  # a step a leg at least; T / legs overflows past a float's range
         steps, count = 1, max(float(legs) if legs < 1e308 else math.inf, T / dt)
     else:
@@ -477,8 +477,8 @@ def _time_lattice(T: float, dt: float, legs: int = 1) -> tuple[int, float]:
         count = legs * max(steps, ratio)
     if count > MAX_STEPS:
         where = f" in {legs} checkpoints" if legs > 1 else ""
-        raise ValueError(f"T = {T:g} at dt = {dt:g} makes {count:.3g} "
-                         f"steps{where}, over {MAX_STEPS:.0e}")
+        raise ParameterError("T", f"T = {T:g} at dt = {dt:g} makes {count:.3g} "
+                             f"steps{where}, over {MAX_STEPS:.0e}")
     return steps, T / legs / steps
 
 
@@ -506,7 +506,7 @@ def run_simulation(
     (``aborted`` is set) is the NumericalError that gives that step and time.
     """
     if record_every < 1:
-        raise ValueError(f"need record_every >= 1, got {record_every}")
+        raise ParameterError("record_every", f"need record_every >= 1, got {record_every}")
     c = spec.coefficients
     grid = eta0.grid
     n_steps, dt = _time_lattice(T, cfg.dt)
@@ -589,7 +589,8 @@ def duhamel_picard(
     """
     K, dt = _time_lattice(T, cfg.dt)
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
-        raise ValueError(f"T = {T:g} makes {K + 1} Picard nodes, over {MAX_STEPS:.0e} coefficients")
+        raise ParameterError("T", f"T = {T:g} makes {K + 1} Picard nodes, "
+                             f"over {MAX_STEPS:.0e} coefficients")
     hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
     if not np.isfinite(hs_w).all():
         raise ParameterError("sobolev_s", f"sobolev_s = {cfg.sobolev_s!r} makes H^s weights "
@@ -600,8 +601,8 @@ def duhamel_picard(
                              f"stepper.sobolev_s = {cfg.sobolev_s!r} overflows")
     t_bar = local_existence_time(r0, cfg.contraction_constant_cs)
     if T > t_bar:
-        raise ValueError(f"requested T = {T} exceeds the guaranteed existence time T_bar = "
-                         f"{t_bar} (C_s = {cfg.contraction_constant_cs}, ||eta0||_Hs = {r0})")
+        raise ParameterError("T", f"T = {T} exceeds the guaranteed existence time T_bar = {t_bar} "
+                             f"(C_s = {cfg.contraction_constant_cs}, ||eta0||_Hs = {r0})")
     # an engine of its own, uncached, so that no cached one keeps a block's buffers
     eng = _engine.__wrapped__(eta0.grid, spec)
     phase = eng.semigroup_factor(dt * np.arange(K + 1.0)[:, None])  # S(t_k), a row a node

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, denominator, require_wellposed
+from .coefficients import Bbm5Coefficients, ParameterError, denominator, require_wellposed
 
 __all__ = [
     "Grid",
@@ -63,9 +63,9 @@ class Grid:
 
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and >= 4, got {self.n}")
+            raise ParameterError("n", f"n must be even and >= 4, got {self.n}")
         if not 0.0 < self.length < np.inf:
-            raise ValueError(f"length must be positive and finite, got {self.length}")
+            raise ParameterError("length", f"length must be positive and finite, got {self.length}")
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -368,8 +368,11 @@ def write_csv(path, header, rows) -> None:
 def read_snapshot_csv(grid: Grid, path) -> Field:
     with warnings.catch_warnings():  # a file of its header alone is reported below, once
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] != grid.n or data.shape[1] < 2:
-        raise ValueError(f"snapshot has {data.shape[0]} rows of {data.shape[1]} columns, "
-                         f"grid has {grid.n}: it needs {grid.n} rows of x and eta")
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:  # no file, or not numbers: its text in one line
+            raise ParameterError("path", "path cannot be read: " + " ".join(str(exc).split()))
+    if data.shape[0] != grid.n or data.shape[1] < 2 or not np.isfinite(data[:, 1]).all():
+        raise ParameterError("path", f"path has {data.shape[0]} rows of {data.shape[1]} columns, "
+                             f"grid has {grid.n}: it needs {grid.n} rows of x and finite eta")
     return Field.from_samples(grid, data[:, 1])

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients
+from .coefficients import Bbm5Coefficients, ParameterError
 from .evolution import (RhsSpec, StepperConfig, _linear_fit, _march, _stepper, _time_lattice,
                         semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
@@ -73,20 +73,21 @@ class SplitConfig:
 
     def __post_init__(self):
         if not self.cutoff > 0:
-            raise ValueError("cutoff N must be positive")
+            raise ParameterError("cutoff", f"cutoff N must be positive, got {self.cutoff}")
         if not (1.0 <= self.s < 2.0):
             raise ValueError(f"s must lie in [1, 2), got {self.s}")
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
         if not 0.0 < self.t0_scale < np.inf:
-            raise ValueError(f"t0_scale must be positive and finite, got {self.t0_scale}")
+            raise ParameterError("t0_scale", f"t0_scale must be positive and finite, "
+                                 f"got {self.t0_scale}")
 
     def t0(self, dt: float) -> float:
         try:
             raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
         except OverflowError:  # a float's ** raises where a product gives inf
-            raise ValueError(f"cutoff N = {self.cutoff!r} makes N^(-2*(2-s)) overflow at "
-                             f"s = {self.s!r}") from None
+            raise ParameterError("cutoff", f"cutoff N = {self.cutoff!r} makes N^(-2*(2-s)) "
+                                 f"overflow at s = {self.s!r}") from None
         return max(raw, 10.0 * dt)
 
 
@@ -139,7 +140,7 @@ def iterate(
     the report carries everything the scaling checks need.  Returns the final u, v and report.
     """
     if not spec.coefficients.energy_conserving:
-        raise ValueError("iteration requires gamma = 7/48 (energy control)")
+        raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
     u, v = split_initial(eta0, cfg.cutoff)
     t0 = cfg.t0(stepper.dt)
     c = spec.coefficients
@@ -183,12 +184,12 @@ def n_sweep(
     order.
     """
     if len(cutoffs) == 0 or len(set(cutoffs)) < len(cutoffs):
-        raise ValueError(f"cutoffs must be one or more distinct values, got {list(cutoffs)}")
+        raise ParameterError("cutoffs", "cutoffs must be one or more distinct values, "
+                             f"got {list(cutoffs)}")
     nyq = eta0.grid.nyquist
     if nyq < 4.0 * max(cutoffs):
-        raise ValueError(
-            f"grid Nyquist {nyq} below 4x the largest cutoff {max(cutoffs)}"
-        )
+        raise ParameterError("cutoffs", f"grid Nyquist {nyq} below 4x the largest of cutoffs, "
+                             f"{max(cutoffs)}")
     cfgs = [SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1) for N in cutoffs]
     reports = _in_lanes([lambda cfg=cfg: iterate(eta0, cfg, spec, stepper)[2] for cfg in cfgs],
                         [cfg.t0(stepper.dt) for cfg in cfgs])

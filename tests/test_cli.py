@@ -47,6 +47,17 @@ def test_coeffs_theta_out_of_range_exits_2(capsys):
     assert "theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--theta", "nan"), ("--lam", "inf"), ("--mu1", "-inf")])
+def test_coeffs_a_non_finite_flag_exits_2_naming_its_key(capsys, flag, value):
+    # the flags bypass the config's finite check; ModelParameters refused the value
+    # with a plain ValueError, which named no key and would now be a traceback
+    assert main(["coeffs", f"{flag}={value}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: coeffs.{flag[2:]} must be finite, got {float(value)}"]
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_coeffs_refuses_non_finite_derived_coefficients(tmp_path, capsys, out):
     # lam = 1e200 is finite, but delta1 and delta2 overflow to -inf
@@ -191,7 +202,9 @@ def test_a_run_of_too_many_steps_exits_2_naming_t_and_dt(tmp_path, capsys, comma
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "Traceback" not in err[0]
-    assert err[0].startswith("configuration error: T = ") and " at dt = " in err[0]
+    key = {"simulate": "simulate.T", "derivation-residual": "derivation.t_final",
+           "split": "the window's T (set by split.t0_scale)"}[command]
+    assert err[0].startswith(f"configuration error: {key} = ") and " at dt = " in err[0]
 
 
 def test_a_sweep_of_too_many_checkpoints_exits_2_before_running(tmp_path, capsys, monkeypatch):
@@ -205,7 +218,7 @@ def test_a_sweep_of_too_many_checkpoints_exits_2_before_running(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["derivation-residual", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert err == ["configuration error: T = 0.1 at dt = 0.01 makes 1e+12 steps "
+    assert err == ["configuration error: derivation.t_final = 0.1 at dt = 0.01 makes 1e+12 steps "
                    "in 1000000000000 checkpoints, over 1e+07"]
     assert not out.exists()
 
@@ -222,7 +235,7 @@ def test_picard_of_too_many_coefficients_exits_2_before_allocating(tmp_path, cap
                                    "picard": {"T": 10.0}})
     assert main(["picard", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert err == ["configuration error: T = 10 makes 1000001 Picard nodes, "
+    assert err == ["configuration error: picard.T = 10 makes 1000001 Picard nodes, "
                    "over 1e+07 coefficients"]
 
 
@@ -455,7 +468,7 @@ def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "configuration error: cutoffs must be one or more distinct values, "
+        "configuration error: split.cutoffs must be one or more distinct values, "
         f"got {[float(N) for N in cutoffs]}"]
     assert not out.exists()
 
@@ -596,6 +609,33 @@ def test_random_data_that_overflow_exit_2_naming_initial_s(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config,flags,want", [
+    ("simulate", {"seed": -1, "simulate": {"initial": {"kind": "random"}}}, [], "seed = -1"),
+    ("simulate", {"simulate": {"initial": {"kind": "random", "seed": -3}}}, [],
+     "simulate.initial.seed = -3"),
+    ("split", {"split": {"cutoffs": [4.0, 8.0]}}, ["--seed", "-1"], "--seed = -1"),
+])
+def test_a_negative_seed_of_random_data_exits_2_naming_its_key(tmp_path, capsys, command, config,
+                                                                 flags, want):
+    # numpy's default_rng refused it: "configuration error: expected non-negative
+    # integer", which named no key
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 0.01}, **config})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: {want} is negative; random data need a seed >= 0"]
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_accepted_where_no_random_data_are_drawn(tmp_path):
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 0.01},
+                                   "simulate": {"T": 0.02}, "seed": -1})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "-2",
+                 "--quiet"]) == EXIT_OK
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_monitored_s_whose_weights_overflow_exits_2(tmp_path, capsys):
     # (1 + xi^2)^400 overflows at n = 64: simulate wrote a run.csv of its header
@@ -678,28 +718,49 @@ def test_random_data_whose_first_record_overflows_exit_2_naming_the_amplitude(
 
 
 @pytest.mark.parametrize("case", ["config directory", "initial.path directory",
-                                  "one-column snapshot", "one-row snapshot"])
+                                  "one-column snapshot", "one-row snapshot", "nan snapshot",
+                                  "abc snapshot"])
 def test_an_input_that_is_not_a_file_of_the_grid_exits_2(tmp_path, capsys, case):
     # the directories ended in IsADirectoryError tracebacks and the one column in
-    # an IndexError, exit 1; one row exited 2 saying "snapshot has 2 rows"
+    # an IndexError, exit 1; one row exited 2 saying "snapshot has 2 rows"; a nan
+    # cell and an abc cell exited 2 with Field's or numpy's text, naming no key
     snap = tmp_path / "snap.csv"
-    snap.write_text("x\n" + "0.5\n" * 64 if case == "one-column snapshot" else "x,eta\n0,0.5\n")
+    snap.write_text({"one-column snapshot": "x\n" + "0.5\n" * 64,
+                     "nan snapshot": "x,eta\n" + "0,0.5\n" * 20 + "0,nan\n" + "0,0.5\n" * 43,
+                     "abc snapshot": "x,eta\n0,0.5\n0,abc\n" + "0,0.5\n" * 62,
+                     }.get(case, "x,eta\n0,0.5\n"))
     path = str(tmp_path) if case == "initial.path directory" else str(snap)
     cfg = str(tmp_path) if case == "config directory" else _write_config(tmp_path, {
         "grid": {"n": 64}, "simulate": {"T": 0.01, "initial": {"kind": "file", "path": path}}})
     want = {
         "config directory": f"config file not found: {tmp_path}",
-        "initial.path directory": f"initial data file not found: {tmp_path}",
-        "one-column snapshot": "snapshot has 64 rows of 1 columns, grid has 64: "
-                               "it needs 64 rows of x and eta",
-        "one-row snapshot": "snapshot has 1 rows of 2 columns, grid has 64: "
-                            "it needs 64 rows of x and eta",
+        "initial.path directory": "simulate.initial.path cannot be read: "
+                                  f"[Errno 21] Is a directory: '{tmp_path}'",
+        "one-column snapshot": "simulate.initial.path has 64 rows of 1 columns, grid has 64: "
+                               "it needs 64 rows of x and finite eta",
+        "one-row snapshot": "simulate.initial.path has 1 rows of 2 columns, grid has 64: "
+                            "it needs 64 rows of x and finite eta",
+        "nan snapshot": "simulate.initial.path has 64 rows of 2 columns, grid has 64: "
+                        "it needs 64 rows of x and finite eta",
+        "abc snapshot": "simulate.initial.path cannot be read: could not convert string "
+                        "'abc' to float64 at row 1, column 2.",
     }[case]
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"configuration error: {want}"]
+    assert not out.exists()
+
+
+def test_a_file_kind_without_a_path_exits_2_in_one_line_naming_initial_path(tmp_path, capsys):
+    # numpy's refusal of a path of None is two lines long; the report is one
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "simulate": {"initial": {"kind": "file"}}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "configuration error: simulate.initial.path cannot be read: ")
     assert not out.exists()
 
 
@@ -719,8 +780,8 @@ def test_a_snapshot_of_its_header_alone_exits_2_in_one_stderr_line(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "configuration error: snapshot has 0 rows of 1 columns, grid has 64: "
-        "it needs 64 rows of x and eta"]
+        "configuration error: simulate.initial.path has 0 rows of 1 columns, grid has 64: "
+        "it needs 64 rows of x and finite eta"]
     assert not (tmp_path / "out").exists()
 
 
@@ -821,6 +882,18 @@ def test_a_sweep_whose_slopes_are_not_finite_exits_3_writing_nothing(tmp_path, c
         "numerical failure: the sweep's residual slopes (nan, nan) are not finite; "
         "nothing written"]
     assert not out.exists()
+
+
+def test_a_value_error_that_is_no_parameter_error_is_a_defect_not_exit_2(tmp_path,
+                                                                          monkeypatch):
+    # every ValueError was exit 2, so numpy's own refusals read as configuration errors
+    def run(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli, "run_simulation", run)
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "simulate": {"T": 0.01}})
+    with pytest.raises(ValueError, match="^injected$"):
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ line, since a process prints it there.
 A draw whose config resolves runs only if its work, grid points times
 steps (times rows, windows or iterations), is at most ``WORK``, so no example
 runs long; a draw the program refuses before it allocates counts as no work.
+
+Exit 2 is a ``ParameterError`` and nothing else: each library refusal that a
+config can reach raises one, named for the parameter it refuses, which
+``cli.main`` maps to the config key.  Any other exception escapes ``cli.main``.
 """
 
 import contextlib
@@ -18,11 +22,18 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbm5 import cli
-from bbm5.evolution import MAX_STEPS
+from bbm5.coefficients import ModelParameters, ParameterError, derive_bbm5
+from bbm5.derivation import epsilon_sweep
+from bbm5.evolution import (MAX_STEPS, RhsSpec, StepperConfig, _time_lattice, duhamel_picard,
+                            run_simulation, sech_squared)
+from bbm5.spectral import Grid, read_snapshot_csv
+from bbm5.splitting import SplitConfig, iterate, n_sweep
 
 WORK = 1e6
 
@@ -182,7 +193,63 @@ def _with(command, **sections):
 @example(_with("split", split={"initial": {"amplitude": 1e300}}))
 # width**2 past a float's range: an OverflowError in gaussian_bump
 @example(_with("simulate", simulate={"initial": {"kind": "gaussian", "width": 1e300}}))
+# numpy's default_rng refused a negative seed, naming no key
+@example(("split", {**BASE["split"], "seed": -1}))
+@example(_with("picard", picard={"initial": {"seed": -1}}))
 def test_every_generated_config_keeps_the_exit_contract(draw):
     command, doc = draw
     assume(work(command, doc) <= WORK)
     check(command, doc)
+
+
+_GRID = Grid(n=64, length=6.0)
+_MODEL = ModelParameters(theta=(2.0 / 3.0) ** 0.5, lam=1.0, mu=0.0, lam1=1.0, mu1=-6.0)
+_SPEC = RhsSpec(derive_bbm5(_MODEL))
+_PULSE = sech_squared(_GRID, 0.1, 1.0)
+
+
+def _snapshot(root, body):
+    path = os.path.join(root, "snap.csv")
+    with open(path, "w") as fh:
+        fh.write("x,eta\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda tmp: ModelParameters(1.5, 1.0, 0.0, 1.0, -6.0), "theta"),
+    (lambda tmp: ModelParameters(0.5, math.nan, 0.0, 1.0, -6.0), "lam"),
+    (lambda tmp: _time_lattice(0.0, 0.01), "T"),
+    (lambda tmp: _time_lattice(0.1, -0.01), "dt"),
+    (lambda tmp: _time_lattice(1e12, 1e-3), "T"),
+    (lambda tmp: StepperConfig(scheme="euler"), "scheme"),
+    (lambda tmp: StepperConfig(dt=0.0), "dt"),
+    (lambda tmp: StepperConfig(picard_tol=0.0), "picard_tol"),
+    (lambda tmp: StepperConfig(picard_max_iter=0), "picard_max_iter"),
+    (lambda tmp: StepperConfig(contraction_constant_cs=0.0), "cs"),
+    (lambda tmp: run_simulation(_PULSE, _SPEC, StepperConfig(dt=0.01), 0.1, record_every=0),
+     "record_every"),
+    (lambda tmp: duhamel_picard(_PULSE, _SPEC, StepperConfig(dt=1e-5), 10.0), "T"),  # nodes
+    (lambda tmp: duhamel_picard(_PULSE, _SPEC, StepperConfig(dt=0.01), 50.0), "T"),  # T_bar
+    (lambda tmp: Grid(n=7, length=1.0), "n"),
+    (lambda tmp: Grid(n=64, length=0.0), "length"),
+    (lambda tmp: SplitConfig(cutoff=0.0, s=1.5), "cutoff"),
+    (lambda tmp: SplitConfig(cutoff=4.0, s=1.5, t0_scale=0.0), "t0_scale"),
+    (lambda tmp: SplitConfig(cutoff=5e-324, s=1.5).t0(0.01), "cutoff"),
+    (lambda tmp: iterate(_PULSE, SplitConfig(cutoff=4.0, s=1.5),
+                         RhsSpec(derive_bbm5(ModelParameters(0.9, 1.0, 0.0, 1.0, -6.0))),
+                         StepperConfig(dt=0.01)), "gamma"),
+    (lambda tmp: n_sweep(_PULSE, 1.5, (4.0, 4.0), spec=_SPEC), "cutoffs"),
+    (lambda tmp: n_sweep(_PULSE, 1.5, (4.0, 16.0), spec=_SPEC), "cutoffs"),
+    (lambda tmp: epsilon_sweep(_GRID, _MODEL, (0.1, 0.05), n_checkpoints=0), "n_checkpoints"),
+    (lambda tmp: epsilon_sweep(_GRID, _MODEL, (0.1, 0.1)), "epsilons"),
+    (lambda tmp: read_snapshot_csv(_GRID, os.path.join(tmp, "none.csv")), "path"),
+    (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,0.5\n" * 63)), "path"),
+    (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,nan\n" * 64)), "path"),
+    (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,abc\n" * 64)), "path"),
+])
+def test_each_refusal_a_config_reaches_is_a_parameter_error_naming_its_parameter(tmp_path, call,
+                                                                                  name):
+    # each was a plain ValueError, which cli.main no longer reports as exit 2
+    with np.errstate(all="ignore"), pytest.raises(ParameterError) as caught:
+        call(str(tmp_path))
+    assert caught.value.name == name and name in str(caught.value)
