@@ -158,10 +158,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -174,26 +174,20 @@ def _load_config(path: str | None) -> dict:
 
 
 class _Setup:
-    """A resolved config and the seed, model parameters and coefficients of
-    every command.  The grid and the stepper are built when a command first
-    asks, so coeffs and multiplier-table accept any grid and stepper section.
-    """
+    """A resolved config, its command's section ``sec``, and the seed, model parameters and
+    coefficients of every command.  The grid and the stepper are built when a command first
+    asks, so coeffs and multiplier-table accept any grid and stepper section."""
 
-    def __init__(self, config: dict, seed: int | None):
-        self.config = config
+    def __init__(self, config: dict, seed: int | None, section: str):
+        self.config, self.section, self.sec = config, section, config[section]
         self.seed, self.seed_key = (config["seed"], "seed") if seed is None else (seed, "--seed")
-        section = config["coeffs"]
-        p = ModelParameters(**{k: section[k] for k in _PARAMETERS})
-        if section["rho_auto"]:
+        coeffs = config["coeffs"]
+        p = ModelParameters(**{k: coeffs[k] for k in _PARAMETERS})
+        if coeffs["rho_auto"]:
             rho = coef.rho_for_energy_conservation(coef.derive_first_order(p))
             p = dataclasses.replace(p, rho=float(rho))
         self.params = p
         self.coeffs = coef.derive_bbm5(p)
-        for name, value in dataclasses.asdict(self.coeffs).items():
-            if not math.isfinite(value):  # overflow: blame the largest parameter
-                key = max(_PARAMETERS, key=lambda k: abs(getattr(p, k)))
-                raise ConfigError(f"coeffs.{key} = {getattr(p, key)!r} makes the derived "
-                                  f"coefficient {name} non-finite ({value})")
 
     @functools.cached_property
     def grid(self) -> Grid:
@@ -213,39 +207,43 @@ class _Setup:
                              picard_max_iter=st["picard_max_iter"],
                              contraction_constant_cs=st["cs"], sobolev_s=st["sobolev_s"])
 
-    def initial(self, section: str, s: float = 1.0) -> Field:
-        """The section's initial data; s is the H^s index of random data
-        whose ``initial.s`` is not set."""
-        init, grid = self.config[section]["initial"], self.grid
+    def initial(self) -> Field:
+        """The section's initial data, of H^s index ``initial.s``, else the section's s, else 1;
+        a refusal names the keys of the data that are set before the section's."""
+        init, grid = self.sec["initial"], self.grid
         kind, amp, width = init["kind"], init["amplitude"], init["width"]
-        if kind == "sech2":
-            return sech_squared(grid, amp, width, init["center"])
-        if kind == "gaussian":
-            return gaussian_bump(grid, amp, width, init["center"])
-        if kind == "random":
-            from .symbols import random_hs_field
+        try:
+            if kind == "sech2":
+                return sech_squared(grid, amp, width, init["center"])
+            if kind == "gaussian":
+                return gaussian_bump(grid, amp, width, init["center"])
+            if kind == "random":
+                from .symbols import random_hs_field
 
-            seed, key = ((self.seed, self.seed_key) if init["seed"] is None
-                         else (init["seed"], f"{section}.initial.seed"))
-            if seed < 0:  # numpy refuses it, naming no key
-                raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
-            rng = np.random.default_rng(seed)
-            return random_hs_field(grid, s if init["s"] is None else init["s"], rng, amp)
-        if kind == "cosine":
-            k = init["mode"]
-            return Field.from_samples(grid, amp * np.cos(2.0 * np.pi * k * grid.x / grid.length))
-        if kind == "zero":
-            return Field.zero(grid)
-        if kind == "file":
-            return read_snapshot_csv(grid, init["path"])
+                seed, key = ((self.seed, self.seed_key) if init["seed"] is None
+                             else (init["seed"], f"{self.section}.initial.seed"))
+                if seed < 0:  # numpy refuses it, naming no key
+                    raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
+                s = self.sec.get("s", 1.0) if init["s"] is None else init["s"]
+                return random_hs_field(grid, s, np.random.default_rng(seed), amp)
+            if kind == "cosine":
+                phase = 2.0 * np.pi * init["mode"] * grid.x / grid.length
+                return Field.from_samples(grid, amp * np.cos(phase))
+            if kind == "zero":
+                return Field.zero(grid)
+            if kind == "file":
+                return read_snapshot_csv(grid, init["path"])
+        except ParameterError as exc:  # a ConfigError keeps its message: it names no parameter
+            raise ConfigError(_named(exc, self.config, self.section, init)) from None
         raise ConfigError(f"unknown initial data kind {kind!r}")
 
 
-def _named(exc: ParameterError, config: dict, section: str) -> str:
-    """exc's message, its parameter's first mention replaced by its key in _KEYS, else by the
-    key of that name in the first of the section's initial data, section, grid, stepper, coeffs."""
+def _named(exc: ParameterError, config: dict, section: str, initial: dict) -> str:
+    """exc's message, its parameter's first mention replaced by its key in _KEYS, else in the first
+    of initial (the data drawn: keys set, or no other table's), section, grid, stepper, coeffs."""
     keys = {k: f"{w}.{k}" for w in ("coeffs", "stepper", "grid", section) for k in config[w]}
-    keys.update((k, f"{section}.initial.{k}") for k in config[section].get("initial", ()))
+    keys.update((k, f"{section}.initial.{k}") for k, v in initial.items()
+                if v is not None or k not in keys)
     key = _KEYS.get((section, exc.name)) or _KEYS.get(exc.name) or keys.get(exc.name, exc.name)
     if exc.name == "eta0":  # the key that sets the size of the data, with its value
         key = "path" if config[section]["initial"]["kind"] == "file" else "amplitude"
@@ -270,7 +268,11 @@ def _coeffs_payload(run: _Setup) -> dict:
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("BBM5_OUT_DIR", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file at the path or on it, or no permission
+        key = "--out" if args.out else "BBM5_OUT_DIR"
+        raise ConfigError(f"{key} = {out!r} cannot be made a directory: {exc.strerror}") from None
     return out
 
 
@@ -298,13 +300,12 @@ def cmd_coeffs(args, run: _Setup) -> int:
     return EXIT_OK
 
 
-def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
+def _run(args, run: _Setup, write, **kwargs) -> int:
     """simulate and energy-drift: run, write the report, then report an
     abort on stderr (exit 3) or write's summary line on stdout."""
-    sec = run.config[section]
-    spec = RhsSpec(run.coeffs, dealias=sec["dealias"])
-    report = run_simulation(run.initial(section), spec, run.stepper, sec["T"],
-                            record_every=sec["record_every"], **kwargs)
+    sec = run.sec
+    report = run_simulation(run.initial(), RhsSpec(run.coeffs, dealias=sec["dealias"]),
+                            run.stepper, sec["T"], record_every=sec["record_every"], **kwargs)
     if report.aborted and report.error.step == 0:  # the initial data's own record
         raise ParameterError("eta0", "eta0 makes initial data whose energy, H^s norms or "
                              "predicted drift overflow")
@@ -317,7 +318,7 @@ def _run(args, run: _Setup, section: str, write, **kwargs) -> int:
 
 
 def cmd_simulate(args, run: _Setup) -> int:
-    sec = run.config["simulate"]
+    sec = run.sec
 
     def write(report, out: str) -> str:
         report.write_csv(os.path.join(out, "run.csv"))
@@ -333,7 +334,7 @@ def cmd_simulate(args, run: _Setup) -> int:
         rel = drift / report.energy[0] if report.energy[0] > 0 else 0.0
         return f"simulate: T={sec['T']} relative energy drift {rel:.3e}"
 
-    return _run(args, run, "simulate", write, monitor_s=sec["monitor_s"])
+    return _run(args, run, write, monitor_s=sec["monitor_s"])
 
 
 def cmd_energy_drift(args, run: _Setup) -> int:
@@ -343,17 +344,14 @@ def cmd_energy_drift(args, run: _Setup) -> int:
                   zip(report.times, report.energy, report.drift_predicted, report.drift_residual))
         return f"energy-drift: {len(report.times)} rows written"
 
-    return _run(args, run, "energy_drift", write, monitor_s=())  # the CSV has no H^s column
+    return _run(args, run, write, monitor_s=())  # the CSV has no H^s column
 
 
 def cmd_split(args, run: _Setup) -> int:
     from .splitting import n_sweep, write_sweep_csv
 
-    sec = run.config["split"]
-    s = sec["s"]
-    if not (1.0 <= s < 2.0):
-        raise ConfigError(f"split.s must lie in [1, 2), got {s}")
-    sweep = n_sweep(run.initial("split", s), s, sec["cutoffs"], spec=RhsSpec(run.coeffs),
+    sec = run.sec
+    sweep = n_sweep(run.initial(), sec["s"], sec["cutoffs"], spec=RhsSpec(run.coeffs),
                     stepper=run.stepper, t0_scale=sec["t0_scale"])
     out = _out_dir(args)
     write_sweep_csv(sweep, os.path.join(out, "split_sweep.csv"))
@@ -367,7 +365,7 @@ def cmd_split(args, run: _Setup) -> int:
 def cmd_multiplier_table(args, run: _Setup) -> int:
     from .symbols import eval_symbol
 
-    sec = run.config["multiplier_table"]
+    sec = run.sec
     if sec["count"] < 1:
         raise ConfigError(f"multiplier_table.count must be at least 1, got {sec['count']}")
     if sec["count"] > MAX_STEPS:  # six columns of 8-byte numbers a row, held at once
@@ -385,8 +383,7 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
 
 def cmd_picard(args, run: _Setup) -> int:
     try:
-        traj, diag = duhamel_picard(run.initial("picard"), RhsSpec(run.coeffs), run.stepper,
-                                    run.config["picard"]["T"])
+        traj, diag = duhamel_picard(run.initial(), RhsSpec(run.coeffs), run.stepper, run.sec["T"])
     except PicardDivergenceError as exc:
         _write_picard_csv(args, exc.diagnostics)
         _say(args, str(exc), sys.stderr)
@@ -406,7 +403,7 @@ def _write_picard_csv(args, diag) -> None:
 def cmd_derivation_residual(args, run: _Setup) -> int:
     from .derivation import epsilon_sweep, write_sweep_csv
 
-    sec = run.config["derivation"]
+    sec = run.sec
     sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"],
                           t_final=sec["t_final"], dt=sec["dt"],
                           n_checkpoints=sec["checkpoints"])
@@ -425,8 +422,13 @@ def cmd_derivation_residual(args, run: _Setup) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a flag that does not parse: one line and exit 2, not usage
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bbm5",
         description="Spectral experiments for the fifth-order BBM-type equation",
     )
@@ -456,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    section = args.command.replace("-", "_").removesuffix("_residual")  # the config section
     try:
+        args = build_parser().parse_args(argv)
+        section = args.command.replace("-", "_").removesuffix("_residual")  # the config section
         config = _resolve(_load_config(args.config), _SCHEMA,
                           _COMMAND_DEFAULTS.get(args.command, {}))
         if args.command == "coeffs":
@@ -467,9 +469,9 @@ def main(argv=None) -> int:
                           if getattr(args, k) is not None)
             coeffs["rho_auto"] = coeffs["rho_auto"] or args.rho_auto
         with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
-            return args.handler(args, _Setup(config, args.seed))
+            return args.handler(args, _Setup(config, args.seed, section))
     except ParameterError as exc:
-        exc = exc if isinstance(exc, ConfigError) else _named(exc, config, section)
+        exc = exc if isinstance(exc, ConfigError) else _named(exc, config, section, {})
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

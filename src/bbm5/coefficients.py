@@ -152,14 +152,14 @@ def derive_bbm5(p: ModelParameters) -> Bbm5Coefficients:
     """Coefficients of the fifth-order one-way model.
 
     Composes the first- and second-order constants with the auxiliary
-    parameter rho.
+    parameter rho; refuses finite parameters whose products overflow.
     """
     f = derive_first_order(p)
     s = derive_second_order(p)
     rho = p.rho
     a, b, c, d = f.a, f.b, f.c, f.d
     sixth = Fraction(1, 6)
-    return Bbm5Coefficients(
+    out = Bbm5Coefficients(
         gamma1=_HALF * (b + d - rho),
         gamma2=_HALF * (a + c + rho),
         delta1=_QUARTER
@@ -168,6 +168,12 @@ def derive_bbm5(p: ModelParameters) -> Bbm5Coefficients:
         * (2 * (s.a1 + s.c1) - (c - a + rho) * (sixth - a) + _THIRD * rho),
         gamma=Fraction(1, 24) * (5 - 9 * (b + d) + 9 * rho),
     )
+    for name, value in vars(out).items():
+        if not _is_finite(value):
+            key, big = max(vars(p).items(), key=lambda item: abs(item[1]))
+            raise ParameterError(key, f"{key} = {big!r} makes the derived coefficient "
+                                 f"{name} non-finite ({value})")
+    return out
 
 
 def rho_for_energy_conservation(abcd: AbcdFirst) -> float:

@@ -75,7 +75,7 @@ class SplitConfig:
         if not self.cutoff > 0:
             raise ParameterError("cutoff", f"cutoff N must be positive, got {self.cutoff}")
         if not (1.0 <= self.s < 2.0):
-            raise ValueError(f"s must lie in [1, 2), got {self.s}")
+            raise ParameterError("s", f"s must lie in [1, 2), got {self.s}")
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
         if not 0.0 < self.t0_scale < np.inf:

@@ -65,8 +65,35 @@ def test_coeffs_refuses_non_finite_derived_coefficients(tmp_path, capsys, out):
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "coeffs.lam" in captured.err
+    assert captured.err.splitlines() == [
+        "configuration error: coeffs.lam = 1e+200 makes the derived coefficient delta1 "
+        "non-finite (-inf)"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["coeffs", "--theta=abc"], "argument --theta: invalid float value: 'abc'"),
+    (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["coeffs", "--theta", "-1e+300"], "argument --theta: expected one argument"),
+    (["coeffs", "--rho-auto=1"], "argument --rho-auto: ignored explicit argument '1'"),
+    (["simulate", "--theta=0.5"], "unrecognized arguments: --theta=0.5"),
+    (["solve"], "argument command: invalid choice: 'solve' (choose from 'coeffs', 'simulate', "
+                "'split', 'multiplier-table', 'energy-drift', 'picard', 'derivation-residual')"),
+    ([], "the following arguments are required: command"),
+], ids=["float", "int", "no-value", "flag-value", "flag", "command", "no-command"])
+def test_a_command_line_that_does_not_parse_exits_2_in_one_line(capsys, argv, want):
+    # argparse printed three or four lines of usage and raised SystemExit(2) out of main
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {want}"]
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bbm5 coeffs [-h]")
 
 
 def test_coeffs_rho_auto(tmp_path):
@@ -104,6 +131,23 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text,why", [
+    # a UnicodeDecodeError traceback, exit 1
+    (b"\xff\xfe{\x00}\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid "
+                            "start byte"),
+    # a RecursionError traceback, exit 1
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded while decoding a JSON "
+                                      "array from a unicode string"),
+], ids=["utf-16", "deep"])
+def test_a_config_whose_bytes_do_not_decode_exits_2_in_one_line(tmp_path, capsys, text, why):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["coeffs", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: config is not valid JSON: {why}"]
 
 
 def test_wrong_type_exits_2(tmp_path):
@@ -246,9 +290,16 @@ def test_write_meta_leaves_no_file_for_a_payload_it_cannot_write(tmp_path):
 
 
 def test_split_s_out_of_range_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"split": {"s": 2.5}})
-    assert main(["split", "--config", cfg]) == EXIT_CONFIG
-    assert "2.5" in capsys.readouterr().err
+    # SplitConfig refuses it; initial.s, when set, is the index of the data alone
+    for initial in ({}, {"s": 1.5}):
+        cfg = _write_config(tmp_path, {"split": {"s": 2.5, "initial": initial}})
+        out = tmp_path / "out"
+        assert main(["split", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "configuration error: split.s must lie in [1, 2), got 2.5"]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +477,8 @@ def test_energy_drift_csv_does_not_depend_on_the_hs_norms(tmp_path, monkeypatch)
                  "--quiet"]) == EXIT_OK
     assert calls == []
     monkeypatch.undo()
-    run = cli._Setup(cli._resolve(DRIFT_CONFIG, cli._SCHEMA, {}), 17)
-    report = run_simulation(run.initial("energy_drift"), RhsSpec(run.coeffs), run.stepper, 0.1)
+    run = cli._Setup(cli._resolve(DRIFT_CONFIG, cli._SCHEMA, {}), 17, "energy_drift")
+    report = run_simulation(run.initial(), RhsSpec(run.coeffs), run.stepper, 0.1)
     assert set(report.hs_norms) == {0.0, 1.0, 2.0}
     rows = zip(report.times, report.energy, report.drift_predicted, report.drift_residual)
     want = "t,E,dEdt_predicted,drift_resid\n" + "".join(
@@ -928,6 +979,29 @@ def test_out_flag_overrides_env(tmp_path, monkeypatch):
     assert main(["multiplier-table", "--out", str(out), "--quiet"]) == EXIT_OK
     assert (out / "multiplier_table.csv").exists()
     assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("command", ["coeffs", "simulate", "multiplier-table"])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_that_cannot_be_a_directory_exits_2_naming_out(tmp_path, capsys, command, under):
+    # a FileExistsError or NotADirectoryError traceback, exit 1
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 0.01},
+                                   "simulate": {"T": 0.02}})
+    out = os.path.join(cfg, "out") if under else cfg
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == EXIT_CONFIG
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --out = {out!r} cannot be made a directory: {reason}"]
+
+
+def test_an_out_dir_env_var_that_names_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "file"
+    path.write_text("")
+    monkeypatch.setenv("BBM5_OUT_DIR", str(path))
+    assert main(["multiplier-table", "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: BBM5_OUT_DIR = {str(path)!r} cannot be made a directory: "
+        "File exists"]
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):

@@ -18,6 +18,7 @@ from bbm5.coefficients import (
     Bbm5Coefficients,
     GAMMA_CONSERVING,
     ModelParameters,
+    ParameterError,
     RegimeError,
     derive_bbm5,
     derive_first_order,
@@ -287,3 +288,13 @@ def test_theta_out_of_range_rejected():
 def test_non_finite_parameter_rejected():
     with pytest.raises(ValueError, match="finite"):
         ModelParameters(theta=0.5, lam=math.nan, mu=0.0, lam1=0.0, mu1=0.0)
+
+
+def test_finite_parameters_whose_coefficients_overflow_are_refused_naming_the_largest():
+    # lam = 1e300 is finite, but delta1 and delta2 overflow; the CLI refused it, and a
+    # library caller got infinite coefficients
+    p = ModelParameters(theta=0.5, lam=1e300, mu=0.0, lam1=1.0, mu1=-6.0)
+    with pytest.raises(ParameterError, match=r"^lam = 1e\+300 makes the derived coefficient "
+                                             r"delta1 non-finite \(-inf\)$") as exc:
+        derive_bbm5(p)
+    assert exc.value.name == "lam"

@@ -1,8 +1,11 @@
 """The exit contract under generated configs: any command with one to three
-keys of ``cli._SCHEMA`` set to an adversarial value or to the key's default
-exits 0, 2 or 3 and raises nothing; an exit 2 or 3 prints one stderr line,
-and an exit 2 leaves no ``--out`` directory.  A warning counts as a stderr
-line, since a process prints it there.
+keys of ``cli._SCHEMA`` set to an adversarial value or to the key's default,
+up to two of its flags (``--seed``, and coeffs' parameter flags and
+``--rho-auto``) given an adversarial value, and an ``--out`` that is a
+directory to make, a file or a path under a file, exits 0, 2 or 3 and raises
+nothing; an exit 2 or 3 prints one stderr line, and an exit 2 leaves no
+``--out`` directory.  A warning counts as a stderr line, since a process
+prints it there.
 
 A draw whose config resolves runs only if its work, grid points times
 steps (times rows, windows or iterations), is at most ``WORK``, so no example
@@ -64,6 +67,9 @@ def _leaves(table, path=()):
 
 
 KEYS = dict(_leaves(cli._SCHEMA))
+FLAGS = {command: ["--seed"] for command in BASE}
+FLAGS["coeffs"] += [f"--{key}" for key in cli._PARAMETERS] + ["--rho-auto"]
+OUTS = ("a directory to make", "a file", "under a file")
 
 
 def default(command, path):
@@ -91,7 +97,11 @@ def draws(draw):
         if KEYS[path][0] is list:
             values |= st.lists(st.sampled_from(NUMBERS), max_size=3)
         set_key(doc, path, draw(values))
-    return command, doc
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=2, unique=True)):
+        value = str(draw(st.sampled_from(ADVERSARIAL)))
+        flags += draw(st.sampled_from([[f"{flag}={value}"], [flag, value], [flag]]))
+    return command, doc, flags, draw(st.just(OUTS[0]) | st.sampled_from(OUTS))  # 2/3 a directory
 
 
 def _steps(T, dt):
@@ -101,6 +111,8 @@ def _steps(T, dt):
 
 
 def work(command, doc):
+    if isinstance(doc, bytes):  # a config file that does not parse
+        return 0.0
     try:
         config = cli._resolve(doc, cli._SCHEMA, cli._COMMAND_DEFAULTS.get(command, {}))
     except cli.ConfigError:
@@ -133,23 +145,27 @@ def work(command, doc):
     return n * len(sec["epsilons"]) * max(legs, legs * _steps(sec["t_final"] / legs, sec["dt"]))
 
 
-def _run(command, doc):
+def _run(command, doc, flags, out):
+    """Run command on the config doc (bytes: the file's content) with flags, its --out one of
+    OUTS: the config file itself is the file."""
     with tempfile.TemporaryDirectory() as root:
-        path, out = os.path.join(root, "config.json"), os.path.join(root, "out")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        path = os.path.join(root, "config.json")
+        out = {OUTS[0]: os.path.join(root, "out"), OUTS[1]: path,
+               OUTS[2]: os.path.join(path, "out")}[out]
+        with open(path, "wb") as fh:
+            fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         err = io.StringIO()
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
             warnings.simplefilter("always")
-            code = cli.main([command, "--config", path, "--out", out])
+            code = cli.main([command, "--config", path, "--out", out, *flags])
         lines = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-        return code, lines + err.getvalue(), os.path.exists(out)
+        return code, lines + err.getvalue(), os.path.isdir(out)
 
 
-def check(command, doc):
+def check(command, doc, flags=(), out=OUTS[0]):
     """Run one config and assert the exit contract."""
-    code, err, made_out = _run(command, doc)
+    code, err, made_out = _run(command, doc, flags, out)
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC), (code, err)
     if code != cli.EXIT_OK:
         assert err.count("\n") == 1 and err.endswith("\n"), err
@@ -157,8 +173,8 @@ def check(command, doc):
         assert not made_out
 
 
-def _with(command, **sections):
-    """BASE[command] with the given sections' keys set."""
+def _with(command, flags=(), out=OUTS[0], **sections):
+    """A draw: BASE[command] with the given sections' keys set, the flags and the --out."""
     doc = copy.deepcopy(BASE[command])
     for name, keys in sections.items():
         for key, value in keys.items():
@@ -166,13 +182,13 @@ def _with(command, **sections):
                 doc.setdefault(name, {}).setdefault(key, {}).update(value)
             else:
                 doc.setdefault(name, {})[key] = value
-    return command, doc
+    return command, doc, list(flags), out
 
 
 @settings(max_examples=150, derandomize=True, database=None)
 @given(draws())
 # ill-posed coefficients: multiplier-table made its --out directory before it refused them
-@example(("multiplier-table", {"multiplier_table": {"count": 5}, "coeffs": {"mu1": 1}}))
+@example(_with("multiplier-table", coeffs={"mu1": 1}))
 # 8*cs*r0*(1 + r0) underflowed to 0: a ZeroDivisionError in local_existence_time
 @example(_with("picard", stepper={"cs": 5e-324}))
 # the residuals underflow to 0: a ZeroDivisionError in the CSV writer, after the directory
@@ -194,12 +210,23 @@ def _with(command, **sections):
 # width**2 past a float's range: an OverflowError in gaussian_bump
 @example(_with("simulate", simulate={"initial": {"kind": "gaussian", "width": 1e300}}))
 # numpy's default_rng refused a negative seed, naming no key
-@example(("split", {**BASE["split"], "seed": -1}))
+@example(("split", {**BASE["split"], "seed": -1}, [], OUTS[0]))
 @example(_with("picard", picard={"initial": {"seed": -1}}))
+# argparse printed its usage and raised SystemExit(2) out of cli.main
+@example(_with("coeffs", flags=["--theta=abc"]))
+@example(_with("simulate", flags=["--seed", "abc"]))
+@example(_with("coeffs", flags=["--theta", "-1e+300"]))
+@example(_with("split", flags=["--lam=1"]))
+# a config that is not UTF-8: a UnicodeDecodeError
+@example(("coeffs", b"\xff\xfe{}", [], OUTS[0]))
+# an --out that cannot be a directory: a FileExistsError or NotADirectoryError
+@example(_with("coeffs", out=OUTS[1]))
+@example(_with("simulate", out=OUTS[2]))
+@example(_with("multiplier-table", out=OUTS[1]))
 def test_every_generated_config_keeps_the_exit_contract(draw):
-    command, doc = draw
+    command, doc, flags, out = draw
     assume(work(command, doc) <= WORK)
-    check(command, doc)
+    check(command, doc, flags, out)
 
 
 _GRID = Grid(n=64, length=6.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bbm5 import evolution, splitting
-from bbm5.coefficients import Bbm5Coefficients, REFERENCE_COEFFICIENTS
+from bbm5.coefficients import Bbm5Coefficients, ParameterError, REFERENCE_COEFFICIENTS
 from bbm5.evolution import NumericalError, RhsSpec, StepperConfig, _linear_fit, run_simulation
 from bbm5.spectral import Field, Grid, sobolev_norm
 from bbm5.splitting import (
@@ -88,6 +88,14 @@ def test_config_validation():
     # 5e-324 ** -1 raised OverflowError, a traceback from the CLI
     with pytest.raises(ValueError, match=r"^cutoff N = 5e-324 makes N\^\(-2\*\(2-s\)\) overflow"):
         SplitConfig(cutoff=5e-324, s=1.5).t0(0.01)
+
+
+@pytest.mark.parametrize("s", [2.5, 0.5])
+def test_an_index_outside_one_to_two_is_a_parameter_error_naming_s(s):
+    # a plain ValueError, which the CLI checked again before the sweep to name split.s
+    with pytest.raises(ParameterError, match=rf"^s must lie in \[1, 2\), got {s}$") as exc:
+        SplitConfig(cutoff=8.0, s=s)
+    assert exc.value.name == "s"
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
