@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
 import os
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -266,10 +269,21 @@ def _coeffs_payload(run: _Setup) -> dict:
     }
 
 
-def _out_dir(args) -> str:
+def _out_dir(args, make: bool = True) -> str:
+    """The output directory, made if make.  Refused, naming its key, unless the
+    nearest existing path on it, the directory itself or an ancestor, is a
+    writable directory; the check alone makes nothing."""
     out = args.out or os.environ.get("BBM5_OUT_DIR", ".")
-    try:
-        os.makedirs(out, exist_ok=True)
+    path = pathlib.Path(out)
+    have = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    try:  # the check raises the OSError that makedirs or the first write would
+        if not have.is_dir():
+            code = errno.EEXIST if have == path else errno.ENOTDIR
+            raise OSError(code, os.strerror(code))
+        if not os.access(have, os.W_OK | os.X_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        if make:
+            os.makedirs(out, exist_ok=True)
     except OSError as exc:  # a file at the path or on it, or no permission
         key = "--out" if args.out else "BBM5_OUT_DIR"
         raise ConfigError(f"{key} = {out!r} cannot be made a directory: {exc.strerror}") from None
@@ -423,6 +437,12 @@ def cmd_derivation_residual(args, run: _Setup) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses -1e-3 and -inf and reads them as options
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
     def error(self, message):  # a flag that does not parse: one line and exit 2, not usage
         raise ConfigError(message)
 
@@ -468,6 +488,8 @@ def main(argv=None) -> int:
             coeffs.update((k, getattr(args, k)) for k in _PARAMETERS
                           if getattr(args, k) is not None)
             coeffs["rho_auto"] = coeffs["rho_auto"] or args.rho_auto
+        if args.out or args.command != "coeffs":  # coeffs writes to an --out only
+            _out_dir(args, make=False)  # refused before the run, made only to write
         with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
             return args.handler(args, _Setup(config, args.seed, section))
     except ParameterError as exc:

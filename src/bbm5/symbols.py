@@ -30,7 +30,6 @@ from .spectral import (
     Field,
     Grid,
     derivative_symbol,
-    hermitian_half,
     padded_product,
     quadratic_form,
     sobolev_weights,
@@ -226,15 +225,19 @@ def _random_halves(grid: Grid, s: float, rng: np.random.Generator, shape: tuple,
                    amplitude=1.0) -> np.ndarray:
     """Half spectra of random real fields, a stack of the given shape.
 
-    Each field draws its n real parts, then its n imaginary parts; one draw
-    of the whole stack takes them from the stream in that order, field by
-    field, so it holds exactly the fields of one draw per field.
+    Each field draws its n real degrees of freedom: the real parts of the
+    modes 0..n/2, then the imaginary parts of the interior modes 1..n/2-1,
+    scaled by mag at the two real ends and by mag/sqrt(2) inside, so that
+    E|h_j|^2 = mag_j^2.  One draw of the whole stack takes them from the
+    stream field by field, so it holds exactly the fields of one draw per field.
     """
-    xi = grid.wavenumbers
-    mag = amplitude * (1.0 + xi**2) ** (-(s + 1.0) / 2.0)
-    z = rng.standard_normal((*shape, 2, grid.n))
-    # hermitian symmetrization for realness
-    return hermitian_half(mag * (z[..., 0, :] + 1j * z[..., 1, :]))
+    m = grid.n // 2
+    mag = amplitude * (1.0 + grid.half_wavenumbers**2) ** (-(s + 1.0) / 2.0)
+    mag[1:m] *= math.sqrt(0.5)
+    z = rng.standard_normal((*shape, grid.n))
+    h = (mag * z[..., : m + 1]).astype(complex)
+    h.imag[..., 1:m] = mag[1:m] * z[..., m + 1 :]
+    return h
 
 
 def random_hs_field(grid: Grid, s: float, rng: np.random.Generator, amplitude=1.0) -> Field:

@@ -71,10 +71,27 @@ def test_coeffs_refuses_non_finite_derived_coefficients(tmp_path, capsys, out):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_negative_flag_value_in_exponent_form_is_a_value(capsys):
+    # argparse took -1e-3 for an option: "argument --mu: expected one argument"
+    assert main(["coeffs", "--mu", "-1e-3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["parameters"]["mu"] == -0.001
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--theta", "-1e+300"], "coeffs.theta must lie in [0, 1], got -1e+300"),
+    (["--mu1", "-inf"], "coeffs.mu1 must be finite, got -inf"),
+], ids=["exponent", "inf"])
+def test_a_negative_flag_value_reaches_the_check_of_its_key(capsys, argv, want):
+    assert main(["coeffs", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: {want}"]
+
+
 @pytest.mark.parametrize("argv,want", [
     (["coeffs", "--theta=abc"], "argument --theta: invalid float value: 'abc'"),
     (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
-    (["coeffs", "--theta", "-1e+300"], "argument --theta: expected one argument"),
+    (["coeffs", "--theta"], "argument --theta: expected one argument"),
     (["coeffs", "--rho-auto=1"], "argument --rho-auto: ignored explicit argument '1'"),
     (["simulate", "--theta=0.5"], "unrecognized arguments: --theta=0.5"),
     (["solve"], "argument command: invalid choice: 'solve' (choose from 'coeffs', 'simulate', "
@@ -992,6 +1009,21 @@ def test_an_out_that_cannot_be_a_directory_exits_2_naming_out(tmp_path, capsys, 
     reason = "Not a directory" if under else "File exists"
     assert capsys.readouterr().err.splitlines() == [
         f"configuration error: --out = {out!r} cannot be made a directory: {reason}"]
+
+
+def test_an_out_under_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # the run went to its end and the write was refused after it
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_simulation was called")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    path = tmp_path / "file"
+    path.write_text("")
+    out = str(path / "sub")
+    assert main(["simulate", "--out", out, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --out = {out!r} cannot be made a directory: Not a directory"]
+    assert path.read_text() == ""
 
 
 def test_an_out_dir_env_var_that_names_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch):

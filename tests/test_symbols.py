@@ -223,6 +223,30 @@ def test_random_field_amplitude_scaling(grid):
     assert sobolev_norm(g, 1.0) == pytest.approx(2.5 * sobolev_norm(f, 1.0), rel=1e-12)
 
 
+def test_a_random_field_draws_its_n_real_degrees_of_freedom(grid):
+    # a real field on n points has n; the full-spectrum draw took 2n normals
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    random_hs_field(grid, 1.0, rng)
+    fresh.standard_normal(grid.n)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_random_fields_keep_each_mode_s_law(grid):
+    # E|h_j|^2 = mag_j^2, split evenly between the real and imaginary parts
+    # inside; the tolerance is five standard errors of the ends' mean, fixed
+    # before any draw
+    trials = 20_000
+    tol = 5.0 * math.sqrt(2.0 / trials)
+    rng = np.random.default_rng(8)
+    h = np.array([random_hs_field(grid, 1.0, rng).half for _ in range(trials)])
+    mag2 = (1.0 + grid.half_wavenumbers**2) ** -2.0
+    assert np.all(np.abs(np.mean(np.abs(h) ** 2, axis=0) / mag2 - 1.0) < tol)
+    inner = slice(1, grid.n // 2)
+    for part in (h.real, h.imag):
+        assert np.all(np.abs(np.mean(part[:, inner] ** 2, axis=0) / mag2[inner] - 0.5) < tol)
+    assert np.all(h[:, 0].imag == 0.0) and np.all(h[:, -1].imag == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Operator-norm scans
 # ---------------------------------------------------------------------------
