@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,12 +57,15 @@ CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid standing in for the real line."""
+    """Uniform periodic grid standing in for the real line: n points, an even
+    integer >= 4 (a Python or numpy integer), over a period of the given length."""
 
     n: int
     length: float
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ParameterError("n", f"n must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError("n", f"n must be even and >= 4, got {self.n}")
         if not 0.0 < self.length < np.inf:
@@ -220,9 +224,9 @@ _energy_weights = _half_weights(denominator)
 
 
 def spectral_derivative(f: Field, order: int) -> Field:
-    """d^order/dx^order by multiplication with (i*xi)^order."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    """d^order/dx^order, for an integer order >= 0, by multiplication with (i*xi)^order."""
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
     if order == 0:
         return f
     return Field(f.grid, half=f.half * derivative_symbol(f.grid, order))

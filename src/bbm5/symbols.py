@@ -175,8 +175,9 @@ def sup_bound(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -
     """Supremum over xi of a named quotient expression.
 
     Closed forms are used where available (|xi*psi|, omega); everything else
-    is a dense scan over [0, 1e3] with bracketed refinement.  All expressions
-    decay rationally, so the scan window dominates the supremum.
+    is a scan of the closed half-line [0, inf] with bracketed refinement.
+    Not every quotient decays: as xi -> inf, |xi*tau| and |tau|/omega tend to
+    gamma/delta1, which can be their supremum, and <xi>*xi*psi/omega to 1/delta1.
     """
     if expression not in _EXPRESSIONS:
         raise ValueError(f"unknown expression {expression!r}")
@@ -188,15 +189,15 @@ def sup_bound(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -
 
 def scan_sup(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) -> float:
     """Scan-based supremum (independent of any closed form): the maximum of
-    a fixed scan, refined by 65-point scans of the bracket around the argmax,
-    each 32 times shorter, until the bracket is shorter than refine_tol."""
+    a fixed scan of xi = tan(theta) on 60,001 points of theta in [0, pi/2],
+    which reaches xi = tan(pi/2) = 1.6e16 and so the limit at infinity,
+    refined by 65-point scans of the bracket around the argmax, each 32 times
+    shorter, until the bracket is shorter than refine_tol."""
 
     def fn(x):
         return _expression_values(expression, x, c)
 
-    xs = np.concatenate(
-        [np.linspace(0.0, 20.0, 40001), np.logspace(np.log10(20.0), 3.0, 20000)]
-    )
+    xs = np.tan(np.linspace(0.0, np.pi / 2, 60001))
     best = -np.inf
     for _ in range(64):  # a bound: at float spacing a bracket stops shrinking
         vals = fn(xs)

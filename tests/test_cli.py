@@ -358,6 +358,28 @@ def test_simulate_zero_data_all_zero_report(tmp_path):
         assert all(float(v) == 0.0 for v in row.split(",")[1:])
 
 
+def test_simulate_reproduces_the_reference_run(tmp_path):
+    # the README's reference run, a sech^2 pulse under the default (energy-conserving)
+    # coefficients, at n = 64 and T = 0.02: its run.csv holds the energy, the H^s norms
+    # and the zero mode of run_simulation on REFERENCE_COEFFICIENTS
+    initial = {"kind": "sech2", "amplitude": 0.5, "width": 1.0}
+    cfg = _write_config(tmp_path, {
+        "grid": {"n": 64, "length": 16.0 * math.pi}, "stepper": {"dt": 0.01},
+        "simulate": {"T": 0.02, "record_every": 10, "initial": initial}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+    header, *rows = (tmp_path / "run.csv").read_text().splitlines()
+    got = dict(zip(header.split(","), np.array([row.split(",") for row in rows], float).T))
+    grid = bbm5.Grid(n=64, length=16.0 * math.pi)
+    report = run_simulation(evolution.sech_squared(grid, 0.5, 1.0),
+                            RhsSpec(bbm5.REFERENCE_COEFFICIENTS), bbm5.StepperConfig(dt=0.01),
+                            0.02, record_every=10)
+    want = {"E": report.energy, "zero_mode": report.zero_mode,
+            **{f"hs{s:g}": report.hs_norms[s] for s in (0.0, 1.0, 2.0)}}
+    assert len(report.times) == len(rows) == 2
+    for name, values in want.items():
+        np.testing.assert_allclose(got[name], values, rtol=1e-12, err_msg=name)
+
+
 def test_energy_drift_predicted_column_zero_when_conserving(tmp_path):
     cfg = _write_config(tmp_path, SIM_CONFIG)
     assert main(["energy-drift", "--config", cfg, "--out", str(tmp_path),

@@ -22,7 +22,6 @@ def _run(script, args):
 
 
 @pytest.mark.parametrize("script,args", [
-    ("run_reference_simulation.py", ["--n", "64", "--T", "0.02", "--dt", "0.01"]),
     ("multiplier_norm_scan.py", ["--n", "64", "--trials", "20"]),
 ])
 def test_script_runs(script, args):

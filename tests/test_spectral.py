@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbm5 import spectral, symbols
-from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, RegimeError,
-                               denominator, derive_bbm5, reference_parameters)
+from bbm5.coefficients import (Bbm5Coefficients, ParameterError, REFERENCE_COEFFICIENTS,
+                               RegimeError, denominator, derive_bbm5, reference_parameters)
 from bbm5.spectral import (
     CACHE_SIZE,
     Field,
@@ -55,6 +55,15 @@ def _homogeneous_norm(f, s):
 def test_grid_rejects_bad_n(n):
     with pytest.raises(ValueError):
         Grid(n=n, length=1.0)
+
+
+def test_grid_refuses_a_non_integer_n_and_takes_a_numpy_integer():
+    # Grid(64.0, L) was accepted and failed at first use inside numpy, naming no parameter
+    for n in (64.0, np.float64(64.0), "64"):
+        with pytest.raises(ParameterError, match="n must be an integer") as err:
+            Grid(n=n, length=1.0)
+        assert err.value.name == "n"
+    assert Grid(n=np.int64(64), length=1.0).half_wavenumbers.shape == (33,)
 
 
 def test_grid_rejects_bad_length():
@@ -198,6 +207,13 @@ def test_derivative_of_cosines(grid):
 def test_derivative_order_zero_is_identity(grid, rng):
     f = _random_field(grid, rng)
     assert spectral_derivative(f, 0) is f
+
+
+@pytest.mark.parametrize("order", [1.5, 2.0, -1])
+def test_derivative_refuses_an_order_that_is_not_a_non_negative_integer(grid, rng, order):
+    # order 1.5 gave a complex Nyquist coefficient, which no real field has
+    with pytest.raises(ValueError, match="order must be a non-negative integer"):
+        spectral_derivative(_random_field(grid, rng), order)
 
 
 def test_fourth_derivative_against_finite_differences():

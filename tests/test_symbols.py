@@ -120,12 +120,13 @@ def test_symbol_refuses_bad_regime():
 
 
 def test_tau_bounded_by_omega(ref):
-    # |tau(xi)| <= C * omega(xi) with C = sup tau/omega
+    # |tau(xi)| <= C * omega(xi) with C = sup tau/omega, also where the quotient
+    # approaches its limit gamma/delta1: a scan that stopped at xi = 1e3 fell short
     C = sup_bound("tau_over_omega", ref)
-    xi = np.linspace(-100.0, 100.0, 4001)
+    xi = np.concatenate([np.linspace(-100.0, 100.0, 4001), np.logspace(-3.0, 8.0, 20001)])
     tau = np.abs(eval_symbol("tau", xi, ref))
     om = eval_symbol("omega", xi)
-    assert np.all(tau <= C * om + 1e-12)
+    assert np.all(tau <= C * om * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,14 @@ def test_xi_psi_closed_form_matches_scan(ref):
 def test_omega_sup(ref):
     assert sup_bound("omega", ref) == 0.5
     assert abs(scan_sup("omega", ref) - 0.5) <= 1e-10
+
+
+@pytest.mark.parametrize("expression,want", [
+    ("xi_tau", 1.5),  # gamma/delta1, its limit as xi -> inf
+    ("bracket_xi_psi_over_omega", 10.388991465009926),  # at xi = 5.62, above 1/delta1
+])
+def test_scanned_sup_bounds(ref, expression, want):
+    assert sup_bound(expression, ref) == pytest.approx(want, rel=1e-12)
 
 
 def test_psi_over_omega_scan_is_finite(ref):
