@@ -99,6 +99,7 @@ _SCHEMA = {
     "picard": {"T": (_NUM, 1.0), "initial": _INITIAL},
     "derivation": {"epsilons": (list, (0.1, 0.05, 0.025, 0.0125)), "t_final": (_NUM, 1.0),
                    "dt": (_NUM, 2e-3), "checkpoints": (int, 4)},
+    "norm_scan": {"s": (_NUM, 1.0), "trials": (int, 2000)},
     "seed": (int, 0),
 }
 
@@ -120,6 +121,7 @@ _COMMAND_DEFAULTS = {
     "split": {"grid": {"n": 1024}, "split": {"initial": {"kind": "random"}}},
     "picard": {"picard": {"initial": {"kind": "zero"}}},
     "derivation-residual": {"grid": {"n": 512, "length": 16.0 * math.pi}},
+    "norm-scan": {"grid": {"n": 128}, "seed": 1},
 }
 
 
@@ -210,6 +212,14 @@ class _Setup:
                              picard_max_iter=st["picard_max_iter"],
                              contraction_constant_cs=st["cs"], sobolev_s=st["sobolev_s"])
 
+    def random_seed(self, seed: int | None = None, key: str = "") -> int:
+        """The seed of random data: seed, set by key, else the run seed.  A negative one is
+        refused here, naming its key, which numpy's refusal would not."""
+        seed, key = (self.seed, self.seed_key) if seed is None else (seed, key)
+        if seed < 0:
+            raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
+        return seed
+
     def initial(self) -> Field:
         """The section's initial data, of H^s index ``initial.s``, else the section's s, else 1;
         a refusal names the keys of the data that are set before the section's."""
@@ -223,10 +233,7 @@ class _Setup:
             if kind == "random":
                 from .symbols import random_hs_field
 
-                seed, key = ((self.seed, self.seed_key) if init["seed"] is None
-                             else (init["seed"], f"{self.section}.initial.seed"))
-                if seed < 0:  # numpy refuses it, naming no key
-                    raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
+                seed = self.random_seed(init["seed"], f"{self.section}.initial.seed")
                 s = self.sec.get("s", 1.0) if init["s"] is None else init["s"]
                 return random_hs_field(grid, s, np.random.default_rng(seed), amp)
             if kind == "cosine":
@@ -433,6 +440,22 @@ def cmd_derivation_residual(args, run: _Setup) -> int:
     return EXIT_OK
 
 
+def cmd_norm_scan(args, run: _Setup) -> int:
+    from .symbols import empirical_operator_norm
+
+    sec, seed = run.sec, run.random_seed()
+    # the highest threshold on s first, so that an s below one is refused before any scan
+    scans = [empirical_operator_norm(name, sec["s"], sec["trials"], run.grid, run.coeffs, seed)
+             for name in ("psi_grad_bilinear", "psi_trilinear", "tau_bilinear")][::-1]
+    _write_meta(_out_dir(args), "norm_scan.json", {"s": sec["s"], "trials": sec["trials"], **{
+        scan.estimate_id: {"max_ratio": scan.max_ratio,
+                           "final_decile_growth": scan.final_decile_growth} for scan in scans}})
+    for scan in scans:
+        _say(args, f"{scan.estimate_id:18s} max ratio {scan.max_ratio:.6f}  "
+                   f"final-decile growth {scan.final_decile_growth * 100.0:.3f}%")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -461,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "energy-drift": cmd_energy_drift,
         "picard": cmd_picard,
         "derivation-residual": cmd_derivation_residual,
+        "norm-scan": cmd_norm_scan,
     }
     for name, fn in commands.items():
         sp = sub.add_parser(name)

@@ -58,7 +58,8 @@ CACHE_SIZE = 16
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid standing in for the real line: n points, an even
-    integer >= 4 (a Python or numpy integer), over a period of the given length."""
+    integer >= 4 (a Python or numpy integer), over a period of the given length, a
+    positive and finite real number."""
 
     n: int
     length: float
@@ -68,6 +69,8 @@ class Grid:
             raise ParameterError("n", f"n must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError("n", f"n must be even and >= 4, got {self.n}")
+        if not isinstance(self.length, numbers.Real) or isinstance(self.length, bool):
+            raise ParameterError("length", f"length must be a real number, got {self.length!r}")
         if not 0.0 < self.length < np.inf:
             raise ParameterError("length", f"length must be positive and finite, got {self.length}")
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .coefficients import (Bbm5Coefficients, ParameterError, denominator, multipliers,
                            require_wellposed)
+from .evolution import MAX_STEPS
 from .spectral import (
     CACHE_SIZE,
     Field,
@@ -192,21 +193,22 @@ def scan_sup(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) ->
     a fixed scan of xi = tan(theta) on 60,001 points of theta in [0, pi/2],
     which reaches xi = tan(pi/2) = 1.6e16 and so the limit at infinity,
     refined by 65-point scans of the bracket around the argmax, each 32 times
-    shorter, until the bracket is shorter than refine_tol."""
+    shorter, until the bracket is shorter than refine_tol or stops shrinking."""
 
     def fn(x):
         return _expression_values(expression, x, c)
 
     xs = np.tan(np.linspace(0.0, np.pi / 2, 60001))
-    best = -np.inf
-    for _ in range(64):  # a bound: at float spacing a bracket stops shrinking
+    best, bracket = -np.inf, None
+    for _ in range(64):  # a bound on the rounds
         vals = fn(xs)
         k = int(np.argmax(vals))
         best = max(best, vals[k])
         lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
-        if not hi - lo >= refine_tol:
+        # at float spacing the bracket stops shrinking: a round more scans the same points
+        if not hi - lo >= refine_tol or (lo, hi) == bracket:
             break
-        xs = np.linspace(lo, hi, 65)
+        bracket, xs = (lo, hi), np.linspace(lo, hi, 65)
     return float(best)
 
 
@@ -216,7 +218,7 @@ def scan_sup(expression: str, c: Bbm5Coefficients, refine_tol: float = 1e-10) ->
 
 
 #: Trials drawn and evaluated as one stack by empirical_operator_norm; the
-#: stack of one block is all a scan holds, so memory does not grow with trials.
+#: stack of one block is all a scan holds besides its running maximum.
 #: Larger blocks are no faster at n = 128 and raise the peak memory (by about
 #: 6 MB at 256).
 SCAN_BLOCK = 32
@@ -310,7 +312,8 @@ def empirical_operator_norm(
 ) -> OperatorNormScan:
     """Monte-Carlo scan of the operator-norm ratio of a multiplier estimate.
 
-    Refuses Sobolev indices below the estimate's validity threshold.  Ratios
+    Refuses Sobolev indices below the estimate's validity threshold, trials
+    outside [1, MAX_STEPS] and a negative seed, each a ParameterError.  Ratios
     are expected to plateau as trials accumulate (boundedness evidence, not a
     proof).  Trials are drawn and evaluated in stacks of at most SCAN_BLOCK;
     the result is that of drawing the fields one by one and computing each
@@ -319,12 +322,14 @@ def empirical_operator_norm(
     if estimate_id not in _ESTIMATES:
         raise ValueError(f"unknown estimate {estimate_id!r}")
     threshold = _ESTIMATES[estimate_id]["threshold"]
-    if s < threshold:
-        raise ValueError(
-            f"{estimate_id} requires s >= {threshold}, got s = {s}"
-        )
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not s >= threshold:
+        raise ParameterError("s", f"s = {s} is below the threshold: {estimate_id} requires "
+                             f"s >= {threshold}")
+    if not 1 <= trials <= MAX_STEPS:  # the running maximum takes 8 bytes a trial
+        raise ParameterError("trials", f"trials must be at least 1 and at most "
+                             f"{MAX_STEPS:.0e}, got {trials}")
+    if seed < 0:  # numpy refuses it, naming no parameter
+        raise ParameterError("seed", f"seed must be >= 0, got {seed}")
     require_wellposed(c, "operator-norm scan")
     arity = _ESTIMATES[estimate_id]["arity"]
     rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""The seven CLI runs of the output contract: acceptance 10 runs each twice and
+"""The eight CLI runs of the output contract: acceptance 10 runs each twice and
 byte-compares the two, and ``test_golden.py`` compares one run with the files
 kept under ``tests/golden/<command>/``.
 
@@ -50,6 +50,7 @@ CONFIGS = {
         "derivation": {"epsilons": [0.1, 0.05], "t_final": 0.1,
                        "dt": 0.01, "checkpoints": 1},
     },
+    "norm-scan": {"grid": {"n": 64}, "norm_scan": {"trials": 50}},
 }
 
 

@@ -95,7 +95,8 @@ def test_a_negative_flag_value_reaches_the_check_of_its_key(capsys, argv, want):
     (["coeffs", "--rho-auto=1"], "argument --rho-auto: ignored explicit argument '1'"),
     (["simulate", "--theta=0.5"], "unrecognized arguments: --theta=0.5"),
     (["solve"], "argument command: invalid choice: 'solve' (choose from 'coeffs', 'simulate', "
-                "'split', 'multiplier-table', 'energy-drift', 'picard', 'derivation-residual')"),
+                "'split', 'multiplier-table', 'energy-drift', 'picard', 'derivation-residual', "
+                "'norm-scan')"),
     ([], "the following arguments are required: command"),
 ], ids=["float", "int", "no-value", "flag-value", "flag", "command", "no-command"])
 def test_a_command_line_that_does_not_parse_exits_2_in_one_line(capsys, argv, want):
@@ -378,6 +379,39 @@ def test_simulate_reproduces_the_reference_run(tmp_path):
     assert len(report.times) == len(rows) == 2
     for name, values in want.items():
         np.testing.assert_allclose(got[name], values, rtol=1e-12, err_msg=name)
+
+
+def test_norm_scan_prints_and_writes_the_scans_of_the_library(tmp_path, capsys):
+    # the scans of the reference coefficients, on the default grid length 2*pi and seed 1
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "norm_scan": {"trials": 20}})
+    assert main(["norm-scan", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    got = json.loads((tmp_path / "norm_scan.json").read_text())
+    assert (got.pop("s"), got.pop("trials")) == (1.0, 20)
+    grid = bbm5.Grid(n=64, length=2.0 * math.pi)
+    for line, name in zip(lines, ("tau_bilinear", "psi_trilinear", "psi_grad_bilinear"),
+                          strict=True):
+        scan = bbm5.symbols.empirical_operator_norm(name, 1.0, 20, grid,
+                                                    bbm5.REFERENCE_COEFFICIENTS, seed=1)
+        want = {"max_ratio": scan.max_ratio, "final_decile_growth": scan.final_decile_growth}
+        assert got[name] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert line == (f"{name:18s} max ratio {scan.max_ratio:.6f}  "
+                        f"final-decile growth {scan.final_decile_growth * 100.0:.3f}%")
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"norm_scan": {"trials": 0}}, "norm_scan.trials"),
+    ({"norm_scan": {"s": -1}}, "norm_scan.s"),
+    ({"grid": {"n": 3}}, "grid.n"),
+], ids=["trials", "s", "n"])
+def test_norm_scan_refuses_a_bad_key_in_one_line_naming_it(tmp_path, capsys, doc, key):
+    # each is refused before any scan, and no --out directory is made
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, doc)
+    assert main(["norm-scan", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {key} ")
+    assert not out.exists()
 
 
 def test_energy_drift_predicted_column_zero_when_conserving(tmp_path):
@@ -704,6 +738,7 @@ def test_random_data_that_overflow_exit_2_naming_initial_s(tmp_path, capsys, com
     ("simulate", {"simulate": {"initial": {"kind": "random", "seed": -3}}}, [],
      "simulate.initial.seed = -3"),
     ("split", {"split": {"cutoffs": [4.0, 8.0]}}, ["--seed", "-1"], "--seed = -1"),
+    ("norm-scan", {"norm_scan": {"trials": 5}}, ["--seed", "-1"], "--seed = -1"),
 ])
 def test_a_negative_seed_of_random_data_exits_2_naming_its_key(tmp_path, capsys, command, config,
                                                                  flags, want):

@@ -37,6 +37,7 @@ from bbm5.evolution import (MAX_STEPS, RhsSpec, StepperConfig, _time_lattice, du
                             run_simulation, sech_squared)
 from bbm5.spectral import Grid, read_snapshot_csv
 from bbm5.splitting import SplitConfig, iterate, n_sweep
+from bbm5.symbols import empirical_operator_norm
 
 WORK = 1e6
 
@@ -52,6 +53,7 @@ BASE = {
     "derivation-residual": {"grid": {"n": 64, "length": 16.0 * math.pi},
                             "derivation": {"epsilons": [0.1, 0.05], "t_final": 0.02,
                                            "dt": 0.01, "checkpoints": 1}},
+    "norm-scan": {"grid": {"n": 64}, "norm_scan": {"trials": 5}},
 }
 
 NUMBERS = (0, 1, -1, 1.5, 1e-300, 5e-324, 1e300, -1e300, 2**62)
@@ -125,6 +127,9 @@ def work(command, doc):
     if n > MAX_STEPS:  # refused before anything is built
         return 0.0
     n, dt = max(n, 1), config["stepper"]["dt"]
+    if command == "norm-scan":  # grid points times the fields the three estimates draw
+        trials = config["norm_scan"]["trials"]
+        return n * trials * (2 + 3 + 2) if 1 <= trials <= MAX_STEPS else 0.0
     if command in ("simulate", "energy-drift", "picard"):
         section = config[command.replace("-", "_")]
         iterations = config["stepper"]["picard_max_iter"] if command == "picard" else 1
@@ -212,6 +217,10 @@ def _with(command, flags=(), out=OUTS[0], **sections):
 # numpy's default_rng refused a negative seed, naming no key
 @example(("split", {**BASE["split"], "seed": -1}, [], OUTS[0]))
 @example(_with("picard", picard={"initial": {"seed": -1}}))
+# the scans' plain ValueErrors (s, trials) and numpy's refusal of a negative seed: exit 1
+@example(_with("norm-scan", norm_scan={"s": 0.5}))
+@example(_with("norm-scan", norm_scan={"trials": 0}))
+@example(_with("norm-scan", flags=["--seed", "-1"]))
 # argparse printed its usage and raised SystemExit(2) out of cli.main
 @example(_with("coeffs", flags=["--theta=abc"]))
 @example(_with("simulate", flags=["--seed", "abc"]))
@@ -231,7 +240,8 @@ def test_every_generated_config_keeps_the_exit_contract(draw):
 
 _GRID = Grid(n=64, length=6.0)
 _MODEL = ModelParameters(theta=(2.0 / 3.0) ** 0.5, lam=1.0, mu=0.0, lam1=1.0, mu1=-6.0)
-_SPEC = RhsSpec(derive_bbm5(_MODEL))
+_C = derive_bbm5(_MODEL)
+_SPEC = RhsSpec(_C)
 _PULSE = sech_squared(_GRID, 0.1, 1.0)
 
 
@@ -273,6 +283,11 @@ def _snapshot(root, body):
     (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,0.5\n" * 63)), "path"),
     (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,nan\n" * 64)), "path"),
     (lambda tmp: read_snapshot_csv(_GRID, _snapshot(tmp, "0,abc\n" * 64)), "path"),
+    (lambda tmp: empirical_operator_norm("psi_trilinear", 0.1, 5, _GRID, _C), "s"),
+    (lambda tmp: empirical_operator_norm("tau_bilinear", 1.0, 0, _GRID, _C), "trials"),
+    # it failed in numpy's _ArrayMemoryError, allocating the running maximum
+    (lambda tmp: empirical_operator_norm("tau_bilinear", 1.0, 10**12, _GRID, _C), "trials"),
+    (lambda tmp: empirical_operator_norm("tau_bilinear", 1.0, 5, _GRID, _C, seed=-1), "seed"),
 ])
 def test_each_refusal_a_config_reaches_is_a_parameter_error_naming_its_parameter(tmp_path, call,
                                                                                   name):

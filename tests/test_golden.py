@@ -1,4 +1,4 @@
-"""Golden outputs: the files of the seven CLI runs in ``cli_outputs`` and of
+"""Golden outputs: the files of the eight CLI runs in ``cli_outputs`` and of
 the four benchmark workloads at full size in ``workload_outputs``,
 regenerated and compared with the copies kept under ``tests/golden/``.
 

@@ -4,7 +4,7 @@ sets one key: each leaf key of ``cli._SCHEMA`` alone, on each command's
 list key, at a one-element list of each of ``NUMBERS``.  A config whose work
 is over ``WORK`` is left out, as the generated test leaves it out.
 
-Tier-1 runs every ``STRIDE``-th config.  The full sweep, about 9,000 runs
+Tier-1 runs every ``STRIDE``-th config.  The full sweep, about 10,500 runs
 and 40 s, runs with
 
     BBM5_FULL_SWEEP=1 PYTHONPATH=src python -m pytest -q tests/test_single_key_sweep.py

@@ -71,10 +71,15 @@ def test_grid_rejects_bad_length():
         Grid(n=8, length=0.0)
 
 
-@pytest.mark.parametrize("length", [math.inf, math.nan])
-def test_grid_rejects_a_non_finite_length(length):
-    with pytest.raises(ValueError, match="length must be positive and finite"):
+@pytest.mark.parametrize("length,message", [
+    (math.inf, "positive and finite"), (math.nan, "positive and finite"),
+    # a bare TypeError, naming no parameter, and True taken as length 1
+    ("2.0", "a real number"), (None, "a real number"), (True, "a real number"),
+])
+def test_grid_rejects_a_non_finite_length(length, message):
+    with pytest.raises(ParameterError, match=f"length must be {message}") as err:
         Grid(n=8, length=length)
+    assert err.value.name == "length"
 
 
 def test_wavenumber_lattice(grid):

@@ -6,7 +6,7 @@
 * ``import bbm5.cli`` loads those and ``cli``.  ``coeffs``, ``simulate``,
   ``energy-drift`` and ``picard`` load nothing more; ``split`` loads
   ``splitting`` (and ``symbols`` for random data), ``derivation-residual``
-  loads ``derivation`` and ``multiplier-table`` loads ``symbols``.
+  loads ``derivation``, and ``multiplier-table`` and ``norm-scan`` load ``symbols``.
 * Every name ``bbm5`` exports resolves to the object its module defines, and
   every name a module exports exists.
 """
@@ -36,6 +36,7 @@ CONFIGS = {
     "derivation-residual": {"grid": {"n": 64, "length": 16.0 * math.pi},
                             "derivation": {"epsilons": [0.1, 0.05, 0.025], "t_final": 0.02,
                                            "dt": 0.01, "checkpoints": 1}},
+    "norm-scan": {"grid": {"n": 64}, "norm_scan": {"trials": 5}},
 }
 
 # Runs in a fresh interpreter: argv[1] is the configs as JSON, argv[2] a directory.
@@ -129,7 +130,11 @@ def test_every_command_runs_without_loading_scipy(tmp_path):
      {"import bbm5.cli": ["bbm5", "bbm5.cli", "bbm5.coefficients", "bbm5.evolution",
                           "bbm5.spectral"],
       "split": ["bbm5.splitting", "bbm5.symbols"]}),
-], ids=["import-then-each-command", "split"])
+    (["import bbm5.cli", "norm-scan"],
+     {"import bbm5.cli": ["bbm5", "bbm5.cli", "bbm5.coefficients", "bbm5.evolution",
+                          "bbm5.spectral"],
+      "norm-scan": ["bbm5.symbols"]}),
+], ids=["import-then-each-command", "split", "norm-scan"])
 def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path, steps, loads):
     # picard on sech2 data: random data is what loads bbm5.symbols
     configs = {**CONFIGS, "picard": {**CONFIGS["picard"], "picard": {

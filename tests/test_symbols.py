@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbm5 import symbols
-from bbm5.coefficients import Bbm5Coefficients, ParameterError, RegimeError
+from bbm5.coefficients import REFERENCE_COEFFICIENTS, Bbm5Coefficients, ParameterError, RegimeError
 from bbm5.spectral import (
     Field,
     Grid,
@@ -200,6 +201,60 @@ def test_psi_over_omega_scan_is_finite(ref):
 def test_sup_bound_unknown_expression(ref):
     with pytest.raises(ValueError, match="unknown expression"):
         sup_bound("nope", ref)
+
+
+def _rational_sup(p, q):
+    """sup over [0, inf] of |p/q|, polynomials with q > 0 there: the largest of its value at 0,
+    at the positive real parts of the roots of p'q - pq' (a point that is no critical point
+    only lowers the maximum) and its limit at infinity."""
+    xs = [0.0, *(r.real for r in (p.deriv() * q - p * q.deriv()).roots() if r.real > 0)]
+    p, q = p.trim(), q.trim()
+    assert p.degree() <= q.degree()  # each quotient is bounded
+    limit = abs(p.coef[-1] / q.coef[-1]) if p.degree() == q.degree() else 0.0
+    return max(limit, *(abs(p(x) / q(x)) for x in xs))
+
+
+def _exact_sups(c):
+    """Each quotient of sup_bound as a rational function of xi >= 0, its supremum by
+    _rational_sup; the bracket quotient is the root of a rational function."""
+    x = Polynomial([0.0, 1.0])
+    varphi = 1.0 + c.gamma1 * x**2 + c.delta1 * x**4
+    tau4, om = 3.0 - 4.0 * c.gamma * x**2, 1.0 + x**2  # 4*varphi*tau/xi, xi/omega
+    return {
+        "xi_psi": _rational_sup(x**2, varphi),
+        "xi_tau": _rational_sup(x**2 * tau4, 4.0 * varphi),
+        "omega": _rational_sup(x, om),
+        "tau_over_omega": _rational_sup(tau4 * om, 4.0 * varphi),
+        "psi_over_omega": _rational_sup(om, varphi),
+        "bracket_xi_psi_over_omega": math.sqrt(_rational_sup(x**2 * om**3, varphi**2)),
+    }
+
+
+def _wellposed_sets(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Bbm5Coefficients(gamma1=rng.uniform(0.01, 2.0), gamma2=0.0,
+                             delta1=rng.uniform(0.01, 2.0), delta2=0.0,
+                             gamma=rng.uniform(-2.0, 2.0)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("c", [REFERENCE_COEFFICIENTS, *_wellposed_sets(20)],
+                         ids=["reference", *(f"random{i}" for i in range(20))])
+def test_sup_bound_matches_the_critical_point_oracle(c):
+    for expression, want in _exact_sups(c).items():
+        assert sup_bound(expression, c) == pytest.approx(want, rel=1e-12, abs=0.0), expression
+
+
+def test_scan_sup_stops_when_its_bracket_stops_shrinking(ref, monkeypatch):
+    # at the limit at infinity, xi = tan(pi/2) = 1.6e16, float spacing kept the bracket
+    # above refine_tol and the scan ran all 64 rounds; the suprema are those of that scan
+    was = {"xi_psi": 1.41454140513772, "xi_tau": 1.5000000000000004, "omega": 0.5,
+           "tau_over_omega": 1.5000000000000004, "psi_over_omega": 1.9349315717028825,
+           "bracket_xi_psi_over_omega": 10.388991465009926}
+    rounds, values = [], symbols._expression_values
+    monkeypatch.setattr(symbols, "_expression_values",
+                        lambda *a: rounds.append(a[0]) or values(*a))
+    assert {e: scan_sup(e, ref) for e in was} == was
+    assert rounds.count("xi_tau") <= 16
 
 
 # ---------------------------------------------------------------------------
