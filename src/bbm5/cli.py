@@ -8,6 +8,12 @@ its default, per command where ``_COMMAND_DEFAULTS`` names one.  ``_Setup``
 builds what the commands share from the result.  Exit codes are a stable
 contract: 0 success, 2 configuration error, 3 numerical abort.  All CSV
 bodies are byte-reproducible under a fixed seed.
+
+A command computes first and returns ``(files, lines, code)``, each file's name
+mapped to a dict, written as JSON, or to a function that writes the file at its
+path.  ``main`` then makes the output directory, writes the files and prints
+the lines.  So an exit 2 writes nothing, and an exit 3 writes only simulate's
+or energy-drift's last-good report or picard's iteration table.
 """
 
 from __future__ import annotations
@@ -261,21 +267,6 @@ def _named(exc: ParameterError, config: dict, section: str, initial: dict) -> st
     return str(exc).replace(exc.name, key, 1)
 
 
-def _coeffs_payload(run: _Setup) -> dict:
-    p, c = run.params, run.coeffs
-    f = coef.derive_first_order(p)
-    return {
-        "parameters": {**dataclasses.asdict(p), "rho_auto": run.config["coeffs"]["rho_auto"]},
-        "abcd_first": dataclasses.asdict(f),
-        "abcd_second": dataclasses.asdict(coef.derive_second_order(p)),
-        "bbm5": dataclasses.asdict(c),
-        "wellposed_regime": c.wellposed_regime,
-        "energy_conserving": c.energy_conserving,
-        "violations": coef.validate(c),
-        "rho_star": float(coef.rho_for_energy_conservation(f)),
-    }
-
-
 def _out_dir(args, make: bool = True) -> str:
     """The output directory, made if make.  Refused, naming its key, unless the
     nearest existing path on it, the directory itself or an ancestor, is a
@@ -303,87 +294,83 @@ def _write_meta(out_dir: str, name: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _say(args, text: str, file=None) -> None:
-    if not args.quiet:
-        print(text, file=file)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args, run: _Setup) -> int:
-    payload = _coeffs_payload(run)
-    if args.out:
-        _write_meta(_out_dir(args), "coeffs.json", payload)
-    _say(args, json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+def cmd_coeffs(args, run: _Setup):
+    p, c = run.params, run.coeffs
+    f = coef.derive_first_order(p)
+    payload = {
+        "parameters": {**dataclasses.asdict(p), "rho_auto": run.config["coeffs"]["rho_auto"]},
+        "abcd_first": dataclasses.asdict(f),
+        "abcd_second": dataclasses.asdict(coef.derive_second_order(p)),
+        "bbm5": dataclasses.asdict(c),
+        "wellposed_regime": c.wellposed_regime,
+        "energy_conserving": c.energy_conserving,
+        "violations": coef.validate(c),
+        "rho_star": float(coef.rho_for_energy_conservation(f)),
+    }
+    files = {"coeffs.json": payload} if args.out else {}  # coeffs writes to an --out only
+    return files, [json.dumps(payload, indent=2, sort_keys=True)], EXIT_OK
 
 
-def _run(args, run: _Setup, write, **kwargs) -> int:
-    """simulate and energy-drift: run, write the report, then report an
-    abort on stderr (exit 3) or write's summary line on stdout."""
+def _report(run: _Setup, **kwargs):
+    """simulate's and energy-drift's run; an abort at the initial data's own record is refused."""
     sec = run.sec
     report = run_simulation(run.initial(), RhsSpec(run.coeffs, dealias=sec["dealias"]),
                             run.stepper, sec["T"], record_every=sec["record_every"], **kwargs)
-    if report.aborted and report.error.step == 0:  # the initial data's own record
+    if report.aborted and report.error.step == 0:
         raise ParameterError("eta0", "eta0 makes initial data whose energy, H^s norms or "
                              "predicted drift overflow")
-    summary = write(report, _out_dir(args))
-    if report.aborted:
-        _say(args, "run aborted on non-finite state; last-good report written", sys.stderr)
-        return EXIT_NUMERIC
-    _say(args, summary)
-    return EXIT_OK
+    return report
 
 
-def cmd_simulate(args, run: _Setup) -> int:
+_ABORTED = "run aborted on non-finite state; last-good report written"
+
+
+def cmd_simulate(args, run: _Setup):
     sec = run.sec
-
-    def write(report, out: str) -> str:
-        report.write_csv(os.path.join(out, "run.csv"))
-        _write_meta(out, "run_meta.json", {
-            "coefficients": dataclasses.asdict(run.coeffs),
-            "grid": {"n": run.grid.n, "length": run.grid.length},
-            "scheme": run.stepper.scheme, "dt": run.stepper.dt, "T": sec["T"],
-            "seed": run.seed, "dealias": sec["dealias"], "aborted": report.aborted,
-        })
-        if report.aborted:  # no summary is printed, and the first record may be bad
-            return ""
-        drift = abs(report.energy[-1] - report.energy[0])
-        rel = drift / report.energy[0] if report.energy[0] > 0 else 0.0
-        return f"simulate: T={sec['T']} relative energy drift {rel:.3e}"
-
-    return _run(args, run, write, monitor_s=sec["monitor_s"])
+    report = _report(run, monitor_s=sec["monitor_s"])
+    files = {"run.csv": report.write_csv, "run_meta.json": {
+        "coefficients": dataclasses.asdict(run.coeffs),
+        "grid": {"n": run.grid.n, "length": run.grid.length},
+        "scheme": run.stepper.scheme, "dt": run.stepper.dt, "T": sec["T"],
+        "seed": run.seed, "dealias": sec["dealias"], "aborted": report.aborted,
+    }}
+    if report.aborted:
+        return files, [_ABORTED], EXIT_NUMERIC
+    drift = abs(report.energy[-1] - report.energy[0])
+    rel = drift / report.energy[0] if report.energy[0] > 0 else 0.0
+    return files, [f"simulate: T={sec['T']} relative energy drift {rel:.3e}"], EXIT_OK
 
 
-def cmd_energy_drift(args, run: _Setup) -> int:
-    def write(report, out: str) -> str:
-        write_csv(os.path.join(out, "energy_drift.csv"),
-                  ("t", "E", "dEdt_predicted", "drift_resid"),
-                  zip(report.times, report.energy, report.drift_predicted, report.drift_residual))
-        return f"energy-drift: {len(report.times)} rows written"
+def cmd_energy_drift(args, run: _Setup):
+    report = _report(run, monitor_s=())  # the CSV has no H^s column
+    files = {"energy_drift.csv": functools.partial(
+        write_csv, header=("t", "E", "dEdt_predicted", "drift_resid"),
+        rows=zip(report.times, report.energy, report.drift_predicted, report.drift_residual))}
+    if report.aborted:
+        return files, [_ABORTED], EXIT_NUMERIC
+    return files, [f"energy-drift: {len(report.times)} rows written"], EXIT_OK
 
-    return _run(args, run, write, monitor_s=())  # the CSV has no H^s column
 
-
-def cmd_split(args, run: _Setup) -> int:
+def cmd_split(args, run: _Setup):
     from .splitting import n_sweep, write_sweep_csv
 
     sec = run.sec
     sweep = n_sweep(run.initial(), sec["s"], sec["cutoffs"], spec=RhsSpec(run.coeffs),
                     stepper=run.stepper, t0_scale=sec["t0_scale"])
-    out = _out_dir(args)
-    write_sweep_csv(sweep, os.path.join(out, "split_sweep.csv"))
-    _write_meta(out, "split_summary.json", sweep)
-    if {"h_slope", "energy_increment_slope"} <= sweep.keys():
-        _say(args, f"split: h slope {sweep['h_slope']['slope']:.3f}, "
-                   f"energy increment slope {sweep['energy_increment_slope']['slope']:.3f}")
-    return EXIT_OK
+    files = {"split_sweep.csv": functools.partial(write_sweep_csv, sweep),
+             "split_summary.json": sweep}
+    if not {"h_slope", "energy_increment_slope"} <= sweep.keys():
+        return files, [], EXIT_OK
+    return files, [f"split: h slope {sweep['h_slope']['slope']:.3f}, energy increment slope "
+                   f"{sweep['energy_increment_slope']['slope']:.3f}"], EXIT_OK
 
 
-def cmd_multiplier_table(args, run: _Setup) -> int:
+def cmd_multiplier_table(args, run: _Setup):
     from .symbols import eval_symbol
 
     sec = run.sec
@@ -393,67 +380,54 @@ def cmd_multiplier_table(args, run: _Setup) -> int:
         raise ConfigError(f"multiplier_table.count must be at most {MAX_STEPS:.0e}, "
                           f"got {sec['count']}")
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
-    kinds = ("phi", "psi", "tau", "omega", "varphi_denominator")
-    # before the directory: an ill-posed model exits 2 here and leaves none
-    columns = [eval_symbol(kind, xi, run.coeffs) for kind in kinds]
-    write_csv(os.path.join(_out_dir(args), "multiplier_table.csv"),
-              ("xi", "phi", "psi", "tau", "omega", "varphi"), zip(xi, *columns))
-    _say(args, f"multiplier-table: {len(xi)} rows written")
-    return EXIT_OK
+    columns = [eval_symbol(kind, xi, run.coeffs)
+               for kind in ("phi", "psi", "tau", "omega", "varphi_denominator")]
+    csv = functools.partial(write_csv, header=("xi", "phi", "psi", "tau", "omega", "varphi"),
+                            rows=zip(xi, *columns))
+    return {"multiplier_table.csv": csv}, [f"multiplier-table: {len(xi)} rows written"], EXIT_OK
 
 
-def cmd_picard(args, run: _Setup) -> int:
+def cmd_picard(args, run: _Setup):
     try:
         traj, diag = duhamel_picard(run.initial(), RhsSpec(run.coeffs), run.stepper, run.sec["T"])
+        lines, code = [f"picard: converged in {diag.iterations} iterations, "
+                       f"final H1 norm {sobolev_norm(traj[-1], 1.0):.6e}"], EXIT_OK
     except PicardDivergenceError as exc:
-        _write_picard_csv(args, exc.diagnostics)
-        _say(args, str(exc), sys.stderr)
-        return EXIT_NUMERIC
-    _write_picard_csv(args, diag)
-    _say(args, f"picard: converged in {diag.iterations} iterations, "
-               f"final H1 norm {sobolev_norm(traj[-1], 1.0):.6e}")
-    return EXIT_OK
+        diag, lines, code = exc.diagnostics, [str(exc)], EXIT_NUMERIC
+    rows = zip(range(1, diag.iterations + 1), diag.diff_norms, [float("nan")] + diag.ratios)
+    return {"picard.csv": functools.partial(write_csv, header=("iteration", "diff_hs", "ratio"),
+                                            rows=rows)}, lines, code
 
 
-def _write_picard_csv(args, diag) -> None:
-    """picard.csv in the output directory, made here: a picard that exits 2 leaves none."""
-    write_csv(os.path.join(_out_dir(args), "picard.csv"), ("iteration", "diff_hs", "ratio"),
-              zip(range(1, diag.iterations + 1), diag.diff_norms, [float("nan")] + diag.ratios))
-
-
-def cmd_derivation_residual(args, run: _Setup) -> int:
+def cmd_derivation_residual(args, run: _Setup):
     from .derivation import epsilon_sweep, write_sweep_csv
 
     sec = run.sec
-    sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"],
-                          t_final=sec["t_final"], dt=sec["dt"],
-                          n_checkpoints=sec["checkpoints"])
+    sweep = epsilon_sweep(run.grid, run.params, epsilons=sec["epsilons"], t_final=sec["t_final"],
+                          dt=sec["dt"], n_checkpoints=sec["checkpoints"])
     slopes = sweep["slope_r1_L2"], sweep["slope_r2_L2"]
     if not all(map(math.isfinite, slopes)):  # so is a fit through a residual 0 or not finite
         raise NumericalError(f"the sweep's residual slopes {slopes} are not finite; "
                              "nothing written")
-    out = _out_dir(args)
-    write_sweep_csv(sweep, os.path.join(out, "derivation_residual.csv"))
-    _write_meta(out, "derivation_summary.json", sweep)
-    _say(args, f"derivation-residual: slope r1 {sweep['slope_r1_L2']:.3f}, "
-               f"slope r2 {sweep['slope_r2_L2']:.3f}")
-    return EXIT_OK
+    files = {"derivation_residual.csv": functools.partial(write_sweep_csv, sweep),
+             "derivation_summary.json": sweep}
+    return files, [f"derivation-residual: slope r1 {slopes[0]:.3f}, "
+                   f"slope r2 {slopes[1]:.3f}"], EXIT_OK
 
 
-def cmd_norm_scan(args, run: _Setup) -> int:
+def cmd_norm_scan(args, run: _Setup):
     from .symbols import empirical_operator_norm
 
     sec, seed = run.sec, run.random_seed()
     # the highest threshold on s first, so that an s below one is refused before any scan
     scans = [empirical_operator_norm(name, sec["s"], sec["trials"], run.grid, run.coeffs, seed)
              for name in ("psi_grad_bilinear", "psi_trilinear", "tau_bilinear")][::-1]
-    _write_meta(_out_dir(args), "norm_scan.json", {"s": sec["s"], "trials": sec["trials"], **{
+    payload = {"s": sec["s"], "trials": sec["trials"], **{
         scan.estimate_id: {"max_ratio": scan.max_ratio,
-                           "final_decile_growth": scan.final_decile_growth} for scan in scans}})
-    for scan in scans:
-        _say(args, f"{scan.estimate_id:18s} max ratio {scan.max_ratio:.6f}  "
-                   f"final-decile growth {scan.final_decile_growth * 100.0:.3f}%")
-    return EXIT_OK
+                           "final_decile_growth": scan.final_decile_growth} for scan in scans}}
+    return {"norm_scan.json": payload}, [
+        f"{scan.estimate_id:18s} max ratio {scan.max_ratio:.6f}  "
+        f"final-decile growth {scan.final_decile_growth * 100.0:.3f}%" for scan in scans], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +489,16 @@ def main(argv=None) -> int:
         if args.out or args.command != "coeffs":  # coeffs writes to an --out only
             _out_dir(args, make=False)  # refused before the run, made only to write
         with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
-            return args.handler(args, _Setup(config, args.seed, section))
+            files, lines, code = args.handler(args, _Setup(config, args.seed, section))
+            out = _out_dir(args) if files else None
+            for name, body in files.items():
+                if isinstance(body, dict):
+                    _write_meta(out, name, body)
+                else:
+                    body(os.path.join(out, name))
+        for line in [] if args.quiet else lines:
+            print(line, file=sys.stderr if code else sys.stdout)
+        return code
     except ParameterError as exc:
         exc = exc if isinstance(exc, ConfigError) else _named(exc, config, section, {})
         print(f"configuration error: {exc}", file=sys.stderr)

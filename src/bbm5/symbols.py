@@ -54,8 +54,6 @@ _KINDS = {
     "varphi_denominator": +1,
 }
 
-_NEEDS_COEFFS = {"phi", "psi", "tau", "varphi_denominator"}
-
 
 def _omega(xi):
     return np.abs(xi) / (1.0 + xi**2)
@@ -66,7 +64,7 @@ def eval_symbol(kind: str, xi, c: Bbm5Coefficients | None = None):
     xi = np.asarray(xi, dtype=np.float64)
     if kind == "omega":
         return _omega(xi)
-    if kind not in _NEEDS_COEFFS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
     if c is None:
         raise ValueError(f"symbol {kind!r} needs coefficients")
@@ -87,7 +85,7 @@ class Symbol:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind in _NEEDS_COEFFS and self.coefficients is None:
+        if self.kind != "omega" and self.coefficients is None:
             raise ValueError(f"symbol {self.kind!r} needs coefficients")
 
     @property
@@ -312,12 +310,12 @@ def empirical_operator_norm(
 ) -> OperatorNormScan:
     """Monte-Carlo scan of the operator-norm ratio of a multiplier estimate.
 
-    Refuses Sobolev indices below the estimate's validity threshold, trials
-    outside [1, MAX_STEPS] and a negative seed, each a ParameterError.  Ratios
-    are expected to plateau as trials accumulate (boundedness evidence, not a
-    proof).  Trials are drawn and evaluated in stacks of at most SCAN_BLOCK;
-    the result is that of drawing the fields one by one and computing each
-    estimate_ratio.
+    Refuses Sobolev indices below the estimate's validity threshold or whose
+    H^s weights overflow on the grid, trials outside [1, MAX_STEPS] and a
+    negative seed, each a ParameterError.  Ratios are expected to plateau as
+    trials accumulate (boundedness evidence, not a proof).  Trials are drawn
+    and evaluated in stacks of at most SCAN_BLOCK; the result is that of
+    drawing the fields one by one and computing each estimate_ratio.
     """
     if estimate_id not in _ESTIMATES:
         raise ValueError(f"unknown estimate {estimate_id!r}")
@@ -325,6 +323,8 @@ def empirical_operator_norm(
     if not s >= threshold:
         raise ParameterError("s", f"s = {s} is below the threshold: {estimate_id} requires "
                              f"s >= {threshold}")
+    if not np.isfinite(sobolev_weights(grid, s)).all():
+        raise ParameterError("s", f"s = {s!r} makes H^s weights that overflow on grid.n = {grid.n}")
     if not 1 <= trials <= MAX_STEPS:  # the running maximum takes 8 bytes a trial
         raise ParameterError("trials", f"trials must be at least 1 and at most "
                              f"{MAX_STEPS:.0e}, got {trials}")

@@ -414,6 +414,21 @@ def test_norm_scan_refuses_a_bad_key_in_one_line_naming_it(tmp_path, capsys, doc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("s,shown", [(200, "200.0"), (1e300, "1e+300")])
+def test_norm_scan_at_an_s_whose_weights_overflow_exits_2(tmp_path, capsys, s, shown):
+    # the weights overflowed and the amplitudes underflowed, so each ratio was
+    # 0 * inf = NaN, which the running maximum skips: "max ratio 0.000000", exit 0
+    cfg = _write_config(tmp_path, {"grid": {"n": 64}, "norm_scan": {"s": s, "trials": 50}})
+    out = tmp_path / "out"
+    assert main(["norm-scan", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: norm_scan.s = {shown} makes H^s weights that overflow "
+        "on grid.n = 64"]
+    assert not out.exists()
+
+
 def test_energy_drift_predicted_column_zero_when_conserving(tmp_path):
     cfg = _write_config(tmp_path, SIM_CONFIG)
     assert main(["energy-drift", "--config", cfg, "--out", str(tmp_path),
@@ -440,6 +455,22 @@ def test_picard_zero_data_one_iteration(tmp_path, capsys):
     rows = (tmp_path / "picard.csv").read_text().splitlines()
     assert rows[0] == "iteration,diff_hs,ratio"
     assert len(rows) == 2
+
+
+def test_picard_that_does_not_converge_exits_3_writing_its_iteration_table(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "grid": {"n": 64, "length": 6.0},
+        "stepper": {"picard_max_iter": 2, "picard_tol": 1e-30},
+        "picard": {"T": 0.1, "initial": {"kind": "random", "amplitude": 0.01}}})
+    out = tmp_path / "out"
+    assert main(["picard", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "Picard iteration did not reach tol 1e-30 within 2 iterations (last diff 1.789e-10)"]
+    rows = (out / "picard.csv").read_text().splitlines()
+    assert rows[0] == "iteration,diff_hs,ratio"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
 
 
 def test_picard_beyond_existence_time_exits_2(tmp_path, capsys):

@@ -13,7 +13,6 @@
 
 import importlib
 import json
-import math
 import os
 import pkgutil
 import subprocess
@@ -23,21 +22,7 @@ from pathlib import Path
 import pytest
 
 import bbm5
-
-CONFIGS = {
-    "coeffs": {},
-    "multiplier-table": {"multiplier_table": {"count": 5}},
-    "simulate": {"grid": {"n": 64}, "stepper": {"dt": 0.01}, "simulate": {"T": 0.02}},
-    "energy-drift": {"grid": {"n": 64}, "stepper": {"dt": 0.01}, "energy_drift": {"T": 0.02}},
-    "split": {"grid": {"n": 64, "length": 2.0 * math.pi}, "stepper": {"dt": 0.01},
-              "split": {"cutoffs": [2, 4, 8]}},
-    "picard": {"grid": {"n": 64, "length": 6.0},
-               "picard": {"T": 0.1, "initial": {"kind": "random", "amplitude": 0.01}}},
-    "derivation-residual": {"grid": {"n": 64, "length": 16.0 * math.pi},
-                            "derivation": {"epsilons": [0.1, 0.05, 0.025], "t_final": 0.02,
-                                           "dt": 0.01, "checkpoints": 1}},
-    "norm-scan": {"grid": {"n": 64}, "norm_scan": {"trials": 5}},
-}
+from test_exit_contract import BASE
 
 # Runs in a fresh interpreter: argv[1] is the configs as JSON, argv[2] a directory.
 PROGRAM = """
@@ -114,8 +99,8 @@ def _fresh(program, *args):
 
 
 def test_every_command_runs_without_loading_scipy(tmp_path):
-    result = _fresh(PROGRAM, json.dumps(CONFIGS), str(tmp_path))
-    assert result["codes"] == {command: 0 for command in CONFIGS}
+    result = _fresh(PROGRAM, json.dumps(BASE), str(tmp_path))
+    assert result["codes"] == {command: 0 for command in BASE}
     assert result["scipy"] == []
 
 
@@ -137,7 +122,7 @@ def test_every_command_runs_without_loading_scipy(tmp_path):
 ], ids=["import-then-each-command", "split", "norm-scan"])
 def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path, steps, loads):
     # picard on sech2 data: random data is what loads bbm5.symbols
-    configs = {**CONFIGS, "picard": {**CONFIGS["picard"], "picard": {
+    configs = {**BASE, "picard": {**BASE["picard"], "picard": {
         "T": 0.1, "initial": {"kind": "sech2", "amplitude": 0.01}}}}
     assert _fresh(LOADS, json.dumps(configs), str(tmp_path), json.dumps(steps)) == loads
 
