@@ -511,6 +511,8 @@ def run_simulation(
     grid = eta0.grid
     n_steps, dt = _time_lattice(T, cfg.dt)
     svals = list(dict.fromkeys(monitor_s))
+    if not all(map(math.isfinite, svals)):
+        raise ParameterError("monitor_s", f"monitor_s must be finite, got {svals}")
     weights = np.stack([_energy_weights(grid, c), *(sobolev_weights(grid, s) for s in svals)])
     for s, w in zip(svals, weights[1:]):
         if not np.isfinite(w).all():
@@ -591,6 +593,8 @@ def duhamel_picard(
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
         raise ParameterError("T", f"T = {T:g} makes {K + 1} Picard nodes, "
                              f"over {MAX_STEPS:.0e} coefficients")
+    if not math.isfinite(cfg.sobolev_s):
+        raise ParameterError("sobolev_s", f"sobolev_s must be finite, got {cfg.sobolev_s!r}")
     hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
     if not np.isfinite(hs_w).all():
         raise ParameterError("sobolev_s", f"sobolev_s = {cfg.sobolev_s!r} makes H^s weights "

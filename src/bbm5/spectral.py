@@ -218,7 +218,7 @@ def _half_weights(table):
 
 def _sobolev_table(xi, s):
     if not math.isfinite(s):
-        raise ValueError("Sobolev index must be finite")
+        raise ParameterError("s", f"Sobolev index s must be finite, got {s!r}")
     return (1.0 + xi * xi) ** s
 
 
@@ -259,7 +259,7 @@ def energy(f: Field, c: Bbm5Coefficients) -> float:
 def low_pass(f: Field, cutoff: float) -> Field:
     """Sharp frequency truncation: zero all coefficients with |xi| > cutoff."""
     if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
+        raise ParameterError("cutoff", f"cutoff must be positive, got {cutoff}")
     keep = np.abs(f.grid.half_wavenumbers) <= cutoff
     return Field(f.grid, half=np.where(keep, f.half, 0.0))
 

@@ -25,25 +25,22 @@ with the equation's own nonlinearity (F(eta); F(u)) and reads v(t0) off as
 eta(t0) - u(t0): u's row steps as u alone, and only the current stack is
 kept, so a window's memory does not grow with its number of steps.
 
-The windows of n_sweep read nothing from each other, so they run in
-parallel lanes, one per usable CPU, on the shared cached engines (each
-thread has its own work buffers); the sweep's wall time is bounded below by
-its longest window, and its rows are bit for bit those of one window after
-another.
+Since eta = u + v whatever the cutoff, the windows of n_sweep share one eta
+row: up to WINDOW_BLOCK windows, each a whole number of steps of stepper.dt,
+march as one stack (eta; u_N1; u_N2; ...), the longest window first, each u
+row leaving when its window ends.  Each row steps as that state alone, so a
+sweep's rows are iterate's, cutoff by cutoff, bit for bit.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import Bbm5Coefficients, ParameterError
-from .evolution import (RhsSpec, StepperConfig, _linear_fit, _march, _stepper, _time_lattice,
-                        semigroup_apply)
+from .evolution import (Etdrk4Stepper, NumericalError, RhsSpec, StepperConfig, _linear_fit,
+                        _march, _stepper, _time_lattice, semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
 
 __all__ = [
@@ -56,14 +53,15 @@ __all__ = [
     "n_sweep",
 ]
 
+WINDOW_BLOCK = 8  # windows of a sweep block, marched as one (eta; u_N1; ...) stack
+
 
 @dataclass(frozen=True)
 class SplitConfig:
     """Frequency-splitting experiment parameters.
 
-    t0 is t0_scale * N^(-2*(2-s)), with t0_scale positive and finite,
-    clamped from below to 10 * dt so the window always holds a meaningful
-    number of steps.
+    A window is steps(dt) steps of dt, t0_scale * N^(-2*(2-s)) / dt rounded and
+    at least 10 (t0_scale positive and finite); t0(dt) is their length.
     """
 
     cutoff: float
@@ -77,18 +75,21 @@ class SplitConfig:
         if not (1.0 <= self.s < 2.0):
             raise ParameterError("s", f"s must lie in [1, 2), got {self.s}")
         if self.k_max < 0:
-            raise ValueError("k_max must be non-negative")
+            raise ParameterError("k_max", f"k_max must be non-negative, got {self.k_max}")
         if not 0.0 < self.t0_scale < np.inf:
             raise ParameterError("t0_scale", f"t0_scale must be positive and finite, "
                                  f"got {self.t0_scale}")
 
-    def t0(self, dt: float) -> float:
+    def steps(self, dt: float) -> int:
         try:
             raw = self.t0_scale * self.cutoff ** (-2.0 * (2.0 - self.s))
         except OverflowError:  # a float's ** raises where a product gives inf
             raise ParameterError("cutoff", f"cutoff N = {self.cutoff!r} makes N^(-2*(2-s)) "
                                  f"overflow at s = {self.s!r}") from None
-        return max(raw, 10.0 * dt)
+        return _time_lattice(max(raw, 10.0 * dt), dt)[0]
+
+    def t0(self, dt: float) -> float:
+        return self.steps(dt) * dt
 
 
 def split_initial(eta0: Field, cutoff: float) -> tuple[Field, Field]:
@@ -109,16 +110,38 @@ def evolve_u(u0: Field, spec: RhsSpec, cfg: StepperConfig, t0: float) -> Field:
 
 def evolve_v(v0: Field, u0: Field, spec: RhsSpec, cfg: StepperConfig,
              t0: float) -> tuple[Field, Field]:
-    """Difference-equation evolution of the rough part on [0, t0], stepped as
-    the (eta; u) stack with eta0 = u0 + v0.  Returns (v(t0), u(t0)), v(t0)
-    being eta(t0) - u(t0) and u(t0) evolve_u's bit for bit.  A non-finite
-    state raises NumericalError with its step, its time and the non-finite
-    rows (0 for eta, 1 for u)."""
+    """Difference-equation evolution of the rough part on [0, t0], stepped as the
+    (eta; u) stack with eta0 = u0 + v0.  Returns (v(t0), u(t0)), v(t0) being
+    eta(t0) - u(t0) and u(t0) evolve_u's bit for bit.  A non-finite state raises
+    NumericalError with its step, its time and the non-finite rows (0 for eta, 1 for u)."""
     steps, dt = _time_lattice(t0, cfg.dt)
-    eta_u = np.stack((u0.half + v0.half, u0.half))
-    for _k, eu in _march(_stepper(v0.grid, spec, dt), eta_u, steps):
-        pass  # steps >= 1; only the last state is kept
+    [eu] = _windows(_stepper(v0.grid, spec, dt), u0.half + v0.half, [u0.half], [steps])
     return Field(v0.grid, half=eu[0] - eu[1]), Field(u0.grid, half=eu[1])
+
+
+def _windows(stepper: Etdrk4Stepper, eta: np.ndarray, us: list, steps: list,
+             cutoffs=None) -> list:
+    """[(eta(t_i), u_i(t_i)) for each window i], t_i = steps[i] * stepper.dt: one march of
+    the stack (eta; u_1; u_2; ...), the longest window first, each u row leaving when its
+    window ends.  A non-finite state raises NumericalError with its step and time on the
+    march's lattice and the non-finite rows (0 for eta, 1 for its u) of the first window,
+    in the given order, that holds one, named by its cutoff if cutoffs are given."""
+    order = sorted(range(len(us)), key=lambda i: -steps[i])  # stable: ties keep their order
+    stack, ends, done = np.stack((eta, *(us[i] for i in order))), [None] * len(us), 0
+    for j in reversed(range(len(order))):  # stack[j + 1] is the shortest window left
+        i = order[j]
+        try:
+            for _k, stack in _march(stepper, stack[: j + 2], steps[i] - done):
+                pass
+        except NumericalError as exc:
+            k, bad = done + exc.step, exc.rows
+            first = min(order[: j + 1] if 0 in bad else (order[r - 1] for r in bad))
+            rows = [r for r, row in enumerate((0, 1 + order.index(first))) if row in bad]
+            where = "" if cutoffs is None else f" in the window of N = {cutoffs[first]:g}"
+            raise NumericalError(f"non-finite state at step {k} of {steps[first]} (t = "
+                                 f"{k * stepper.dt:g}){where}", k, k * stepper.dt, rows) from None
+        ends[i], done = stack[[0, j + 1]], steps[i]
+    return ends
 
 
 def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Field, float]:
@@ -128,13 +151,23 @@ def compute_h(vT: Field, v0: Field, t0: float, c: Bbm5Coefficients) -> tuple[Fie
     return h, sobolev_norm(h, 2.0)
 
 
+def _reassemble(v: Field, end: np.ndarray, t0: float, c: Bbm5Coefficients) -> tuple[Field, dict]:
+    """u_{k+1} = u(t0) + h(t0) of a window from v that ends in (eta(t0), u(t0)), and the
+    round's record."""
+    u_t0 = Field(v.grid, half=end[1])
+    h, h_H2 = compute_h(Field(v.grid, half=end[0] - end[1]), v, t0, c)
+    u = u_t0 + h
+    return u, {"E_u_t0": energy(u_t0, c), "h_H2": h_H2, "u_H2_t0": sobolev_norm(u_t0, 2.0),
+               "E_u": energy(u, c)}
+
+
 def iterate(
     eta0: Field,
     cfg: SplitConfig,
     spec: RhsSpec,
     stepper: StepperConfig,
 ) -> tuple[Field, Field, dict]:
-    """k_max rounds of window evolution and reassembly.
+    """k_max rounds of window evolution, cfg.steps(dt) steps of stepper.dt, and reassembly.
 
     Records E(u_k), the invariant ||v_k||_Hs, and the remainder's H^2 norm per round:
     the report carries everything the scaling checks need.  Returns the final u, v and report.
@@ -142,25 +175,16 @@ def iterate(
     if not spec.coefficients.energy_conserving:
         raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
     u, v = split_initial(eta0, cfg.cutoff)
-    t0 = cfg.t0(stepper.dt)
-    c = spec.coefficients
-    report: dict = {
-        "t0": t0,
-        "E_u": [energy(u, c)],
-        "v_hs": [sobolev_norm(v, cfg.s)],
-        "E_u_t0": [],
-        "h_H2": [],
-        "u_H2_t0": [],
-    }
+    steps, t0, c = cfg.steps(stepper.dt), cfg.t0(stepper.dt), spec.coefficients
+    report: dict = {"t0": t0, "E_u": [energy(u, c)], "v_hs": [sobolev_norm(v, cfg.s)],
+                    "E_u_t0": [], "h_H2": [], "u_H2_t0": []}
     for _k in range(cfg.k_max):
-        v_t0, u_t0 = evolve_v(v, u, spec, stepper, t0)
-        h, h_H2 = compute_h(v_t0, v, t0, c)
-        u, v = u_t0 + h, semigroup_apply(v, t0, c)
-        report["E_u_t0"].append(energy(u_t0, c))
-        report["h_H2"].append(h_H2)
-        report["u_H2_t0"].append(sobolev_norm(u_t0, 2.0))
-        report["E_u"].append(energy(u, c))
-        report["v_hs"].append(sobolev_norm(v, cfg.s))
+        [end] = _windows(_stepper(u.grid, spec, stepper.dt), u.half + v.half, [u.half],
+                         [steps], [cfg.cutoff])
+        u, record = _reassemble(v, end, t0, c)
+        v = semigroup_apply(v, t0, c)
+        for key, x in (*record.items(), ("v_hs", sobolev_norm(v, cfg.s))):
+            report[key].append(x)
     return u, v, report
 
 
@@ -177,11 +201,10 @@ def n_sweep(
 
     Grid sanity: the Nyquist frequency should sit at least 4x above the
     largest cutoff so the sharp truncation is far from the resolution limit.
-    Every window's SplitConfig is checked before the first window steps.  The
-    windows run in min(len(cutoffs), usable CPUs) lanes (see _in_lanes), so
-    the wall time is bounded below by the longest window; the rows, and the
-    error raised, are those of the windows run one after another in cutoff
-    order.
+    Every window's SplitConfig is checked before the first window steps; the
+    windows then march, WINDOW_BLOCK at a time in the given order, as one
+    stack on one stepper of stepper.dt (see _windows), and the rows are
+    iterate's, cutoff by cutoff, bit for bit.
     """
     if len(cutoffs) == 0 or len(set(cutoffs)) < len(cutoffs):
         raise ParameterError("cutoffs", "cutoffs must be one or more distinct values, "
@@ -190,12 +213,19 @@ def n_sweep(
     if nyq < 4.0 * max(cutoffs):
         raise ParameterError("cutoffs", f"grid Nyquist {nyq} below 4x the largest of cutoffs, "
                              f"{max(cutoffs)}")
-    cfgs = [SplitConfig(cutoff=N, s=s, t0_scale=t0_scale, k_max=1) for N in cutoffs]
-    reports = _in_lanes([lambda cfg=cfg: iterate(eta0, cfg, spec, stepper)[2] for cfg in cfgs],
-                        [cfg.t0(stepper.dt) for cfg in cfgs])
-    rows = [{"N": N, "t0": rep["t0"], "h_H2": rep["h_H2"][0], "u_H2_t0": rep["u_H2_t0"][0],
-             "E_u1_minus_E_ut0": rep["E_u"][1] - rep["E_u_t0"][0]}
-            for N, rep in zip(cutoffs, reports)]
+    steps = [SplitConfig(cutoff=N, s=s, t0_scale=t0_scale).steps(stepper.dt) for N in cutoffs]
+    if not spec.coefficients.energy_conserving:
+        raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
+    march, c, rows = _stepper(eta0.grid, spec, stepper.dt), spec.coefficients, []
+    for b in range(0, len(cutoffs), WINDOW_BLOCK):
+        block = list(cutoffs[b : b + WINDOW_BLOCK])
+        splits = [split_initial(eta0, N) for N in block]
+        ends = _windows(march, eta0.half, [u0.half for u0, _v0 in splits],
+                        steps[b : b + WINDOW_BLOCK], block)
+        for N, k, (_u0, v0), end in zip(block, steps[b:], splits, ends):
+            _u1, rec = _reassemble(v0, end, k * stepper.dt, c)
+            rows.append({"N": N, "t0": k * stepper.dt, "h_H2": rec["h_H2"],
+                         "u_H2_t0": rec["u_H2_t0"], "E_u1_minus_E_ut0": rec["E_u"] - rec["E_u_t0"]})
     out = {"s": s, "rows": rows}
     logN = np.log([r["N"] for r in rows])
     for key, vals in (("h_slope", [r["h_H2"] for r in rows]),
@@ -206,51 +236,6 @@ def n_sweep(
             slope, stderr = _linear_fit(logN[mask], np.log(vals[mask]))
             out[key] = {"slope": slope, "ci95": 1.96 * stderr}
     return out
-
-
-def _in_lanes(tasks: list, costs: list) -> list:
-    """[task() for task in tasks], computed in min(len(tasks), usable CPUs)
-    lanes.  The tasks go, largest cost first, each to the lane of least total
-    cost; the calling thread runs the first lane and one thread, in a copy of
-    the caller's context (numpy's errstate included), each other lane.  Every
-    lane is joined before the first failure in task order is raised.  If the
-    calling thread is interrupted, the other lanes start no further task."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    lanes = [[] for _ in range(min(len(tasks), cpus or 1))]
-    loads = [0.0] * len(lanes)
-    for i in sorted(range(len(tasks)), key=costs.__getitem__, reverse=True):  # stable on ties
-        j = loads.index(min(loads))
-        lanes[j].append(i)
-        loads[j] += costs[i]
-    results, errors = [None] * len(tasks), [None] * len(tasks)
-    interrupted = threading.Event()
-
-    def run(lane):
-        for i in lane:
-            if interrupted.is_set():
-                return
-            try:
-                results[i] = tasks[i]()
-            except Exception as exc:  # raised below, in task order
-                errors[i] = exc
-
-    threads = []
-    try:
-        for lane in lanes[1:]:
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, lane))
-            thread.start()
-            threads.append(thread)
-        run(lanes[0])
-        for thread in threads:
-            thread.join()
-    finally:
-        interrupted.set()  # a no-op unless the calling thread was interrupted
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def write_sweep_csv(sweep: dict, path) -> None:

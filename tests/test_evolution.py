@@ -33,7 +33,7 @@ from bbm5.evolution import (
 )
 from bbm5.spectral import (Field, Grid, energy, fine_samples, full_spectrum,
                            half_spectrum, sobolev_norm, truncated_coeffs)
-from bbm5.symbols import Symbol, eval_symbol, random_hs_field
+from bbm5.symbols import Symbol, empirical_operator_norm, eval_symbol, random_hs_field
 
 
 def _spec():
@@ -1177,6 +1177,21 @@ def test_a_parameter_the_arithmetic_cannot_use_raises_parameter_error(grid, call
         call(grid)
     assert str(exc.value) == want
     assert exc.value.name == want.split()[0]
+
+
+@pytest.mark.parametrize("name,call", [
+    ("s", lambda g: empirical_operator_norm("tau_bilinear", math.inf, 10, g,
+                                            REFERENCE_COEFFICIENTS)),
+    ("monitor_s", lambda g: run_simulation(Field.zero(g), _spec(), StepperConfig(dt=0.01), 0.02,
+                                           monitor_s=(0.0, math.inf))),
+    ("sobolev_s", lambda g: duhamel_picard(Field.zero(g), _spec(),
+                                           StepperConfig(sobolev_s=math.nan), 0.1)),
+], ids=("s", "monitor_s", "sobolev_s"))
+def test_a_sobolev_index_that_is_not_finite_is_a_parameter_error_naming_it(grid, name, call):
+    # each was a plain ValueError, "Sobolev index must be finite", naming no parameter
+    with pytest.raises(ParameterError, match="must be finite, got") as exc:
+        call(grid)
+    assert exc.value.name == name
 
 
 def test_picard_divergence_carries_diagnostics(grid):

@@ -37,7 +37,7 @@ from bbm5.derivation import epsilon_sweep
 from bbm5.evolution import (MAX_STEPS, RhsSpec, StepperConfig, _time_lattice, duhamel_picard,
                             run_simulation, sech_squared)
 from bbm5.spectral import Grid, read_snapshot_csv
-from bbm5.splitting import SplitConfig, iterate, n_sweep
+from bbm5.splitting import WINDOW_BLOCK, SplitConfig, iterate, n_sweep
 from bbm5.symbols import empirical_operator_norm
 
 WORK = 1e6
@@ -145,11 +145,13 @@ def work(command, doc):
                 and all(N > 0 for N in sec["cutoffs"])):
             return n
         try:
-            t0 = [max(sec["t0_scale"] * N ** (-2.0 * (2.0 - sec["s"])), 10.0 * dt)
-                  for N in sec["cutoffs"]]
+            steps = [_steps(max(sec["t0_scale"] * N ** (-2.0 * (2.0 - sec["s"])), 10.0 * dt), dt)
+                     for N in sec["cutoffs"]]
         except OverflowError:  # refused before any window steps
             return 0.0
-        return 2 * n * sum(_steps(t, dt) for t in t0)
+        # each block of windows is one march: eta's row for the longest, a u row for each
+        blocks = [steps[b : b + WINDOW_BLOCK] for b in range(0, len(steps), WINDOW_BLOCK)]
+        return n * sum(max(block) + sum(block) for block in blocks)
     sec = config["derivation"]
     legs = max(sec["checkpoints"], 1)
     return n * len(sec["epsilons"]) * max(legs, legs * _steps(sec["t_final"] / legs, sec["dt"]))

@@ -402,9 +402,11 @@ def test_low_pass_is_projection(grid, rng):
     assert np.array_equal(once.spectral, twice.spectral)
 
 
-def test_low_pass_rejects_nonpositive_cutoff(grid):
-    with pytest.raises(ValueError):
-        low_pass(Field.zero(grid), 0.0)
+@pytest.mark.parametrize("cutoff", [0.0, -1.0])
+def test_low_pass_rejects_nonpositive_cutoff(grid, cutoff):
+    with pytest.raises(ValueError) as exc:
+        low_pass(Field.zero(grid), cutoff)
+    assert exc.value.name == "cutoff"
 
 
 @given(seed=st.integers(0, 2**31), N=st.sampled_from([2.0, 4.0, 8.0]),

@@ -2,9 +2,6 @@
 remainder and the reassembly iteration."""
 
 import math
-import os
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -79,8 +76,12 @@ def test_high_part_norm_bound(rough):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="cutoff"):
+    with pytest.raises(ValueError, match="cutoff") as exc:
         SplitConfig(cutoff=0.0, s=1.5)
+    assert exc.value.name == "cutoff"
+    with pytest.raises(ValueError, match="^k_max must be non-negative, got -1$") as exc:
+        SplitConfig(cutoff=8.0, s=1.5, k_max=-1)
+    assert exc.value.name == "k_max"
     with pytest.raises(ValueError, match="s must"):
         SplitConfig(cutoff=8.0, s=2.5)
     with pytest.raises(ValueError, match="s must"):
@@ -310,9 +311,9 @@ def test_second_identical_n_sweep_builds_no_stepper(big_grid, rough, monkeypatch
     sweep = lambda: n_sweep(rough, 1.5, (8.0, 10.0), spec=_spec(),  # noqa: E731
                             stepper=StepperConfig(dt=0.01))
     first = sweep()
-    assert len(built) == 2  # one stepper per window
+    assert built == [0.01]  # one stepper of stepper.dt for every window
     assert sweep() == first
-    assert len(built) == 2
+    assert built == [0.01]
 
 
 def test_n_sweep_leaves_out_a_slope_it_cannot_fit(big_grid):
@@ -324,123 +325,111 @@ def test_n_sweep_leaves_out_a_slope_it_cannot_fit(big_grid):
     assert "h_slope" not in out and "energy_increment_slope" not in out
 
 
-def _started_threads(monkeypatch):
-    """The threads started from now on, in order of start."""
-    started = []
-    start = threading.Thread.start
-
-    def recording(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", recording)
-    return started
-
-
-def _usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 def _row(N, rep):
     return {"N": N, "t0": rep["t0"], "h_H2": rep["h_H2"][0], "u_H2_t0": rep["u_H2_t0"][0],
             "E_u1_minus_E_ut0": rep["E_u"][1] - rep["E_u_t0"][0]}
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_n_sweep_is_its_windows_one_after_another_bit_for_bit(rough, monkeypatch, cpus):
-    # the cutoffs are out of order and three windows clamp to one length, 10 dt;
-    # one lane per usable CPU up to one per window, the calling thread's among them
+def test_n_sweep_is_its_windows_one_after_another_bit_for_bit(rough):
+    # the cutoffs are out of order and three windows clamp to one length, 10 steps
     cutoffs, cfg = (16.0, 8.0, 32.0, 11.0), StepperConfig(dt=0.01)
     want = [_row(N, iterate(rough, SplitConfig(cutoff=N, s=1.5), _spec(), cfg)[2])
             for N in cutoffs]
-    _usable_cpus(monkeypatch, cpus)
-    started = _started_threads(monkeypatch)
+    assert [SplitConfig(cutoff=N, s=1.5).steps(cfg.dt) for N in cutoffs] == [10, 12, 10, 10]
     out = n_sweep(rough, 1.5, cutoffs, spec=_spec(), stepper=cfg)
-    assert len(started) == min(cpus, len(cutoffs)) - 1
-    assert not any(thread.is_alive() for thread in started)
     assert repr(out["rows"]) == repr(want)  # repr tells every float apart, -0.0 from 0.0
     for key, col in (("h_slope", "h_H2"), ("energy_increment_slope", "E_u1_minus_E_ut0")):
         slope, stderr = _linear_fit(np.log(cutoffs), np.log(np.abs([r[col] for r in want])))
         assert repr(out[key]) == repr({"slope": slope, "ci95": 1.96 * stderr})
 
 
-def test_n_sweep_without_an_affinity_mask_has_a_lane_per_cpu(rough, monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one lane
-    started = _started_threads(monkeypatch)
-    one = n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
-    assert started == []
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01)) == one
-    assert len(started) == 1 and not started[0].is_alive()
+def test_a_default_sweep_marches_eta_once_on_one_stepper(monkeypatch):
+    # n = 1024, cutoffs 8 to 64, dt = 1e-3: windows of 125, 62, 31 and 16 steps
+    # share one eta row, so the sweep makes 125 steps; each cutoff marched
+    # eta again on its own lattice, 234 steps and three stepper builds
+    grid = Grid(n=1024, length=2.0 * math.pi)
+    eta0 = random_hs_field(grid, 1.5, np.random.default_rng(17))
+    cfg = StepperConfig(dt=1e-3)
+    want = [_row(N, iterate(eta0, SplitConfig(cutoff=N, s=1.5), _spec(), cfg)[2])
+            for N in (8.0, 16.0, 32.0, 64.0)]
+    built, steps = [], []
+    init, step = evolution.Etdrk4Stepper.__init__, evolution.Etdrk4Stepper.step
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    def counting_step(self, *args, **kwargs):
+        steps.append(args[0].shape)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolution.Etdrk4Stepper, "__init__", counting_init)
+    monkeypatch.setattr(evolution.Etdrk4Stepper, "step", counting_step)
+    evolution._stepper.cache_clear()
+    out = n_sweep(eta0, 1.5, spec=_spec(), stepper=cfg)
+    assert built == [1e-3]
+    assert len(steps) == 125
+    assert sum(shape[0] for shape in steps) == 359  # row-steps: 16 of 5 rows, ... 63 of 2
+    assert [r["t0"] for r in out["rows"]] == [0.125, 0.062, 0.031, 0.016]
+    assert repr(out["rows"]) == repr(want)
 
 
-def _fake_report(t0):
-    return {"t0": t0, "h_H2": [1.0], "u_H2_t0": [1.0], "E_u": [0.0, 1.0], "E_u_t0": [0.0]}
-
-
-def test_n_sweep_raises_the_first_failure_in_cutoff_order(rough, monkeypatch):
-    # a window a lane each: 16 fails late, 11 at once, and 32 is still running
-    # when they have failed; 16's error is raised, after every lane has ended
-    def window(eta0, cfg, spec, stepper):
-        time.sleep({16.0: 0.2, 32.0: 0.4}.get(cfg.cutoff, 0.0))
-        if cfg.cutoff in (16.0, 11.0):
-            raise NumericalError(f"window {cfg.cutoff:g} failed")
-        return eta0, eta0, _fake_report(cfg.t0(stepper.dt))
-
-    monkeypatch.setattr(splitting, "iterate", window)
-    _usable_cpus(monkeypatch, 4)
-    started = _started_threads(monkeypatch)
-    with pytest.raises(NumericalError, match="^window 16 failed$"):
-        n_sweep(rough, 1.5, (8.0, 16.0, 32.0, 11.0), spec=_spec(),
-                stepper=StepperConfig(dt=0.01))
-    assert len(started) == 3 and not any(thread.is_alive() for thread in started)
+def test_sweep_memory_is_bounded_by_a_block_of_windows():
+    # a stack of every window grew by about 55 kB a cutoff at n = 256; a block
+    # of WINDOW_BLOCK windows at a time keeps the peak from growing with them
+    grid = Grid(n=256, length=2.0 * math.pi)
+    eta0 = random_hs_field(grid, 1.5, np.random.default_rng(5))
+    peaks = {}
+    for count in (16, 64):
+        cutoffs = tuple(np.linspace(1.0, 32.0, count))
+        sweep = lambda: n_sweep(eta0, 1.5, cutoffs, spec=_spec(),  # noqa: E731
+                                stepper=StepperConfig(dt=0.01), t0_scale=0.05)
+        sweep()  # builds the cached stepper and engine buffers
+        tracemalloc.start()
+        try:
+            sweep()
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] - peaks[16] < (64 - 16) * (grid.n // 2 + 1) * 16, peaks
 
 
 def test_n_sweep_checks_every_cutoff_before_a_window_steps(rough, monkeypatch):
     # the window of N = 8 used to run before SplitConfig refused N = -1
     ran = []
-    monkeypatch.setattr(splitting, "iterate", lambda *args: ran.append(args))
+    monkeypatch.setattr(splitting, "_windows", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match="cutoff N must be positive"):
         n_sweep(rough, 1.5, (8.0, -1.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
     assert ran == []
 
 
-def test_n_sweep_lanes_run_in_the_callers_numpy_errstate(rough, monkeypatch):
-    seen = []
-
-    def window(eta0, cfg, spec, stepper):
-        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["over"]))
-        return eta0, eta0, _fake_report(cfg.t0(stepper.dt))
-
-    monkeypatch.setattr(splitting, "iterate", window)
-    _usable_cpus(monkeypatch, 2)
-    with np.errstate(over="raise"):
-        n_sweep(rough, 1.5, (8.0, 16.0), spec=_spec(), stepper=StepperConfig(dt=0.01))
-    assert sorted(seen) == [(False, "raise"), (True, "raise")]
-
-
-def test_an_interrupted_sweep_starts_no_further_window(monkeypatch):
-    # costs 3, 2, 1: the calling thread's lane holds task 0, the other lane
-    # tasks 1 and 2; task 0 is interrupted while task 1 runs, so task 2 never starts
-    ran, running = [], threading.Event()
-
-    def task(i):
-        def run():
-            if i == 0:
-                assert running.wait(timeout=60)
-                raise KeyboardInterrupt
-            ran.append(i)
-            running.set()
-            time.sleep(0.5)
-        return run
-
-    _usable_cpus(monkeypatch, 2)
-    started = _started_threads(monkeypatch)
-    with pytest.raises(KeyboardInterrupt):
-        splitting._in_lanes([task(i) for i in range(3)], [3.0, 2.0, 1.0])
-    assert ran == [1]
-    assert len(started) == 1 and not started[0].is_alive()
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_sweep_blow_up_names_its_step_on_the_shared_lattice_and_the_first_cutoff():
+    # windows of 10, 20, 10 and 40 steps of 0.05; the first non-finite step of
+    # a plain step loop of each window's (eta; u) stack, within its window,
+    # is past the end of the two short windows
+    grid, dt = Grid(n=256, length=2.0 * math.pi), 0.05
+    eta0 = random_hs_field(grid, 1.5, np.random.default_rng(0), amplitude=23.6)
+    cutoffs = (16.0, 4.0, 8.0, 2.0)
+    st, bad = evolution._stepper(grid, _spec(), dt), {}
+    for N in cutoffs:
+        u0, v0 = split_initial(eta0, N)
+        eu, k, steps = np.stack(((u0 + v0).half, u0.half)), 0, \
+            SplitConfig(cutoff=N, s=1.5, t0_scale=4.0).steps(dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < steps and np.isfinite(eu).all():
+                eu, k = st.step(eu), k + 1
+        if not np.isfinite(eu).all():
+            bad[N] = (k, steps, np.flatnonzero(~np.isfinite(eu).all(axis=1)).tolist())
+    step = min(k for k, _steps, _rows in bad.values())
+    named = next(N for N in cutoffs if N in bad and bad[N][0] == step)
+    assert step > 10  # in the second segment of the march, after two windows ended
+    with pytest.raises(NumericalError) as info:
+        n_sweep(eta0, 1.5, cutoffs, spec=_spec(), stepper=StepperConfig(dt=dt), t0_scale=4.0)
+    err = info.value
+    assert (err.step, err.time, err.rows) == (step, step * dt, bad[named][2])
+    assert str(err) == (f"non-finite state at step {step} of {bad[named][1]} "
+                        f"(t = {step * dt:g}) in the window of N = {named:g}")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
