@@ -1,13 +1,13 @@
 """Operator-facing command line.
 
 One JSON config document with per-command sections drives every experiment;
-command-line flags override config values.  The document is resolved once
-against ``_SCHEMA``, the type and default of every key: unknown keys and
-wrong types are configuration errors, and a key a section leaves out takes
-its default, per command where ``_COMMAND_DEFAULTS`` names one.  ``_Setup``
-builds what the commands share from the result.  Exit codes are a stable
-contract: 0 success, 2 configuration error, 3 numerical abort.  All CSV
-bodies are byte-reproducible under a fixed seed.
+command-line flags override config values.  ``_COMMANDS`` lists the commands,
+one row each: its function, its config section and the defaults it changes.
+The document is resolved once against ``_SCHEMA``, the type and default of
+every key, and the row's defaults: unknown keys and wrong types are
+configuration errors.  ``_Setup`` builds what the commands share from the
+result.  Exit codes are a stable contract: 0 success, 2 configuration error,
+3 numerical abort.  All CSV bodies are byte-reproducible under a fixed seed.
 
 A command computes first and returns ``(files, lines, code)``, each file's name
 mapped to a dict, written as JSON, or to a function that writes the file at its
@@ -120,16 +120,6 @@ _KEYS = {
     "gamma1": "gamma1 (set by coeffs.theta, coeffs.lam, coeffs.mu, coeffs.rho)",
     "delta1": f"delta1 (set by coeffs.{', coeffs.'.join(_PARAMETERS)})",
 }
-
-# Defaults that differ by command.  Each replaces the table's default of the
-# one key it names, so a section that sets other keys still gets it.
-_COMMAND_DEFAULTS = {
-    "split": {"grid": {"n": 1024}, "split": {"initial": {"kind": "random"}}},
-    "picard": {"picard": {"initial": {"kind": "zero"}}},
-    "derivation-residual": {"grid": {"n": 512, "length": 16.0 * math.pi}},
-    "norm-scan": {"grid": {"n": 128}, "seed": 1},
-}
-
 
 def _resolve(doc: dict, table: dict, defaults: dict, where: str = "") -> dict:
     """Every key of table: doc's value, type-checked, else the default."""
@@ -430,6 +420,22 @@ def cmd_norm_scan(args, run: _Setup):
         f"final-decile growth {scan.final_decile_growth * 100.0:.3f}%" for scan in scans], EXIT_OK
 
 
+# Each command, in its help's order: (function, config section, defaults).  A default
+# replaces the schema's of the one key it names, so a section setting other keys keeps it.
+_COMMANDS = {
+    "coeffs": (cmd_coeffs, "coeffs", {}),
+    "simulate": (cmd_simulate, "simulate", {}),
+    "split": (cmd_split, "split",
+              {"grid": {"n": 1024}, "split": {"initial": {"kind": "random"}}}),
+    "multiplier-table": (cmd_multiplier_table, "multiplier_table", {}),
+    "energy-drift": (cmd_energy_drift, "energy_drift", {}),
+    "picard": (cmd_picard, "picard", {"picard": {"initial": {"kind": "zero"}}}),
+    "derivation-residual": (cmd_derivation_residual, "derivation",
+                            {"grid": {"n": 512, "length": 16.0 * math.pi}}),
+    "norm-scan": (cmd_norm_scan, "norm_scan", {"grid": {"n": 128}, "seed": 1}),
+}
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -450,17 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments for the fifth-order BBM-type equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "coeffs": cmd_coeffs,
-        "simulate": cmd_simulate,
-        "split": cmd_split,
-        "multiplier-table": cmd_multiplier_table,
-        "energy-drift": cmd_energy_drift,
-        "picard": cmd_picard,
-        "derivation-residual": cmd_derivation_residual,
-        "norm-scan": cmd_norm_scan,
-    }
-    for name, fn in commands.items():
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None, help="output directory")
@@ -471,16 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="replace rho by the energy-conserving value")
             for key in _PARAMETERS:
                 sp.add_argument(f"--{key}", type=float, default=None)
-        sp.set_defaults(handler=fn)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        section = args.command.replace("-", "_").removesuffix("_residual")  # the config section
-        config = _resolve(_load_config(args.config), _SCHEMA,
-                          _COMMAND_DEFAULTS.get(args.command, {}))
+        command, section, defaults = _COMMANDS[args.command]
+        config = _resolve(_load_config(args.config), _SCHEMA, defaults)
         if args.command == "coeffs":
             coeffs = config["coeffs"]
             coeffs.update((k, getattr(args, k)) for k in _PARAMETERS
@@ -489,7 +483,7 @@ def main(argv=None) -> int:
         if args.out or args.command != "coeffs":  # coeffs writes to an --out only
             _out_dir(args, make=False)  # refused before the run, made only to write
         with np.errstate(all="ignore"):  # a failure is reported in one line, without numpy's
-            files, lines, code = args.handler(args, _Setup(config, args.seed, section))
+            files, lines, code = command(args, _Setup(config, args.seed, section))
             out = _out_dir(args) if files else None
             for name, body in files.items():
                 if isinstance(body, dict):

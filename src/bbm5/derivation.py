@@ -59,7 +59,7 @@ class DerivationParameters:
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (0 <= v < 1):
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
+                raise ParameterError(name, f"{name} must lie in [0, 1), got {v}")
 
 
 class ScaledModel:
@@ -109,34 +109,38 @@ def _eta_tt(eng: SpectralEngine, c_hat: np.ndarray, ct_hat: np.ndarray) -> np.nd
     return -1j * eng.phi * ct_hat + nl
 
 
-def _first_order(c_hat: np.ndarray, ct_hat: np.ndarray, model: ModelParameters, grid: Grid):
-    """The first-order corrections A and B, and the eta^2 and eta_xx they are of, as half
-    spectra (or stacks of them) of eta and eta_t."""
+def _constants(model: ModelParameters) -> tuple[float, ...]:
+    """The first-order system's a, b, c, d and the model's rho, as floats."""
     f = derive_first_order(model)
-    a, b, c, d, rho = float(f.a), float(f.b), float(f.c), float(f.d), float(model.rho)
+    return float(f.a), float(f.b), float(f.c), float(f.d), float(model.rho)
+
+
+def _first_order(c_hat: np.ndarray, ct_hat: np.ndarray, k: tuple, grid: Grid):
+    """The first-order corrections A and B, and the eta^2 A is of, as half spectra (or
+    stacks of them) of eta and eta_t; k is _constants' (a, b, c, d, rho)."""
     eta2 = padded_product(grid.n, c_hat, c_hat)
-    dxx_eta = c_hat * derivative_symbol(grid, 2)
-    A = eta2 * -0.25
-    B = (dxx_eta * (0.5 * (c - a + rho))
-         + ct_hat * derivative_symbol(grid, 1) * (0.5 * (b - d + rho)))
-    return A, B, eta2, dxx_eta
+    return eta2 * -0.25, _correction_b(c_hat, ct_hat, k, grid), eta2
+
+
+def _correction_b(c_hat: np.ndarray, ct_hat: np.ndarray, k: tuple, grid: Grid):
+    """B = (c - a + rho)/2 eta_xx + (b - d + rho)/2 eta_tx of eta and eta_t; of eta_t and
+    eta_tt, B_t."""
+    a, b, c, d, rho = k
+    return (c_hat * derivative_symbol(grid, 2) * (0.5 * (c - a + rho))
+            + ct_hat * derivative_symbol(grid, 1) * (0.5 * (b - d + rho)))
 
 
 def correction_terms(
     eta: Field, eta_t: Field, p: DerivationParameters
 ) -> tuple[Field, Field, Field, Field, Field]:
     """The five correction fields (A, B, C, D, E) of the velocity ansatz."""
-    model = p.model
-    f = derive_first_order(model)
-    s = derive_second_order(model)
-    a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
-    rho = float(model.rho)
-    A, B, eta2, dxx_eta = (Field(eta.grid, half=h)
-                           for h in _first_order(eta.half, eta_t.half, model, eta.grid))
+    s = derive_second_order(p.model)
+    a, b, c, d, rho = k = _constants(p.model)
+    A, B, eta2 = (Field(eta.grid, half=h) for h in _first_order(eta.half, eta_t.half, k, eta.grid))
 
     c_coeff = 0.125 * (a + 4.0 * b + 2.0 * c - d) + 0.1875 * (a + b - c - d) + 0.375 * rho
     dxx_eta2 = spectral_derivative(eta2, 2)
-    eta_dxx = dealiased_product2(eta, dxx_eta)
+    eta_dxx = dealiased_product2(eta, spectral_derivative(eta, 2))
     dx_eta = spectral_derivative(eta, 1)
     dx_eta_sq = dealiased_product2(dx_eta, dx_eta)
     C = c_coeff * dxx_eta2 + (13.0 / 24.0) * eta_dxx + (11.0 / 48.0) * dx_eta_sq
@@ -167,12 +171,11 @@ def _residual_norms(eng: SpectralEngine, c_hat, alpha, beta, model: ModelParamet
     """The L^2 norms (r1, r2) of the first-order system residuals of c_hat, a half spectrum
     or an (E, n/2 + 1) stack of them with eng stacked and alpha, beta (E, 1) columns."""
     grid = eng.grid
-    f = derive_first_order(model)
-    a, b, c, d, rho = float(f.a), float(f.b), float(f.c), float(f.d), float(model.rho)
-    dx1, dx2, dx3 = (derivative_symbol(grid, k) for k in (1, 2, 3))
+    a, b, c, d, _ = k = _constants(model)
+    dx1, dx2, dx3 = (derivative_symbol(grid, order) for order in (1, 2, 3))
     eta_t = _eta_t(eng, c_hat)
     eta_tt = _eta_tt(eng, c_hat, eta_t)
-    A, B, *_ = _first_order(c_hat, eta_t, model, grid)
+    A, B, _ = _first_order(c_hat, eta_t, k, grid)
     w = c_hat + A * alpha + B * beta  # the first-order truncated velocity
 
     # first equation: eta_t + w_x + alpha*(w*eta)_x + beta*(a*w_xxx - b*eta_txx)
@@ -180,9 +183,9 @@ def _residual_norms(eng: SpectralEngine, c_hat, alpha, beta, model: ModelParamet
           + (w * dx3 * a - eta_t * dx2 * b) * beta)
 
     # w_t for the truncated ansatz: eta_t + alpha*A_t + beta*B_t with
-    # A_t = -eta*eta_t/2 and B_t needing eta_tt through the mixed derivative
+    # A_t = -eta*eta_t/2 and B_t, B's formula of eta_t and eta_tt
     A_t = padded_product(grid.n, c_hat, eta_t) * -0.5
-    B_t = eta_t * dx2 * (0.5 * (c - a + rho)) + eta_tt * dx1 * (0.5 * (b - d + rho))
+    B_t = _correction_b(eta_t, eta_tt, k, grid)
     w_t = eta_t + A_t * alpha + B_t * beta
 
     # second equation: w_t + eta_x + alpha*w*w_x + beta*(c*eta_xxx - d*w_txx)

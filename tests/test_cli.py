@@ -1,6 +1,8 @@
 """Command line: exit-code contract, config validation, output formats and
 byte determinism."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -14,7 +16,10 @@ import pytest
 import bbm5
 from bbm5 import cli, derivation, evolution, splitting
 from bbm5.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from bbm5.evolution import RhsSpec, run_simulation
+from bbm5.coefficients import reference_parameters
+from bbm5.evolution import RhsSpec, StepperConfig, run_simulation
+from cli_outputs import CONFIGS
+from test_exit_contract import BASE
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -168,6 +173,18 @@ def test_a_config_whose_bytes_do_not_decode_exits_2_in_one_line(tmp_path, capsys
     assert captured.err.splitlines() == [f"configuration error: config is not valid JSON: {why}"]
 
 
+@pytest.mark.parametrize("payload,message", [
+    ([{"grid": {"n": 64}}], "config root must be a JSON object"),
+    ({"grid": 64}, "config section 'grid' must be an object"),
+], ids=["root", "section"])
+def test_a_config_that_is_not_an_object_exits_2_in_one_line(tmp_path, capsys, payload, message):
+    cfg, out = _write_config(tmp_path, payload), tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [f"configuration error: {message}"])
+    assert not out.exists()
+
+
 def test_wrong_type_exits_2(tmp_path):
     cases = [
         ("simulate", {"grid": {"n": "many"}}),
@@ -188,6 +205,33 @@ def test_partial_section_keeps_command_defaults(tmp_path):
                                    "stepper": {"dt": 0.01},
                                    "split": {"cutoffs": [4.0, 64.0]}})
     assert main(["split", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+
+
+def test_the_cli_defaults_that_repeat_library_defaults_are_equal():
+    def schema(section, *keys):
+        return {key: cli._SCHEMA[section][key][1] for key in keys}
+
+    def defaults(fn, *names):
+        params = inspect.signature(fn).parameters
+        return {name: params[name].default for name in names}
+
+    stepper = dataclasses.asdict(StepperConfig())
+    stepper["cs"] = stepper.pop("contraction_constant_cs")
+    assert schema("stepper", *cli._SCHEMA["stepper"]) == stepper
+    assert schema("coeffs", *cli._PARAMETERS) == dataclasses.asdict(reference_parameters())
+    assert schema("split", "cutoffs", "t0_scale") == defaults(splitting.n_sweep, "cutoffs",
+                                                              "t0_scale")
+    sweep = defaults(derivation.epsilon_sweep, "epsilons", "t_final", "dt", "n_checkpoints")
+    sweep["checkpoints"] = sweep.pop("n_checkpoints")
+    assert schema("derivation", *cli._SCHEMA["derivation"]) == sweep
+    assert schema("simulate", "monitor_s", "record_every") == defaults(
+        run_simulation, "monitor_s", "record_every")
+    assert {key: cli._INITIAL[key][1] for key in ("amplitude", "width")} == defaults(
+        evolution.sech_squared, "amplitude", "width")
+
+
+def test_the_test_configs_hold_exactly_the_table_s_commands():
+    assert sorted(BASE) == sorted(CONFIGS) == sorted(cli._COMMANDS)
 
 
 def test_coeffs_ignores_grid_it_does_not_use(tmp_path):
@@ -1113,6 +1157,20 @@ def test_an_out_under_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.splitlines() == [
         f"configuration error: --out = {out!r} cannot be made a directory: Not a directory"]
     assert path.read_text() == ""
+
+
+def test_an_out_without_write_permission_exits_2_before_the_run(tmp_path, capsys, monkeypatch):
+    # a superuser's os.access grants write on a mode-555 directory, so the refusal is patched in
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_simulation was called")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--out", out, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: --out = {out!r} cannot be made a directory: Permission denied"]
+    assert not os.path.exists(out)
 
 
 def test_an_out_dir_env_var_that_names_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch):

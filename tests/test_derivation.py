@@ -45,10 +45,11 @@ def _eta_pair(grid, p, amplitude=0.3):
 
 
 def test_parameter_range_guard():
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match="alpha") as alpha:
         DerivationParameters(alpha=1.0, beta=0.1, model=reference_parameters())
-    with pytest.raises(ValueError, match="beta"):
+    with pytest.raises(ValueError, match="beta") as beta:
         DerivationParameters(alpha=0.1, beta=-0.1, model=reference_parameters())
+    assert (alpha.value.name, beta.value.name) == ("alpha", "beta")
 
 
 # ---------------------------------------------------------------------------

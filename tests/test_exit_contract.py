@@ -80,7 +80,7 @@ OUTS = ("a directory to make", "a file", "under a file")
 
 
 def default(command, path):
-    table = cli._COMMAND_DEFAULTS.get(command, {})
+    table = cli._COMMANDS[command][2]
     for key in path[:-1]:
         table = table.get(key, {})
     value = table.get(path[-1], KEYS[path][1])
@@ -121,7 +121,7 @@ def work(command, doc):
     if isinstance(doc, bytes):  # a config file that does not parse
         return 0.0
     try:
-        config = cli._resolve(doc, cli._SCHEMA, cli._COMMAND_DEFAULTS.get(command, {}))
+        config = cli._resolve(doc, cli._SCHEMA, cli._COMMANDS[command][2])
     except cli.ConfigError:
         return 0.0
     if command == "coeffs":

@@ -122,6 +122,11 @@ def test_field_rejects_wrong_shape_and_nonfinite(grid):
         Field.from_samples(grid, bad)
 
 
+def test_field_refuses_to_be_made_of_no_data(grid):
+    with pytest.raises(ValueError, match="Field needs samples or spectral coefficients"):
+        Field(grid)
+
+
 def test_field_arithmetic_grid_mismatch(grid):
     other = Grid(n=grid.n, length=grid.length * 2)
     with pytest.raises(ValueError, match="different grids"):

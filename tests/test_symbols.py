@@ -114,6 +114,13 @@ def test_symbol_needs_coefficients():
         Symbol("nope")
 
 
+def test_eval_symbol_refuses_an_unknown_kind_and_missing_coefficients():
+    with pytest.raises(ValueError, match="unknown symbol kind 'nope'"):
+        eval_symbol("nope", 1.0, REFERENCE_COEFFICIENTS)
+    with pytest.raises(ValueError, match="symbol 'psi' needs coefficients"):
+        eval_symbol("psi", 1.0)
+
+
 def test_symbol_refuses_bad_regime():
     bad = Bbm5Coefficients(gamma1=-1.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):
