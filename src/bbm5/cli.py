@@ -372,6 +372,10 @@ def cmd_multiplier_table(args, run: _Setup):
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     columns = [eval_symbol(kind, xi, run.coeffs)
                for kind in ("phi", "psi", "tau", "omega", "varphi_denominator")]
+    for key, row in (("xi_min", 0), ("xi_max", -1)):  # xi^4 overflows past |xi| of about 1.2e77
+        if not all(np.isfinite(column[row]) for column in columns):
+            raise ConfigError(f"multiplier_table.{key} = {sec[key]!r} is too far from 0: "
+                              "the symbol tables overflow there")
     csv = functools.partial(write_csv, header=("xi", "phi", "psi", "tau", "omega", "varphi"),
                             rows=zip(xi, *columns))
     return {"multiplier_table.csv": csv}, [f"multiplier-table: {len(xi)} rows written"], EXIT_OK

@@ -259,6 +259,8 @@ def semigroup_apply(f: Field, t: float, c: Bbm5Coefficients) -> Field:
 
     An H^s isometry for every s; realness is preserved because phi is odd.
     """
+    if not math.isfinite(t):
+        raise ParameterError("t", f"t must be finite, got {t}")
     return Field(f.grid, half=_engine(f.grid, RhsSpec(c)).semigroup_factor(t) * f.half)
 
 
@@ -327,6 +329,8 @@ def _stepper(grid: Grid, spec: RhsSpec, dt: float) -> Etdrk4Stepper:
 
 def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     """One ETDRK4 step; exact on the linear flow, zero mode exactly constant."""
+    if not 0.0 < dt < np.inf:
+        raise ParameterError("dt", f"dt must be positive and finite, got {dt}")
     return Field(f.grid, half=_stepper(f.grid, spec, dt).step(f.half))
 
 

@@ -257,6 +257,12 @@ _ESTIMATES = {
 }
 
 
+def _estimate(estimate_id: str) -> dict:
+    if estimate_id not in _ESTIMATES:
+        raise ValueError(f"unknown estimate {estimate_id!r}")
+    return _ESTIMATES[estimate_id]
+
+
 @dataclass
 class OperatorNormScan:
     estimate_id: str
@@ -292,7 +298,7 @@ def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
 def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
                    c: Bbm5Coefficients) -> float:
     """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes."""
-    spec = _ESTIMATES[estimate_id]
+    spec = _estimate(estimate_id)
     if len(fields) != spec["arity"]:
         raise ValueError(f"{estimate_id} takes {spec['arity']} fields")
     if any(f.grid != fields[0].grid for f in fields):
@@ -317,9 +323,7 @@ def empirical_operator_norm(
     and evaluated in stacks of at most SCAN_BLOCK; the result is that of
     drawing the fields one by one and computing each estimate_ratio.
     """
-    if estimate_id not in _ESTIMATES:
-        raise ValueError(f"unknown estimate {estimate_id!r}")
-    threshold = _ESTIMATES[estimate_id]["threshold"]
+    threshold = _estimate(estimate_id)["threshold"]
     if not s >= threshold:
         raise ParameterError("s", f"s = {s} is below the threshold: {estimate_id} requires "
                              f"s >= {threshold}")

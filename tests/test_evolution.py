@@ -79,6 +79,20 @@ def test_semigroup_phase_translation(grid, ref):
         assert np.abs(g.samples - expected).max() <= 1e-10
 
 
+@pytest.mark.filterwarnings("error")  # it returned a non-finite Field after RuntimeWarnings
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_semigroup_refuses_a_non_finite_time(grid, ref, t):
+    with pytest.raises(ParameterError) as caught:
+        semigroup_apply(Field.zero(grid), t, ref)
+    assert caught.value.name == "t"
+
+
+def test_semigroup_runs_backward_in_time(grid, rng, ref):
+    f = random_hs_field(grid, 1.0, rng)
+    back = semigroup_apply(semigroup_apply(f, 0.7, ref), -0.7, ref)
+    assert np.abs(back.spectral - f.spectral).max() < 1e-12
+
+
 def test_semigroup_refuses_bad_regime(grid):
     bad = Bbm5Coefficients(gamma1=-1.0, gamma2=0.0, delta1=1.0, delta2=0.0, gamma=0.0)
     with pytest.raises(RegimeError):
@@ -490,6 +504,14 @@ def test_stepper_build_peaks_near_its_tables(ref):
     tables = sum(getattr(stepper, name).nbytes
                  for name in ("e_full", "e_half", "q", "f1", "f2", "f3"))
     assert peak < 2 * tables, (peak, tables)
+
+
+@pytest.mark.filterwarnings("error")  # it returned a non-finite Field after RuntimeWarnings
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01])
+def test_etdrk4_step_refuses_a_dt_outside_zero_to_inf(grid, dt):
+    with pytest.raises(ParameterError) as caught:
+        exponential_rk4_step(Field.zero(grid), _spec(), dt)
+    assert caught.value.name == "dt"
 
 
 def test_etdrk4_zero_field_stays_zero(grid):

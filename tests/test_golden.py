@@ -1,6 +1,7 @@
 """Golden outputs: the files of the eight CLI runs in ``cli_outputs`` and of
-the four benchmark workloads at full size in ``workload_outputs``,
-regenerated and compared with the copies kept under ``tests/golden/``.
+the four benchmark workloads at full size in ``workload_outputs`` (each also
+passing its benchmark check), regenerated and compared with the copies kept
+under ``tests/golden/``.
 
 Text and integers must match exactly, floats within the tolerance of their
 file (``TOLERANCE``), so that a CPU or numpy that rounds the last bits
@@ -74,9 +75,9 @@ def test_outputs_match_the_golden_files(tmp_path, command):
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_workload_results_match_the_golden_files(tmp_path, workload):
-    run_workload(workload, tmp_path / workload, tmp_path)
+    run_workload(workload, tmp_path / "out", tmp_path)  # inputs in tmp_path, results in out
     label = f"workloads/{workload}"
-    _compare(tmp_path / workload, GOLDEN / label, label)
+    _compare(tmp_path / "out", GOLDEN / label, label)
 
 
 def test_mismatches_compare_text_integers_and_floats():

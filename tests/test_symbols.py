@@ -346,6 +346,12 @@ def test_estimate_ratio_wrong_arity(grid, ref):
         estimate_ratio("psi_trilinear", (Field.zero(grid),), 1.0, ref)
 
 
+def test_estimate_ratio_refuses_an_unknown_estimate(grid, ref):
+    # it raised KeyError: 'nope'
+    with pytest.raises(ValueError, match="unknown estimate 'nope'"):
+        estimate_ratio("nope", (Field.zero(grid), Field.zero(grid)), 1.0, ref)
+
+
 def test_estimate_ratio_refuses_fields_on_different_grids(grid, ref):
     # it used to evaluate the product on the first field's grid and each norm on
     # its field's own
