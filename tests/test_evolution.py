@@ -656,7 +656,7 @@ def test_march_yields_each_state_with_its_stage_0_integral():
     # evaluated, which wrote its integral of (c_x)^3; the last has not
     grid, dt, steps = Grid(n=64, length=16.0 * math.pi), 0.02, 7
     stepper = evolution._stepper(grid, RhsSpec(SHIFTED), dt)
-    c0 = sech_squared(grid, 0.4).half
+    c0 = _asymmetric(grid, 0.4).half
     plain = [c0]
     for _ in range(steps):
         plain.append(stepper.step(plain[-1]))
@@ -840,6 +840,12 @@ def test_run_diagnostics_are_the_field_functions_of_the_snapshots(grid, scheme, 
 SHIFTED = dataclasses.replace(REFERENCE_COEFFICIENTS, gamma=7.0 / 48.0 + 0.1)  # drift != 0
 
 
+def _asymmetric(grid, amplitude):
+    """A sech^2 of the given amplitude at L/2 and a smaller one at 0.3 L: an even
+    pulse alone has an integral of (eta_x)^3, and so a predicted drift, of 0."""
+    return sech_squared(grid, amplitude, 1.0) + sech_squared(grid, 0.25, 0.5, 0.3 * grid.length)
+
+
 def _assert_predictions_are_the_snapshots(rep, c):
     assert len(rep.snapshots) == len(rep.times) == len(rep.drift_predicted)
     assert np.all(np.isfinite(rep.drift_predicted))  # no placeholder is left
@@ -855,7 +861,7 @@ def test_record_predictions_are_energy_drift_predicted_bit_for_bit(record_every,
     # final record, an undealiased and a linear run compute it directly.  T/dt
     # = 8.3 makes 8 steps of T/8, so record_every=3 ends off its lattice.
     grid = Grid(n=128, length=16.0 * math.pi)
-    eta0 = sech_squared(grid, 0.5, 1.0)
+    eta0 = _asymmetric(grid, 0.5)
     spec = RhsSpec(SHIFTED, dealias=dealias, linear_only=linear_only)
     rep = run_simulation(eta0, spec, StepperConfig(dt=0.01), 0.083, record_every=record_every,
                          keep_snapshots=True)
