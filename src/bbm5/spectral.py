@@ -21,11 +21,13 @@ conjugate and is weighted twice: the H^s norm is its root with (1 + xi^2)^s
 weights (L^2 for s = 0), the energy half of it.  The weight tables and
 derivative symbols are cached per grid, at most ``CACHE_SIZE`` of each kind.
 
-The padded transforms live here once: ``fine_samples`` (irfft onto m points
-of the spectrum ``fine_band`` pads) and ``truncated_coeffs`` (rfft of m
-samples, truncated back to the half spectrum).  They are used by
-``padded_product`` below (behind the Field-level products and the operator-norm
-scans of ``bbm5.symbols``) and by ``SpectralEngine`` in ``bbm5.evolution``.
+The transforms live here once: ``fine_samples`` (irfft onto m points of the
+spectrum ``fine_band`` pads) and ``truncated_coeffs`` (rfft of m samples,
+truncated back to the half spectrum).  They are every transform of the
+package: a Field's samples and the half spectrum of sampled data (m = n),
+``padded_product`` below (behind the Field-level products and the
+operator-norm scans of ``bbm5.symbols``) and ``SpectralEngine`` in
+``bbm5.evolution``.
 """
 
 from __future__ import annotations
@@ -143,20 +145,16 @@ class Field:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            s = np.fft.irfft(self._half, self.grid.n, norm="forward")
-            s.setflags(write=False)
-            self._samples = s
+            self._samples = fine_samples(self._half, self.grid.n)
+            self._samples.setflags(write=False)
         return self._samples
 
     @property
     def half(self) -> np.ndarray:
         """The half spectrum in rfft layout (read-only)."""
         if self._half is None:
-            # the complex transform: rfft rounds differently, and sampled data
-            # keep the coefficients they have always had
-            h = np.fft.fft(self._samples)[: self.grid.n // 2 + 1] / self.grid.n
-            h.setflags(write=False)
-            self._half = h
+            self._half = truncated_coeffs(self._samples, self.grid.n)
+            self._half.setflags(write=False)
         return self._half
 
     @property

@@ -3,8 +3,6 @@ the Duhamel/Picard fixed point."""
 
 import dataclasses
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -254,10 +252,10 @@ def test_one_step_makes_four_transforms_each_way(grid, ref, monkeypatch):
 
 
 def _arrays(eng):
-    """The ndarrays an engine holds, by attribute name, those in the calling
-    thread's tuple of work buffers included."""
+    """The ndarrays an engine holds, by attribute name, those in its tuple of
+    work buffers included."""
     arrays = {}
-    for k, v in {**vars(eng), "buffers": getattr(eng._local, "buffers", ())}.items():
+    for k, v in vars(eng).items():
         for i, a in enumerate(v if isinstance(v, tuple) else [v]):
             if isinstance(a, np.ndarray):
                 arrays[f"{k}[{i}]" if isinstance(v, tuple) else k] = a
@@ -299,8 +297,7 @@ def test_nonlinear_hat_leaves_no_stale_state_in_its_buffers(dealias, ref):
 
 def test_engine_keeps_one_buffer_set_for_the_last_shape(ref):
     # a single state's buffers are reused; a stack's replace them, and the next
-    # single state remakes them once, then reuses them.  Another thread gets a
-    # set of its own and leaves the calling thread's as it was
+    # single state remakes them once, then reuses them
     grid = Grid(n=64, length=16.0 * math.pi)
     rng = np.random.default_rng(23)
     a, b = (random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2))
@@ -308,61 +305,12 @@ def test_engine_keeps_one_buffer_set_for_the_last_shape(ref):
     held = []
     for c_hat in (a, b, np.stack([a, b]), b, a):
         assert np.array_equal(eng.nonlinear_hat(c_hat), _two_transform_nonlinear_hat(eng, c_hat))
-        held.append(eng._local.buffers)
+        held.append(eng._buffers)
     single, again, stack, remade, reused = held
     assert again is single and reused is remade
     assert stack is not single and remade is not stack and remade is not single
     assert stack[1].shape == (2, 2, eng.m) and remade[1].shape == (2, eng.m)
     assert not any(np.shares_memory(x, y) for x in remade for y in single)
-    kept = [x.copy() for x in remade]
-
-    theirs = []
-
-    def other():
-        assert getattr(eng._local, "buffers", None) is None
-        assert np.array_equal(eng.nonlinear_hat(b), _two_transform_nonlinear_hat(eng, b))
-        theirs.extend(eng._local.buffers)
-
-    thread = threading.Thread(target=other)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and len(theirs) == 4
-    assert eng._local.buffers is remade
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(remade, kept))
-    assert [x.shape for x in theirs] == [x.shape for x in remade]
-    assert not any(np.shares_memory(x, y) for x in theirs for y in remade)
-
-
-def test_threads_sharing_a_cached_engine_get_the_single_thread_results(ref):
-    # four threads, more than the cores of a small host, evaluate the
-    # nonlinearity on one cached engine, one of them a two-row stack, while
-    # the interpreter switches threads as often as it can: every result is
-    # the one-thread result bit for bit (with one shared buffer set, threads
-    # of one shape wrote into each other's samples)
-    grid = Grid(n=256, length=16.0 * math.pi)
-    rng = np.random.default_rng(24)
-    states = [random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(3)]
-    states.append(np.stack([random_hs_field(grid, 1.5, rng, 0.5).half for _ in range(2)]))
-    eng = evolution._engine(grid, RhsSpec(ref))
-    want = [eng.nonlinear_hat(c_hat) for c_hat in states]
-    mismatches = [None] * len(states)
-
-    def evaluate(i):
-        mismatches[i] = sum(not np.array_equal(eng.nonlinear_hat(states[i]), want[i])
-                            for _ in range(300))
-
-    threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(states))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mismatches == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("dealias", [True, False])
