@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,6 +214,12 @@ def require_wellposed(c: Bbm5Coefficients, who: str) -> None:
     if violations:
         raise RegimeError("gamma1" if not c.gamma1 > 0 else "delta1",
                           f"{who} requires gamma1, delta1 > 0: " + "; ".join(violations))
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer, a Python or numpy one, before it is used."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(name, f"{name} must be an integer, got {value!r}")
 
 
 def denominator(xi, c: Bbm5Coefficients):

@@ -26,6 +26,7 @@ from .coefficients import (
     Bbm5Coefficients,
     ModelParameters,
     ParameterError,
+    _require_integer,
     derive_bbm5,
     derive_first_order,
     derive_second_order,
@@ -134,6 +135,7 @@ def correction_terms(
     eta: Field, eta_t: Field, p: DerivationParameters
 ) -> tuple[Field, Field, Field, Field, Field]:
     """The five correction fields (A, B, C, D, E) of the velocity ansatz."""
+    eta._check_grid(eta_t)
     s = derive_second_order(p.model)
     a, b, c, d, rho = k = _constants(p.model)
     A, B, eta2 = (Field(eta.grid, half=h) for h in _first_order(eta.half, eta_t.half, k, eta.grid))
@@ -236,6 +238,7 @@ def epsilon_sweep(
     stack.  Returns per-eps rows plus the fitted log-log slopes (target:
     order 2), which need two or more distinct epsilons in (0, 1).
     """
+    _require_integer("n_checkpoints", n_checkpoints)
     if (n_checkpoints < 1 or not all(0 < eps < 1 for eps in epsilons)
             or len(epsilons) < 2 or len(set(epsilons)) < len(epsilons)):
         raise ParameterError("n_checkpoints" if n_checkpoints < 1 else "epsilons",

@@ -49,7 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, ParameterError, multipliers, require_wellposed
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer, multipliers,
+                           require_wellposed)
 from .spectral import (
     CACHE_SIZE,
     Field,
@@ -130,6 +131,7 @@ class StepperConfig:
             raise ParameterError("dt", f"dt must be positive and finite, got {self.dt}")
         if not self.picard_tol > 0:
             raise ParameterError("picard_tol", "picard_tol must be positive")
+        _require_integer("picard_max_iter", self.picard_max_iter)
         if self.picard_max_iter < 1:
             raise ParameterError("picard_max_iter", "picard_max_iter must be positive")
         if not 0.0 < self.contraction_constant_cs < np.inf:
@@ -138,8 +140,12 @@ class StepperConfig:
 
 
 def local_existence_time(hs_norm: float, cs: float) -> float:
-    """Guaranteed existence time 1/(8*C_s*r0*(1+r0)); infinite where that
-    product is 0, for zero data or when it underflows."""
+    """Guaranteed existence time 1/(8*C_s*r0*(1+r0)) of r0 = hs_norm >= 0 and C_s = cs > 0;
+    infinite where that product is 0, for zero data or when it underflows."""
+    if not hs_norm >= 0.0:
+        raise ParameterError("hs_norm", f"hs_norm must be >= 0, got {hs_norm}")
+    if not 0.0 < cs < np.inf:
+        raise ParameterError("cs", f"cs must be positive and finite, got {cs}")
     product = 8.0 * cs * hs_norm * (1.0 + hs_norm)
     return 1.0 / product if product > 0.0 else np.inf
 
@@ -505,6 +511,7 @@ def run_simulation(
     run: the report holds the records before it, and its ``error``
     (``aborted`` is set) is the NumericalError that gives that step and time.
     """
+    _require_integer("record_every", record_every)
     if record_every < 1:
         raise ParameterError("record_every", f"need record_every >= 1, got {record_every}")
     c = spec.coefficients

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, ParameterError, denominator, require_wellposed
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer, denominator,
+                           require_wellposed)
 
 __all__ = [
     "Grid",
@@ -67,8 +68,7 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise ParameterError("n", f"n must be an integer, got {self.n!r}")
+        _require_integer("n", self.n)
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError("n", f"n must be even and >= 4, got {self.n}")
         if not isinstance(self.length, numbers.Real) or isinstance(self.length, bool):

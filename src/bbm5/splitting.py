@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, ParameterError
+from .coefficients import Bbm5Coefficients, ParameterError, _require_integer
 from .evolution import (Etdrk4Stepper, NumericalError, RhsSpec, StepperConfig, _linear_fit,
                         _march, _stepper, _time_lattice, semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
@@ -74,6 +74,7 @@ class SplitConfig:
             raise ParameterError("cutoff", f"cutoff N must be positive, got {self.cutoff}")
         if not (1.0 <= self.s < 2.0):
             raise ParameterError("s", f"s must lie in [1, 2), got {self.s}")
+        _require_integer("k_max", self.k_max)
         if self.k_max < 0:
             raise ParameterError("k_max", f"k_max must be non-negative, got {self.k_max}")
         if not 0.0 < self.t0_scale < np.inf:

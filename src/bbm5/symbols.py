@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (Bbm5Coefficients, ParameterError, denominator, multipliers,
-                           require_wellposed)
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer, denominator,
+                           multipliers, require_wellposed)
 from .evolution import MAX_STEPS
 from .spectral import (
     CACHE_SIZE,
@@ -257,10 +257,15 @@ _ESTIMATES = {
 }
 
 
-def _estimate(estimate_id: str) -> dict:
+def _estimate(estimate_id: str, s: float) -> dict:
+    """The named estimate, refused at a Sobolev index s below its validity threshold."""
     if estimate_id not in _ESTIMATES:
         raise ValueError(f"unknown estimate {estimate_id!r}")
-    return _ESTIMATES[estimate_id]
+    spec = _ESTIMATES[estimate_id]
+    if not s >= spec["threshold"]:
+        raise ParameterError("s", f"s = {s} is below the threshold: {estimate_id} requires "
+                             f"s >= {spec['threshold']}")
+    return spec
 
 
 @dataclass
@@ -297,8 +302,9 @@ def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
 
 def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
                    c: Bbm5Coefficients) -> float:
-    """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes."""
-    spec = _estimate(estimate_id)
+    """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes.  An s below
+    the estimate's threshold is refused."""
+    spec = _estimate(estimate_id, s)
     if len(fields) != spec["arity"]:
         raise ValueError(f"{estimate_id} takes {spec['arity']} fields")
     if any(f.grid != fields[0].grid for f in fields):
@@ -317,25 +323,24 @@ def empirical_operator_norm(
     """Monte-Carlo scan of the operator-norm ratio of a multiplier estimate.
 
     Refuses Sobolev indices below the estimate's validity threshold or whose
-    H^s weights overflow on the grid, trials outside [1, MAX_STEPS] and a
-    negative seed, each a ParameterError.  Ratios are expected to plateau as
-    trials accumulate (boundedness evidence, not a proof).  Trials are drawn
-    and evaluated in stacks of at most SCAN_BLOCK; the result is that of
-    drawing the fields one by one and computing each estimate_ratio.
+    H^s weights overflow on the grid, trials or a seed that is not an integer,
+    trials outside [1, MAX_STEPS] and a negative seed, each a ParameterError.
+    Ratios are expected to plateau as trials accumulate (boundedness
+    evidence, not a proof).  Trials are drawn and evaluated in stacks of at
+    most SCAN_BLOCK; the result is that of drawing the fields one by one and
+    computing each estimate_ratio.
     """
-    threshold = _estimate(estimate_id)["threshold"]
-    if not s >= threshold:
-        raise ParameterError("s", f"s = {s} is below the threshold: {estimate_id} requires "
-                             f"s >= {threshold}")
+    arity = _estimate(estimate_id, s)["arity"]
     if not np.isfinite(sobolev_weights(grid, s)).all():
         raise ParameterError("s", f"s = {s!r} makes H^s weights that overflow on grid.n = {grid.n}")
+    _require_integer("trials", trials)
+    _require_integer("seed", seed)
     if not 1 <= trials <= MAX_STEPS:  # the running maximum takes 8 bytes a trial
         raise ParameterError("trials", f"trials must be at least 1 and at most "
                              f"{MAX_STEPS:.0e}, got {trials}")
     if seed < 0:  # numpy refuses it, naming no parameter
         raise ParameterError("seed", f"seed must be >= 0, got {seed}")
     require_wellposed(c, "operator-norm scan")
-    arity = _ESTIMATES[estimate_id]["arity"]
     rng = np.random.default_rng(seed)
     running = np.empty(trials)
     best = 0.0

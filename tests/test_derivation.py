@@ -87,6 +87,16 @@ def test_quadratic_correction_integral_identity(dgrid):
     assert A.samples.max() <= 1e-9
 
 
+@pytest.mark.parametrize("entry", [correction_terms, reconstruct_velocity])
+def test_corrections_refuse_fields_on_different_grids(dgrid, entry):
+    # eta_t on a grid of another n ended in numpy's "operands could not be
+    # broadcast together with shapes (17,) (33,)"
+    eta = Field.from_samples(dgrid, np.cos(dgrid.x))
+    for other in (Grid(n=32, length=dgrid.length), Grid(n=dgrid.n, length=2.0 * dgrid.length)):
+        with pytest.raises(ValueError, match="^fields live on different grids$"):
+            entry(eta, Field.zero(other), _params())
+
+
 # ---------------------------------------------------------------------------
 # Velocity reconstruction
 # ---------------------------------------------------------------------------

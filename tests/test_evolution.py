@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, ParameterError,
-                               RegimeError, multipliers)
+from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, REFERENCE_PARAMETERS,
+                               ParameterError, RegimeError, multipliers)
 from bbm5 import evolution, spectral
 from bbm5.evolution import (
     MAX_STEPS,
@@ -624,6 +624,30 @@ def test_march_yields_each_state_with_its_stage_0_integral():
     assert np.array_equal(stepper.step(c0, nl(c0)), stepper.step(c0))
 
 
+@pytest.mark.parametrize("name", ["record_every", "picard_max_iter", "k_max", "n_checkpoints",
+                                  "trials", "seed"])
+def test_integer_parameters_refuse_a_non_integer(name, grid):
+    # each accepted 2.5 and then failed with a bare TypeError, such as "'float'
+    # object cannot be interpreted as an integer"
+    from bbm5.derivation import epsilon_sweep
+    from bbm5.splitting import SplitConfig
+
+    calls = {
+        "record_every": lambda: run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01),
+                                               0.05, record_every=2.5),
+        "picard_max_iter": lambda: StepperConfig(picard_max_iter=2.5),
+        "k_max": lambda: SplitConfig(cutoff=8.0, s=1.5, k_max=2.5),
+        "n_checkpoints": lambda: epsilon_sweep(grid, REFERENCE_PARAMETERS, n_checkpoints=2.5),
+        "trials": lambda: empirical_operator_norm("tau_bilinear", 1.0, 2.5, grid,
+                                                  REFERENCE_COEFFICIENTS),
+        "seed": lambda: empirical_operator_norm("tau_bilinear", 1.0, 10, grid,
+                                                REFERENCE_COEFFICIENTS, seed=2.5),
+    }
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got 2.5$") as exc:
+        calls[name]()
+    assert exc.value.name == name
+
+
 @pytest.mark.parametrize("dt", [math.inf, math.nan])
 def test_stepper_config_refuses_a_non_finite_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
@@ -1012,6 +1036,16 @@ def test_local_existence_time_values():
     assert local_existence_time(0.01, 5e-324) == np.inf  # 8*cs*r0*(1 + r0) underflows to 0
     assert local_existence_time(0.01, 1.0) == pytest.approx(1.0 / (0.08 * 1.01))
     assert local_existence_time(1.0, 2.0) == pytest.approx(1.0 / 32.0)
+
+
+@pytest.mark.parametrize("hs_norm,cs,name", [
+    (math.nan, 1.0, "hs_norm"), (-1.0, 1.0, "hs_norm"), (1.0, math.nan, "cs"),
+    (1.0, -1.0, "cs"), (1.0, 0.0, "cs"), (0.0, math.inf, "cs")])
+def test_local_existence_time_refuses_a_meaningless_norm_or_constant(hs_norm, cs, name):
+    # each returned inf, an existence time guaranteed forever
+    with pytest.raises(ParameterError) as exc:
+        local_existence_time(hs_norm, cs)
+    assert exc.value.name == name
 
 
 def test_picard_zero_data_one_iteration(grid):
