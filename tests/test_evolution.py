@@ -11,6 +11,7 @@ import pytest
 from bbm5.coefficients import (Bbm5Coefficients, REFERENCE_COEFFICIENTS, REFERENCE_PARAMETERS,
                                ParameterError, RegimeError, multipliers)
 from bbm5 import evolution, spectral
+from bbm5.derivation import epsilon_sweep
 from bbm5.evolution import (
     MAX_STEPS,
     PicardDivergenceError,
@@ -31,6 +32,7 @@ from bbm5.evolution import (
 )
 from bbm5.spectral import (Field, Grid, energy, fine_samples, full_spectrum,
                            half_spectrum, sobolev_norm, truncated_coeffs)
+from bbm5.splitting import SplitConfig
 from bbm5.symbols import Symbol, empirical_operator_norm, eval_symbol, random_hs_field
 
 
@@ -629,9 +631,6 @@ def test_march_yields_each_state_with_its_stage_0_integral():
 def test_integer_parameters_refuse_a_non_integer(name, grid):
     # each accepted 2.5 and then failed with a bare TypeError, such as "'float'
     # object cannot be interpreted as an integer"
-    from bbm5.derivation import epsilon_sweep
-    from bbm5.splitting import SplitConfig
-
     calls = {
         "record_every": lambda: run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01),
                                                0.05, record_every=2.5),

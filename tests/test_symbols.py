@@ -366,17 +366,13 @@ def test_scan_refuses_s_below_threshold(grid, ref):
         empirical_operator_norm("psi_grad_bilinear", 0.5, 10, grid, ref)
     with pytest.raises(ValueError, match="requires s >= 0.16"):
         empirical_operator_norm("psi_trilinear", 0.1, 10, grid, ref)
-
-
-@pytest.mark.parametrize("estimate,s,threshold", [
-    ("psi_grad_bilinear", 0.0, "1.0"), ("psi_trilinear", 0.1, "0.16"), ("tau_bilinear", -0.5, "0.0")])
-def test_estimate_ratio_refuses_s_below_threshold(grid, ref, estimate, s, threshold):
-    # psi_grad_bilinear at s = 0 returned 0.2509 where the scan refused that s
-    fields = tuple(random_hs_field(grid, 1.0, np.random.default_rng(k)) for k in range(3))
-    arity = 2 if estimate.endswith("bilinear") else 3
-    with pytest.raises(ParameterError, match=f"requires s >= {threshold}") as exc:
-        estimate_ratio(estimate, fields[:arity], s, ref)
-    assert exc.value.name == "s"
+    # estimate_ratio refuses by the same check: psi_grad_bilinear at s = 0 returned 0.2509
+    f = random_hs_field(grid, 1.0, np.random.default_rng(1))
+    for estimate, fields, s, threshold in (("psi_grad_bilinear", (f, f), 0.0, "1.0"),
+                                           ("psi_trilinear", (f, f, f), 0.1, "0.16")):
+        with pytest.raises(ParameterError, match=f"requires s >= {threshold}") as exc:
+            estimate_ratio(estimate, fields, s, ref)
+        assert exc.value.name == "s"
 
 
 def test_scan_refuses_unknown_estimate(grid, ref):
