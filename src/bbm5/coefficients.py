@@ -216,10 +216,25 @@ def require_wellposed(c: Bbm5Coefficients, who: str) -> None:
                           f"{who} requires gamma1, delta1 > 0: " + "; ".join(violations))
 
 
-def _require_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer, a Python or numpy one, before it is used."""
-    if not isinstance(value, numbers.Integral):
+def _require_integer(name: str, value, low=None, high=None) -> None:
+    """Refuse a value that is not an integer, a Python or numpy one but no bool, or that
+    lies below low or above high, where given, before it is used."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ParameterError(name, f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ParameterError(name, f"{name} must be at least {low} and at most {high:.0e}, "
+                             f"got {value}")
+    if low is not None and value < low:
+        raise ParameterError(name, f"need {name} >= {low}, got {value}")
+
+
+def _require_positive_finite(name: str, value) -> None:
+    """Refuse a value that is not a real number, a bool included, or not positive and
+    finite (NaN included) before it is used."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ParameterError(name, f"{name} must be a real number, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise ParameterError(name, f"{name} must be positive and finite, got {value}")
 
 
 def denominator(xi, c: Bbm5Coefficients):

@@ -49,21 +49,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer, multipliers,
-                           require_wellposed)
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer,
+                           _require_positive_finite, multipliers, require_wellposed)
 from .spectral import (
     CACHE_SIZE,
     Field,
     Grid,
     _energy_weights,
+    checked_sobolev_weights,
     derivative_symbol,
     fine_band,
     fine_samples,
     integral_cube,
     quadratic_form,
     sampled_integral_cube,
-    sobolev_norm,
-    sobolev_weights,
     spectral_derivative,
     truncated_coeffs,
     write_csv,
@@ -127,16 +126,10 @@ class StepperConfig:
     def __post_init__(self):
         if self.scheme not in ("picard_duhamel", "exponential_rk4"):
             raise ParameterError("scheme", f"unknown scheme {self.scheme!r}")
-        if not 0.0 < self.dt < np.inf:
-            raise ParameterError("dt", f"dt must be positive and finite, got {self.dt}")
-        if not self.picard_tol > 0:
-            raise ParameterError("picard_tol", "picard_tol must be positive")
-        _require_integer("picard_max_iter", self.picard_max_iter)
-        if self.picard_max_iter < 1:
-            raise ParameterError("picard_max_iter", "picard_max_iter must be positive")
-        if not 0.0 < self.contraction_constant_cs < np.inf:
-            raise ParameterError("cs", f"contraction constant cs must be positive and finite, "
-                                 f"got {self.contraction_constant_cs}")
+        _require_positive_finite("dt", self.dt)
+        _require_positive_finite("picard_tol", self.picard_tol)
+        _require_integer("picard_max_iter", self.picard_max_iter, 1)
+        _require_positive_finite("cs", self.contraction_constant_cs)
 
 
 def local_existence_time(hs_norm: float, cs: float) -> float:
@@ -144,8 +137,7 @@ def local_existence_time(hs_norm: float, cs: float) -> float:
     infinite where that product is 0, for zero data or when it underflows."""
     if not hs_norm >= 0.0:
         raise ParameterError("hs_norm", f"hs_norm must be >= 0, got {hs_norm}")
-    if not 0.0 < cs < np.inf:
-        raise ParameterError("cs", f"cs must be positive and finite, got {cs}")
+    _require_positive_finite("cs", cs)
     product = 8.0 * cs * hs_norm * (1.0 + hs_norm)
     return 1.0 / product if product > 0.0 else np.inf
 
@@ -331,8 +323,7 @@ def _stepper(grid: Grid, spec: RhsSpec, dt: float) -> Etdrk4Stepper:
 
 def exponential_rk4_step(f: Field, spec: RhsSpec, dt: float) -> Field:
     """One ETDRK4 step; exact on the linear flow, zero mode exactly constant."""
-    if not 0.0 < dt < np.inf:
-        raise ParameterError("dt", f"dt must be positive and finite, got {dt}")
+    _require_positive_finite("dt", dt)
     return Field(f.grid, half=_stepper(f.grid, spec, dt).step(f.half))
 
 
@@ -472,9 +463,8 @@ def _linear_fit(x, y) -> tuple[float, float]:
 def _time_lattice(T: float, dt: float, legs: int = 1) -> tuple[int, float]:
     """round(T/(legs*dt)) steps, at least 1, and their length: the lattice of every time loop,
     of each epsilon-sweep leg.  Refused unless 0 < T, dt < inf and legs*steps <= MAX_STEPS."""
-    for name, x in (("T", T), ("dt", dt)):
-        if not 0.0 < x < np.inf:
-            raise ParameterError(name, f"{name} must be positive and finite, got {x}")
+    _require_positive_finite("T", T)
+    _require_positive_finite("dt", dt)
     if legs > MAX_STEPS:  # a step a leg at least; T / legs overflows past a float's range
         steps, count = 1, max(float(legs) if legs < 1e308 else math.inf, T / dt)
     else:
@@ -511,20 +501,13 @@ def run_simulation(
     run: the report holds the records before it, and its ``error``
     (``aborted`` is set) is the NumericalError that gives that step and time.
     """
-    _require_integer("record_every", record_every)
-    if record_every < 1:
-        raise ParameterError("record_every", f"need record_every >= 1, got {record_every}")
+    _require_integer("record_every", record_every, 1)
     c = spec.coefficients
     grid = eta0.grid
     n_steps, dt = _time_lattice(T, cfg.dt)
     svals = list(dict.fromkeys(monitor_s))
-    if not all(map(math.isfinite, svals)):
-        raise ParameterError("monitor_s", f"monitor_s must be finite, got {svals}")
-    weights = np.stack([_energy_weights(grid, c), *(sobolev_weights(grid, s) for s in svals)])
-    for s, w in zip(svals, weights[1:]):
-        if not np.isfinite(w).all():
-            raise ParameterError("monitor_s", f"monitor_s holds {s!r}, whose H^s weights "
-                                 f"overflow on grid.n = {grid.n}")
+    weights = np.stack([_energy_weights(grid, c),
+                        *(checked_sobolev_weights(grid, s, "monitor_s") for s in svals)])
     # a column of 8-byte numbers per record: t, E, zero mode, predicted dE/dt, H^s norms
     table = np.empty((4 + len(svals), n_steps // record_every + 2))
     cube = (np.empty(1) if cfg.scheme == "exponential_rk4" and spec.dealias
@@ -600,13 +583,8 @@ def duhamel_picard(
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
         raise ParameterError("T", f"T = {T:g} makes {K + 1} Picard nodes, "
                              f"over {MAX_STEPS:.0e} coefficients")
-    if not math.isfinite(cfg.sobolev_s):
-        raise ParameterError("sobolev_s", f"sobolev_s must be finite, got {cfg.sobolev_s!r}")
-    hs_w = sobolev_weights(eta0.grid, cfg.sobolev_s)
-    if not np.isfinite(hs_w).all():
-        raise ParameterError("sobolev_s", f"sobolev_s = {cfg.sobolev_s!r} makes H^s weights "
-                             f"that overflow on grid.n = {eta0.grid.n}")
-    r0 = sobolev_norm(eta0, cfg.sobolev_s)
+    hs_w = checked_sobolev_weights(eta0.grid, cfg.sobolev_s, "sobolev_s")
+    r0 = math.sqrt(quadratic_form(eta0.half, eta0.grid, hs_w))
     if not math.isfinite(r0):
         raise ParameterError("eta0", "eta0 makes initial data whose H^s norm at "
                              f"stepper.sobolev_s = {cfg.sobolev_s!r} overflows")

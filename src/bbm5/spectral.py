@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer, denominator,
-                           require_wellposed)
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer,
+                           _require_positive_finite, denominator, require_wellposed)
 
 __all__ = [
     "Grid",
@@ -71,10 +71,7 @@ class Grid:
         _require_integer("n", self.n)
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError("n", f"n must be even and >= 4, got {self.n}")
-        if not isinstance(self.length, numbers.Real) or isinstance(self.length, bool):
-            raise ParameterError("length", f"length must be a real number, got {self.length!r}")
-        if not 0.0 < self.length < np.inf:
-            raise ParameterError("length", f"length must be positive and finite, got {self.length}")
+        _require_positive_finite("length", self.length)
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -214,14 +211,20 @@ def _half_weights(table):
     return weights
 
 
-def _sobolev_table(xi, s):
-    if not math.isfinite(s):
-        raise ParameterError("s", f"Sobolev index s must be finite, got {s!r}")
-    return (1.0 + xi * xi) ** s
-
-
-sobolev_weights = _half_weights(_sobolev_table)
+sobolev_weights = _half_weights(lambda xi, s: (1.0 + xi * xi) ** s)
 _energy_weights = _half_weights(denominator)
+
+
+def checked_sobolev_weights(grid: Grid, s: float, name: str = "s") -> np.ndarray:
+    """sobolev_weights(grid, s), refused with ParameterError(name) when the Sobolev
+    index s is not finite or its weights overflow on grid."""
+    if not math.isfinite(s):
+        raise ParameterError(name, f"{name} must be finite, got {s!r}")
+    w = sobolev_weights(grid, s)
+    if not np.isfinite(w).all():
+        raise ParameterError(name, f"{name} = {s!r} makes H^s weights that overflow on "
+                             f"grid.n = {grid.n}")
+    return w
 
 
 def spectral_derivative(f: Field, order: int) -> Field:
@@ -240,8 +243,9 @@ def quadratic_form(h: np.ndarray, grid: Grid, w: np.ndarray) -> np.ndarray:
 
 
 def sobolev_norm(f: Field, s: float) -> float:
-    """Discrete H^s norm with (1 + xi^2)^s weights."""
-    return math.sqrt(quadratic_form(f.half, f.grid, sobolev_weights(f.grid, s)))
+    """Discrete H^s norm with (1 + xi^2)^s weights, of a Sobolev index s that
+    checked_sobolev_weights admits."""
+    return math.sqrt(quadratic_form(f.half, f.grid, checked_sobolev_weights(f.grid, s)))
 
 
 def energy(f: Field, c: Bbm5Coefficients) -> float:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Bbm5Coefficients, ParameterError, _require_integer
+from .coefficients import (Bbm5Coefficients, ParameterError, _require_integer,
+                           _require_positive_finite)
 from .evolution import (Etdrk4Stepper, NumericalError, RhsSpec, StepperConfig, _linear_fit,
                         _march, _stepper, _time_lattice, semigroup_apply)
 from .spectral import Field, energy, low_pass, sobolev_norm, write_csv
@@ -74,12 +75,8 @@ class SplitConfig:
             raise ParameterError("cutoff", f"cutoff N must be positive, got {self.cutoff}")
         if not (1.0 <= self.s < 2.0):
             raise ParameterError("s", f"s must lie in [1, 2), got {self.s}")
-        _require_integer("k_max", self.k_max)
-        if self.k_max < 0:
-            raise ParameterError("k_max", f"k_max must be non-negative, got {self.k_max}")
-        if not 0.0 < self.t0_scale < np.inf:
-            raise ParameterError("t0_scale", f"t0_scale must be positive and finite, "
-                                 f"got {self.t0_scale}")
+        _require_integer("k_max", self.k_max, 0)
+        _require_positive_finite("t0_scale", self.t0_scale)
 
     def steps(self, dt: float) -> int:
         try:

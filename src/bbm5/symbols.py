@@ -30,10 +30,10 @@ from .spectral import (
     CACHE_SIZE,
     Field,
     Grid,
+    checked_sobolev_weights,
     derivative_symbol,
     padded_product,
     quadratic_form,
-    sobolev_weights,
 )
 
 __all__ = [
@@ -285,11 +285,11 @@ class OperatorNormScan:
         return float(self.running_max[-1] / before - 1.0) if before > 0 else 0.0
 
 
-def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
+def _ratios(estimate_id: str, h: np.ndarray, w: np.ndarray, c: Bbm5Coefficients,
             grid: Grid) -> np.ndarray:
-    """LHS/RHS of the named estimate for a stack of trials, 0 where the RHS
-    vanishes; h holds each trial's half spectra along its second-last axis."""
-    w = sobolev_weights(grid, s)
+    """LHS/RHS of the named estimate, in the H^s norm of weights w, for a stack of
+    trials, 0 where the RHS vanishes; h holds each trial's half spectra along its
+    second-last axis."""
     rhs = np.sqrt(quadratic_form(h, grid, w)).prod(-1)  # the product of the factors' norms
     if estimate_id == "psi_grad_bilinear":
         h = h * derivative_symbol(grid, 1)
@@ -303,13 +303,14 @@ def _ratios(estimate_id: str, h: np.ndarray, s: float, c: Bbm5Coefficients,
 def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
                    c: Bbm5Coefficients) -> float:
     """Ratio LHS/RHS of the named multiplier estimate; 0 when RHS vanishes.  An s below
-    the estimate's threshold is refused."""
+    the estimate's threshold, or that checked_sobolev_weights refuses, is refused."""
     spec = _estimate(estimate_id, s)
     if len(fields) != spec["arity"]:
         raise ValueError(f"{estimate_id} takes {spec['arity']} fields")
     if any(f.grid != fields[0].grid for f in fields):
         raise ValueError("fields live on different grids")
-    return float(_ratios(estimate_id, np.stack([f.half for f in fields]), s, c, fields[0].grid))
+    w = checked_sobolev_weights(fields[0].grid, s)
+    return float(_ratios(estimate_id, np.stack([f.half for f in fields]), w, c, fields[0].grid))
 
 
 def empirical_operator_norm(
@@ -322,8 +323,8 @@ def empirical_operator_norm(
 ) -> OperatorNormScan:
     """Monte-Carlo scan of the operator-norm ratio of a multiplier estimate.
 
-    Refuses Sobolev indices below the estimate's validity threshold or whose
-    H^s weights overflow on the grid, trials or a seed that is not an integer,
+    Refuses Sobolev indices below the estimate's validity threshold, not finite
+    or whose H^s weights overflow on the grid, trials or a seed that is not an integer,
     trials outside [1, MAX_STEPS] and a negative seed, each a ParameterError.
     Ratios are expected to plateau as trials accumulate (boundedness
     evidence, not a proof).  Trials are drawn and evaluated in stacks of at
@@ -331,15 +332,9 @@ def empirical_operator_norm(
     computing each estimate_ratio.
     """
     arity = _estimate(estimate_id, s)["arity"]
-    if not np.isfinite(sobolev_weights(grid, s)).all():
-        raise ParameterError("s", f"s = {s!r} makes H^s weights that overflow on grid.n = {grid.n}")
-    _require_integer("trials", trials)
-    _require_integer("seed", seed)
-    if not 1 <= trials <= MAX_STEPS:  # the running maximum takes 8 bytes a trial
-        raise ParameterError("trials", f"trials must be at least 1 and at most "
-                             f"{MAX_STEPS:.0e}, got {trials}")
-    if seed < 0:  # numpy refuses it, naming no parameter
-        raise ParameterError("seed", f"seed must be >= 0, got {seed}")
+    w = checked_sobolev_weights(grid, s)
+    _require_integer("trials", trials, 1, MAX_STEPS)  # the running maximum takes 8 bytes a trial
+    _require_integer("seed", seed, 0)  # numpy refuses a negative one, naming no parameter
     require_wellposed(c, "operator-norm scan")
     rng = np.random.default_rng(seed)
     running = np.empty(trials)
@@ -347,7 +342,7 @@ def empirical_operator_norm(
     best_halves = ()
     for start in range(0, trials, SCAN_BLOCK):
         h = _random_halves(grid, s, rng, (min(SCAN_BLOCK, trials - start), arity))
-        r = _ratios(estimate_id, h, s, c, grid)
+        r = _ratios(estimate_id, h, w, c, grid)
         # the running maximum from best: fmax skips NaN, as `r > best` does
         block = np.fmax.accumulate(np.concatenate(([best], r)))[1:]
         running[start:start + len(r)] = block

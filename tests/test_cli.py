@@ -615,11 +615,12 @@ DRIFT_CONFIG = {
 
 
 def test_energy_drift_csv_does_not_depend_on_the_hs_norms(tmp_path, monkeypatch):
-    # energy-drift records no H^s norm, and its CSV is the rows of the same
-    # run with the default H^s norms recorded
+    # energy-drift looks up no H^s weight table, and its CSV is the rows of the
+    # same run with the default H^s norms recorded
     calls = []
-    norm = evolution.sobolev_norm
-    monkeypatch.setattr(evolution, "sobolev_norm", lambda f, s: calls.append(s) or norm(f, s))
+    weights = evolution.checked_sobolev_weights
+    monkeypatch.setattr(evolution, "checked_sobolev_weights",
+                        lambda grid, s, name: calls.append(s) or weights(grid, s, name))
     cfg = _write_config(tmp_path, DRIFT_CONFIG)
     assert main(["energy-drift", "--config", cfg, "--out", str(tmp_path), "--seed", "17",
                  "--quiet"]) == EXIT_OK
@@ -660,7 +661,7 @@ def test_split_repeated_cutoffs_exit_2_before_running(tmp_path, capsys, monkeypa
     def window(*args, **kwargs):
         raise AssertionError("a window ran")
 
-    monkeypatch.setattr(splitting, "iterate", window)
+    monkeypatch.setattr(splitting, "_windows", window)
     cfg = _write_config(tmp_path, {"grid": {"n": 256, "length": 2.0 * math.pi},
                                    "split": {"cutoffs": cutoffs}})
     out = tmp_path / "out"
@@ -848,7 +849,7 @@ def test_a_monitored_s_whose_weights_overflow_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "configuration error: simulate.monitor_s holds 400.0, whose H^s weights overflow "
+        "configuration error: simulate.monitor_s = 400.0 makes H^s weights that overflow "
         "on grid.n = 64"]
     assert not out.exists()
 

@@ -33,7 +33,8 @@ from bbm5.evolution import (
 from bbm5.spectral import (Field, Grid, energy, fine_samples, full_spectrum,
                            half_spectrum, sobolev_norm, truncated_coeffs)
 from bbm5.splitting import SplitConfig
-from bbm5.symbols import Symbol, empirical_operator_norm, eval_symbol, random_hs_field
+from bbm5.symbols import (Symbol, empirical_operator_norm, estimate_ratio, eval_symbol,
+                          random_hs_field)
 
 
 def _spec():
@@ -457,11 +458,12 @@ def test_stepper_build_peaks_near_its_tables(ref):
 
 
 @pytest.mark.filterwarnings("error")  # it returned a non-finite Field after RuntimeWarnings
-@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.01, -1.0])
 def test_etdrk4_step_refuses_a_dt_outside_zero_to_inf(grid, dt):
     with pytest.raises(ParameterError) as caught:
         exponential_rk4_step(Field.zero(grid), _spec(), dt)
     assert caught.value.name == "dt"
+    assert str(caught.value) == f"dt must be positive and finite, got {dt}"
 
 
 def test_etdrk4_zero_field_stays_zero(grid):
@@ -626,31 +628,79 @@ def test_march_yields_each_state_with_its_stage_0_integral():
     assert np.array_equal(stepper.step(c0, nl(c0)), stepper.step(c0))
 
 
-@pytest.mark.parametrize("name", ["record_every", "picard_max_iter", "k_max", "n_checkpoints",
-                                  "trials", "seed"])
-def test_integer_parameters_refuse_a_non_integer(name, grid):
-    # each accepted 2.5 and then failed with a bare TypeError, such as "'float'
-    # object cannot be interpreted as an integer"
+COUNTS = ["record_every", "picard_max_iter", "k_max", "n_checkpoints", "trials", "seed"]
+
+
+@pytest.mark.parametrize("name,value", [(name, 2.5) for name in COUNTS]
+                         + [(name, True) for name in COUNTS],
+                         ids=COUNTS + [f"{name}-True" for name in COUNTS])
+def test_integer_parameters_refuse_a_non_integer(name, value, grid):
+    # each accepted 2.5 and True; 2.5 then failed with a bare TypeError, such as
+    # "'float' object cannot be interpreted as an integer", and True ran as 1,
+    # but as trials, which failed inside numpy with a TypeError
     calls = {
-        "record_every": lambda: run_simulation(Field.zero(grid), _spec(), StepperConfig(dt=0.01),
-                                               0.05, record_every=2.5),
-        "picard_max_iter": lambda: StepperConfig(picard_max_iter=2.5),
-        "k_max": lambda: SplitConfig(cutoff=8.0, s=1.5, k_max=2.5),
-        "n_checkpoints": lambda: epsilon_sweep(grid, REFERENCE_PARAMETERS, n_checkpoints=2.5),
-        "trials": lambda: empirical_operator_norm("tau_bilinear", 1.0, 2.5, grid,
-                                                  REFERENCE_COEFFICIENTS),
-        "seed": lambda: empirical_operator_norm("tau_bilinear", 1.0, 10, grid,
-                                                REFERENCE_COEFFICIENTS, seed=2.5),
+        "record_every": lambda v: run_simulation(Field.zero(grid), _spec(),
+                                                 StepperConfig(dt=0.01), 0.05, record_every=v),
+        "picard_max_iter": lambda v: StepperConfig(picard_max_iter=v),
+        "k_max": lambda v: SplitConfig(cutoff=8.0, s=1.5, k_max=v),
+        "n_checkpoints": lambda v: epsilon_sweep(grid, REFERENCE_PARAMETERS, n_checkpoints=v),
+        "trials": lambda v: empirical_operator_norm("tau_bilinear", 1.0, v, grid,
+                                                    REFERENCE_COEFFICIENTS),
+        "seed": lambda v: empirical_operator_norm("tau_bilinear", 1.0, 10, grid,
+                                                  REFERENCE_COEFFICIENTS, seed=v),
     }
-    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got 2.5$") as exc:
-        calls[name]()
+    with pytest.raises(ParameterError) as exc:
+        calls[name](value)
+    assert str(exc.value) == f"{name} must be an integer, got {value!r}"
     assert exc.value.name == name
 
 
-@pytest.mark.parametrize("dt", [math.inf, math.nan])
-def test_stepper_config_refuses_a_non_finite_dt(dt):
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
-        StepperConfig(dt=dt)
+@pytest.mark.parametrize("call,want", [
+    (lambda g: run_simulation(Field.zero(g), _spec(), StepperConfig(dt=0.01), 0.05,
+                              record_every=0), "need record_every >= 1, got 0"),
+    (lambda g: StepperConfig(picard_max_iter=0), "need picard_max_iter >= 1, got 0"),
+    (lambda g: SplitConfig(cutoff=8.0, s=1.5, k_max=-1), "need k_max >= 0, got -1"),
+    (lambda g: empirical_operator_norm("tau_bilinear", 1.0, 10, g, REFERENCE_COEFFICIENTS,
+                                       seed=-1), "need seed >= 0, got -1"),
+    (lambda g: empirical_operator_norm("tau_bilinear", 1.0, 0, g, REFERENCE_COEFFICIENTS),
+     "trials must be at least 1 and at most 1e+07, got 0"),
+    (lambda g: empirical_operator_norm("tau_bilinear", 1.0, 10**7 + 1, g, REFERENCE_COEFFICIENTS),
+     "trials must be at least 1 and at most 1e+07, got 10000001"),
+], ids=("record_every", "picard_max_iter", "k_max", "seed", "trials-low", "trials-high"))
+def test_a_count_out_of_its_bounds_is_refused_in_one_wording(grid, call, want):
+    with pytest.raises(ParameterError) as exc:
+        call(grid)
+    assert str(exc.value) == want
+    assert exc.value.name == want.split()[1 if want.startswith("need") else 0]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["dt", "picard_tol"])
+def test_stepper_config_refuses_a_dt_or_tolerance_not_positive_and_finite(name, value):
+    # picard_tol = inf was accepted: duhamel_picard then reported convergence
+    # after one iteration, whatever the difference
+    with pytest.raises(ParameterError) as exc:
+        StepperConfig(**{name: value})
+    assert str(exc.value) == f"{name} must be positive and finite, got {value}"
+    assert exc.value.name == name
+
+
+@pytest.mark.parametrize("value", ["0.01", None, True])
+@pytest.mark.parametrize("name,call", [
+    ("dt", lambda v: StepperConfig(dt=v)),
+    ("picard_tol", lambda v: StepperConfig(picard_tol=v)),
+    ("cs", lambda v: StepperConfig(contraction_constant_cs=v)),
+    ("cs", lambda v: local_existence_time(1.0, v)),
+    ("t0_scale", lambda v: SplitConfig(cutoff=8.0, s=1.5, t0_scale=v)),
+    ("T", lambda v: _time_lattice(v, 0.01)),
+], ids=("dt", "picard_tol", "cs", "local_existence_time", "t0_scale", "T"))
+def test_a_positive_finite_parameter_refuses_a_value_that_is_not_a_real_number(name, call, value):
+    # a string or None failed with a bare TypeError naming no parameter, and True ran as 1,
+    # as Grid's length did before it was checked
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+    assert exc.value.name == name
 
 
 def test_report_csv_format(tmp_path, grid):
@@ -720,13 +770,16 @@ def test_time_lattice_refuses_more_than_max_steps():
 
 
 @pytest.mark.parametrize("T,dt", [(0.0, 0.01), (-1.0, 0.01), (math.nan, 0.01), (math.inf, 0.01),
-                                  (0.1, 0.0), (0.1, -0.01), (0.1, math.nan), (0.1, math.inf)])
+                                  (0.1, 0.0), (0.1, -0.01), (0.1, -1.0), (0.1, math.nan),
+                                  (0.1, math.inf)])
 def test_time_lattice_admits_only_a_positive_finite_t_and_dt(T, dt):
     # every time loop is admitted here; _time_lattice(-1.0, 0.01) was (1, -1.0),
     # one step backward, and (0.1, inf) one step of 0.1
-    name = "dt" if 0.0 < T < math.inf else "T"
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+    name, value = ("dt", dt) if 0.0 < T < math.inf else ("T", T)
+    with pytest.raises(ParameterError) as exc:
         _time_lattice(T, dt)
+    assert str(exc.value) == f"{name} must be positive and finite, got {value}"
+    assert exc.value.name == name
 
 
 def test_time_lattice_bounds_the_steps_of_all_legs():
@@ -750,8 +803,10 @@ def test_stepper_config_validation():
 
 @pytest.mark.parametrize("cs", [0.0, -1.0, math.inf, math.nan])
 def test_stepper_config_rejects_contraction_constant(cs):
-    with pytest.raises(ValueError, match="contraction constant cs"):
+    with pytest.raises(ParameterError) as exc:
         StepperConfig(contraction_constant_cs=cs)
+    assert str(exc.value) == f"cs must be positive and finite, got {cs}"
+    assert exc.value.name == "cs"
 
 
 @pytest.mark.parametrize("T,record_every", [(0.0, 1), (-0.05, 1), (math.inf, 1), (0.05, 0),
@@ -1045,6 +1100,8 @@ def test_local_existence_time_refuses_a_meaningless_norm_or_constant(hs_norm, cs
     with pytest.raises(ParameterError) as exc:
         local_existence_time(hs_norm, cs)
     assert exc.value.name == name
+    if name == "cs":
+        assert str(exc.value) == f"cs must be positive and finite, got {cs}"
 
 
 def test_picard_zero_data_one_iteration(grid):
@@ -1168,12 +1225,21 @@ def test_picard_peaks_under_48_bytes_a_coefficient(grid):
                  "width = 1e-200 makes gaussian data divide by zero", id="gaussian"),
     pytest.param(lambda g: run_simulation(Field.zero(g), _spec(), StepperConfig(dt=0.01), 0.02,
                                           monitor_s=(0.0, 400.0)),
-                 "monitor_s holds 400.0, whose H^s weights overflow on grid.n = 64",
+                 "monitor_s = 400.0 makes H^s weights that overflow on grid.n = 64",
                  id="monitor_s"),
     pytest.param(lambda g: duhamel_picard(Field.zero(g), _spec(), StepperConfig(sobolev_s=2**62),
                                           0.1),
                  "sobolev_s = 4611686018427387904 makes H^s weights that overflow on grid.n = 64",
                  id="sobolev_s"),
+    pytest.param(lambda g: sobolev_norm(Field.zero(g), 400.0),
+                 "s = 400.0 makes H^s weights that overflow on grid.n = 64", id="sobolev_norm"),
+    pytest.param(lambda g: estimate_ratio("tau_bilinear", (Field.zero(g),) * 2, 400.0,
+                                          REFERENCE_COEFFICIENTS),
+                 "s = 400.0 makes H^s weights that overflow on grid.n = 64", id="estimate_ratio"),
+    pytest.param(lambda g: empirical_operator_norm("tau_bilinear", 400.0, 10, g,
+                                                   REFERENCE_COEFFICIENTS),
+                 "s = 400.0 makes H^s weights that overflow on grid.n = 64",
+                 id="empirical_operator_norm"),
     pytest.param(lambda g: duhamel_picard(Field.from_samples(g, 1e300 * np.cos(g.x)), _spec(),
                                           StepperConfig(), 0.1),
                  "eta0 makes initial data whose H^s norm at stepper.sobolev_s = 1.0 overflows",
@@ -1188,18 +1254,23 @@ def test_a_parameter_the_arithmetic_cannot_use_raises_parameter_error(grid, call
     assert exc.value.name == want.split()[0]
 
 
-@pytest.mark.parametrize("name,call", [
-    ("s", lambda g: empirical_operator_norm("tau_bilinear", math.inf, 10, g,
-                                            REFERENCE_COEFFICIENTS)),
-    ("monitor_s", lambda g: run_simulation(Field.zero(g), _spec(), StepperConfig(dt=0.01), 0.02,
-                                           monitor_s=(0.0, math.inf))),
-    ("sobolev_s", lambda g: duhamel_picard(Field.zero(g), _spec(),
-                                           StepperConfig(sobolev_s=math.nan), 0.1)),
-], ids=("s", "monitor_s", "sobolev_s"))
-def test_a_sobolev_index_that_is_not_finite_is_a_parameter_error_naming_it(grid, name, call):
+@pytest.mark.parametrize("name,s,call", [
+    ("s", math.inf, lambda g: empirical_operator_norm("tau_bilinear", math.inf, 10, g,
+                                                      REFERENCE_COEFFICIENTS)),
+    ("s", math.inf, lambda g: estimate_ratio("tau_bilinear", (Field.zero(g),) * 2, math.inf,
+                                             REFERENCE_COEFFICIENTS)),
+    ("s", math.nan, lambda g: sobolev_norm(Field.zero(g), math.nan)),
+    ("monitor_s", math.inf, lambda g: run_simulation(Field.zero(g), _spec(),
+                                                     StepperConfig(dt=0.01), 0.02,
+                                                     monitor_s=(0.0, math.inf))),
+    ("sobolev_s", math.nan, lambda g: duhamel_picard(Field.zero(g), _spec(),
+                                                     StepperConfig(sobolev_s=math.nan), 0.1)),
+], ids=("s", "estimate_ratio", "sobolev_norm", "monitor_s", "sobolev_s"))
+def test_a_sobolev_index_that_is_not_finite_is_a_parameter_error_naming_it(grid, name, s, call):
     # each was a plain ValueError, "Sobolev index must be finite", naming no parameter
-    with pytest.raises(ParameterError, match="must be finite, got") as exc:
+    with pytest.raises(ParameterError) as exc:
         call(grid)
+    assert str(exc.value) == f"{name} must be finite, got {s!r}"
     assert exc.value.name == name
 
 

@@ -79,7 +79,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="cutoff") as exc:
         SplitConfig(cutoff=0.0, s=1.5)
     assert exc.value.name == "cutoff"
-    with pytest.raises(ValueError, match="^k_max must be non-negative, got -1$") as exc:
+    with pytest.raises(ValueError, match="^need k_max >= 0, got -1$") as exc:
         SplitConfig(cutoff=8.0, s=1.5, k_max=-1)
     assert exc.value.name == "k_max"
     with pytest.raises(ValueError, match="s must"):
@@ -103,8 +103,10 @@ def test_an_index_outside_one_to_two_is_a_parameter_error_naming_s(s):
 def test_config_rejects_t0_scale(scale):
     # an infinite scale would overflow the window's step count, and a scale
     # <= 0 gives no window to clamp
-    with pytest.raises(ValueError, match="t0_scale"):
+    with pytest.raises(ParameterError) as exc:
         SplitConfig(cutoff=8.0, s=1.5, t0_scale=scale)
+    assert str(exc.value) == f"t0_scale must be positive and finite, got {scale}"
+    assert exc.value.name == "t0_scale"
 
 
 def test_window_time_scaling_and_clamp():
