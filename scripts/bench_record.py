@@ -7,18 +7,22 @@ Reads the result files ``result-<workload>-seed<n>-trace<t>.json`` that
 * from the end-to-end files (``--trace 0``): the median and quartiles, over
   the files, of each end-to-end metric (``wall_ref_ratio``, ``setup_s``,
   ``peak_rss_mb``); the benchmark runs (result files), and the timed runs
-  attempted and failed; the seeds, and the machine facts and versions the
-  files record;
+  attempted and failed and the failed share; the seeds, and the machine
+  facts and versions the files record;
 * from the traced files (``--trace 1``), under ``layers``: the seeds and
   the median, over the files, of each per-layer metric.
 
 With ``--parent DIR`` it also reads the parent commit's result files from
 DIR, records the same summary for them, and compares the end-to-end files
 run by run over the seeds both sides ran: for each metric, the pairs in
-which this commit reads lower, the change of the medians and the parent's
-quartile distance.  The quartiles are those of ``statistics.quantiles(...,
-method="inclusive")``.  Every result file in a directory counts, so clear
-it before a measurement.  Standard library only:
+which this commit reads lower, the change of the medians, the parent's
+quartile distance and ``gain_shown``, whether those show a gain: ten pairs
+or more, this commit lower in nine tenths of them or more (a tie counts for
+neither side) and a gap of the medians wider than the parent's quartile
+distance.  ``failed_share_higher`` flags a workload whose failed share of
+timed runs is higher than the parent's.  The quartiles are those of
+``statistics.quantiles(..., method="inclusive")``.  Every result file in a
+directory counts, so clear it before a measurement.  Standard library only:
 
     python3 scripts/bench_record.py --label batch-axis --parent ../parent/.perfbench_out
 """
@@ -74,11 +78,14 @@ def summarise(by_seed: dict) -> dict:
                   if name in f["result"]["metrics"]]
         if values:
             metrics[name] = _spread(values)
+    attempted = sum(f["result"]["attempted"] for f in files)
+    failed = sum(f["result"]["failed"] for f in files)
     return {
         "seeds": sorted(by_seed),
         "benchmark_runs": len(files),
-        "runs_attempted": sum(f["result"]["attempted"] for f in files),
-        "runs_failed": sum(f["result"]["failed"] for f in files),
+        "runs_attempted": attempted,
+        "runs_failed": failed,
+        "failed_share": failed / max(attempted, 1),
         "metrics": metrics,
         "machines": _distinct([f.get("machine") for f in files]),
         "versions": _distinct([f.get("versions") for f in files]),
@@ -113,13 +120,16 @@ def compare(change: dict, parent: dict, change_sum: dict, parent_sum: dict) -> d
         if not pairs:
             continue
         p, c = parent_sum["metrics"][name], change_sum["metrics"][name]
+        lower = sum(b < a for a, b in pairs)
+        gap, iqr = p["median"] - c["median"], p["q3"] - p["q1"]
         out[name] = {
             "pairs": len(pairs),
-            "change_lower": sum(b < a for a, b in pairs),
+            "change_lower": lower,
             "change_higher": sum(b > a for a, b in pairs),
             "median_change_frac": c["median"] / p["median"] - 1.0,
-            "median_gap": p["median"] - c["median"],
-            "parent_iqr": p["q3"] - p["q1"],
+            "median_gap": gap,
+            "parent_iqr": iqr,
+            "gain_shown": len(pairs) >= 10 and 10 * lower >= 9 * len(pairs) and gap > iqr,
         }
     return out
 
@@ -138,6 +148,7 @@ def record(results: str, label: str, parent: str | None = None) -> dict:
             entry["parent"] = _side(parent_runs, parent_traced, name)
         if name in runs and name in parent_runs:
             entry["paired"] = compare(runs[name], parent_runs[name], entry, entry["parent"])
+            entry["failed_share_higher"] = entry["failed_share"] > entry["parent"]["failed_share"]
         workloads[name] = entry
     return {"label": label, "workloads": workloads}
 

@@ -60,8 +60,46 @@ def test_pairs_the_parent_seed_by_seed(tmp_path):
     assert (paired["pairs"], paired["change_lower"], paired["change_higher"]) == (10, 9, 1)
     assert paired["median_gap"] == ts["parent"]["metrics"]["wall_ref_ratio"]["median"] - \
         ts["metrics"]["wall_ref_ratio"]["median"]
-    assert paired["parent_iqr"] == 5.0
+    assert paired["parent_iqr"] == 5.0 and paired["gain_shown"]
     assert ts["paired"]["peak_rss_mb"]["change_lower"] == 0
+    assert not ts["paired"]["peak_rss_mb"]["gain_shown"]
+
+
+@pytest.mark.parametrize("walls,shown", [
+    ([30.0] * 10, True),
+    ([30.0] * 9, False),  # nine pairs: too few
+    ([30.0] * 8 + [58.0, 59.0], False),  # two ties, counted for neither side: 8 of 10 lower
+    ([30.0] * 9 + [70.0], True),  # 9 of 10 lower
+    ([49.0, 50.0, 51.0, 52.0, 53.0, 54.0, 55.0, 56.0, 57.0, 58.0], False),  # gap 1 < IQR 4.5
+])
+def test_a_gain_is_shown_by_ten_pairs_nine_tenths_lower_and_a_gap_past_the_spread(
+        tmp_path, walls, shown):
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    change.mkdir()
+    parent.mkdir()
+    for seed, wall in enumerate(walls):
+        _result(parent, "soliton", seed, 50.0 + seed)
+        _result(change, "soliton", seed, wall)
+    paired = bench_record.record(str(change), "t4", parent=str(parent))["workloads"]["soliton"][
+        "paired"]["wall_ref_ratio"]
+    assert paired["gain_shown"] is shown
+
+
+def test_flags_a_change_whose_failed_share_is_higher(tmp_path):
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    change.mkdir()
+    parent.mkdir()
+    for seed in range(4):
+        _result(parent, "soliton", seed, 50.0, failed=int(seed == 0))  # 1 of 120
+        _result(change, "soliton", seed, 50.0, attempted=20, failed=int(seed < 2))  # 2 of 80
+        _result(parent, "split_sweep", seed, 14.0, failed=1)  # 4 of 120
+        _result(change, "split_sweep", seed, 14.0)  # none
+    workloads = bench_record.record(str(change), "t5", parent=str(parent))["workloads"]
+    soliton, split = workloads["soliton"], workloads["split_sweep"]
+    assert (soliton["failed_share"], soliton["parent"]["failed_share"]) == (2 / 80, 1 / 120)
+    assert soliton["failed_share_higher"]
+    assert (split["failed_share"], split["parent"]["failed_share"]) == (0.0, 4 / 120)
+    assert not split["failed_share_higher"]
 
 
 def _traced(directory, workload, seed, metrics):
