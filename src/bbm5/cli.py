@@ -192,13 +192,9 @@ class _Setup:
 
     @functools.cached_property
     def grid(self) -> Grid:
-        n = self.config["grid"]["n"]
-        if n > MAX_STEPS:  # an engine and its stepper take about 100 bytes a grid point
-            raise ConfigError(f"grid.n must be at most {MAX_STEPS:.0e}, got {n}")
-        grid = Grid(n=n, length=self.config["grid"]["length"])
-        if not np.isfinite(coef.multipliers(grid.nyquist, self.coeffs)).all():  # xi^4 overflows
-            raise ConfigError(f"grid.length = {grid.length!r} is too small for grid.n = {n}: "
-                              "the symbol tables overflow at its largest wavenumber")
+        grid = Grid(n=self.config["grid"]["n"], length=self.config["grid"]["length"])
+        coef._require_integer("n", grid.n, 4, MAX_STEPS)  # an engine takes ~100 bytes a point
+        _symbols_finite("grid.length", grid.length, grid.nyquist, self.coeffs)
         return grid
 
     @functools.cached_property
@@ -212,8 +208,7 @@ class _Setup:
         """The seed of random data: seed, set by key, else the run seed.  A negative one is
         refused here, naming its key, which numpy's refusal would not."""
         seed, key = (self.seed, self.seed_key) if seed is None else (seed, key)
-        if seed < 0:
-            raise ConfigError(f"{key} = {seed} is negative; random data need a seed >= 0")
+        coef._require_integer(key, seed, 0)
         return seed
 
     def initial(self) -> Field:
@@ -221,6 +216,8 @@ class _Setup:
         a refusal names the keys of the data that are set before the section's."""
         init, grid = self.sec["initial"], self.grid
         kind, amp, width = init["kind"], init["amplitude"], init["width"]
+        if kind == "random":  # before the try, whose _named would rename a refused seed's key
+            seed = self.random_seed(init["seed"], f"{self.section}.initial.seed")
         try:
             if kind == "sech2":
                 return sech_squared(grid, amp, width, init["center"])
@@ -229,7 +226,6 @@ class _Setup:
             if kind == "random":
                 from .symbols import random_hs_field
 
-                seed = self.random_seed(init["seed"], f"{self.section}.initial.seed")
                 s = self.sec.get("s", 1.0) if init["s"] is None else init["s"]
                 return random_hs_field(grid, s, np.random.default_rng(seed), amp)
             if kind == "cosine":
@@ -255,6 +251,12 @@ def _named(exc: ParameterError, config: dict, section: str, initial: dict) -> st
         key = "path" if config[section]["initial"]["kind"] == "file" else "amplitude"
         key = f"{section}.initial.{key} = {config[section]['initial'][key]!r}"
     return str(exc).replace(exc.name, key, 1)
+
+
+def _symbols_finite(key: str, value, xi: float, c: coef.Bbm5Coefficients) -> None:
+    """Refuse key's value if it makes a wavenumber xi past about 1.2e77, where xi^4 overflows."""
+    if not np.isfinite(coef.multipliers(xi, c)).all():
+        raise ConfigError(f"{key} = {value!r} makes the symbol tables overflow at xi = {xi:.3g}")
 
 
 def _out_dir(args, make: bool = True) -> str:
@@ -364,18 +366,12 @@ def cmd_multiplier_table(args, run: _Setup):
     from .symbols import eval_symbol
 
     sec = run.sec
-    if sec["count"] < 1:
-        raise ConfigError(f"multiplier_table.count must be at least 1, got {sec['count']}")
-    if sec["count"] > MAX_STEPS:  # six columns of 8-byte numbers a row, held at once
-        raise ConfigError(f"multiplier_table.count must be at most {MAX_STEPS:.0e}, "
-                          f"got {sec['count']}")
+    coef._require_integer("count", sec["count"], 1, MAX_STEPS)  # six 8-byte columns a row
     xi = np.linspace(sec["xi_min"], sec["xi_max"], sec["count"])
     columns = [eval_symbol(kind, xi, run.coeffs)
                for kind in ("phi", "psi", "tau", "omega", "varphi_denominator")]
-    for key, row in (("xi_min", 0), ("xi_max", -1)):  # xi^4 overflows past |xi| of about 1.2e77
-        if not all(np.isfinite(column[row]) for column in columns):
-            raise ConfigError(f"multiplier_table.{key} = {sec[key]!r} is too far from 0: "
-                              "the symbol tables overflow there")
+    for key, row in (("xi_min", 0), ("xi_max", -1)):
+        _symbols_finite(f"multiplier_table.{key}", sec[key], xi[row], run.coeffs)
     csv = functools.partial(write_csv, header=("xi", "phi", "psi", "tau", "omega", "varphi"),
                             rows=zip(xi, *columns))
     return {"multiplier_table.csv": csv}, [f"multiplier-table: {len(xi)} rows written"], EXIT_OK

@@ -204,8 +204,7 @@ def abcd_residual_first(eta: Field, model: ScaledModel) -> tuple[float, float]:
     law.  Residuals are expected to be O(eps^2) when alpha = beta = eps.
     This is the one-row case of the stacked evaluation of epsilon_sweep.
     """
-    if eta.grid != model.grid:
-        raise ValueError("fields live on different grids")
+    eta._check_grid(model)
     p = model.p
     return tuple(map(float, _residual_norms(model.engine, eta.half, p.alpha, p.beta, p.model)))
 

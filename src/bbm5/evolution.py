@@ -341,8 +341,8 @@ def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, every: int = 1
     """The one ETDRK4 time loop: yields (k, state) for k = 0, the initial state, and after
     step k = 1..steps when k % every == 0 or k == steps.  Step k is stepper.step(state,
     n0), under its own np.errstate (none is held across a yield); with cube, n0 is stage
-    0, the engine's nonlinear_hat(state, cube), evaluated under its own before each yield
-    but the last, so that cube then holds the integral of (c_x)^3 of the yielded state.
+    0, the engine's nonlinear_hat(state, cube), evaluated under its own before each yield,
+    so that cube then holds the integral of (c_x)^3 of the yielded state.
     A non-finite state raises NumericalError with step k, time k*dt and a stack's rows."""
     n0 = None
     for k in range(steps + 1):
@@ -354,7 +354,7 @@ def _march(stepper: Etdrk4Stepper, c_hat: np.ndarray, steps: int, every: int = 1
             t, rows = k * stepper.dt, np.flatnonzero(~finite).tolist() if c_hat.ndim > 1 else None
             raise NumericalError(f"non-finite state at step {k} of {steps} (t = {t:g})", k, t, rows)
         if k % every == 0 or k == steps:
-            if cube is not None and k < steps:
+            if cube is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # the caller checks cube
                     n0 = stepper.engine.nonlinear_hat(c_hat, cube)
             yield k, c_hat
@@ -492,14 +492,13 @@ def run_simulation(
     Each record's diagnostics are computed when its state is yielded, E and the
     H^s norms by one quadratic_form call, with no Field but a snapshot or the
     argument of energy_drift_predicted: memory is O(1) states plus the snapshots.
-    The predicted drift of a record is energy_drift_predicted's; with a
-    dealiased ETDRK4 nonlinearity that does not conserve energy, the integral
-    of (eta_x)^3 in it is read from the fine samples of eta_x that stage 0 of
-    the next step pads anyway, evaluated when the record's state is yielded,
-    and computed apart only for the final record.  A non-finite state, or a
-    record whose energy, H^s norms or prediction are not finite, ends the
-    run: the report holds the records before it, and its ``error``
-    (``aborted`` is set) is the NumericalError that gives that step and time.
+    The predicted drift of a record is energy_drift_predicted's; with a dealiased ETDRK4
+    nonlinearity that does not conserve energy, the integral of (eta_x)^3 in it is read
+    from the fine samples of eta_x that the engine's stage 0 pads, evaluated when each
+    record's state is yielded, the final one's too.  A non-finite state, or a record whose
+    energy, H^s norms or prediction are not finite, ends the run: the report holds the
+    records before it, and its ``error`` (``aborted`` is set) is the NumericalError that
+    gives that step and time.
     """
     _require_integer("record_every", record_every, 1)
     c = spec.coefficients
@@ -520,11 +519,11 @@ def run_simulation(
     count, snapshots, error = 0, [], None
     try:
         for k, h in states:
-            f = Field(grid, half=h) if keep_snapshots or cube is None or k == n_steps else None
+            f = Field(grid, half=h) if keep_snapshots or cube is None else None
             with np.errstate(over="ignore", invalid="ignore"):  # diagnostics of huge states
                 e, *q = quadratic_form(h, grid, weights)
                 row = (k * dt, 0.5 * e, h[0].real,
-                       energy_drift_predicted(f, c) if cube is None or k == n_steps
+                       energy_drift_predicted(f, c) if cube is None
                        else (c.gamma - GRAD_COEFF) * float(cube[0]), *np.sqrt(q))
             if not all(map(math.isfinite, row[1:])):
                 raise NumericalError(f"non-finite diagnostics at step {k} of {n_steps} "

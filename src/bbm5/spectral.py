@@ -181,7 +181,7 @@ class Field:
 
     __rmul__ = __mul__
 
-    def _check_grid(self, other: "Field"):
+    def _check_grid(self, other):  # other: a Field, or anything else with a grid
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
 

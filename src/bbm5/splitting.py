@@ -159,6 +159,12 @@ def _reassemble(v: Field, end: np.ndarray, t0: float, c: Bbm5Coefficients) -> tu
                "E_u": energy(u, c)}
 
 
+def _require_energy_control(spec: RhsSpec) -> None:
+    """The refusal of iterate and n_sweep: the windows' energy control needs gamma = 7/48."""
+    if not spec.coefficients.energy_conserving:
+        raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
+
+
 def iterate(
     eta0: Field,
     cfg: SplitConfig,
@@ -170,8 +176,7 @@ def iterate(
     Records E(u_k), the invariant ||v_k||_Hs, and the remainder's H^2 norm per round:
     the report carries everything the scaling checks need.  Returns the final u, v and report.
     """
-    if not spec.coefficients.energy_conserving:
-        raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
+    _require_energy_control(spec)
     u, v = split_initial(eta0, cfg.cutoff)
     steps, t0, c = cfg.steps(stepper.dt), cfg.t0(stepper.dt), spec.coefficients
     report: dict = {"t0": t0, "E_u": [energy(u, c)], "v_hs": [sobolev_norm(v, cfg.s)],
@@ -212,8 +217,7 @@ def n_sweep(
         raise ParameterError("cutoffs", f"grid Nyquist {nyq} below 4x the largest of cutoffs, "
                              f"{max(cutoffs)}")
     steps = [SplitConfig(cutoff=N, s=s, t0_scale=t0_scale).steps(stepper.dt) for N in cutoffs]
-    if not spec.coefficients.energy_conserving:
-        raise ParameterError("gamma", "iteration requires gamma = 7/48 (energy control)")
+    _require_energy_control(spec)
     march, c, rows = _stepper(eta0.grid, spec, stepper.dt), spec.coefficients, []
     for b in range(0, len(cutoffs), WINDOW_BLOCK):
         block = list(cutoffs[b : b + WINDOW_BLOCK])

@@ -59,15 +59,20 @@ def _omega(xi):
     return np.abs(xi) / (1.0 + xi**2)
 
 
+def _check_kind(kind: str, c: Bbm5Coefficients | None) -> None:
+    """Refuse an unknown kind, and coefficients missing for any kind but omega."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    if kind != "omega" and c is None:
+        raise ValueError(f"symbol {kind!r} needs coefficients")
+
+
 def eval_symbol(kind: str, xi, c: Bbm5Coefficients | None = None):
     """Pointwise symbol value; vectorized over xi."""
+    _check_kind(kind, c)
     xi = np.asarray(xi, dtype=np.float64)
     if kind == "omega":
         return _omega(xi)
-    if kind not in _KINDS:
-        raise ValueError(f"unknown symbol kind {kind!r}")
-    if c is None:
-        raise ValueError(f"symbol {kind!r} needs coefficients")
     if kind == "varphi_denominator":
         return denominator(xi, c)
     require_wellposed(c, f"symbol {kind!r}")
@@ -83,10 +88,7 @@ class Symbol:
     coefficients: Bbm5Coefficients | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind != "omega" and self.coefficients is None:
-            raise ValueError(f"symbol {self.kind!r} needs coefficients")
+        _check_kind(self.kind, self.coefficients)
 
     @property
     def parity(self) -> int:
@@ -307,8 +309,8 @@ def estimate_ratio(estimate_id: str, fields: tuple[Field, ...], s: float,
     spec = _estimate(estimate_id, s)
     if len(fields) != spec["arity"]:
         raise ValueError(f"{estimate_id} takes {spec['arity']} fields")
-    if any(f.grid != fields[0].grid for f in fields):
-        raise ValueError("fields live on different grids")
+    for f in fields[1:]:
+        fields[0]._check_grid(f)
     w = checked_sobolev_weights(fields[0].grid, s)
     return float(_ratios(estimate_id, np.stack([f.half for f in fields]), w, c, fields[0].grid))
 

@@ -742,7 +742,8 @@ def test_multiplier_table_refuses_a_count_below_one(tmp_path, capsys, count):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"configuration error: multiplier_table.count must be at least 1, got {count}"]
+        f"configuration error: multiplier_table.count must be at least 1 and at most 1e+07, "
+        f"got {count}"]
     assert not out.exists()
 
 
@@ -754,7 +755,22 @@ def test_multiplier_table_refuses_a_count_over_the_step_bound(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "configuration error: multiplier_table.count must be at most 1e+07, got 1000000000000"]
+        "configuration error: multiplier_table.count must be at least 1 and at most 1e+07, "
+        "got 1000000000000"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("xi_min", -1e200), ("xi_max", 1e200)])
+def test_multiplier_table_refuses_an_xi_whose_symbols_overflow_naming_it(tmp_path, capsys, key,
+                                                                        value):
+    cfg = _write_config(tmp_path, {"multiplier_table": {key: value}})
+    out = tmp_path / "out"
+    assert main(["multiplier-table", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: multiplier_table.{key} = {value!r} makes the symbol tables "
+        f"overflow at xi = {value:.3g}"]
     assert not out.exists()
 
 
@@ -768,7 +784,7 @@ def test_a_grid_over_the_step_bound_exits_2_naming_grid_n(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "configuration error: grid.n must be at most 1e+07, got 1000000000000"]
+        "configuration error: grid.n must be at least 4 and at most 1e+07, got 1000000000000"]
     assert not out.exists()
 
 
@@ -785,8 +801,8 @@ def test_a_grid_too_short_for_its_symbols_exits_2_naming_grid_length(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"configuration error: grid.length = {length!r} is too small for grid.n = 64: "
-        "the symbol tables overflow at its largest wavenumber"]
+        f"configuration error: grid.length = {length!r} makes the symbol tables overflow "
+        f"at xi = {math.pi * 64 / length:.3g}"]
     assert not out.exists()
 
 
@@ -810,15 +826,16 @@ def test_random_data_that_overflow_exit_2_naming_initial_s(tmp_path, capsys, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,config,flags,want", [
-    ("simulate", {"seed": -1, "simulate": {"initial": {"kind": "random"}}}, [], "seed = -1"),
+@pytest.mark.parametrize("command,config,flags,want,value", [
+    ("simulate", {"seed": -1, "simulate": {"initial": {"kind": "random"}}}, [], "seed", -1),
     ("simulate", {"simulate": {"initial": {"kind": "random", "seed": -3}}}, [],
-     "simulate.initial.seed = -3"),
-    ("split", {"split": {"cutoffs": [4.0, 8.0]}}, ["--seed", "-1"], "--seed = -1"),
-    ("norm-scan", {"norm_scan": {"trials": 5}}, ["--seed", "-1"], "--seed = -1"),
+     "simulate.initial.seed", -3),
+    ("simulate", {"simulate": {"initial": {"kind": "random"}}}, ["--seed", "-2"], "--seed", -2),
+    ("split", {"split": {"cutoffs": [4.0, 8.0]}}, ["--seed", "-1"], "--seed", -1),
+    ("norm-scan", {"norm_scan": {"trials": 5}}, ["--seed", "-1"], "--seed", -1),
 ])
 def test_a_negative_seed_of_random_data_exits_2_naming_its_key(tmp_path, capsys, command, config,
-                                                                 flags, want):
+                                                                 flags, want, value):
     # numpy's default_rng refused it: "configuration error: expected non-negative
     # integer", which named no key
     cfg = _write_config(tmp_path, {"grid": {"n": 64}, "stepper": {"dt": 0.01}, **config})
@@ -827,7 +844,7 @@ def test_a_negative_seed_of_random_data_exits_2_naming_its_key(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"configuration error: {want} is negative; random data need a seed >= 0"]
+        f"configuration error: need {want} >= 0, got {value}"]
     assert not out.exists()
 
 

@@ -604,8 +604,8 @@ def test_march_holds_no_errstate_across_a_yield():
 
 
 def test_march_yields_each_state_with_its_stage_0_integral():
-    # with cube, every yielded state but the last has had stage 0 of its next step
-    # evaluated, which wrote its integral of (c_x)^3; the last has not
+    # with cube, every yielded state, the last included, has had stage 0 of its next
+    # step evaluated, which wrote its integral of (c_x)^3
     grid, dt, steps = Grid(n=64, length=16.0 * math.pi), 0.02, 7
     stepper = evolution._stepper(grid, RhsSpec(SHIFTED), dt)
     c0 = _asymmetric(grid, 0.4).half
@@ -616,11 +616,8 @@ def test_march_yields_each_state_with_its_stage_0_integral():
     for k, c_hat in evolution._march(stepper, c0, steps, every=3, cube=cube):
         seen.append(k)
         assert np.array_equal(c_hat, plain[k])
-        if k < steps:
-            predicted = energy_drift_predicted(Field(grid, half=c_hat), SHIFTED)
-            assert (SHIFTED.gamma - evolution.GRAD_COEFF) * cube[0] == predicted != 0.0
-        else:
-            assert np.isnan(cube[0])
+        predicted = energy_drift_predicted(Field(grid, half=c_hat), SHIFTED)
+        assert (SHIFTED.gamma - evolution.GRAD_COEFF) * cube[0] == predicted != 0.0
         cube[0] = np.nan
     assert seen == [0, 3, 6, 7]
     # a stage 0 handed to the step is the one it would evaluate
