@@ -58,9 +58,9 @@ from .spectral import (
     _energy_weights,
     checked_sobolev_weights,
     derivative_symbol,
-    fine_band,
     fine_samples,
     integral_cube,
+    pad_factors,
     quadratic_form,
     sampled_integral_cube,
     spectral_derivative,
@@ -171,6 +171,8 @@ class SpectralEngine:
         self._ipsi = 1j * self.psi
         self.ikx_d = derivative_symbol(grid, 1)
         self.m = 2 * grid.n if dealias else grid.n
+        # the head of the padded (eta; eta_x) is these rows times eta
+        self._head = np.stack((pad_factors(grid.n, self.m), self.ikx_d))
         # a column of weights as full rows of the fine grid: combine is faster with them
         self._w3, self._wg = (w if np.ndim(w) == 0 else np.repeat(w, self.m, axis=-1)
                               for w in (w3, wg))
@@ -221,10 +223,9 @@ class SpectralEngine:
         from its fine samples.  c_hat and its x-derivative are padded as one
         (2, ..., m) stack, by one transform, in the work buffers of its shape."""
         spec, fine, _, u2 = self._work(c_hat.shape[:-1])
-        h = spec[..., : c_hat.shape[-1]]
-        h[0] = c_hat
-        np.multiply(self.ikx_d, c_hat, out=h[1])
-        u, ux = fine = self.to_fine(fine_band(spec, self.grid.n), fine)
+        head = self._head.reshape(2, *(1,) * (c_hat.ndim - 1), -1)
+        np.multiply(head, c_hat, out=spec[..., : c_hat.shape[-1]])
+        u, ux = fine = self.to_fine(spec, fine)
         if cube is not None:
             cube[0] = sampled_integral_cube(ux, self.grid.length)
         np.multiply(u, u, out=u2)
@@ -283,23 +284,19 @@ class Etdrk4Stepper:
         lam = -1j * engine.phi
         roots = np.exp(2j * np.pi * (np.arange(N_CONTOUR) + 0.5) / N_CONTOUR)
 
-        def contour_mean(g):
-            # complex contour (lam is imaginary, so means stay complex)
-            return dt * g.mean(1)
-
         # a block of modes at a time, of every row alike: a block's temporaries are under
         # numpy's elision size, so every n and stack rounds as one mode alone, and the
         # build peaks at one block over the tables
         modes = lam.reshape(-1)
-        tables = np.empty((4, modes.size), dtype=complex)
+        tables = np.empty((4, modes.size), dtype=complex)  # lam is imaginary: complex means
         for i in range(0, modes.size, CONTOUR_BLOCK):
             lr = dt * modes[i : i + CONTOUR_BLOCK, None] + roots[None, :]
             elr, lr2, lr3 = np.exp(lr), lr**2, lr**3  # a complex cube costs 10 squares
             q, f1, f2, f3 = tables[:, i : i + CONTOUR_BLOCK]
-            q[:] = contour_mean((np.exp(lr / 2.0) - 1.0) / lr)
-            f1[:] = contour_mean((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3)
-            f2[:] = contour_mean((2.0 + lr + elr * (lr - 2.0)) / lr3)
-            f3[:] = contour_mean((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3)
+            q[:] = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1)
+            f1[:] = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr2)) / lr3).mean(1)
+            f2[:] = dt * ((2.0 + lr + elr * (lr - 2.0)) / lr3).mean(1)
+            f3[:] = dt * ((-4.0 - 3.0 * lr - lr2 + elr * (4.0 - lr)) / lr3).mean(1)
         self.q, self.f1, self.f2, self.f3 = tables.reshape(4, *lam.shape)
 
     def step(self, c_hat: np.ndarray, n0: np.ndarray | None = None) -> np.ndarray:
@@ -491,7 +488,8 @@ def run_simulation(
 
     Each record's diagnostics are computed when its state is yielded, E and the
     H^s norms by one quadratic_form call, with no Field but a snapshot or the
-    argument of energy_drift_predicted: memory is O(1) states plus the snapshots.
+    argument of energy_drift_predicted: memory is O(1) states plus the snapshots,
+    but every node of the lattice with the picard_duhamel scheme.
     The predicted drift of a record is energy_drift_predicted's; with a dealiased ETDRK4
     nonlinearity that does not conserve energy, the integral of (eta_x)^3 in it is read
     from the fine samples of eta_x that the engine's stage 0 pads, evaluated when each
@@ -576,7 +574,8 @@ def duhamel_picard(
     = S(t_k)S(-t'), node k is S(t_k) times eta0 plus a running sum of Simpson
     panels of S(-t_j)N(eta^m(t_j)), the integrating-factor form of Cox &
     Matthews (2002), summed a block of PICARD_BLOCK nodes at a time.  Iteration
-    stops when the sup-over-nodes H^s difference drops below picard_tol.
+    stops when the sup-over-nodes H^s difference drops below picard_tol; one that
+    is not finite, or picard_max_iter iterations, raise PicardDivergenceError.
     """
     K, dt = _time_lattice(T, cfg.dt)
     if (K + 1) * (eta0.grid.n // 2 + 1) > MAX_STEPS:  # the arrays below hold every node
@@ -602,30 +601,30 @@ def duhamel_picard(
         # (g_{k-2} + 4*g_{k-1} + g_k).  Rows 0-1 of g and r carry the two nodes before a
         # block.  A block overwrites its nodes of traj, which no later block reads.
         g, r = np.zeros((2, PICARD_BLOCK + 2, phase.shape[1]), dtype=np.complex128)
-        for a in range(0, K + 1, PICARD_BLOCK):
-            nodes = slice(a, min(a + PICARD_BLOCK, K + 1))
-            m = nodes.stop - a
-            g[2 : m + 2] = phase[nodes].conj() * eng.nonlinear_hat(traj[nodes])
-            r[2 : m + 2] = (dt / 3.0) * (g[:m] + 4.0 * g[1 : m + 1] + g[2 : m + 2])
-            if a == 0:
-                r[2], r[3] = 0.0, 0.5 * dt * (g[2] + g[3])
-            np.add.accumulate(r[0 : m + 2 : 2], out=r[0 : m + 2 : 2])
-            np.add.accumulate(r[1 : m + 2 : 2], out=r[1 : m + 2 : 2])
-            new = phase[nodes] * (eta0.half + r[2 : m + 2])
-            norms[nodes] = np.sqrt(quadratic_form(new - traj[nodes], eta0.grid, hs_w))
-            traj[nodes], g[:2], r[:2] = new, g[m : m + 2], r[m : m + 2]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite difference ends it
+            for a in range(0, K + 1, PICARD_BLOCK):
+                nodes = slice(a, min(a + PICARD_BLOCK, K + 1))
+                m = nodes.stop - a
+                g[2 : m + 2] = phase[nodes].conj() * eng.nonlinear_hat(traj[nodes])
+                r[2 : m + 2] = (dt / 3.0) * (g[:m] + 4.0 * g[1 : m + 1] + g[2 : m + 2])
+                if a == 0:
+                    r[2], r[3] = 0.0, 0.5 * dt * (g[2] + g[3])
+                np.add.accumulate(r[0 : m + 2 : 2], out=r[0 : m + 2 : 2])
+                np.add.accumulate(r[1 : m + 2 : 2], out=r[1 : m + 2 : 2])
+                new = phase[nodes] * (eta0.half + r[2 : m + 2])
+                norms[nodes] = np.sqrt(quadratic_form(new - traj[nodes], eta0.grid, hs_w))
+                traj[nodes], g[:2], r[:2] = new, g[m : m + 2], r[m : m + 2]
         diffs.append(float(norms.max()))
-        if diffs[-1] < cfg.picard_tol:
+        if diffs[-1] < cfg.picard_tol or not math.isfinite(diffs[-1]):
             break
     del phase, g, r, new  # before the returned Fields copy traj
     converged = diffs[-1] < cfg.picard_tol
     diag = PicardDiagnostics(iterations=len(diffs), diff_norms=diffs, converged=converged)
     if not converged:
-        raise PicardDivergenceError(
-            f"Picard iteration did not reach tol {cfg.picard_tol} within "
-            f"{cfg.picard_max_iter} iterations (last diff {diffs[-1]:.3e})",
-            diag,
-        )
+        why = (f"did not reach tol {cfg.picard_tol} within {cfg.picard_max_iter} iterations "
+               f"(last diff {diffs[-1]:.3e})" if math.isfinite(diffs[-1])
+               else f"diverged: the difference at iteration {len(diffs)} is not finite")
+        raise PicardDivergenceError(f"Picard iteration {why}", diag)
     return [Field(eta0.grid, half=c_hat) for c_hat in traj], diag
 
 
@@ -638,15 +637,13 @@ def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
                   center: float | None = None) -> Field:
     if width * width == 0.0:  # at |width| < 1.5e-162 already
         raise ParameterError("width", f"width = {width!r} makes gaussian data divide by zero")
-    x0 = grid.length / 2.0 if center is None else center
-    x = grid.x
-    return Field.from_samples(grid, amplitude * np.exp(-((x - x0) ** 2) / (2.0 * width * width)))
+    x = grid.x - (grid.length / 2.0 if center is None else center)
+    return Field.from_samples(grid, amplitude * np.exp(-(x ** 2) / (2.0 * width * width)))
 
 
 def sech_squared(grid: Grid, amplitude: float = 1.0, width: float = 1.0,
                  center: float | None = None) -> Field:
     if width == 0.0:
         raise ParameterError("width", f"width = {width!r} makes sech2 data divide by zero")
-    x0 = grid.length / 2.0 if center is None else center
-    x = grid.x
-    return Field.from_samples(grid, amplitude / np.cosh((x - x0) / width) ** 2)
+    x = grid.x - (grid.length / 2.0 if center is None else center)
+    return Field.from_samples(grid, amplitude / np.cosh(x / width) ** 2)

@@ -11,9 +11,10 @@ Conventions (fixed once, tested by round-trip):
 
 A real field is determined by half of its spectrum, and ``Field`` keeps
 that half, in rfft layout: n/2 + 1 coefficients, the modes 0..n/2-1 and a
-Nyquist slot holding the -n/2 coefficient (``Grid.half_wavenumbers``).
-Field arithmetic, the functions below and every time loop work on it; the
-samples and the full spectrum ``Field.spectral`` are built on request.
+Nyquist slot holding the -n/2 coefficient (``Grid.half_wavenumbers``), real
+as every half spectrum is a real field's, and on a finer grid split evenly
+over the modes -n/2 and +n/2.  Field arithmetic, the functions below and every
+time loop work on it; the samples and ``Field.spectral`` are built on request.
 
 Every norm and the energy is ``quadratic_form``, L * sum_j w_j |c_j|^2 over
 the half spectrum, on which each interior mode stands for itself and its
@@ -22,9 +23,9 @@ weights (L^2 for s = 0), the energy half of it.  The weight tables and
 derivative symbols are cached per grid, at most ``CACHE_SIZE`` of each kind.
 
 The transforms live here once: ``fine_samples`` (irfft onto m points of the
-spectrum ``fine_band`` pads) and ``truncated_coeffs`` (rfft of m samples,
-truncated back to the half spectrum).  They are every transform of the
-package: a Field's samples and the half spectrum of sampled data (m = n),
+half spectrum times ``pad_factors``, zero past it) and ``truncated_coeffs``
+(rfft of m samples, folded back).  They are every transform of the package:
+a Field's samples and the half spectrum of sampled data (m = n),
 ``padded_product`` below (behind the Field-level products and the
 operator-norm scans of ``bbm5.symbols``) and ``SpectralEngine`` in
 ``bbm5.evolution``.
@@ -93,10 +94,12 @@ class Grid:
         return np.pi * self.n / self.length
 
 
-def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+def _frozen(values, dtype, shape, what: str, real_end: bool = False) -> np.ndarray:
     a = np.array(values, dtype=dtype)  # a copy: the caller keeps its array
     if a.shape != shape:
         raise ValueError(f"expected {shape[0]} {what}, got {a.shape}")
+    if real_end:
+        a.imag[-1] = 0.0
     a.setflags(write=False)
     return a
 
@@ -106,7 +109,8 @@ class Field:
 
     Immutable after construction: operations return new Fields.  Built from
     samples, from a full spectrum (of which the field is the real part: the
-    Hermitian part of the coefficients) or from a half spectrum.
+    Hermitian part of the coefficients) or from a half spectrum, of whose
+    Nyquist slot it keeps the real part, as its samples do.
     """
 
     __slots__ = ("grid", "_samples", "_half", "_spectral")
@@ -123,7 +127,8 @@ class Field:
             self._half = hermitian_half(self._spectral)
             self._half.setflags(write=False)
         elif half is not None:
-            self._half = _frozen(half, np.complex128, (grid.n // 2 + 1,), "coefficients")
+            self._half = _frozen(half, np.complex128, (grid.n // 2 + 1,), "coefficients",
+                                 real_end=True)
         else:
             raise ValueError("Field needs samples or spectral coefficients")
 
@@ -294,34 +299,31 @@ def full_spectrum(h: np.ndarray) -> np.ndarray:
     return np.concatenate((h, np.conj(h[..., -2:0:-1])), axis=-1)
 
 
-def fine_band(spec: np.ndarray, n: int) -> np.ndarray:
-    """spec, a (..., m/2 + 1) array zero past the half spectra of n points in its
-    first n/2 + 1 slots (m >= n), made the padded spectrum of m points."""
-    if spec.shape[-1] > n // 2 + 1:
-        # on the fine grid the coarse -n/2 coefficient c sits inside the band:
-        # Re(c*e^{-i*n*x/2}) puts conj(c)/2 on the +n/2 mode
-        spec[..., n // 2] = 0.5 * np.conj(spec[..., n // 2])
-    return spec
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def pad_factors(n: int, m: int) -> np.ndarray:
+    """The factors (read-only) of a half spectrum of n points in the padded one of m >= n
+    points: 1, but 1/2 at the Nyquist slot if m > n, split evenly over the modes -n/2, +n/2."""
+    p = np.ones(n // 2 + 1)
+    p[-1] = 0.5 if m > n else 1.0
+    p.setflags(write=False)
+    return p
 
 
 def fine_samples(h: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the m-point grid (into out, if given) of the half spectrum h
-    of n points (m >= n); an h of m/2 + 1 slots is taken as padded by fine_band."""
+    of n points (m >= n), times pad_factors(n, m); an h of m/2 + 1 slots is taken as padded."""
     if h.shape[-1] < m // 2 + 1:
         spec = np.zeros((*h.shape[:-1], m // 2 + 1), dtype=np.complex128)
-        spec[..., : h.shape[-1]] = h
-        h = fine_band(spec, 2 * (h.shape[-1] - 1))
+        np.multiply(h, pad_factors(2 * h.shape[-1] - 2, m), out=spec[..., : h.shape[-1]])
+        h = spec
     return np.fft.irfft(h, m, norm="forward", out=out)
 
 
 def truncated_coeffs(samples: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The n/2 + 1 retained half-spectrum coefficients of m fine-grid samples (rfft into out)."""
-    r = np.fft.rfft(samples, norm="forward", out=out)
-    if samples.shape[-1] == n:
-        return r  # no padding: the Nyquist slot must not be folded onto itself
-    h = r[..., : n // 2 + 1]
-    # fold the fine +n/2 mode and its mirror into the single coarse Nyquist slot
-    h[..., -1] = 2.0 * h[..., -1].real
+    """The n/2 + 1 retained half-spectrum coefficients of m fine-grid samples (rfft into out);
+    the fine -n/2 and +n/2 modes fold into the Nyquist slot: real part / pad_factors(n, m)[-1]."""
+    h = np.fft.rfft(samples, norm="forward", out=out)[..., : n // 2 + 1]
+    h[..., -1] = h[..., -1].real / pad_factors(n, samples.shape[-1])[-1]
     return h
 
 

@@ -15,6 +15,13 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def pytest_collection_modifyitems(items):
+    # a RuntimeWarning (overflow, invalid value) that the code under test leaks fails the
+    # test; a test's own filterwarnings mark, applied after this one, takes precedence
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"), append=False)
+
+
 @pytest.fixture
 def ref():
     return REFERENCE_COEFFICIENTS

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bbm5 import spectral, symbols
 from bbm5.coefficients import (Bbm5Coefficients, ParameterError, REFERENCE_COEFFICIENTS,
                                RegimeError, denominator, derive_bbm5, reference_parameters)
+from bbm5.evolution import RhsSpec, nonlinear_rhs
 from bbm5.spectral import (
     CACHE_SIZE,
     Field,
@@ -179,6 +180,25 @@ def test_field_copies_what_it_is_given(grid, rng):
     assert f.half[1] != h[1]
 
 
+def test_a_field_of_a_half_spectrum_keeps_the_real_part_of_its_nyquist_slot(rng):
+    # a real field's -n/2 coefficient is real; a complex one was kept, and its
+    # imaginary part, which the samples drop, counted in the norms, the energy and
+    # the nonlinearity
+    grid = Grid(n=16, length=2.0 * math.pi)
+    h = _random_field(grid, rng).half.copy()
+    h[-1] = 1.0 + 1.0j
+    f = Field(grid, half=h)
+    assert f.half[-1] == 1.0 and np.array_equal(f.half[:-1], h[:-1])
+    g = Field.from_samples(grid, f.samples)
+    for s in (0.0, 1.0, 2.0):
+        assert sobolev_norm(f, s) == pytest.approx(sobolev_norm(g, s), rel=1e-14)
+    assert energy(f, REFERENCE_COEFFICIENTS) == pytest.approx(
+        energy(g, REFERENCE_COEFFICIENTS), rel=1e-14)
+    spec = RhsSpec(REFERENCE_COEFFICIENTS)
+    nf, ng = nonlinear_rhs(f, spec).half, nonlinear_rhs(g, spec).half
+    assert np.abs(nf - ng).max() <= 1e-14 * np.abs(ng).max()
+
+
 def test_field_rejects_a_half_spectrum_of_the_wrong_length(grid):
     with pytest.raises(ValueError, match="coefficients"):
         Field(grid, half=np.zeros(grid.n))
@@ -317,6 +337,7 @@ def test_quadratic_form_of_a_stack_is_the_norms_and_energy_row_by_row(n, ref):
     grid = Grid(n=n, length=16.0 * math.pi)
     rng = np.random.default_rng(n)
     re, im = rng.standard_normal((2, 5, n // 2 + 1))
+    im[:, -1] = 0.0  # a real field's Nyquist slot, as a Field keeps it
     stack = (re + 1j * im) / (1.0 + grid.half_wavenumbers ** 2)
     svals = (0.0, 1.0, 1.5, 2.0)
     weights = np.stack([spectral._energy_weights(grid, ref),
@@ -568,7 +589,7 @@ def test_padded_product_is_one_transform_each_way_and_the_per_factor_formula(
     rng = np.random.default_rng(n + factors)
     halves = [np.array([_random_field(grid, rng, 0.5).half for _ in range(math.prod(stack))])
               .reshape(*stack, n // 2 + 1) for _ in range(factors)]
-    assert np.all(halves[0][..., -1] != 0.0)  # a Nyquist slot for fine_band to halve
+    assert np.all(halves[0][..., -1] != 0.0)  # a Nyquist slot for pad_factors to halve
     want = _per_factor_product(n, *halves)
     calls = {"irfft": 0, "rfft": 0}
     for name in calls:
