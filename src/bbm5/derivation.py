@@ -12,7 +12,8 @@ model (the alpha/beta-scaled fifth-order equation), time derivatives are
 taken from that evolution law rather than finite-differenced, and the
 residual order is measured by an epsilon-halving sweep with alpha = beta =
 epsilon (Stokes number 1).  The sweep steps all epsilons as one stack on one
-engine of the scaled law, built with epsilon as an (E, 1) column.
+engine of the scaled law, built with epsilon as an (E, 1) column.  Corrections
+and residuals are formed on half spectra, products by spectral.padded_product.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .coefficients import (
 )
 from .evolution import (Etdrk4Stepper, NumericalError, SpectralEngine, _linear_fit, _march,
                         _time_lattice, sech_squared)
-from .spectral import (CACHE_SIZE, Field, Grid, dealiased_product2, dealiased_product3,
-                       derivative_symbol, fine_samples, padded_product, quadratic_form,
-                       sobolev_norm, sobolev_weights, spectral_derivative, write_csv)
+from .spectral import (CACHE_SIZE, Field, Grid, derivative_symbol, fine_samples, padded_product,
+                       quadratic_form, sobolev_norm, sobolev_weights, write_csv)
 
 __all__ = [
     "DerivationParameters",
@@ -134,32 +134,23 @@ def _correction_b(c_hat: np.ndarray, ct_hat: np.ndarray, k: tuple, grid: Grid):
 def correction_terms(
     eta: Field, eta_t: Field, p: DerivationParameters
 ) -> tuple[Field, Field, Field, Field, Field]:
-    """The five correction fields (A, B, C, D, E) of the velocity ansatz."""
+    """The five correction fields (A, B, C, D, E) of the velocity ansatz, formed on half
+    spectra in the operand order of Field arithmetic (a scalar or symbol on the right)."""
     eta._check_grid(eta_t)
+    grid, c_hat, ct_hat = eta.grid, eta.half, eta_t.half
     s = derive_second_order(p.model)
     a, b, c, d, rho = k = _constants(p.model)
-    A, B, eta2 = (Field(eta.grid, half=h) for h in _first_order(eta.half, eta_t.half, k, eta.grid))
-
+    A, B, eta2 = _first_order(c_hat, ct_hat, k, grid)
+    dx1, dx2, dx3, dx4 = (derivative_symbol(grid, order) for order in (1, 2, 3, 4))
     c_coeff = 0.125 * (a + 4.0 * b + 2.0 * c - d) + 0.1875 * (a + b - c - d) + 0.375 * rho
-    dxx_eta2 = spectral_derivative(eta2, 2)
-    eta_dxx = dealiased_product2(eta, spectral_derivative(eta, 2))
-    dx_eta = spectral_derivative(eta, 1)
-    dx_eta_sq = dealiased_product2(dx_eta, dx_eta)
-    C = c_coeff * dxx_eta2 + (13.0 / 24.0) * eta_dxx + (11.0 / 48.0) * dx_eta_sq
-
-    d3t_coeff = (
-        0.5 * (float(s.b1) - float(s.d1))
-        + 0.25 * (b - d + rho) * (a - d + 1.0 / 6.0)
-        + 0.25 * d * (c - a + rho)
-    )
+    C = (eta2 * dx2 * c_coeff + padded_product(grid.n, c_hat, c_hat * dx2) * (13.0 / 24.0)
+         + padded_product(grid.n, c_hat * dx1, c_hat * dx1) * (11.0 / 48.0))
+    d3t_coeff = (0.5 * (float(s.b1) - float(s.d1)) + 0.25 * (b - d + rho) * (a - d + 1.0 / 6.0)
+                 + 0.25 * d * (c - a + rho))
     d4_coeff = 0.5 * (float(s.a1) - float(s.c1)) + 0.25 * (c - a + rho) * (a + 1.0 / 6.0) - rho / 12.0
-    dxxx_eta_t = spectral_derivative(eta_t, 3)
-    dxxxx_eta = spectral_derivative(eta, 4)
-    D = -d3t_coeff * dxxx_eta_t - d4_coeff * dxxxx_eta
-
-    eta3 = dealiased_product3(eta, eta, eta)
-    E = 0.125 * eta3
-    return A, B, C, D, E
+    D = ct_hat * dx3 * -d3t_coeff - c_hat * dx4 * d4_coeff
+    E = padded_product(grid.n, c_hat, c_hat, c_hat) * 0.125
+    return tuple(Field(grid, half=h) for h in (A, B, C, D, E))
 
 
 def reconstruct_velocity(eta: Field, eta_t: Field, p: DerivationParameters) -> Field:

@@ -56,6 +56,7 @@ from .spectral import (
     Field,
     Grid,
     _energy_weights,
+    _odd_symbol,
     checked_sobolev_weights,
     derivative_symbol,
     fine_samples,
@@ -163,9 +164,8 @@ class SpectralEngine:
         self.grid = grid
         self.coefficients = coefficients
         self.dealias = dealias
-        _varphi, self.phi, self.psi, self.tau = multipliers(grid.half_wavenumbers, coefficients)
-        for tab in (self.phi, self.psi, self.tau):
-            tab[..., -1] = 0.0  # odd symbols: keep realness exactly
+        _varphi, *odd = multipliers(grid.half_wavenumbers, coefficients)
+        self.phi, self.psi, self.tau = map(_odd_symbol, odd)
         w2, w3, wg = weights
         self._quad = -1j * w2 * self.tau
         self._ipsi = 1j * self.psi

@@ -191,13 +191,19 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
+def _odd_symbol(tab: np.ndarray) -> np.ndarray:
+    """An odd symbol's half table (or a stack), zeroed in place at the Nyquist slot: that
+    slot stands for the modes -n/2 and +n/2, at which the symbol's values are opposite."""
+    tab[..., -1] = 0.0
+    return tab
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def derivative_symbol(grid: Grid, order: int) -> np.ndarray:
-    """(i*xi)^order on the half spectrum; the Nyquist slot is zeroed for odd
-    orders so realness is preserved exactly."""
+    """(i*xi)^order on the half spectrum, an odd symbol for odd orders."""
     d = (1j * grid.half_wavenumbers) ** order
     if order % 2 == 1:
-        d[-1] = 0.0
+        _odd_symbol(d)
     d.setflags(write=False)
     return d
 

@@ -30,6 +30,7 @@ from .spectral import (
     CACHE_SIZE,
     Field,
     Grid,
+    _odd_symbol,
     checked_sobolev_weights,
     derivative_symbol,
     padded_product,
@@ -112,7 +113,7 @@ class Symbol:
 def _half_table(kind: str, c: Bbm5Coefficients | None, grid: Grid) -> np.ndarray:
     tab = np.asarray(eval_symbol(kind, grid.half_wavenumbers, c))
     if _KINDS[kind] == -1:
-        tab[-1] = 0.0
+        _odd_symbol(tab)
     tab.setflags(write=False)
     return tab
 
